@@ -15,23 +15,34 @@ use std::collections::BTreeMap;
 /// and node membership changes.
 ///
 /// The global measurement is kept **canonical**: after any membership
-/// change (join or leave) `y` is recomputed as the dyadic fold of the
-/// current per-node sketches over the node-id space ([`crate::fold`]). A
-/// running float sum would drift under
-/// churn — `(y + s) − s + s` is not `y + s` bit-for-bit — so a node that
-/// leaves and re-joins across an epoch boundary would otherwise perturb
-/// every later recovery. Canonical resummation makes membership history
-/// irrelevant: the same member set with the same sketches always yields
-/// the same measurement bits, which is also what lets a TCP server ingest
-/// sketches in arbitrary arrival order and still recover bit-identically
-/// to the sequential in-process path (`cso-serve`). Membership changes
-/// cost `O(L·M)`; streaming [`SketchAggregator::update`]s stay `O(M)`.
+/// change (join or leave) `y` is the dyadic fold of the current per-node
+/// sketches over the node-id space ([`crate::fold`]). A running float sum
+/// would drift under churn — `(y + s) − s + s` is not `y + s`
+/// bit-for-bit — so a node that leaves and re-joins across an epoch
+/// boundary would otherwise perturb every later recovery. Canonical
+/// resummation makes membership history irrelevant: the same member set
+/// with the same sketches always yields the same measurement bits, which
+/// is also what lets a TCP server ingest sketches in arbitrary arrival
+/// order and still recover bit-identically to the sequential in-process
+/// path (`cso-serve`).
+///
+/// The fold is **lazy**: a membership change is a map insert or remove
+/// that invalidates the cached measurement, and the fold runs once, on the
+/// first read after it ([`global_measurement`], [`recover`], or an
+/// [`update`], which folds before applying its delta). Joining `L` nodes
+/// and then reading therefore costs `O(L·M)` in total, not `O(L²·M)`;
+/// streaming updates against a folded measurement stay `O(M)`.
+///
+/// [`global_measurement`]: SketchAggregator::global_measurement
+/// [`recover`]: SketchAggregator::recover
+/// [`update`]: SketchAggregator::update
 #[derive(Debug, Clone)]
 pub struct SketchAggregator {
     spec: MeasurementSpec,
-    /// Current global measurement: the dyadic fold of `node_sketches`
-    /// plus any streaming deltas applied since the last membership change.
-    y: Vector,
+    /// Cached global measurement: the dyadic fold of `node_sketches` plus
+    /// any streaming deltas applied since the last membership change.
+    /// `None` after a membership change, until the next read refolds it.
+    y: Option<Vector>,
     /// Last full sketch received per node id (needed to retire a node),
     /// keyed in ascending order so resummation is deterministic.
     node_sketches: BTreeMap<usize, Vector>,
@@ -42,12 +53,7 @@ pub struct SketchAggregator {
 impl SketchAggregator {
     /// Creates an empty aggregator for the given measurement spec.
     pub fn new(spec: MeasurementSpec) -> Self {
-        SketchAggregator {
-            spec,
-            y: Vector::zeros(spec.m),
-            node_sketches: BTreeMap::new(),
-            phi0: None,
-        }
+        SketchAggregator { spec, y: None, node_sketches: BTreeMap::new(), phi0: None }
     }
 
     /// The shared measurement spec.
@@ -76,9 +82,20 @@ impl SketchAggregator {
         self.node_sketches.get(&node)
     }
 
-    /// The current global measurement.
-    pub fn global_measurement(&self) -> &Vector {
-        &self.y
+    /// The current global measurement, folded now if membership changed
+    /// since the last read.
+    pub fn global_measurement(&mut self) -> &Vector {
+        self.folded()
+    }
+
+    /// The cached measurement, refolded first if a membership change
+    /// invalidated it.
+    fn folded(&mut self) -> &mut Vector {
+        let (m, members) = (self.spec.m, &self.node_sketches);
+        self.y.get_or_insert_with(|| {
+            let members: Vec<(usize, &Vector)> = members.iter().map(|(id, s)| (*id, s)).collect();
+            crate::fold::dyadic_fold(m, &members)
+        })
     }
 
     /// Registers a node's initial sketch (a data center joins). Errors on a
@@ -92,7 +109,7 @@ impl SketchAggregator {
             });
         }
         self.node_sketches.insert(node, sketch);
-        self.resum();
+        self.y = None;
         Ok(())
     }
 
@@ -102,45 +119,33 @@ impl SketchAggregator {
             name: "node",
             message: "unknown node id".into(),
         })?;
-        self.resum();
+        self.y = None;
         Ok(())
-    }
-
-    /// Recomputes the canonical measurement: the [dyadic fold] of the
-    /// current sketches over the node-id space. Called on every membership
-    /// change so a leave/re-join cycle is loss-free — subtracting and
-    /// re-adding a float vector is *not* the identity, refolding the same
-    /// set is. The dyadic shape (rather than a sequential ascending sum)
-    /// is what lets a relay tier pre-sum an aligned block of node ids and
-    /// still reproduce this measurement bit-for-bit at the root.
-    ///
-    /// [dyadic fold]: crate::fold::dyadic_fold
-    fn resum(&mut self) {
-        let members: Vec<(usize, &Vector)> =
-            self.node_sketches.iter().map(|(id, s)| (*id, s)).collect();
-        self.y = crate::fold::dyadic_fold(self.spec.m, &members);
     }
 
     /// Applies a batch of new records on `node`, given as sparse
     /// `(key index, score delta)` pairs: the node measures only the delta
-    /// and ships an `M`-length update — cost `O(M)`, independent of history.
+    /// and ships an `M`-length update — cost `O(M)`, independent of history
+    /// (plus the one pending fold, if membership changed since the last
+    /// read: the delta lands on the canonical measurement of the members
+    /// *before* it, exactly as if that fold had run at the change).
     pub fn update(&mut self, node: usize, delta: &[(usize, f64)]) -> Result<(), LinalgError> {
         let dy = self.spec.measure_sparse(delta)?;
-        let sketch = self.node_sketches.get_mut(&node).ok_or(LinalgError::InvalidParameter {
-            name: "node",
-            message: "unknown node id".into(),
-        })?;
-        sketch.add_assign(&dy)?;
-        self.y.add_assign(&dy)?;
-        Ok(())
+        if !self.node_sketches.contains_key(&node) {
+            return Err(LinalgError::InvalidParameter {
+                name: "node",
+                message: "unknown node id".into(),
+            });
+        }
+        self.folded().add_assign(&dy)?;
+        self.node_sketches.get_mut(&node).expect("membership checked above").add_assign(&dy)
     }
 
     /// Recovers mode and outliers from the current global sketch.
     pub fn recover(&mut self, config: &BompConfig) -> Result<BompResult, LinalgError> {
-        if self.phi0.is_none() {
-            self.phi0 = Some(self.spec.materialize());
-        }
-        bomp_with_matrix(self.phi0.as_ref().expect("just set"), &self.y, config)
+        self.folded();
+        let phi0 = self.phi0.get_or_insert_with(|| self.spec.materialize());
+        bomp_with_matrix(phi0, self.y.as_ref().expect("folded above"), config)
     }
 
     fn check_len(&self, sketch: &Vector) -> Result<(), LinalgError> {
@@ -311,5 +316,139 @@ mod tests {
         updated[1] += 5.0;
         let reference = spec.measure_dense(&updated).unwrap();
         assert!(agg.global_measurement().approx_eq(&reference, 1e-9));
+    }
+}
+
+/// The lazy aggregator against an eager reference model: every operation
+/// sequence must yield the same measurement bits, the same recoveries and
+/// the same errors as refolding immediately on each membership change.
+#[cfg(test)]
+mod lazy_fold_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const M: usize = 16;
+    const N: usize = 48;
+
+    fn spec() -> MeasurementSpec {
+        MeasurementSpec::new(M, N, 91).unwrap()
+    }
+
+    /// The pre-lazy aggregator: the dyadic fold runs inside every join and
+    /// leave, so `y` is always materialized.
+    struct Eager {
+        spec: MeasurementSpec,
+        y: Vector,
+        sketches: BTreeMap<usize, Vector>,
+    }
+
+    impl Eager {
+        fn new(spec: MeasurementSpec) -> Self {
+            Eager { spec, y: Vector::zeros(spec.m), sketches: BTreeMap::new() }
+        }
+
+        fn refold(&mut self) {
+            let members: Vec<(usize, &Vector)> =
+                self.sketches.iter().map(|(id, s)| (*id, s)).collect();
+            self.y = crate::fold::dyadic_fold(self.spec.m, &members);
+        }
+
+        fn join(&mut self, node: usize, sketch: Vector) -> Result<(), LinalgError> {
+            if sketch.len() != self.spec.m {
+                return Err(LinalgError::DimensionMismatch {
+                    op: "sketch",
+                    expected: (self.spec.m, 1),
+                    actual: (sketch.len(), 1),
+                });
+            }
+            if self.sketches.contains_key(&node) {
+                return Err(LinalgError::InvalidParameter {
+                    name: "node",
+                    message: "node id already registered".into(),
+                });
+            }
+            self.sketches.insert(node, sketch);
+            self.refold();
+            Ok(())
+        }
+
+        fn leave(&mut self, node: usize) -> Result<(), LinalgError> {
+            self.sketches.remove(&node).ok_or(LinalgError::InvalidParameter {
+                name: "node",
+                message: "unknown node id".into(),
+            })?;
+            self.refold();
+            Ok(())
+        }
+
+        fn update(&mut self, node: usize, delta: &[(usize, f64)]) -> Result<(), LinalgError> {
+            let dy = self.spec.measure_sparse(delta)?;
+            let sketch = self.sketches.get_mut(&node).ok_or(LinalgError::InvalidParameter {
+                name: "node",
+                message: "unknown node id".into(),
+            })?;
+            sketch.add_assign(&dy)?;
+            self.y.add_assign(&dy)
+        }
+
+        fn recover(&self, config: &BompConfig) -> Result<BompResult, LinalgError> {
+            bomp_with_matrix(&self.spec.materialize(), &self.y, config)
+        }
+    }
+
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A sketch drawn from `seed`; about one in seven has the wrong length.
+    fn sketch(seed: u64) -> Vector {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let len = if rng.gen_range(0..7) == 0 { M + 1 } else { M };
+        Vector::from_vec((0..len).map(|_| rng.gen_range(-1e6..1e6)).collect())
+    }
+
+    /// A one- to three-key delta drawn from `seed`; key indices reach two
+    /// past `N`, so some deltas are rejected.
+    fn delta(seed: u64) -> Vec<(usize, f64)> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..1 + seed % 3).map(|_| (rng.gen_range(0..N + 2), rng.gen_range(-5e3..5e3))).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random join/leave/update/read sequences over a small id space
+        /// (so duplicate joins and unknown ids occur) agree with the eager
+        /// model bit for bit, error for error.
+        #[test]
+        fn lazy_fold_matches_eager_reference_bit_for_bit(
+            ops in prop::collection::vec((0u8..5, 0usize..10, 0u64..u64::MAX), 0..48),
+        ) {
+            let config = BompConfig::default();
+            let mut lazy = SketchAggregator::new(spec());
+            let mut eager = Eager::new(spec());
+            for (op, node, arg) in ops {
+                match op {
+                    0 => prop_assert_eq!(
+                        lazy.join(node, sketch(arg)),
+                        eager.join(node, sketch(arg))
+                    ),
+                    1 => prop_assert_eq!(lazy.leave(node), eager.leave(node)),
+                    2 => prop_assert_eq!(
+                        lazy.update(node, &delta(arg)),
+                        eager.update(node, &delta(arg))
+                    ),
+                    3 => prop_assert_eq!(bits(lazy.global_measurement()), bits(&eager.y)),
+                    _ => prop_assert_eq!(
+                        format!("{:?}", lazy.recover(&config)),
+                        format!("{:?}", eager.recover(&config))
+                    ),
+                }
+                prop_assert_eq!(lazy.node_ids(), eager.sketches.keys().copied().collect::<Vec<_>>());
+            }
+            prop_assert_eq!(bits(lazy.global_measurement()), bits(&eager.y));
+        }
     }
 }

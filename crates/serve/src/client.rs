@@ -668,9 +668,9 @@ impl Default for ServeRunConfig {
 /// seals, recovers, and returns the server's report.
 ///
 /// With `SketchEncoding::F64` the result is **bit-identical** to
-/// [`CsProtocol::run_over_wire`] — the server's canonical
-/// ascending-node-id resummation makes the aggregate independent of
-/// arrival interleaving, and recovery runs the same
+/// [`CsProtocol::run_over_wire`] — the server's canonical dyadic fold
+/// over node ids makes the aggregate independent of arrival
+/// interleaving, and recovery runs the same
 /// [`CsProtocol::effective_recovery`] configuration.
 pub fn run_cs_over_server(
     proto: &CsProtocol,

@@ -31,8 +31,8 @@
 //! shard lock — only the journal lock is taken, to append the record
 //! before the ack (`serve.shard_lockfree_ingests` vs
 //! `serve.shard_locked_dispatches` count the split). Seal quiesces the
-//! pad and folds it into the aggregator under the shard lock, so sealed
-//! measurements remain the canonical ascending-node-id sum —
+//! pad and moves it into the aggregator under the shard lock, so sealed
+//! measurements remain the canonical dyadic fold over node ids —
 //! bit-identical to `run_over_wire`.
 //!
 //! All shards feed a **single journal writer** (one WAL behind one lock),

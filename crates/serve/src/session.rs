@@ -17,9 +17,10 @@
 //! Ingest is **idempotent and order-free**: a re-sent sketch for a node
 //! that already contributed is acknowledged as a duplicate (retransmits
 //! are free), and because the aggregator keeps its measurement canonical
-//! (ascending-node-id resummation, see `cso_distributed::incremental`),
-//! any arrival interleaving across concurrent connections yields
-//! bit-identical recovery.
+//! (the dyadic fold over node ids, run once on the first read after a
+//! membership change; see `cso_distributed::incremental`), any arrival
+//! interleaving across concurrent connections yields bit-identical
+//! recovery.
 
 use crate::frame::MAX_FRAME_BYTES;
 use cso_core::{
@@ -37,7 +38,7 @@ use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Typed reject codes carried in [`Message::Reject`] frames. Wire values
 /// are stable: new codes may be appended, existing ones never renumbered.
@@ -240,8 +241,9 @@ struct Epoch {
 ///
 /// While ingesting, the server may attach an [`IngestPad`]: a lock-free
 /// overlay that absorbs sketch arrivals without the store lock. Pad
-/// contents are folded into the aggregator (ascending node id, so the
-/// measurement stays canonical) at seal and at snapshot time.
+/// contents move into the aggregator at seal and at snapshot time; the
+/// aggregator folds them canonically once, when the seal reads the
+/// measurement.
 #[derive(Debug)]
 enum EpochState {
     /// Accepting sketches (phase `Ingest`).
@@ -296,10 +298,18 @@ unsafe impl Sync for PadSlot {}
 /// The hot path of the sharded server: a worker that already knows its
 /// connection's bound epoch claims the sketch's node slot with a single
 /// CAS and deposits the decoded vector — no store lock, no map insert, no
-/// resummation. The canonical `y = Σ y_l` (ascending node id — the
-/// bit-identity invariant) is formed later, when the seal-time drain folds READY
-/// slots into the epoch's [`SketchAggregator`] under the shard lock: at
-/// seal, and before every durability snapshot.
+/// fold. Drains move READY slots into the epoch's [`SketchAggregator`]
+/// under the shard lock, at seal and before every durability snapshot;
+/// the canonical `y = Σ y_l` (the dyadic fold over node ids — the
+/// bit-identity invariant) is formed once, when the seal reads it.
+///
+/// Memory follows the nodes that arrive, not the key space: node ids
+/// `0..min(n, max_nodes_per_epoch)` map to fixed chunks of
+/// `PAD_CHUNK` (256) slots, and a chunk is allocated by the first claim
+/// that lands in it (or when a member joined before the pad existed is
+/// pre-marked). An epoch of `L` nodes with dense ids holds about `L`
+/// slots plus one small `OnceLock` cell per 256 ids of capacity; drains
+/// walk only allocated chunks.
 ///
 /// Two flags coordinate with the store-locked control plane, both via the
 /// `active` permit counter ([`PadPermit`] is held across the caller's WAL
@@ -323,7 +333,11 @@ pub struct IngestPad {
     accepted: AtomicU64,
     drained: AtomicU64,
     duplicates: AtomicU64,
-    slots: Box<[PadSlot]>,
+    /// Node ids `0..capacity` take the lock-free path.
+    capacity: usize,
+    /// `capacity / PAD_CHUNK` (rounded up) chunk cells; a chunk's slots are
+    /// allocated by the first claim (or pre-mark) that lands in it.
+    chunks: Box<[OnceLock<Box<[PadSlot]>>]>,
 }
 
 impl fmt::Debug for PadSlot {
@@ -364,24 +378,18 @@ impl Drop for PadPermit<'_> {
     }
 }
 
+/// Slots per [`IngestPad`] chunk: the pad's allocation granularity.
+const PAD_CHUNK: usize = 256;
+
 impl IngestPad {
-    /// A pad for an epoch currently backed by `agg`: slots for node ids
+    /// A pad for an epoch currently backed by `agg`: lock-free node ids
     /// `0..min(n, max_nodes)`, with nodes already in the aggregator
-    /// pre-marked so their retransmits count as duplicates.
+    /// pre-marked so their retransmits count as duplicates. Only the
+    /// chunks those members fall in are allocated up front.
     fn new(agg: &SketchAggregator, seed: u64, max_nodes: usize) -> IngestPad {
         let spec = agg.spec();
         let capacity = spec.n.min(max_nodes);
-        let slots: Box<[PadSlot]> = (0..capacity)
-            .map(|_| PadSlot { state: AtomicU8::new(SLOT_EMPTY), cell: UnsafeCell::new(None) })
-            .collect();
-        for node in agg.node_ids() {
-            if let Some(slot) = slots.get(node) {
-                // Pre-marked DRAINED: the sketch lives in the aggregator;
-                // the drain pass skips it, a claim reads it as a duplicate.
-                slot.state.store(SLOT_DRAINED, Ordering::Relaxed);
-            }
-        }
-        IngestPad {
+        let pad = IngestPad {
             seed,
             m: spec.m,
             sealed: AtomicBool::new(false),
@@ -390,16 +398,48 @@ impl IngestPad {
             accepted: AtomicU64::new(0),
             drained: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
-            slots,
+            capacity,
+            chunks: (0..capacity.div_ceil(PAD_CHUNK)).map(|_| OnceLock::new()).collect(),
+        };
+        for node in agg.node_ids() {
+            if let Some(slot) = pad.slot(node) {
+                // Pre-marked DRAINED: the sketch lives in the aggregator;
+                // the drain pass skips it, a claim reads it as a duplicate.
+                slot.state.store(SLOT_DRAINED, Ordering::Relaxed);
+            }
         }
+        pad
+    }
+
+    /// `node`'s slot, allocating its chunk on first use; `None` past the
+    /// pad's capacity.
+    fn slot(&self, node: usize) -> Option<&PadSlot> {
+        if node >= self.capacity {
+            return None;
+        }
+        let chunk = self.chunks[node / PAD_CHUNK].get_or_init(|| {
+            (0..PAD_CHUNK)
+                .map(|_| PadSlot { state: AtomicU8::new(SLOT_EMPTY), cell: UnsafeCell::new(None) })
+                .collect()
+        });
+        Some(&chunk[node % PAD_CHUNK])
+    }
+
+    /// Every allocated slot with its node id, ascending.
+    fn allocated_slots(&self) -> impl Iterator<Item = (usize, &PadSlot)> {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((c * PAD_CHUNK, chunk.get()?)))
+            .flat_map(|(base, slots)| slots.iter().enumerate().map(move |(i, s)| (base + i, s)))
     }
 
     /// Attempts a lock-free ingest of `node`'s sketch. See [`PadIngest`]
     /// for the contract of each outcome.
     pub fn ingest(&self, node: u32, seed: u64, payload: &EncodedSketch) -> PadIngest<'_> {
-        let Some(slot) = self.slots.get(node as usize) else {
+        if node as usize >= self.capacity {
             return PadIngest::Unavailable;
-        };
+        }
         // Raise the permit before checking the barrier flags (Dekker-style
         // with the sealer/snapshotter, both sides SeqCst): either we see
         // the flag and bounce, or the barrier's quiescence wait sees us.
@@ -414,6 +454,9 @@ impl IngestPad {
         if seed != self.seed {
             return PadIngest::SeedMismatch;
         }
+        // Allocated under the permit, so a quiesced pad has no chunk
+        // half-built behind the drain's back.
+        let slot = self.slot(node as usize).expect("node checked against capacity");
         if slot.state.load(Ordering::Acquire) != SLOT_EMPTY {
             self.duplicates.fetch_add(1, Ordering::Relaxed);
             return PadIngest::Duplicate;
@@ -442,7 +485,7 @@ impl IngestPad {
         }
     }
 
-    /// Sketches deposited but not yet folded into the aggregator.
+    /// Sketches deposited but not yet moved into the aggregator.
     pub fn pending(&self) -> u64 {
         self.accepted.load(Ordering::Relaxed).saturating_sub(self.drained.load(Ordering::Relaxed))
     }
@@ -472,13 +515,12 @@ impl IngestPad {
         self.paused.store(false, Ordering::SeqCst);
     }
 
-    /// Folds every READY slot into `agg` (ascending node id — `BTreeMap`
-    /// order keeps the measurement canonical regardless). Returns how many
-    /// sketches were folded. Callers hold the shard's store lock; claims
+    /// Moves every READY slot's sketch into `agg` — each a map insert; the
+    /// aggregator folds once, when the measurement is next read. Walks
+    /// only allocated chunks. Callers hold the shard's store lock; claims
     /// racing this drain keep their slots for the next drain.
-    fn drain_into(&self, agg: &mut SketchAggregator) -> u64 {
-        let mut folded = 0;
-        for (node, slot) in self.slots.iter().enumerate() {
+    fn drain_into(&self, agg: &mut SketchAggregator) {
+        for (node, slot) in self.allocated_slots() {
             let claimed = slot
                 .state
                 .compare_exchange(SLOT_READY, SLOT_DRAINED, Ordering::AcqRel, Ordering::Acquire)
@@ -492,11 +534,9 @@ impl IngestPad {
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
             } else {
                 agg.join(node, sketch).expect("pad sketch length was validated at claim");
-                folded += 1;
             }
             self.drained.fetch_add(1, Ordering::Relaxed);
         }
-        folded
     }
 
     /// Hands the pad's duplicate tally to the epoch's durable counter.
@@ -528,9 +568,10 @@ pub struct StoreLimits {
     /// Live epochs per session before a new epoch is rejected (recovered
     /// epochs are evicted to make room first).
     pub max_epochs_per_session: usize,
-    /// Slot count of the lock-free [`IngestPad`] per epoch (bounded by the
-    /// epoch's `n`). Nodes with ids past the pad take the store-locked
-    /// slow path — correct, just not lock-free.
+    /// Node-id range of the lock-free [`IngestPad`] per epoch (bounded by
+    /// the epoch's `n`). It caps ids, not memory: slots are allocated in
+    /// 256-slot chunks as nodes arrive. Nodes with ids past the range take
+    /// the store-locked slow path — correct, just not lock-free.
     pub max_nodes_per_epoch: usize,
 }
 
@@ -743,7 +784,7 @@ pub enum Effect {
         op_kind: u8,
         /// Operator parameter (density `s` for seeded-sparse; 0 otherwise).
         op_param: u64,
-        /// The canonical `M`-length measurement (ascending-node-id sum).
+        /// The canonical `M`-length measurement (dyadic fold over node ids).
         y: Vector,
     },
     /// The epoch's recovery completed (never produced by
@@ -1266,7 +1307,7 @@ impl SessionStore {
             _ => 0,
         };
         ep.duplicates += pad_duplicates;
-        let EpochState::Ingest(agg, _) = &ep.state else {
+        let EpochState::Ingest(agg, _) = &mut ep.state else {
             return (reject(RejectCode::DuplicateSeal), Effect::None);
         };
         // Compact at the freeze point: membership can no longer change, so
@@ -1625,9 +1666,9 @@ impl SessionStore {
     }
 
     /// Rebuilds a store from [`SessionStore::snapshot_bytes`] output.
-    /// Aggregators are reconstructed through `join`, so the rebuilt
-    /// measurement is the same canonical ascending-node-id sum —
-    /// bit-identical to the snapshotted store's.
+    /// Aggregators are reconstructed through `join` (map inserts; the
+    /// dyadic fold runs once, at the next read), so the rebuilt
+    /// measurement is bit-identical to the snapshotted store's.
     pub fn from_snapshot_bytes(buf: &[u8], limits: StoreLimits) -> Result<SessionStore, String> {
         let mut r = SnapReader { buf, pos: 0 };
         let mut store = SessionStore::with_limits(limits);
@@ -2427,5 +2468,278 @@ mod tests {
         fresh.replay_open(1, 0, M, N, SEED, 0, 0).unwrap();
         fresh.replay_recovered(1, 0);
         assert_eq!(fresh.epoch_phase(1, 0), Some(EpochPhase::Ingest));
+    }
+
+    // ---- chunked ingest pad ---------------------------------------------
+
+    /// An `M`-length sketch with irregular mantissas, so any change of
+    /// summation order shows in the bits.
+    fn irregular(id: u32) -> Vector {
+        Vector::from_vec(
+            (0..M as usize)
+                .map(|i| ((id as f64 + 1.0) * 0.73 + i as f64 * 1.37).sin() * 1e3)
+                .collect(),
+        )
+    }
+
+    fn irregular_payload(id: u32) -> EncodedSketch {
+        quantize::encode(&irregular(id), SketchEncoding::F64)
+    }
+
+    fn irregular_msg(node: u32) -> Message {
+        Message::Sketch { node, seed: SEED, payload: irregular_payload(node) }
+    }
+
+    fn bits(v: &Vector) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The flat dyadic fold over `(node, sketch id)` pairs.
+    fn fold_bits(members: impl IntoIterator<Item = (u32, u32)>) -> Vec<u64> {
+        let sketches: Vec<(usize, Vector)> =
+            members.into_iter().map(|(node, id)| (node as usize, irregular(id))).collect();
+        let refs: Vec<(usize, &Vector)> = sketches.iter().map(|(n, s)| (*n, s)).collect();
+        bits(&cso_distributed::dyadic_fold(M as usize, &refs))
+    }
+
+    /// Opens (or attaches to) epoch `(1, 0)` over `n` keys.
+    fn open_over(n: u64) -> Message {
+        Message::OpenEpoch { session: 1, epoch: 0, m: M, n, seed: SEED, op_kind: 0, op_param: 0 }
+    }
+
+    fn send(store: &mut SessionStore, conn: &mut ConnState, msg: &Message) -> (Message, Effect) {
+        let mut stats = StoreStats::new();
+        match store.dispatch(conn, msg, &RecoveryPolicy::default(), &mut stats) {
+            Dispatch::Reply(reply, effect) => (reply, effect),
+            Dispatch::Recover(_) => panic!("unexpected recover job"),
+        }
+    }
+
+    /// A store whose epoch `(1, 0)` is open over `n` keys, bound to the
+    /// returned connection.
+    fn opened(n: u64, max_nodes_per_epoch: usize) -> (SessionStore, ConnState) {
+        let mut store = SessionStore::with_limits(StoreLimits {
+            max_nodes_per_epoch,
+            ..StoreLimits::default()
+        });
+        let mut conn = ConnState::new();
+        assert!(matches!(send(&mut store, &mut conn, &open_over(n)).0, Message::Ack { .. }));
+        (store, conn)
+    }
+
+    /// Seals `(1, 0)`; returns the journaled node count, duplicate count
+    /// and measurement bits.
+    fn seal_bits(store: &mut SessionStore) -> (u64, u64, Vec<u64>) {
+        let seal = Message::SealEpoch { session: 1, epoch: 0 };
+        match send(store, &mut ConnState::new(), &seal).1 {
+            Effect::Sealed { nodes, duplicates, y, .. } => (nodes, duplicates, bits(&y)),
+            other => panic!("expected a seal effect, got {other:?}"),
+        }
+    }
+
+    /// Claims at both edges of a chunk and at the last lock-free id land
+    /// in the pad; the first id past it bounces to the locked path, which
+    /// still admits it.
+    #[test]
+    fn pad_claims_at_chunk_edges_and_capacity_falls_back_to_the_lock() {
+        let cap = 600;
+        let (mut store, mut conn) = opened(1024, cap);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        let edges = [0, PAD_CHUNK - 1, PAD_CHUNK, cap - 1].map(|n| n as u32);
+        for node in edges {
+            assert!(matches!(
+                pad.ingest(node, SEED, &irregular_payload(node)),
+                PadIngest::Accepted(_)
+            ));
+            assert!(matches!(
+                pad.ingest(node, SEED, &irregular_payload(node)),
+                PadIngest::Duplicate
+            ));
+        }
+        let past = cap as u32;
+        assert!(matches!(pad.ingest(past, SEED, &irregular_payload(past)), PadIngest::Unavailable));
+        let (reply, effect) = send(&mut store, &mut conn, &irregular_msg(past));
+        assert_eq!(reply, Message::Ack { of: TAG_SKETCH, info: 0 });
+        assert!(matches!(effect, Effect::Ingested { .. }));
+        let (nodes, duplicates, y) = seal_bits(&mut store);
+        assert_eq!((nodes, duplicates), (5, 4));
+        assert_eq!(y, fold_bits(edges.into_iter().chain([past]).map(|n| (n, n))));
+    }
+
+    /// Members joined before the pad existed are pre-marked in chunks no
+    /// claim has touched: their retransmits are duplicates, and their
+    /// neighbours claim the pre-allocated chunk normally.
+    #[test]
+    fn pad_premarks_members_in_chunks_no_claim_touched() {
+        let (mut store, mut conn) = opened(1024, 1 << 16);
+        let members = [5u32, 300, 700];
+        for node in members {
+            let reply = send(&mut store, &mut conn, &irregular_msg(node)).0;
+            assert_eq!(reply, Message::Ack { of: TAG_SKETCH, info: 0 });
+        }
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        assert_eq!(pad.allocated_slots().count(), 3 * PAD_CHUNK, "chunks 0, 1 and 2");
+        for node in members {
+            assert!(matches!(
+                pad.ingest(node, SEED, &irregular_payload(node)),
+                PadIngest::Duplicate
+            ));
+        }
+        assert!(matches!(pad.ingest(301, SEED, &irregular_payload(301)), PadIngest::Accepted(_)));
+        let (nodes, duplicates, y) = seal_bits(&mut store);
+        assert_eq!((nodes, duplicates), (4, 3));
+        assert_eq!(y, fold_bits([5, 300, 301, 700].map(|n| (n, n))));
+    }
+
+    /// A chunk first allocated after a snapshot drain is drained by the
+    /// next one; a claim bounced by the pause allocates nothing.
+    #[test]
+    fn pad_pause_drain_resume_across_a_chunk_allocated_mid_epoch() {
+        let (mut store, _) = opened(1024, 1 << 16);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        assert!(matches!(pad.ingest(1, SEED, &irregular_payload(1)), PadIngest::Accepted(_)));
+        store.pause_and_drain_pads();
+        assert!(matches!(pad.ingest(600, SEED, &irregular_payload(600)), PadIngest::Unavailable));
+        assert_eq!(pad.allocated_slots().count(), PAD_CHUNK);
+        store.resume_pads();
+        assert!(matches!(pad.ingest(600, SEED, &irregular_payload(600)), PadIngest::Accepted(_)));
+        assert_eq!(pad.allocated_slots().count(), 2 * PAD_CHUNK);
+
+        store.pause_and_drain_pads();
+        let snapshot = store.snapshot_bytes();
+        store.resume_pads();
+        let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())
+            .expect("valid snapshot");
+        assert_eq!(seal_bits(&mut rebuilt), (2, 0, fold_bits([(1, 1), (600, 600)])));
+
+        assert!(matches!(pad.ingest(601, SEED, &irregular_payload(601)), PadIngest::Accepted(_)));
+        assert_eq!(seal_bits(&mut store), (3, 0, fold_bits([1, 600, 601].map(|n| (n, n)))));
+    }
+
+    /// Two threads racing the first claim of a fresh chunk: exactly one
+    /// wins, the other sees a duplicate, and the winner's sketch is the
+    /// one sealed.
+    #[test]
+    fn pad_racing_first_claims_of_a_fresh_chunk_first_wins() {
+        let (mut store, _) = opened(4096, 1 << 16);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        let mut winners = Vec::new();
+        for chunk in 1..4096 / PAD_CHUNK {
+            let node = (chunk * PAD_CHUNK + 7) as u32;
+            let contenders = [node, node + 10_000];
+            let barrier = std::sync::Barrier::new(2);
+            let won: Vec<bool> = std::thread::scope(|s| {
+                let handles: Vec<_> = contenders
+                    .map(|id| {
+                        let (pad, barrier) = (&pad, &barrier);
+                        s.spawn(move || {
+                            let payload = irregular_payload(id);
+                            barrier.wait();
+                            match pad.ingest(node, SEED, &payload) {
+                                PadIngest::Accepted(_) => true,
+                                PadIngest::Duplicate => false,
+                                other => panic!("unexpected outcome {other:?}"),
+                            }
+                        })
+                    })
+                    .into_iter()
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("claimer")).collect()
+            });
+            assert_eq!(won.iter().filter(|w| **w).count(), 1, "node {node}: {won:?}");
+            winners.push((node, contenders[won.iter().position(|w| *w).expect("a winner")]));
+        }
+        let (nodes, duplicates, y) = seal_bits(&mut store);
+        assert_eq!((nodes, duplicates), (winners.len() as u64, winners.len() as u64));
+        assert_eq!(y, fold_bits(winners));
+    }
+
+    /// The pad's memory follows the nodes that arrive, not the key space.
+    #[test]
+    fn pad_for_a_huge_key_space_allocates_one_chunk_for_four_nodes() {
+        let (mut store, _) = opened(1 << 20, StoreLimits::default().max_nodes_per_epoch);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        assert_eq!(pad.allocated_slots().count(), 0);
+        for node in 0..4 {
+            assert!(matches!(
+                pad.ingest(node, SEED, &irregular_payload(node)),
+                PadIngest::Accepted(_)
+            ));
+        }
+        assert!(pad.allocated_slots().count() <= PAD_CHUNK);
+        assert_eq!(seal_bits(&mut store).0, 4);
+    }
+
+    // ---- 1024-node seal ---------------------------------------------------
+
+    const FAN_IN: u32 = 1024;
+
+    /// The `i`-th arrival: a fixed scramble of `0..FAN_IN`.
+    fn arrival(i: u32) -> u32 {
+        (i * 389 + 17) % FAN_IN
+    }
+
+    /// Dispatches arrivals `range` into `(1, 0)` through a pad, as a
+    /// server lane does.
+    fn ingest_arrivals(store: &mut SessionStore, range: std::ops::Range<u32>) {
+        let mut conn = ConnState::new();
+        send(store, &mut conn, &open_over(4096));
+        store.pad_for(1, 0).expect("ingesting epoch");
+        for i in range {
+            let reply = send(store, &mut conn, &irregular_msg(arrival(i))).0;
+            assert_eq!(reply, Message::Ack { of: TAG_SKETCH, info: 0 });
+        }
+    }
+
+    fn all_leaves() -> Vec<u64> {
+        fold_bits((0..FAN_IN).map(|n| (n, n)))
+    }
+
+    #[test]
+    fn seal_1024_nodes_through_dispatch_matches_the_dyadic_fold() {
+        let (mut store, _) = opened(4096, 1 << 16);
+        ingest_arrivals(&mut store, 0..FAN_IN);
+        assert_eq!(seal_bits(&mut store), (FAN_IN as u64, 0, all_leaves()));
+    }
+
+    #[test]
+    fn seal_1024_nodes_after_a_mid_ingest_snapshot_matches_the_dyadic_fold() {
+        let (mut store, _) = opened(4096, 1 << 16);
+        ingest_arrivals(&mut store, 0..FAN_IN / 2);
+        store.pause_and_drain_pads();
+        let snapshot = store.snapshot_bytes();
+        store.resume_pads();
+        let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())
+            .expect("valid snapshot");
+        ingest_arrivals(&mut rebuilt, FAN_IN / 2..FAN_IN);
+        assert_eq!(seal_bits(&mut rebuilt), (FAN_IN as u64, 0, all_leaves()));
+    }
+
+    #[test]
+    fn seal_1024_nodes_after_wal_replay_matches_the_dyadic_fold() {
+        use crate::wal::{Durability, Wal, WalRecord};
+        let dir =
+            std::env::temp_dir().join(format!("cso-session-seal-1024-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open journal");
+        let mut stats = StoreStats::new();
+        let open = open_over(4096);
+        let (mut live, mut conn) = (SessionStore::new(), ConnState::new());
+        let (_, opened_effect) = send(&mut live, &mut conn, &open);
+        wal.append(&WalRecord::of_effect(&opened_effect, &open).expect("open record"), &mut stats);
+        for i in 0..FAN_IN {
+            let msg = irregular_msg(arrival(i));
+            let (_, effect) = send(&mut live, &mut conn, &msg);
+            wal.append(&WalRecord::of_effect(&effect, &msg).expect("ingest record"), &mut stats);
+        }
+        assert!(!wal.failed());
+        drop(wal);
+
+        let (mut replayed, report) =
+            SessionStore::recover_from(&dir, StoreLimits::default()).expect("replay");
+        assert_eq!(report.replayed_records, 1 + FAN_IN as u64);
+        assert_eq!(seal_bits(&mut replayed), (FAN_IN as u64, 0, all_leaves()));
+        assert_eq!(seal_bits(&mut live), (FAN_IN as u64, 0, all_leaves()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

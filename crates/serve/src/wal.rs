@@ -42,7 +42,7 @@
 //!
 //! The journal is **prefix-consistent**: recovery reconstructs exactly the
 //! state produced by some prefix of the acknowledged transitions, and the
-//! canonical ascending-node-id resummation guarantees that recovering that
+//! canonical dyadic fold over node ids guarantees that recovering that
 //! prefix's epoch yields bit-identical output to a never-crashed server
 //! holding the same node subset. Seal records are self-contained (they
 //! carry the compacted canonical measurement), so a sealed epoch's bits

@@ -38,33 +38,38 @@
 #      relay kill-9 resume must pass, the topology fold proptests must
 #      hold, and the tree_topology sweep must run and write a valid
 #      BENCH_pr10.json
+#  17. the seal-cost smoke: the serve benchmark's own self-tests must
+#      pass, and so must the lazy-fold property test (lazy aggregator vs
+#      an eager reference model, bit for bit), the chunked ingest-pad
+#      tests and the 1024-node seal bit-identity tests (live dispatch,
+#      snapshot round trip, WAL replay)
 #
 # Any step failing fails the script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> [1/16] cargo fmt --check"
+echo "==> [1/17] cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> [2/16] release build"
+echo "==> [2/17] release build"
 cargo build --release --workspace
 
-echo "==> [3/16] workspace tests"
+echo "==> [3/17] workspace tests"
 cargo test -q --workspace
 
-echo "==> [4/16] fault-injection sweeps"
+echo "==> [4/17] fault-injection sweeps"
 cargo test -q -p cso-distributed --features fault-injection
 
-echo "==> [5/16] warnings-clean (all targets, fault-injection on)"
+echo "==> [5/17] warnings-clean (all targets, fault-injection on)"
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-injection
 
-echo "==> [6/16] rustdoc warnings-clean"
+echo "==> [6/17] rustdoc warnings-clean"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-echo "==> [7/16] fault sweep smoke"
+echo "==> [7/17] fault sweep smoke"
 cargo test -q -p cso-bench faults::
 
-echo "==> [8/16] observability smoke (obs_report)"
+echo "==> [8/17] observability smoke (obs_report)"
 # The binary self-validates: strict JSON parse of the emitted report,
 # required REPORT_KEYS present, comm.* metrics equal to the CostMeter
 # totals, per-iteration BOMP events present. Any violation aborts.
@@ -73,20 +78,20 @@ for artifact in results/run_report.jsonl BENCH_pr2.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
 
-echo "==> [9/16] scaling smoke (parallel executor sweep)"
+echo "==> [9/17] scaling smoke (parallel executor sweep)"
 # The sweep self-validates its JSON before writing; the sequential
 # reference and every worker count run the same deterministic workload.
 cargo run --release -q -p cso-bench --bin figures -- scaling
 test -s BENCH_pr3.json || { echo "missing BENCH_pr3.json"; exit 1; }
 
-echo "==> [10/16] recovery-kernel smoke (fused OMP sweep)"
+echo "==> [10/17] recovery-kernel smoke (fused OMP sweep)"
 # Fast mode: small dictionaries, same naive-vs-fused measurement as the
 # full sweep, but it leaves the recorded full-sweep artifacts alone —
 # BENCH_pr4.json is regenerated only by a full `figures -- recovery` run.
 cargo run --release -q -p cso-bench --bin figures -- recovery --fast
 test -s BENCH_pr4.json || { echo "missing BENCH_pr4.json"; exit 1; }
 
-echo "==> [11/16] serving smoke (loopback server e2e + throughput sweep)"
+echo "==> [11/17] serving smoke (loopback server e2e + throughput sweep)"
 # The e2e tests assert bit-identity between the loopback server run and
 # the in-process wire path, plus fault injection (killed connections,
 # corrupt frames, stragglers). The sweep self-validates its JSON.
@@ -96,7 +101,7 @@ for artifact in results/serve.csv BENCH_pr5.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
 
-echo "==> [12/16] durability smoke (kill-9 crash harness + WAL fuzz + fsync sweep)"
+echo "==> [12/17] durability smoke (kill-9 crash harness + WAL fuzz + fsync sweep)"
 # The crash harness SIGKILLs a child-process server at every seeded
 # injection point (and at arbitrary times) and requires the resumed run
 # to be bit-identical to a never-crashed one; the WAL fuzz truncates and
@@ -108,7 +113,7 @@ for artifact in results/serve_durable.csv BENCH_pr6.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
 
-echo "==> [13/16] telemetry smoke (introspection e2e + cso-top + overhead sweep)"
+echo "==> [13/17] telemetry smoke (introspection e2e + cso-top + overhead sweep)"
 # The e2e polls Introspect throughout a live ingest sweep asserting
 # monotone counters, bit-identical recovery under observation, and a
 # parseable flight-recorder dump; the frame fuzz hardens the trace
@@ -122,7 +127,7 @@ for artifact in results/serve_telemetry.csv BENCH_pr7.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
 
-echo "==> [14/16] sharded-engine smoke (reassembly fuzz + sweep + docs-link check)"
+echo "==> [14/17] sharded-engine smoke (reassembly fuzz + sweep + docs-link check)"
 # The reassembly fuzz drives frames through every split point and
 # arbitrary read/write interleavings expecting typed outcomes only; the
 # fast sweep runs the scaling points and the overload soak, which
@@ -143,7 +148,7 @@ grep -oE '^\| [0-9]+ \| `[A-Za-z]+`' OPERATIONS.md | grep -oE '[A-Za-z]+`' \
         || { echo "OPERATIONS.md documents unknown reject code $code"; exit 1; }
 done
 
-echo "==> [15/16] measurement-operator smoke (proptests + 3-backend sweep)"
+echo "==> [15/17] measurement-operator smoke (proptests + 3-backend sweep)"
 # The operator fuzz pins the FWHT involution, sparse/dense sketch
 # bit-identity and descriptor wire round-trips per backend; the loopback
 # e2e re-runs the protocol bit-identically under every wire-addressable
@@ -154,7 +159,7 @@ cargo test -q -p cso-core --test proptest_ops
 cargo test -q -p cso-serve --test loopback loopback_run_is_bit_identical_for_every_operator_backend
 cargo run --release -q -p cso-bench --bin figures -- recovery_ops --fast
 
-echo "==> [16/16] relay-tier smoke (two-level e2e + kill-9 resume + topology proptests + sweep)"
+echo "==> [16/17] relay-tier smoke (two-level e2e + kill-9 resume + topology proptests + sweep)"
 # The e2e runs a real two-level tree over loopback sockets: the root's
 # recovery must be bit-identical to the flat topology, a whole-region
 # drop must degrade to the surviving subtrees exactly, and conflicting
@@ -170,5 +175,19 @@ cargo run --release -q -p cso-bench --bin figures -- tree_topology
 for artifact in results/tree_topology.csv BENCH_pr10.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
+
+echo "==> [17/17] seal-cost smoke (benchmark self-tests + lazy fold + chunked pad + 1024-node seal)"
+# The benchmark package is its own workspace; its tests check the metric
+# tables against BENCHMARK.json, the workload generators, and a toy-sized
+# run of every workload.
+# The lazy aggregator must match the eager (fold-on-every-join) model bit
+# for bit and error for error; the pad tests pin chunk edges, the
+# capacity fallback, pre-marked members, pause/resume across a fresh
+# chunk, racing first claims and the memory bound; the 1024-node tests
+# pin the sealed measurement to the flat dyadic fold on every path.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q -p cso-distributed --lib lazy_fold
+cargo test -q -p cso-serve --lib pad_
+cargo test -q -p cso-serve --lib seal_1024
 
 echo "ci: all green"
