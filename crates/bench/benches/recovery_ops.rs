@@ -5,6 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use cso_core::{MeasurementOp, MeasurementOperator, SketchBackend};
+use cso_exec::ExecConfig;
 
 const M: usize = 256;
 const SEED: u64 = 4242;
@@ -37,7 +38,8 @@ fn bench_operator_transpose_scan(c: &mut Criterion) {
         for (label, op) in backends(n) {
             g.bench_with_input(BenchmarkId::new(label, n), &n, |bench, _| {
                 bench.iter(|| {
-                    op.apply_transpose_into(black_box(&r), &mut out).unwrap();
+                    op.apply_transpose_into(black_box(&r), &mut out, &ExecConfig::sequential())
+                        .unwrap();
                     black_box(&out);
                 })
             });

@@ -6,10 +6,13 @@
 //! - **scan**: one full correlation pass `Φᵀ·r` — the OMP inner loop and
 //!   the term that dominates recovery cost. Dense streams `O(M·N)` seeded
 //!   Gaussians; SRHT is one `O(Np·log Np)` in-place FWHT; seeded-sparse is
-//!   an `O(N·s)` banded gather.
-//! - **recover**: end-to-end `bomp_with_op` wall time plus recovery
-//!   quality (mode error, planted outliers found) — the speedup is only
-//!   real if the structured backends still recover the paper's signal.
+//!   an `O(N·s)` banded gather. Each pass is timed on one worker and on
+//!   every available CPU (the count is a column of the table and a field
+//!   of the JSON), so per-core and all-core figures are both on record.
+//! - **recover**: end-to-end `bomp_with_op` wall time on every available
+//!   CPU plus recovery quality (mode error, planted outliers found) — the
+//!   speedup is only real if the structured backends still recover the
+//!   paper's signal.
 //!
 //! The headline row is `N = 2^20` at `M = 4096`, where the dense pass is
 //! minutes-scale and the matrix-free backends are the difference between
@@ -22,6 +25,7 @@
 
 use crate::common::{Opts, Table};
 use cso_core::{bomp_with_op, BompConfig, MeasurementOp, MeasurementOperator, SketchBackend};
+use cso_exec::ExecConfig;
 use cso_linalg::Vector;
 use std::time::Instant;
 
@@ -48,7 +52,10 @@ struct Row {
     n: usize,
     m: usize,
     backend: &'static str,
+    /// One pass on one worker.
     scan_ns: f64,
+    /// One pass on every available CPU.
+    scan_ns_all: f64,
     scan_speedup: f64,
     recover: Option<Recovered>,
 }
@@ -87,14 +94,14 @@ fn probe(m: usize) -> Vec<f64> {
 /// whichever runs later. Backend `i` is timed `reps[i]` times (with one
 /// untimed warmup when `reps[i] > 1`) and reports its minimum — the
 /// contention-robust estimator for a deterministic kernel.
-fn interleaved_scan_ns(ops: &[MeasurementOperator], reps: &[usize]) -> Vec<f64> {
+fn interleaved_scan_ns(ops: &[MeasurementOperator], reps: &[usize], exec: &ExecConfig) -> Vec<f64> {
     let m = ops[0].m();
     let n = ops[0].n();
     let x = probe(m);
     let mut out = vec![0.0; n];
     for (op, &r) in ops.iter().zip(reps) {
         if r > 1 {
-            op.apply_transpose_into(&x, &mut out).expect("scan warmup");
+            op.apply_transpose_into(&x, &mut out, exec).expect("scan warmup");
         }
     }
     let mut best = vec![f64::INFINITY; ops.len()];
@@ -103,7 +110,7 @@ fn interleaved_scan_ns(ops: &[MeasurementOperator], reps: &[usize]) -> Vec<f64> 
         for (i, op) in ops.iter().enumerate() {
             if round < reps[i] {
                 let t = Instant::now();
-                op.apply_transpose_into(&x, &mut out).expect("scan");
+                op.apply_transpose_into(&x, &mut out, exec).expect("scan");
                 std::hint::black_box(&out);
                 best[i] = best[i].min(t.elapsed().as_nanos() as f64);
             }
@@ -129,6 +136,11 @@ fn recover(op: &MeasurementOperator, x: &[f64], planted: &[usize], k: usize) -> 
         found,
         planted: planted.len(),
     }
+}
+
+/// The CPUs the all-core rows run on.
+fn host_cpus() -> usize {
+    ExecConfig::auto().workers
 }
 
 /// The `recovery_ops` experiment: dense vs SRHT vs seeded-sparse.
@@ -182,17 +194,21 @@ pub fn recovery_ops(opts: &Opts) {
             .iter()
             .map(|b| if *b == SketchBackend::dense() { p.dense_scan_reps } else { p.scan_reps })
             .collect();
-        let scans = interleaved_scan_ns(&ops, &reps);
+        let scans = interleaved_scan_ns(&ops, &reps, &ExecConfig::sequential());
+        let scans_all = interleaved_scan_ns(&ops, &reps, &ExecConfig::auto());
         let dense_scan = scans[0];
 
         let (x, planted) = planted_signal(p.n, p.k);
-        for ((backend, op), scan_ns) in backends.iter().zip(&ops).zip(&scans) {
+        for (((backend, op), scan_ns), scan_ns_all) in
+            backends.iter().zip(&ops).zip(&scans).zip(&scans_all)
+        {
             let run_e2e = p.dense_e2e || *backend != SketchBackend::dense();
             rows.push(Row {
                 n: p.n,
                 m: p.m,
                 backend: backend.label(),
                 scan_ns: *scan_ns,
+                scan_ns_all: *scan_ns_all,
                 scan_speedup: dense_scan / *scan_ns,
                 recover: run_e2e.then(|| recover(op, &x, &planted, p.k)),
             });
@@ -205,7 +221,9 @@ pub fn recovery_ops(opts: &Opts) {
             "n",
             "m",
             "backend",
-            "scan_ms",
+            "cpus",
+            "scan_ms_1w",
+            "scan_ms_all",
             "scan_x_dense",
             "recover_ms",
             "iters",
@@ -213,6 +231,7 @@ pub fn recovery_ops(opts: &Opts) {
             "outliers_found",
         ],
     );
+    let cpus = host_cpus();
     for r in &rows {
         let (rec_ms, iters, mode_err, found) = match &r.recover {
             Some(rec) => (
@@ -227,7 +246,9 @@ pub fn recovery_ops(opts: &Opts) {
             &r.n,
             &r.m,
             &r.backend,
+            &cpus,
             &format!("{:.3}", r.scan_ns / 1e6),
+            &format!("{:.3}", r.scan_ns_all / 1e6),
             &format!("{:.1}", r.scan_speedup),
             &rec_ms,
             &iters,
@@ -247,8 +268,9 @@ pub fn recovery_ops(opts: &Opts) {
 
 /// Writes the machine-readable sweep to `BENCH_pr9.json` (repo root).
 /// Skipped end-to-end runs serialize as `null`, not sentinel numbers.
+/// `scan_ns` is one worker; `scan_ns_all` and `recover_ns` use `host_cpus`.
 fn write_bench_json(rows: &[Row]) {
-    let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
+    let cores = host_cpus();
     let mut out = String::new();
     out.push_str("{\"bench\":\"recovery_ops\",\"params\":{");
     out.push_str(&format!("\"seed\":{SEED},\"sparse_s\":{SPARSE_S},\"host_cpus\":{cores}"));
@@ -268,10 +290,10 @@ fn write_bench_json(rows: &[Row]) {
             None => ("null".into(), "null".into(), "null".into(), "null".into(), "null".into()),
         };
         out.push_str(&format!(
-            "{{\"n\":{},\"m\":{},\"backend\":\"{}\",\"scan_ns\":{},\
+            "{{\"n\":{},\"m\":{},\"backend\":\"{}\",\"scan_ns\":{},\"scan_ns_all\":{},\
              \"scan_speedup_vs_dense\":{},\"recover_ns\":{rec_ns},\"iterations\":{iters},\
              \"mode_abs_err\":{mode_err},\"outliers_found\":{found},\"outliers_planted\":{planted}}}",
-            r.n, r.m, r.backend, r.scan_ns, r.scan_speedup,
+            r.n, r.m, r.backend, r.scan_ns, r.scan_ns_all, r.scan_speedup,
         ));
     }
     out.push_str("]}");

@@ -15,10 +15,12 @@
 
 use crate::measurement::MeasurementSpec;
 use crate::omp::{
-    omp, omp_traced, omp_with_op_traced, OmpConfig, OmpDictionary, OmpResult, StopReason,
+    omp, omp_traced, omp_with_op_traced, resolve_exec, OmpConfig, OmpDictionary, OmpResult,
+    StopReason,
 };
 use crate::ops::{MeasurementOp, MeasurementOperator};
 use crate::sparse::SparseVector;
+use cso_exec::ExecConfig;
 use cso_linalg::{vector, ColMatrix, LinalgError, Vector};
 use cso_obs::{Recorder, Value};
 
@@ -102,7 +104,10 @@ impl BompConfig {
 ///
 /// This is the aggregator-side entry point matching the paper's CS-Reducer:
 /// regenerate `Φ0` from the shared seed, extend it with the bias column,
-/// recover.
+/// recover. The columns of `Φ0` are generated straight into the extended
+/// matrix `Φ̃`, so the peak is one dense `M × (N + 1)` matrix, not `Φ0`
+/// plus a copy; the result is bit-identical to
+/// `bomp_with_matrix(&spec.materialize(), …)`.
 pub fn bomp(
     spec: &MeasurementSpec,
     y: &Vector,
@@ -119,8 +124,14 @@ pub fn bomp_traced(
     config: &BompConfig,
     rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
-    let phi0 = spec.materialize();
-    bomp_with_matrix_traced(&phi0, y, config, rec)
+    let (m, n) = (spec.m, spec.n);
+    check_measurement(m, y)?;
+    let mut data = vec![0.0; m * (n + 1)];
+    let (bias, columns) = data.split_at_mut(m);
+    spec.fill_columns(columns);
+    bias_into(columns, bias);
+    let extended = ColMatrix::from_col_major(m, n + 1, data)?;
+    bomp_extended(&extended, y, config, rec)
 }
 
 /// Runs BOMP against an already-materialized `Φ0` (`M × N`).
@@ -148,9 +159,22 @@ pub fn bomp_with_matrix_traced(
     config: &BompConfig,
     rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
-    let n = phi0.cols();
-    let m = phi0.rows();
-    if n == 0 || m == 0 {
+    let (m, n) = (phi0.rows(), phi0.cols());
+    if n == 0 {
+        return Err(LinalgError::Empty { op: "bomp" });
+    }
+    check_measurement(m, y)?;
+    let mut extended = ColMatrix::zeros(m, n + 1);
+    bias_into(phi0.as_col_major(), extended.col_mut(0));
+    for j in 0..n {
+        extended.col_mut(j + 1).copy_from_slice(phi0.col(j));
+    }
+    bomp_extended(&extended, y, config, rec)
+}
+
+/// Rejects an empty geometry or a measurement of the wrong length.
+fn check_measurement(m: usize, y: &Vector) -> Result<(), LinalgError> {
+    if m == 0 {
         return Err(LinalgError::Empty { op: "bomp" });
     }
     if y.len() != m {
@@ -160,21 +184,31 @@ pub fn bomp_with_matrix_traced(
             actual: (y.len(), 1),
         });
     }
+    Ok(())
+}
 
-    // Φ̃ = [φ0, Φ0] with φ0 = (1/√N)·Σ φᵢ  (paper equation (3)).
-    let mut extended = ColMatrix::zeros(m, n + 1);
-    let inv_sqrt_n = 1.0 / (n as f64).sqrt();
-    {
-        let sum = phi0.column_sum();
-        let c0 = extended.col_mut(0);
-        for (o, s) in c0.iter_mut().zip(sum.iter()) {
-            *o = s * inv_sqrt_n;
-        }
+/// Writes `φ0 = (1/√N)·Σⱼ φⱼ` (paper equation (3)) into `bias` from the
+/// `N` column-major columns in `columns`, summing in column order.
+fn bias_into(columns: &[f64], bias: &mut [f64]) {
+    let m = bias.len();
+    for col in columns.chunks_exact(m) {
+        vector::axpy(1.0, col, bias);
     }
-    for j in 0..n {
-        extended.col_mut(j + 1).copy_from_slice(phi0.col(j));
+    let inv_sqrt_n = 1.0 / ((columns.len() / m) as f64).sqrt();
+    for b in bias.iter_mut() {
+        *b *= inv_sqrt_n;
     }
+}
 
+/// BOMP on the bias-extended dictionary `Φ̃ = [φ0, Φ0]` (`M × (N + 1)`):
+/// the body every dense entry point shares.
+fn bomp_extended(
+    extended: &ColMatrix,
+    y: &Vector,
+    config: &BompConfig,
+    rec: &Recorder,
+) -> Result<BompResult, LinalgError> {
+    let (m, n) = (extended.rows(), extended.cols() - 1);
     let mut omp_cfg = config.omp;
     if config.track_mode || rec.is_enabled() {
         omp_cfg.track_coefficients = true;
@@ -183,7 +217,7 @@ pub fn bomp_with_matrix_traced(
         "recover.bomp",
         &[("rows", Value::U64(m as u64)), ("cols", Value::U64(n as u64))],
     );
-    let inner: OmpResult = omp_traced(&extended, y, &omp_cfg, rec)?;
+    let inner: OmpResult = omp_traced(extended, y, &omp_cfg, rec)?;
     assemble(n, inner, config.track_mode, rec)
 }
 
@@ -213,10 +247,15 @@ impl OmpDictionary for BiasedOpDictionary<'_> {
         }
     }
 
-    fn correlations_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
+    fn correlations_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError> {
         let (head, tail) = out.split_at_mut(1);
         head[0] = vector::dot(&self.bias, x);
-        self.op.apply_transpose_into(x, tail)
+        self.op.apply_transpose_into(x, tail, exec)
     }
 }
 
@@ -250,7 +289,10 @@ pub fn bomp_with_op_traced(
             actual: (y.len(), 1),
         });
     }
-    let dict = BiasedOpDictionary { op, bias: op.bias_column() };
+    // The bias column is one forward apply: split it over the same
+    // workers the scans will use.
+    let exec = resolve_exec(&config.omp, m, n + 1);
+    let dict = BiasedOpDictionary { op, bias: op.bias_column(&exec) };
     let mut omp_cfg = config.omp;
     if config.track_mode || rec.is_enabled() {
         omp_cfg.track_coefficients = true;
@@ -623,6 +665,75 @@ mod tests {
         let a: Vec<usize> = via_op.outliers.iter().map(|o| o.index).collect();
         let b: Vec<usize> = via_matrix.outliers.iter().map(|o| o.index).collect();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn bomp_from_spec_is_bit_identical_to_materialized_path() {
+        let (spec, y, _) =
+            biased_instance(60, 200, 5000.0, &[(10, 9000.0), (50, 100.0), (120, 7000.0)], 2024);
+        let phi0 = spec.materialize();
+        for config in [BompConfig::default(), BompConfig { track_mode: true, ..Default::default() }]
+        {
+            let (rec_a, rec_b) = (Recorder::new(), Recorder::new());
+            let a = bomp_traced(&spec, &y, &config, &rec_a).unwrap();
+            let b = bomp_with_matrix_traced(&phi0, &y, &config, &rec_b).unwrap();
+            let untraced = bomp(&spec, &y, &config).unwrap();
+            for r in [&a, &untraced] {
+                assert_eq!(r.mode.to_bits(), b.mode.to_bits());
+                assert_eq!(r.bias_selected, b.bias_selected);
+                assert_eq!(r.iterations, b.iterations);
+                assert_eq!(r.stop, b.stop);
+                let outliers = |r: &BompResult| -> Vec<(usize, u64)> {
+                    r.outliers.iter().map(|o| (o.index, o.value.to_bits())).collect()
+                };
+                assert_eq!(outliers(r), outliers(&b));
+                let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+                assert_eq!(bits(&r.residual_trace), bits(&b.residual_trace));
+                assert_eq!(bits(&r.mode_trace), bits(&b.mode_trace));
+            }
+            assert_eq!(a.mode_trace.len(), if config.track_mode { a.iterations } else { 0 });
+            // The traces agree entry for entry: names, nesting, fields.
+            let entries = |rec: &Recorder| -> Vec<String> {
+                rec.trace_snapshot().iter().map(|e| format!("{e:?}")).collect()
+            };
+            assert!(!entries(&rec_a).is_empty());
+            assert_eq!(entries(&rec_a), entries(&rec_b));
+        }
+        // Both entry points reject a wrong-length measurement the same way.
+        let short = Vector::zeros(59);
+        assert_eq!(
+            format!("{:?}", bomp(&spec, &short, &BompConfig::default()).unwrap_err()),
+            format!("{:?}", bomp_with_matrix(&phi0, &short, &BompConfig::default()).unwrap_err())
+        );
+    }
+
+    #[test]
+    fn op_bomp_is_bit_identical_across_worker_counts() {
+        let (m, n) = (40, 3000);
+        let mut x = vec![5000.0; n];
+        x[10] = 9000.0;
+        x[2999] = 100.0;
+        for op in [
+            MeasurementOperator::dense(m, n, 5).unwrap(),
+            MeasurementOperator::srht(m, n, 5).unwrap(),
+            MeasurementOperator::seeded_sparse(m, n, 5, 8).unwrap(),
+        ] {
+            let y = op.apply(&x).unwrap();
+            let run = |workers: usize| {
+                let mut cfg = BompConfig { track_mode: true, ..BompConfig::for_k_outliers(2) };
+                cfg.omp.par_min_work = 0;
+                cfg.omp.exec = ExecConfig::with_workers(workers);
+                let r = bomp_with_op(&op, &y, &cfg).unwrap();
+                let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+                let outliers: Vec<(usize, u64)> =
+                    r.outliers.iter().map(|o| (o.index, o.value.to_bits())).collect();
+                (r.mode.to_bits(), outliers, bits(&r.mode_trace), bits(&r.residual_trace))
+            };
+            let seq = run(1);
+            for workers in [2, 8] {
+                assert_eq!(run(workers), seq, "{:?}, workers = {workers}", op.kind());
+            }
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   `P(|⟨x, y'⟩| ≤ ε) ≥ 1 − e^{−ε²·a·M/2}` with `a = 1.1`.
 
 use crate::ops::{MeasurementOp, MeasurementOperator};
+use cso_exec::ExecConfig;
 use cso_linalg::random::{stream_rng, GaussianSampler};
 use cso_linalg::{ColMatrix, LinalgError, Vector};
 use rand::RngCore;
@@ -202,7 +203,7 @@ pub fn verify_conjecture1_op(
         return Err(LinalgError::InvalidParameter { name: "s", message: "need 0 < s < n".into() });
     }
     let m = op.m();
-    let bias = Vector::from_vec(op.bias_column());
+    let bias = Vector::from_vec(op.bias_column(&ExecConfig::sequential()));
     let mut successes = 0;
     let mut min_margin = f64::INFINITY;
     let mut col = vec![0.0; m];

@@ -71,29 +71,38 @@ impl MeasurementSpec {
 
     /// Materializes the full `M × N` matrix. Suitable when `M·N` fits in
     /// memory (recovery-side); mappers with sparse slices should prefer
-    /// [`MeasurementSpec::measure_sparse`]. Column generation is
-    /// embarrassingly parallel (every column has its own derived seed), so
-    /// large matrices are filled across threads; the result is
-    /// bit-identical to [`MeasurementSpec::materialize_serial`].
+    /// [`MeasurementSpec::measure_sparse`]. Large matrices are filled
+    /// across threads; the result is bit-identical to
+    /// [`MeasurementSpec::materialize_serial`].
     pub fn materialize(&self) -> ColMatrix {
-        const PAR_MIN_ENTRIES: usize = 1 << 20;
-        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
-        if threads == 1 || self.m * self.n < PAR_MIN_ENTRIES {
-            return self.materialize_serial();
-        }
         let mut data = vec![0.0f64; self.m * self.n];
+        self.fill_columns(&mut data);
+        ColMatrix::from_col_major(self.m, self.n, data).expect("sized buffer")
+    }
+
+    /// Fills `data` — `N` columns, column-major — with `Φ0`. Column
+    /// generation is embarrassingly parallel (every column has its own
+    /// derived seed), so large matrices are filled across threads without
+    /// changing a bit.
+    pub(crate) fn fill_columns(&self, data: &mut [f64]) {
+        const PAR_MIN_ENTRIES: usize = 1 << 20;
+        assert_eq!(data.len(), self.m * self.n, "buffer must hold the N columns");
+        let fill = |first_col: usize, chunk: &mut [f64]| {
+            for (offset, col) in chunk.chunks_mut(self.m).enumerate() {
+                self.fill_column(first_col + offset, col);
+            }
+        };
+        let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+        if threads == 1 || data.len() < PAR_MIN_ENTRIES {
+            fill(0, data);
+            return;
+        }
         let cols_per_chunk = self.n.div_ceil(threads);
         std::thread::scope(|scope| {
             for (chunk_idx, chunk) in data.chunks_mut(self.m * cols_per_chunk).enumerate() {
-                let first_col = chunk_idx * cols_per_chunk;
-                scope.spawn(move || {
-                    for (offset, col) in chunk.chunks_mut(self.m).enumerate() {
-                        self.fill_column(first_col + offset, col);
-                    }
-                });
+                scope.spawn(move || fill(chunk_idx * cols_per_chunk, chunk));
             }
         });
-        ColMatrix::from_col_major(self.m, self.n, data).expect("sized buffer")
     }
 
     /// Single-threaded materialization (reference implementation).
@@ -161,9 +170,8 @@ impl MeasurementSpec {
     }
 
     /// [`MeasurementSpec::correlations`] into a caller-provided buffer of
-    /// length `N` — the allocation-free form the [`crate::ops`] trait uses.
+    /// length `N`.
     pub fn correlations_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        const BLOCK: usize = 64;
         if x.len() != self.m || out.len() != self.n {
             return Err(LinalgError::DimensionMismatch {
                 op: "correlations",
@@ -171,16 +179,23 @@ impl MeasurementSpec {
                 actual: (x.len(), out.len()),
             });
         }
-        let mut cols = vec![0.0; self.m * BLOCK];
+        self.correlations_block_into(0, x, out);
+        Ok(())
+    }
+
+    /// The correlations of columns `first..first + out.len()` (lengths are
+    /// the caller's invariant). Every column's value is independent of the
+    /// range it is computed in, which is what lets a scan split freely.
+    pub(crate) fn correlations_block_into(&self, first: usize, x: &[f64], out: &mut [f64]) {
+        const BLOCK: usize = 64;
+        let mut cols = vec![0.0; self.m * BLOCK.min(out.len())];
         for (b, chunk) in out.chunks_mut(BLOCK).enumerate() {
-            let first = b * BLOCK;
             let block = &mut cols[..self.m * chunk.len()];
             for (offset, col) in block.chunks_mut(self.m).enumerate() {
-                self.fill_column(first + offset, col);
+                self.fill_column(first + b * BLOCK + offset, col);
             }
             cso_linalg::gemv::gemv_transpose_into(block, self.m, x, chunk);
         }
-        Ok(())
     }
 
     /// The BOMP bias column `φ0 = (1/√N) · Σⱼ φⱼ` (paper equation (3)).

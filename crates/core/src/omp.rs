@@ -249,19 +249,24 @@ pub fn omp_traced(
             ("kernel", Value::from(config.kernel.as_str())),
         ],
     );
-    // Worker budget for every scan in this run, resolved exactly once:
-    // small dictionaries stay inline no matter what `exec` asks for.
-    let exec = if dictionary.rows() * dictionary.cols() >= config.par_min_work {
-        config.exec
-    } else {
-        ExecConfig::sequential()
-    };
+    let exec = resolve_exec(config, dictionary.rows(), dictionary.cols());
 
     let outcome = match config.kernel {
         OmpKernel::Fused => run_fused(dictionary, y, config, rec, &exec)?,
         OmpKernel::Reference => run_reference(dictionary, y, config, rec, &exec)?,
     };
     finish_run(outcome, y, config, rec)
+}
+
+/// The worker budget for every scan of one run, resolved exactly once:
+/// dictionaries below [`OmpConfig::par_min_work`] stay inline no matter
+/// what `exec` asks for.
+pub(crate) fn resolve_exec(config: &OmpConfig, rows: usize, cols: usize) -> ExecConfig {
+    if rows * cols >= config.par_min_work {
+        config.exec
+    } else {
+        ExecConfig::sequential()
+    }
 }
 
 /// Shared epilogue of every kernel: the final least-squares solve through
@@ -306,8 +311,14 @@ pub trait OmpDictionary {
     /// Writes atom `j` into `out` (length [`OmpDictionary::rows`]).
     fn column_into(&self, j: usize, out: &mut [f64]);
     /// The correlation scan `out = Dᵀ·x` (`x.len() == rows`,
-    /// `out.len() == cols`).
-    fn correlations_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError>;
+    /// `out.len() == cols`), split over `exec`. Every output bit must be
+    /// independent of the worker count.
+    fn correlations_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError>;
 }
 
 impl OmpDictionary for MeasurementOperator {
@@ -323,8 +334,13 @@ impl OmpDictionary for MeasurementOperator {
         MeasurementOp::column_into(self, j, out);
     }
 
-    fn correlations_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        self.apply_transpose_into(x, out)
+    fn correlations_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError> {
+        self.apply_transpose_into(x, out, exec)
     }
 }
 
@@ -341,15 +357,25 @@ impl OmpDictionary for ColMatrix {
         out.copy_from_slice(self.col(j));
     }
 
-    fn correlations_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
-        if x.len() != ColMatrix::rows(self) || out.len() != ColMatrix::cols(self) {
+    fn correlations_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError> {
+        let rows = ColMatrix::rows(self);
+        if x.len() != rows || out.len() != ColMatrix::cols(self) {
             return Err(LinalgError::DimensionMismatch {
                 op: "correlations_into",
-                expected: (ColMatrix::rows(self), ColMatrix::cols(self)),
+                expected: (rows, ColMatrix::cols(self)),
                 actual: (x.len(), out.len()),
             });
         }
-        gemv::gemv_transpose_into(self.as_col_major(), ColMatrix::rows(self), x, out);
+        let data = self.as_col_major();
+        cso_exec::par_map_chunks_mut(exec, out, COL_BLOCK, |b, chunk| {
+            let start = b * COL_BLOCK * rows;
+            gemv::gemv_transpose_into(&data[start..start + chunk.len() * rows], rows, x, chunk);
+        });
         Ok(())
     }
 }
@@ -360,7 +386,9 @@ impl OmpDictionary for ColMatrix {
 /// per-iteration correlation refresh is a single
 /// [`OmpDictionary::correlations_into`] pass (`O(N log N)` for SRHT,
 /// `O(N·s)` for the seeded-sparse backend) fused with the argmax scan,
-/// instead of the dense blocked gemv.
+/// instead of the dense blocked gemv. Both the pass and the refresh run on
+/// [`OmpConfig::exec`], resolved once per run by the same
+/// [`OmpConfig::par_min_work`] rule as [`omp`].
 pub fn omp_with_op<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
@@ -396,21 +424,24 @@ pub fn omp_with_op_traced<D: OmpDictionary + ?Sized>(
             ("scan", Value::from("operator")),
         ],
     );
+    let exec = resolve_exec(config, dict.rows(), dict.cols());
     let outcome = match config.kernel {
-        OmpKernel::Fused => run_fused_op(dict, y, config, rec)?,
-        OmpKernel::Reference => run_reference_op(dict, y, config, rec)?,
+        OmpKernel::Fused => run_fused_op(dict, y, config, rec, &exec)?,
+        OmpKernel::Reference => run_reference_op(dict, y, config, rec, &exec)?,
     };
     finish_run(outcome, y, config, rec)
 }
 
 /// The fused kernel over an [`OmpDictionary`]: identical invariants to
 /// [`run_fused`], with the deferred `−α·Dᵀq` refresh computed by one
-/// operator transpose pass and folded into the argmax scan.
+/// operator transpose pass and folded into the argmax scan, both split
+/// over `exec` exactly as [`run_fused`] splits the dense refresh.
 fn run_fused_op<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
     config: &OmpConfig,
     rec: &Recorder,
+    exec: &ExecConfig,
 ) -> Result<RunOutcome, LinalgError> {
     let rows = dict.rows();
     let d = dict.cols();
@@ -418,7 +449,7 @@ fn run_fused_op<D: OmpDictionary + ?Sized>(
     let abs_tol = config.residual_tolerance * y_norm;
 
     let mut corr = vec![0.0f64; d];
-    dict.correlations_into(y.as_slice(), &mut corr)?;
+    dict.correlations_into(y.as_slice(), &mut corr, exec)?;
 
     let mut qr = IncrementalQr::new(rows);
     let mut selected = vec![false; d];
@@ -444,25 +475,10 @@ fn run_fused_op<D: OmpDictionary + ?Sized>(
         let best = match pending.take() {
             Some(alpha) => {
                 let q = qr.q_col(qr.ncols() - 1);
-                dict.correlations_into(q, &mut qt_phi)?;
-                // Shift c by −α·Dᵀq fused with the argmax, lowest index
-                // winning ties — the same serial left-to-right order the
-                // dense kernel's block fold reproduces.
-                let mut best: Option<(usize, f64)> = None;
-                for (j, (c, t)) in corr.iter_mut().zip(&qt_phi).enumerate() {
-                    *c -= alpha * *t;
-                    if selected[j] {
-                        continue;
-                    }
-                    let a = c.abs();
-                    match best {
-                        Some((_, b)) if b >= a => {}
-                        _ => best = Some((j, a)),
-                    }
-                }
-                best
+                dict.correlations_into(q, &mut qt_phi, exec)?;
+                shift_and_select_all(&mut corr, &qt_phi, alpha, &selected, exec, rec)
             }
-            None => argmax_unselected(&corr, &selected),
+            None => argmax_unselected(&corr, &selected, 0),
         };
         let (j, _) = best.expect("unselected column exists");
         dict.column_into(j, &mut col);
@@ -495,6 +511,7 @@ fn run_reference_op<D: OmpDictionary + ?Sized>(
     y: &Vector,
     config: &OmpConfig,
     rec: &Recorder,
+    exec: &ExecConfig,
 ) -> Result<RunOutcome, LinalgError> {
     let rows = dict.rows();
     let d = dict.cols();
@@ -521,8 +538,8 @@ fn run_reference_op<D: OmpDictionary + ?Sized>(
         if support.len() == d {
             break StopReason::DictionaryExhausted;
         }
-        dict.correlations_into(residual.as_slice(), &mut corr)?;
-        let best = argmax_unselected(&corr, &selected);
+        dict.correlations_into(residual.as_slice(), &mut corr, exec)?;
+        let best = argmax_unselected(&corr, &selected, 0);
         let (j, _) = best.expect("unselected column exists");
         dict.column_into(j, &mut col);
         match qr.push_column(&col) {
@@ -641,7 +658,7 @@ fn run_fused(
                 stats.record(rec);
                 fold_block_winners(partials)
             }
-            None => argmax_unselected(&corr, &selected),
+            None => argmax_unselected(&corr, &selected, 0),
         };
         let (j, _) = best.expect("unselected column exists");
         match qr.push_column(dictionary.col(j)) {
@@ -684,20 +701,77 @@ fn refresh_block(
     let mut qt_phi = [0.0f64; COL_BLOCK];
     let block = &data[start * rows..(start + len) * rows];
     gemv::gemv_transpose_into(block, rows, q, &mut qt_phi[..len]);
-    let mut best: Option<(usize, f64)> = None;
-    for (off, (c, t)) in chunk.iter_mut().zip(&qt_phi[..len]).enumerate() {
-        *c -= alpha * *t;
-        let j = start + off;
-        if selected[j] {
-            continue;
-        }
-        let a = c.abs();
-        match best {
-            Some((_, b)) if b >= a => {}
-            _ => best = Some((j, a)),
+    shift_and_select(chunk, &qt_phi[..len], alpha, start, selected).0
+}
+
+/// Shifts every correlation by `−α·shifts` and returns the argmax of `|c|`
+/// over unselected columns, lowest index winning ties: exactly the serial
+/// left-to-right scan. The work runs over fixed [`COL_BLOCK`] blocks on
+/// `exec` and the block winners fold in ascending order, which equals the
+/// serial scan unless a NaN sits among the correlations (a NaN incumbent
+/// loses to the next column, so the result depends on where scans start);
+/// then the shifted vector is scanned serially instead.
+fn shift_and_select_all(
+    corr: &mut [f64],
+    shifts: &[f64],
+    alpha: f64,
+    selected: &[bool],
+    exec: &ExecConfig,
+    rec: &Recorder,
+) -> Option<(usize, f64)> {
+    let (partials, stats) = cso_exec::par_map_chunks_mut(exec, corr, COL_BLOCK, |b, chunk| {
+        let start = b * COL_BLOCK;
+        shift_and_select(chunk, &shifts[start..start + chunk.len()], alpha, start, selected)
+    });
+    stats.record(rec);
+    if partials.iter().any(|&(_, nan)| nan) {
+        return argmax_unselected(corr, selected, 0);
+    }
+    fold_block_winners(partials.into_iter().map(|(best, _)| best).collect())
+}
+
+/// Shifts one block of correlations (`chunk`, first column `start`) by
+/// `−α·shifts` and returns the block's argmax of `|c|` over unselected
+/// columns, lowest index winning ties — the result of
+/// [`argmax_unselected`] on the shifted block, in two passes that
+/// vectorize: the shift fused with a lane-wise peak of `|c|` (selected
+/// columns count as −1), then the first column reaching the peak. A NaN
+/// makes "the peak" ill-defined, so a block holding one falls back to the
+/// serial scan itself, and reports it (the `bool`).
+fn shift_and_select(
+    chunk: &mut [f64],
+    shifts: &[f64],
+    alpha: f64,
+    start: usize,
+    selected: &[bool],
+) -> (Option<(usize, f64)>, bool) {
+    const LANES: usize = 8;
+    let sel = &selected[start..start + chunk.len()];
+    let mut peak = [-1.0f64; LANES];
+    let mut nan = false;
+    let mut step = |c: &mut f64, t: f64, s: bool, peak: &mut f64| {
+        *c -= alpha * t;
+        let a = if s { -1.0 } else { c.abs() };
+        nan |= a.is_nan();
+        *peak = if a > *peak { a } else { *peak };
+    };
+    let mut cs = chunk.chunks_exact_mut(LANES);
+    let mut ts = shifts.chunks_exact(LANES);
+    let mut ss = sel.chunks_exact(LANES);
+    for ((c4, t4), s4) in (&mut cs).zip(&mut ts).zip(&mut ss) {
+        for l in 0..LANES {
+            step(&mut c4[l], t4[l], s4[l], &mut peak[l]);
         }
     }
-    best
+    for ((c, &t), &s) in cs.into_remainder().iter_mut().zip(ts.remainder()).zip(ss.remainder()) {
+        step(c, t, s, &mut peak[0]);
+    }
+    if nan {
+        return (argmax_unselected(chunk, sel, start), true);
+    }
+    let peak = peak.into_iter().fold(-1.0, |m, a| if a > m { a } else { m });
+    let off = chunk.iter().zip(sel).position(|(c, &s)| !s && c.abs() == peak);
+    (off.map(|off| (start + off, peak)), false)
 }
 
 /// Folds per-block winners (ascending block order) with the lowest-index
@@ -709,9 +783,10 @@ fn fold_block_winners(partials: Vec<Option<(usize, f64)>>) -> Option<(usize, f64
     })
 }
 
-/// Serial argmax of `|corr[j]|` over unselected columns, lowest index wins
+/// Serial argmax of `|corr[j]|` over unselected columns (`selected[j]`
+/// flags `corr[j]`, whose column index is `start + j`), lowest index wins
 /// ties. Used for the first fused iteration (no refresh pending yet).
-fn argmax_unselected(corr: &[f64], selected: &[bool]) -> Option<(usize, f64)> {
+fn argmax_unselected(corr: &[f64], selected: &[bool], start: usize) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (j, c) in corr.iter().enumerate() {
         if selected[j] {
@@ -720,7 +795,7 @@ fn argmax_unselected(corr: &[f64], selected: &[bool]) -> Option<(usize, f64)> {
         let a = c.abs();
         match best {
             Some((_, b)) if b >= a => {}
-            _ => best = Some((j, a)),
+            _ => best = Some((start + j, a)),
         }
     }
     best
@@ -1002,6 +1077,104 @@ mod tests {
             }
             for (ta, tb) in par.trace.iter().zip(seq.trace.iter()) {
                 assert_eq!(ta.residual_norm.to_bits(), tb.residual_norm.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn op_fused_is_bit_identical_across_worker_counts() {
+        // d = 5000 spans three COL_BLOCK blocks; par_min_work: 0 engages
+        // the split scan and the split refresh on every backend.
+        let n = 5000;
+        let base = OmpConfig { par_min_work: 0, ..OmpConfig::default() };
+        for op in [
+            MeasurementOperator::dense(48, n, 37).unwrap(),
+            MeasurementOperator::srht(48, n, 37).unwrap(),
+            MeasurementOperator::seeded_sparse(48, n, 37, 8).unwrap(),
+        ] {
+            let truth = SparseVector::new(n, vec![(100, 5.0), (2300, -3.0), (4999, 2.0)]).unwrap();
+            let y = op.apply(truth.to_dense().as_slice()).unwrap();
+            let seq = omp_with_op(&op, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base })
+                .unwrap();
+            for workers in [2, 8] {
+                let cfg = OmpConfig { exec: ExecConfig::with_workers(workers), ..base };
+                let par = omp_with_op(&op, &y, &cfg).unwrap();
+                assert_eq!(par.support, seq.support, "{:?}, workers = {workers}", op.kind());
+                assert_eq!(par.stop, seq.stop);
+                assert_eq!(par.residual_norm.to_bits(), seq.residual_norm.to_bits());
+                for (a, b) in par.coefficients.iter().zip(seq.coefficients.iter()) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                for (ta, tb) in par.trace.iter().zip(seq.trace.iter()) {
+                    assert_eq!(ta.residual_norm.to_bits(), tb.residual_norm.to_bits());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_select_is_bit_identical_to_serial_argmax() {
+        // Ties (first index wins), selected columns, blocks that are all
+        // selected, a NaN block (serial fallback), signed zeros, partial
+        // lanes at the block tail.
+        let n = 37;
+        let base: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64 - 5.0) * 0.5).collect();
+        let shifts: Vec<f64> = (0..n).map(|i| ((i * 3 % 5) as f64 - 2.0) * 0.25).collect();
+        let mut cases: Vec<(Vec<f64>, Vec<bool>)> = vec![
+            (base.clone(), vec![false; n]),
+            (base.clone(), (0..n).map(|i| i % 3 == 0).collect()),
+            (base.clone(), vec![true; n]),
+            (vec![0.0; n], vec![false; n]),
+            (vec![-0.0; n], (0..n).map(|i| i < 5).collect()),
+        ];
+        let mut with_nan = base.clone();
+        with_nan[9] = f64::NAN;
+        cases.push((with_nan.clone(), vec![false; n]));
+        with_nan[n - 1] = f64::NAN;
+        cases.push((with_nan, vec![false; n]));
+        for (corr, selected) in cases {
+            for alpha in [0.0, 1.0, -2.0] {
+                let mut want = corr.clone();
+                for (c, t) in want.iter_mut().zip(&shifts) {
+                    *c -= alpha * *t;
+                }
+                let expect = argmax_unselected(&want, &selected, 0);
+                let mut got = corr.clone();
+                let (pick, _) = shift_and_select(&mut got, &shifts, alpha, 0, &selected);
+                let key = |p: Option<(usize, f64)>| p.map(|(j, a)| (j, a.to_bits()));
+                assert_eq!(key(pick), key(expect), "alpha = {alpha}, selected = {selected:?}");
+                let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "shifted correlations differ");
+            }
+        }
+    }
+
+    #[test]
+    fn split_select_is_bit_identical_to_serial_scan_with_nans() {
+        // A NaN incumbent loses to the next column, so per-block winners
+        // fold differently from one serial scan: [5.0 | NaN, 1.0] picks
+        // 1.0 serially but 5.0 by block. The split path must match serial.
+        let d = 3 * COL_BLOCK + 17;
+        let shifts: Vec<f64> = (0..d).map(|i| ((i * 13 % 7) as f64 - 3.0) * 1e-3).collect();
+        let mut base: Vec<f64> = (0..d).map(|i| ((i * 7919 % 1009) as f64) * 1e-3).collect();
+        base[COL_BLOCK - 1] = 50.0;
+        let mut nan_at_block_start = base.clone();
+        nan_at_block_start[COL_BLOCK] = f64::NAN;
+        let mut nan_at_end = base.clone();
+        nan_at_end[d - 1] = f64::NAN;
+        let selected: Vec<bool> = (0..d).map(|i| i % 5 == 0).collect();
+        for corr in [base, nan_at_block_start, nan_at_end] {
+            let mut want = corr.clone();
+            for (c, t) in want.iter_mut().zip(&shifts) {
+                *c -= 0.5 * *t;
+            }
+            let expect = argmax_unselected(&want, &selected, 0).map(|(j, a)| (j, a.to_bits()));
+            for workers in [1, 2, 8] {
+                let mut got = corr.clone();
+                let exec = ExecConfig::with_workers(workers);
+                let rec = Recorder::disabled();
+                let pick = shift_and_select_all(&mut got, &shifts, 0.5, &selected, &exec, &rec);
+                assert_eq!(pick.map(|(j, a)| (j, a.to_bits())), expect, "workers = {workers}");
             }
         }
     }

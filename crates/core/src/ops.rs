@@ -11,10 +11,17 @@
 //! | backend | apply | transpose scan | L-sparse measure | storage |
 //! |---------------|--------------|----------------|------------------|---------|
 //! | `DenseGaussian` | O(M·N) | O(M·N) | O(L·M) | O(M) streamed |
-//! | `Srht` | O(Np·log Np) | O(Np·log Np) | O(Np·log Np) | O(M) rows |
+//! | `Srht` | O(Np·log Np) | O(Np·log Np) | O(Np·log Np) | O(M) rows + N/64 sign words |
 //! | `SeededSparse` | O(N·s) | O(N·s) | O(L·s) | O(1) |
 //!
-//! (`Np` = next power of two ≥ N; `s` = nonzeros per column.)
+//! (`Np` = next power of two ≥ N; `s` = nonzeros per column. The SRHT
+//! sign words are built lazily, on the first full apply or scan, so
+//! building an operator to validate a descriptor stays `O(M)`.)
+//!
+//! The transpose scan takes the recovery executor: every backend splits it
+//! over disjoint output ranges (the SRHT also splits its FWHT, see
+//! [`cso_linalg::fwht`]), and no float depends on the split, so the scan
+//! is bit-identical at any worker count.
 //!
 //! Every backend is rebuilt bit-identically from a 3-word wire descriptor
 //! (`kind`, `param`, plus the `m/n/seed` geometry the epoch already
@@ -22,11 +29,14 @@
 //! descriptor, so WAL replay reconstructs the same operator.
 
 use crate::measurement::MeasurementSpec;
-use cso_linalg::fwht::{fwht, hadamard_sign, next_pow2};
+use crate::omp::COL_BLOCK;
+use cso_exec::ExecConfig;
+use cso_linalg::fwht::{fwht_across, fwht_block, hadamard_sign, next_pow2, CACHE_BLOCK};
 use cso_linalg::random::{derive_seed, stream_rng};
 use cso_linalg::{LinalgError, Vector};
 use rand::RngCore;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Stable wire identifier of a measurement-operator backend.
 ///
@@ -220,8 +230,14 @@ pub trait MeasurementOp {
     fn apply(&self, x: &[f64]) -> Result<Vector, LinalgError>;
 
     /// All column correlations `out = Φᵀ·x` (`x.len() == m`,
-    /// `out.len() == n`) — the OMP inner-loop scan.
-    fn apply_transpose_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError>;
+    /// `out.len() == n`) — the OMP inner-loop scan, split over `exec`.
+    /// Bit-identical for every worker count.
+    fn apply_transpose_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError>;
 
     /// Writes column `j` (length `M`) into `out`. Panics on out-of-range
     /// `j` or a wrong-length buffer — indices come from the key dictionary,
@@ -234,16 +250,9 @@ pub trait MeasurementOp {
     fn measure_sparse(&self, entries: &[(usize, f64)]) -> Result<Vector, LinalgError>;
 
     /// The BOMP bias column `φ0 = (1/√N)·Σⱼ φⱼ = (1/√N)·Φ·1` (paper
-    /// equation (3)). Matrix-free backends get it in one `apply`.
-    fn bias_column(&self) -> Vec<f64> {
-        let ones = vec![1.0; self.n()];
-        let mut y = self.apply(&ones).expect("ones vector has length n").into_vec();
-        let inv = 1.0 / (self.n() as f64).sqrt();
-        for v in &mut y {
-            *v *= inv;
-        }
-        y
-    }
+    /// equation (3)). Matrix-free backends get it in one `apply`, split
+    /// over `exec` where the backend can; the bits never depend on it.
+    fn bias_column(&self, exec: &ExecConfig) -> Vec<f64>;
 }
 
 /// Seed-stream salts keeping the SRHT sign/row streams disjoint from each
@@ -256,8 +265,10 @@ const SRHT_ROW_STREAM: u64 = 0x5248_5452_4f57_5300; // "RHTROWS\0"
 /// (`Np` = next power of two ≥ `N`, padding internal), `R` = `M` seeded
 /// distinct rows. Entries are ±1/√M, matching the dense backend's `1/M`
 /// variance and unit column norm. Nothing is materialized: `apply` and the
-/// transpose scan are one in-place FWHT each.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// transpose scan are one in-place FWHT each. The only state beyond the
+/// `M` rows is `D` packed one bit per column, built on the first full
+/// apply or scan; it is a cache, so it takes no part in equality.
+#[derive(Clone)]
 pub struct SrhtOp {
     m: usize,
     n: usize,
@@ -266,6 +277,30 @@ pub struct SrhtOp {
     /// The `M` sampled Hadamard rows, in sampling order (row `i` of Φ).
     rows: Vec<usize>,
     sign_seed: u64,
+    /// `D` as `⌈N/64⌉` words: bit `j % 64` of word `j / 64` is set when
+    /// column `j`'s sign is −1.
+    signs: OnceLock<Vec<u64>>,
+}
+
+impl PartialEq for SrhtOp {
+    fn eq(&self, other: &Self) -> bool {
+        (self.m, self.n, self.np, self.seed, &self.rows, self.sign_seed)
+            == (other.m, other.n, other.np, other.seed, &other.rows, other.sign_seed)
+    }
+}
+
+impl Eq for SrhtOp {}
+
+impl std::fmt::Debug for SrhtOp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SrhtOp")
+            .field("m", &self.m)
+            .field("n", &self.n)
+            .field("np", &self.np)
+            .field("seed", &self.seed)
+            .field("signs_cached", &self.signs.get().is_some())
+            .finish()
+    }
 }
 
 impl SrhtOp {
@@ -296,17 +331,73 @@ impl SrhtOp {
                 rows.push(r);
             }
         }
-        Ok(SrhtOp { m, n, np, seed, rows, sign_seed: derive_seed(seed, SRHT_SIGN_STREAM) })
+        Ok(SrhtOp {
+            m,
+            n,
+            np,
+            seed,
+            rows,
+            sign_seed: derive_seed(seed, SRHT_SIGN_STREAM),
+            signs: OnceLock::new(),
+        })
     }
 
-    /// The ±1 sign `D[j][j]` of column `j`.
+    /// The sign bit of column `j` (1 for −1): the seed stream `D` is
+    /// defined by.
+    #[inline]
+    fn sign_bit(&self, j: usize) -> u64 {
+        derive_seed(self.sign_seed, j as u64) & 1
+    }
+
+    /// The ±1 sign `D[j][j]` of column `j`, without touching the cache.
     #[inline]
     fn sign(&self, j: usize) -> f64 {
-        if derive_seed(self.sign_seed, j as u64) & 1 == 0 {
-            1.0
-        } else {
-            -1.0
+        signed_one(self.sign_bit(j))
+    }
+
+    /// `D` packed one bit per column, computed on first use (split over
+    /// `exec`; every word is a function of its own columns only). The
+    /// words are built outside the cell, not in `get_or_init`: a thread
+    /// blocked on the cell while the builder waits for the pool could
+    /// deadlock. Threads that race here build identical words.
+    fn sign_words(&self, exec: &ExecConfig) -> &[u64] {
+        if let Some(words) = self.signs.get() {
+            return words;
         }
+        let mut words = vec![0u64; self.n.div_ceil(64)];
+        cso_exec::par_map_chunks_mut(exec, &mut words, SCAN_TASK / 64, |b, chunk| {
+            for (i, word) in chunk.iter_mut().enumerate() {
+                let first = b * SCAN_TASK + 64 * i;
+                let end = (first + 64).min(self.n);
+                *word = (first..end).fold(0, |w, j| w | self.sign_bit(j) << (j % 64));
+            }
+        });
+        self.signs.get_or_init(|| words)
+    }
+
+    /// `y = (1/√M)·R·H·D·x` (`x.len() == n`): sign-flip into the padded
+    /// buffer, one in-place FWHT, gather the sampled rows; split over
+    /// `exec`, with the flip done row group by row group right before the
+    /// group's narrow pass.
+    fn forward(&self, x: &[f64], exec: &ExecConfig) -> Vec<f64> {
+        let words = self.sign_words(exec);
+        let mut scratch = vec![0.0; self.np];
+        fwht_split(&mut scratch, exec, |first, rows| {
+            // Rows past `n` are padding and stay zero.
+            let end = (first + rows.len()).min(self.n);
+            if first < end {
+                let signs = &words[first / 64..];
+                for ((slots, xs), &word) in
+                    rows.chunks_mut(64).zip(x[first..end].chunks(64)).zip(signs)
+                {
+                    for (bit, (slot, xj)) in slots.iter_mut().zip(xs).enumerate() {
+                        *slot = signed_one(word >> bit & 1) * xj;
+                    }
+                }
+            }
+        });
+        let scale = self.scale();
+        self.rows.iter().map(|&r| scale * scratch[r]).collect()
     }
 
     #[inline]
@@ -477,15 +568,7 @@ impl MeasurementOp for MeasurementOperator {
         match self {
             MeasurementOperator::Dense(spec) => spec.measure_dense(x),
             MeasurementOperator::Srht(op) => {
-                // y = (1/√M)·R·H·D·x: sign-flip into the padded buffer,
-                // one in-place FWHT, gather the sampled rows.
-                let mut scratch = vec![0.0; op.np];
-                for (j, (slot, xj)) in scratch.iter_mut().zip(x).enumerate() {
-                    *slot = op.sign(j) * xj;
-                }
-                fwht(&mut scratch);
-                let scale = op.scale();
-                Ok(Vector::from_vec(op.rows.iter().map(|&r| scale * scratch[r]).collect()))
+                Ok(Vector::from_vec(op.forward(x, &ExecConfig::sequential())))
             }
             MeasurementOperator::SeededSparse(op) => {
                 let mut y = vec![0.0; op.m];
@@ -499,34 +582,70 @@ impl MeasurementOp for MeasurementOperator {
         }
     }
 
-    fn apply_transpose_into(&self, x: &[f64], out: &mut [f64]) -> Result<(), LinalgError> {
+    fn apply_transpose_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError> {
         self.check_transpose_lens(x.len(), out.len())?;
         match self {
-            MeasurementOperator::Dense(spec) => spec.correlations_into(x, out),
+            MeasurementOperator::Dense(spec) => {
+                cso_exec::par_map_chunks_mut(exec, out, COL_BLOCK, |b, chunk| {
+                    spec.correlations_block_into(b * COL_BLOCK, x, chunk);
+                });
+            }
             MeasurementOperator::Srht(op) => {
                 // Φᵀx = (1/√M)·D·H·Rᵀx: scatter into the sampled rows
                 // (distinct by construction), FWHT (H is symmetric),
-                // sign-flip, truncate the padding.
-                let mut scratch = vec![0.0; op.np];
+                // sign-flip, truncate the padding. Each row group is
+                // zeroed and scattered right before its narrow pass.
+                // Without padding all three run in `out` itself.
                 let scale = op.scale();
-                for (&r, &xi) in op.rows.iter().zip(x) {
-                    scratch[r] = scale * xi;
-                }
-                fwht(&mut scratch);
-                for (j, (slot, v)) in out.iter_mut().zip(&scratch).enumerate() {
-                    *slot = op.sign(j) * v;
-                }
-                Ok(())
+                let scatter = |first: usize, rows: &mut [f64]| {
+                    rows.fill(0.0);
+                    let span = first..first + rows.len();
+                    for (&r, &xi) in op.rows.iter().zip(x) {
+                        if span.contains(&r) {
+                            rows[r - first] = scale * xi;
+                        }
+                    }
+                };
+                let mut scratch = Vec::new();
+                let padded = if op.np == op.n {
+                    fwht_split(out, exec, scatter);
+                    None
+                } else {
+                    scratch.resize(op.np, 0.0);
+                    fwht_split(&mut scratch, exec, scatter);
+                    Some(&scratch[..op.n])
+                };
+                let words = op.sign_words(exec);
+                cso_exec::par_map_chunks_mut(exec, out, SCAN_TASK, |b, chunk| {
+                    let first = b * SCAN_TASK;
+                    if let Some(src) = padded {
+                        chunk.copy_from_slice(&src[first..first + chunk.len()]);
+                    }
+                    for (piece, &word) in chunk.chunks_mut(64).zip(&words[first / 64..]) {
+                        for (bit, v) in piece.iter_mut().enumerate() {
+                            *v *= signed_one(word >> bit & 1);
+                        }
+                    }
+                });
             }
             MeasurementOperator::SeededSparse(op) => {
-                for (j, slot) in out.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    op.for_each_nonzero(j, |row, value| acc += value * x[row]);
-                    *slot = acc;
-                }
-                Ok(())
+                cso_exec::par_map_chunks_mut(exec, out, COL_BLOCK, |b, chunk| {
+                    for (off, slot) in chunk.iter_mut().enumerate() {
+                        let mut acc = 0.0;
+                        op.for_each_nonzero(b * COL_BLOCK + off, |row, value| {
+                            acc += value * x[row]
+                        });
+                        *slot = acc;
+                    }
+                });
             }
         }
+        Ok(())
     }
 
     fn column_into(&self, j: usize, out: &mut [f64]) {
@@ -590,21 +709,70 @@ impl MeasurementOp for MeasurementOperator {
         }
     }
 
-    fn bias_column(&self) -> Vec<f64> {
-        match self {
+    fn bias_column(&self, exec: &ExecConfig) -> Vec<f64> {
+        let ones = || vec![1.0; self.n()];
+        let mut y = match self {
             // The dense backend streams columns without densifying a ones
             // vector; keep that (bit-compatible) path.
-            MeasurementOperator::Dense(spec) => spec.bias_column(),
-            _ => {
-                let ones = vec![1.0; self.n()];
-                let mut y = self.apply(&ones).expect("ones vector has length n").into_vec();
-                let inv = 1.0 / (self.n() as f64).sqrt();
-                for v in &mut y {
-                    *v *= inv;
-                }
-                y
+            MeasurementOperator::Dense(spec) => return spec.bias_column(),
+            MeasurementOperator::Srht(op) => op.forward(&ones(), exec),
+            MeasurementOperator::SeededSparse(_) => {
+                self.apply(&ones()).expect("ones vector has length n").into_vec()
+            }
+        };
+        let inv = 1.0 / (self.n() as f64).sqrt();
+        for v in &mut y {
+            *v *= inv;
+        }
+        y
+    }
+}
+
+/// Columns per task of the SRHT's memory-bound sign passes: large enough
+/// to amortize dispatch, small enough to balance two to eight workers at
+/// `N = 2^20`. A multiple of 64, so each task owns whole sign words. The
+/// dense and seeded-sparse scans spend far more per column and split into
+/// [`COL_BLOCK`] columns per task.
+const SCAN_TASK: usize = 1 << 14;
+
+/// Rows of the FWHT narrow pass handed to one task.
+const FWHT_ROWS_PER_TASK: usize = 8;
+
+/// Column strips of the FWHT wide pass. Strips are independent, so the
+/// count only sets the task granularity, never a float.
+const FWHT_STRIPS: usize = 8;
+
+/// `1.0` for sign bit 0, `-1.0` for 1, without a branch: a mispredicted
+/// branch per column on random signs costs more than the whole flip.
+#[inline(always)]
+fn signed_one(bit: u64) -> f64 {
+    f64::from_bits(1.0f64.to_bits() | bit << 63)
+}
+
+/// [`cso_linalg::fwht::fwht`] of the buffer `fill` writes, split over
+/// `exec`. Each narrow-pass task owns a disjoint group of rows: it calls
+/// `fill(first, rows)` (`first` = the index of `rows[0]` in `data`) and
+/// transforms the rows while they are cache-hot. The wide pass then runs
+/// over disjoint column strips of every row. Bit-identical to filling all
+/// of `data` and calling `fwht`, for every worker count.
+fn fwht_split(data: &mut [f64], exec: &ExecConfig, fill: impl Fn(usize, &mut [f64]) + Sync) {
+    let n = data.len();
+    let block = CACHE_BLOCK.min(n);
+    let task = block * FWHT_ROWS_PER_TASK;
+    cso_exec::par_map_chunks_mut(exec, data, task, |b, rows| {
+        fill(b * task, rows);
+        rows.chunks_mut(block).for_each(fwht_block);
+    });
+    if n > block {
+        let width = block / FWHT_STRIPS;
+        let mut strips: Vec<Vec<&mut [f64]>> =
+            (0..FWHT_STRIPS).map(|_| Vec::with_capacity(n / block)).collect();
+        for row in data.chunks_mut(block) {
+            for (strip, piece) in strips.iter_mut().zip(row.chunks_mut(width)) {
+                strip.push(piece);
             }
         }
+        cso_exec::par_map_chunks_mut(exec, &mut strips, 1, |_, strip| fwht_across(&mut strip[0]));
     }
 }
 
@@ -640,6 +808,10 @@ mod tests {
             MeasurementOperator::srht(M, N, SEED).unwrap(),
             MeasurementOperator::seeded_sparse(M, N, SEED, 6).unwrap(),
         ]
+    }
+
+    fn seq() -> ExecConfig {
+        ExecConfig::sequential()
     }
 
     fn test_vector(n: usize, salt: u64) -> Vec<f64> {
@@ -720,7 +892,7 @@ mod tests {
         let x = test_vector(M, 9);
         for op in backends() {
             let mut out = vec![0.0; N];
-            op.apply_transpose_into(&x, &mut out).unwrap();
+            op.apply_transpose_into(&x, &mut out, &seq()).unwrap();
             let mut col = vec![0.0; M];
             for j in [0usize, 1, 17, N - 1] {
                 op.column_into(j, &mut col);
@@ -758,8 +930,8 @@ mod tests {
         for op in backends() {
             assert!(op.apply(&vec![0.0; N - 1]).is_err());
             let mut out = vec![0.0; N];
-            assert!(op.apply_transpose_into(&vec![0.0; M - 1], &mut out).is_err());
-            assert!(op.apply_transpose_into(&vec![0.0; M], &mut out[..N - 1]).is_err());
+            assert!(op.apply_transpose_into(&[0.0; M - 1], &mut out, &seq()).is_err());
+            assert!(op.apply_transpose_into(&[0.0; M], &mut out[..N - 1], &seq()).is_err());
         }
     }
 
@@ -795,7 +967,7 @@ mod tests {
     #[test]
     fn bias_column_is_scaled_column_sum() {
         for op in backends() {
-            let bias = op.bias_column();
+            let bias = op.bias_column(&seq());
             let mut want = vec![0.0; M];
             let mut col = vec![0.0; M];
             for j in 0..N {
@@ -819,10 +991,10 @@ mod tests {
         assert!(legacy.iter().zip(via_op.iter()).all(|(a, b)| a.to_bits() == b.to_bits()));
         let r = test_vector(M, 4);
         let mut out = vec![0.0; N];
-        op.apply_transpose_into(&r, &mut out).unwrap();
+        op.apply_transpose_into(&r, &mut out, &seq()).unwrap();
         let legacy_corr = spec.correlations(&r).unwrap();
         assert!(legacy_corr.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert_eq!(op.bias_column(), spec.bias_column());
+        assert_eq!(op.bias_column(&seq()), spec.bias_column());
     }
 
     #[test]
@@ -836,6 +1008,113 @@ mod tests {
         rows.sort_unstable();
         rows.dedup();
         assert_eq!(rows.len(), M);
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn split_fwht_is_bit_identical_for_every_size_and_worker_count() {
+        // Sizes below one FWHT block, row counts below the worker count,
+        // and odd and even log2 on both passes.
+        for log_n in 0..=20 {
+            let n = 1usize << log_n;
+            let x = test_vector(n, log_n);
+            let mut want = x.clone();
+            cso_linalg::fwht::fwht(&mut want);
+            for workers in [1, 2, 8] {
+                let mut got = vec![f64::NAN; n];
+                fwht_split(&mut got, &ExecConfig::with_workers(workers), |first, rows| {
+                    rows.copy_from_slice(&x[first..first + rows.len()]);
+                });
+                assert!(bits(&got) == bits(&want), "n = {n}, workers = {workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn srht_transpose_is_bit_identical_across_worker_counts() {
+        // 2^17 transforms in place in `out`; 2^17 + 3 pads to 2^18 and
+        // goes through the scratch buffer.
+        for n in [1usize << 17, (1 << 17) + 3] {
+            let op = MeasurementOperator::srht(64, n, SEED).unwrap();
+            let x = test_vector(64, 11);
+            let mut want = vec![0.0; n];
+            op.apply_transpose_into(&x, &mut want, &seq()).unwrap();
+            // Spot-check against explicit columns.
+            let mut col = vec![0.0; 64];
+            for j in [0, 1, n / 2, n - 1] {
+                op.column_into(j, &mut col);
+                let dot = cso_linalg::vector::dot(&col, &x);
+                assert!((want[j] - dot).abs() < 1e-9, "n = {n}, col {j}");
+            }
+            for workers in [2, 8] {
+                let exec = ExecConfig::with_workers(workers);
+                let mut got = vec![f64::NAN; n];
+                op.apply_transpose_into(&x, &mut got, &exec).unwrap();
+                assert!(bits(&got) == bits(&want), "n = {n}, workers = {workers}");
+                assert_eq!(bits(&op.bias_column(&exec)), bits(&op.bias_column(&seq())));
+            }
+        }
+    }
+
+    #[test]
+    fn transpose_is_bit_identical_across_worker_counts_on_every_backend() {
+        let n = 40_000;
+        for op in [
+            MeasurementOperator::dense(M, n, SEED).unwrap(),
+            MeasurementOperator::srht(M, n, SEED).unwrap(),
+            MeasurementOperator::seeded_sparse(M, n, SEED, 6).unwrap(),
+        ] {
+            let x = test_vector(M, 13);
+            let mut want = vec![0.0; n];
+            op.apply_transpose_into(&x, &mut want, &seq()).unwrap();
+            for workers in [2, 8] {
+                let mut got = vec![0.0; n];
+                op.apply_transpose_into(&x, &mut got, &ExecConfig::with_workers(workers)).unwrap();
+                assert!(bits(&got) == bits(&want), "{:?}, workers = {workers}", op.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn srht_sign_cache_is_invisible_to_eq_clone_and_debug() {
+        let x = test_vector(N, 7);
+        let fresh = SrhtOp::new(M, N, SEED).unwrap();
+        let op = MeasurementOperator::Srht(fresh.clone());
+        let MeasurementOperator::Srht(warm) = &op else { unreachable!() };
+        let before = format!("{warm:?}");
+        let y = op.apply(&x).unwrap();
+        assert!(warm.signs.get().is_some() && fresh.signs.get().is_none());
+        assert_eq!(*warm, fresh);
+        assert_eq!(fresh, *warm);
+        assert_ne!(*warm, SrhtOp::new(M, N, SEED + 1).unwrap());
+        let copy = warm.clone();
+        assert_eq!(copy, fresh);
+        // The warm clone computes what a cold rebuild computes.
+        let via_copy = MeasurementOperator::Srht(copy).apply(&x).unwrap();
+        let cold = MeasurementOperator::Srht(fresh).apply(&x).unwrap();
+        assert_eq!(bits(y.as_slice()), bits(cold.as_slice()));
+        assert_eq!(bits(via_copy.as_slice()), bits(cold.as_slice()));
+        // Debug stays a one-liner whether or not the words are cached.
+        let after = format!("{warm:?}");
+        assert!(after.len() < 120 && before.len() < 120, "{after}");
+        assert!(after.contains("signs_cached: true") && before.contains("signs_cached: false"));
+    }
+
+    #[test]
+    fn cached_signs_match_the_seed_stream() {
+        let op = SrhtOp::new(M, 200, SEED).unwrap();
+        let words = op.sign_words(&seq());
+        assert_eq!(words.len(), 4);
+        for j in 0..200 {
+            assert_eq!(signed_one(words[j / 64] >> (j % 64) & 1), op.sign(j), "column {j}");
+        }
+        // Bits past N stay clear.
+        assert_eq!(words[3] >> (200 % 64), 0);
+        assert_eq!(signed_one(0), 1.0);
+        assert_eq!(signed_one(1), -1.0);
     }
 
     #[test]

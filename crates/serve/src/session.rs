@@ -23,9 +23,7 @@
 //! recovery.
 
 use crate::frame::MAX_FRAME_BYTES;
-use cso_core::{
-    bomp_with_matrix, bomp_with_op, BompConfig, MeasurementSpec, OpKind, SketchBackend,
-};
+use cso_core::{bomp, bomp_with_op, BompConfig, MeasurementSpec, OpKind, SketchBackend};
 use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
     Message, TAG_OPEN_EPOCH, TAG_RELAY_MANIFEST, TAG_SEAL_EPOCH, TAG_SKETCH,
@@ -553,14 +551,16 @@ struct Session {
 
 /// Resource caps the store enforces at `OpenEpoch`. Every limit maps to a
 /// typed reject (`BadSpec` for a hostile geometry, `StoreFull` for
-/// capacity), never a panic or an unbounded allocation: recovery
-/// materializes a dense `m × n` matrix, so an unvalidated client-supplied
-/// `n` would otherwise let a single frame abort the process.
+/// capacity), never a panic or an unbounded allocation: recovery builds
+/// a dense `m × (n + 1)` matrix, so an unvalidated client-supplied `n`
+/// would otherwise let a single frame abort the process.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreLimits {
     /// Largest accepted ambient dimension `N` per epoch.
     pub max_n: u64,
-    /// Cap on the dense `m·n·8`-byte matrix recovery materializes.
+    /// Cap on the `m·n·8` bytes of `Φ0`. A dense recovery's peak is one
+    /// matrix of `m·(n + 1)·8` bytes: `Φ0` is generated straight into the
+    /// bias-extended `Φ̃ = [φ0, Φ0]`, one `m`-length column past the cap.
     pub max_matrix_bytes: u64,
     /// Live sessions the store holds before `OpenEpoch` of a new session
     /// is rejected (finished sessions are evicted to make room first).
@@ -863,15 +863,15 @@ impl RecoverJob {
         (self.session, self.epoch)
     }
 
-    /// Runs the recovery. A dense-backend epoch materializes `Φ0`
-    /// transiently (dropped with the job, so the store never retains the
-    /// dense matrix) and runs the exact seed path; matrix-free backends
-    /// rebuild the operator from the journaled descriptor and recover
-    /// without ever materializing.
+    /// Runs the recovery. A dense-backend epoch runs the exact seed path,
+    /// [`cso_core::bomp()`]: it generates `Φ0` straight into the
+    /// bias-extended `Φ̃`, one dense `m × (n + 1)` matrix that lives only
+    /// as long as the call, so the store never retains it. Matrix-free
+    /// backends rebuild the operator from the journaled descriptor and
+    /// recover without ever materializing.
     pub fn run(self) -> (Message, Option<RecoveredEpoch>) {
         let result = if self.backend == SketchBackend::dense() {
-            let phi0 = self.spec.materialize();
-            bomp_with_matrix(&phi0, &self.y, &self.config)
+            bomp(&self.spec, &self.y, &self.config)
         } else {
             match self.backend.build(self.spec.m, self.spec.n, self.spec.seed) {
                 Ok(op) => bomp_with_op(&op, &self.y, &self.config),

@@ -29,9 +29,13 @@
 #      serve.* metric OPERATIONS.md documents must exist in source
 #  15. the measurement-operator smoke: the operator proptests (FWHT
 #      involution, sparse≡dense sketch bit-identity, descriptor wire
-#      round-trips) must pass, the loopback e2e must be bit-identical
-#      under every wire-addressable backend, and the fast 3-backend
-#      sweep must run without touching the recorded artifacts
+#      round-trips) must pass, the FWHT kernel and the split recovery
+#      scan must be bit-identical to the textbook loop and across worker
+#      counts in an optimized build (radix-4/16, AVX2, every n up to
+#      2^20; SRHT transpose, op-path OMP/BOMP and spec-vs-matrix BOMP),
+#      the loopback e2e must be bit-identical under every
+#      wire-addressable backend, and the fast 3-backend sweep must run
+#      without touching the recorded artifacts
 #  16. the relay-tier smoke: the two-level loopback e2e (flat-vs-tree
 #      bit-identity, whole-region drop degrading to subtree recovery,
 #      cross-DC byte accounting, typed manifest rejects) and the
@@ -150,12 +154,16 @@ done
 
 echo "==> [15/17] measurement-operator smoke (proptests + 3-backend sweep)"
 # The operator fuzz pins the FWHT involution, sparse/dense sketch
-# bit-identity and descriptor wire round-trips per backend; the loopback
+# bit-identity and descriptor wire round-trips per backend; the release
+# bit-identity groups pin the radix-4/16 and AVX2 FWHT to the textbook
+# loop and every split scan to its one-worker result; the loopback
 # e2e re-runs the protocol bit-identically under every wire-addressable
 # operator; the fast sweep times dense vs SRHT vs seeded-sparse without
 # touching the recorded full-scale artifacts (BENCH_pr9.json is
 # regenerated only by a full `figures -- recovery_ops` run).
 cargo test -q -p cso-core --test proptest_ops
+cargo test -q --release -p cso-linalg --lib fwht::
+cargo test -q --release -p cso-core --lib bit_identical
 cargo test -q -p cso-serve --test loopback loopback_run_is_bit_identical_for_every_operator_backend
 cargo run --release -q -p cso-bench --bin figures -- recovery_ops --fast
 
