@@ -12,12 +12,13 @@
 //! The extended vector `z̃` *is* sparse (one bias coordinate plus the
 //! outlier deviations), so OMP applies. The recovered mode is
 //! `b = z̃₀ / √N` and each recovered signal entry is `x̂ᵢ = z̃ᵢ + b`.
+//!
+//! `Φ̃` is never built: every entry point wraps its `Φ0` — a materialized
+//! [`ColMatrix`] or a [`MeasurementOperator`] — in a borrowed view that
+//! adds only the `M`-length bias column, and one body runs OMP over it.
 
 use crate::measurement::MeasurementSpec;
-use crate::omp::{
-    omp, omp_traced, omp_with_op_traced, resolve_exec, OmpConfig, OmpDictionary, OmpResult,
-    StopReason,
-};
+use crate::omp::{omp, omp_traced, resolve_exec, OmpConfig, OmpDictionary, OmpResult, StopReason};
 use crate::ops::{MeasurementOp, MeasurementOperator};
 use crate::sparse::SparseVector;
 use cso_exec::ExecConfig;
@@ -100,14 +101,13 @@ impl BompConfig {
     }
 }
 
-/// Runs BOMP from a measurement spec, materializing the dictionary.
+/// Runs BOMP from a measurement spec, materializing `Φ0`.
 ///
 /// This is the aggregator-side entry point matching the paper's CS-Reducer:
 /// regenerate `Φ0` from the shared seed, extend it with the bias column,
-/// recover. The columns of `Φ0` are generated straight into the extended
-/// matrix `Φ̃`, so the peak is one dense `M × (N + 1)` matrix, not `Φ0`
-/// plus a copy; the result is bit-identical to
-/// `bomp_with_matrix(&spec.materialize(), …)`.
+/// recover. The peak is one dense `M × N` matrix plus the `M`-length bias
+/// column; the result is bit-identical to
+/// `bomp_with_matrix(&spec.materialize(), …)`, which is what it runs.
 pub fn bomp(
     spec: &MeasurementSpec,
     y: &Vector,
@@ -124,14 +124,9 @@ pub fn bomp_traced(
     config: &BompConfig,
     rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
-    let (m, n) = (spec.m, spec.n);
-    check_measurement(m, y)?;
-    let mut data = vec![0.0; m * (n + 1)];
-    let (bias, columns) = data.split_at_mut(m);
-    spec.fill_columns(columns);
-    bias_into(columns, bias);
-    let extended = ColMatrix::from_col_major(m, n + 1, data)?;
-    bomp_extended(&extended, y, config, rec)
+    // Reject a bad measurement before the `M × N` allocation.
+    check_measurement(spec.m, spec.n, y)?;
+    bomp_with_matrix_traced(&spec.materialize(), y, config, rec)
 }
 
 /// Runs BOMP against an already-materialized `Φ0` (`M × N`).
@@ -159,111 +154,15 @@ pub fn bomp_with_matrix_traced(
     config: &BompConfig,
     rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
-    let (m, n) = (phi0.rows(), phi0.cols());
-    if n == 0 {
-        return Err(LinalgError::Empty { op: "bomp" });
-    }
-    check_measurement(m, y)?;
-    let mut extended = ColMatrix::zeros(m, n + 1);
-    bias_into(phi0.as_col_major(), extended.col_mut(0));
-    for j in 0..n {
-        extended.col_mut(j + 1).copy_from_slice(phi0.col(j));
-    }
-    bomp_extended(&extended, y, config, rec)
-}
-
-/// Rejects an empty geometry or a measurement of the wrong length.
-fn check_measurement(m: usize, y: &Vector) -> Result<(), LinalgError> {
-    if m == 0 {
-        return Err(LinalgError::Empty { op: "bomp" });
-    }
-    if y.len() != m {
-        return Err(LinalgError::DimensionMismatch {
-            op: "bomp",
-            expected: (m, 1),
-            actual: (y.len(), 1),
-        });
-    }
-    Ok(())
-}
-
-/// Writes `φ0 = (1/√N)·Σⱼ φⱼ` (paper equation (3)) into `bias` from the
-/// `N` column-major columns in `columns`, summing in column order.
-fn bias_into(columns: &[f64], bias: &mut [f64]) {
-    let m = bias.len();
-    for col in columns.chunks_exact(m) {
-        vector::axpy(1.0, col, bias);
-    }
-    let inv_sqrt_n = 1.0 / ((columns.len() / m) as f64).sqrt();
-    for b in bias.iter_mut() {
-        *b *= inv_sqrt_n;
-    }
-}
-
-/// BOMP on the bias-extended dictionary `Φ̃ = [φ0, Φ0]` (`M × (N + 1)`):
-/// the body every dense entry point shares.
-fn bomp_extended(
-    extended: &ColMatrix,
-    y: &Vector,
-    config: &BompConfig,
-    rec: &Recorder,
-) -> Result<BompResult, LinalgError> {
-    let (m, n) = (extended.rows(), extended.cols() - 1);
-    let mut omp_cfg = config.omp;
-    if config.track_mode || rec.is_enabled() {
-        omp_cfg.track_coefficients = true;
-    }
-    let _span = rec.span_with(
-        "recover.bomp",
-        &[("rows", Value::U64(m as u64)), ("cols", Value::U64(n as u64))],
-    );
-    let inner: OmpResult = omp_traced(extended, y, &omp_cfg, rec)?;
-    assemble(n, inner, config.track_mode, rec)
-}
-
-/// The bias-extended dictionary `Φ̃ = [φ0, Φ]` over a measurement operator:
-/// atom 0 is the (precomputed) bias column, atoms `1..=N` are the
-/// operator's columns. Nothing beyond the `M`-length bias is materialized —
-/// the correlation scan is one `apply_transpose_into` plus one dot.
-struct BiasedOpDictionary<'a> {
-    op: &'a MeasurementOperator,
-    bias: Vec<f64>,
-}
-
-impl OmpDictionary for BiasedOpDictionary<'_> {
-    fn rows(&self) -> usize {
-        self.op.m()
-    }
-
-    fn cols(&self) -> usize {
-        self.op.n() + 1
-    }
-
-    fn column_into(&self, j: usize, out: &mut [f64]) {
-        if j == 0 {
-            out.copy_from_slice(&self.bias);
-        } else {
-            MeasurementOp::column_into(self.op, j - 1, out);
-        }
-    }
-
-    fn correlations_into(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        exec: &ExecConfig,
-    ) -> Result<(), LinalgError> {
-        let (head, tail) = out.split_at_mut(1);
-        head[0] = vector::dot(&self.bias, x);
-        self.op.apply_transpose_into(x, tail, exec)
-    }
+    bomp_biased(phi0, |_| dense_bias(phi0), None, y, config, rec)
 }
 
 /// Runs BOMP against a measurement operator without materializing the
 /// dictionary — the matrix-free counterpart of [`bomp_with_matrix`]. Per
 /// OMP iteration the correlation refresh costs one operator transpose pass
-/// (`O(N log N)` for SRHT, `O(N·s)` for seeded-sparse) instead of the
-/// dense `O(M·N)` gemv, and peak memory stays `O(M + N)`.
+/// (`O(N log N)` for SRHT, `O(N·s)` for seeded-sparse, a streamed
+/// regeneration of the columns for dense) instead of a pass over a stored
+/// matrix, and peak memory stays `O(M + N)`.
 pub fn bomp_with_op(
     op: &MeasurementOperator,
     y: &Vector,
@@ -280,8 +179,16 @@ pub fn bomp_with_op_traced(
     config: &BompConfig,
     rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
-    let n = op.n();
-    let m = op.m();
+    bomp_biased(op, |exec| op.bias_column(exec), Some(op.kind().label()), y, config, rec)
+}
+
+/// Rejects an empty geometry, a measurement of the wrong length, and a
+/// measurement with a NaN or infinite entry, which would poison every
+/// correlation and the recovered coefficients.
+fn check_measurement(m: usize, n: usize, y: &Vector) -> Result<(), LinalgError> {
+    if m == 0 || n == 0 {
+        return Err(LinalgError::Empty { op: "bomp" });
+    }
     if y.len() != m {
         return Err(LinalgError::DimensionMismatch {
             op: "bomp",
@@ -289,24 +196,95 @@ pub fn bomp_with_op_traced(
             actual: (y.len(), 1),
         });
     }
-    // The bias column is one forward apply: split it over the same
-    // workers the scans will use.
+    if !y.iter().all(|v| v.is_finite()) {
+        return Err(LinalgError::InvalidParameter {
+            name: "y",
+            message: "measurement entries must be finite".into(),
+        });
+    }
+    Ok(())
+}
+
+/// `φ0 = (1/√N)·Σⱼ φⱼ` (paper equation (3)) of a materialized `Φ0`
+/// (`M > 0`), summing its columns in order.
+fn dense_bias(phi0: &ColMatrix) -> Vec<f64> {
+    let mut bias = vec![0.0; phi0.rows()];
+    for col in phi0.as_col_major().chunks_exact(phi0.rows()) {
+        vector::axpy(1.0, col, &mut bias);
+    }
+    let inv_sqrt_n = 1.0 / (phi0.cols() as f64).sqrt();
+    for b in bias.iter_mut() {
+        *b *= inv_sqrt_n;
+    }
+    bias
+}
+
+/// The bias-extended dictionary `Φ̃ = [φ0, Φ0]` over a borrowed `Φ0`: atom
+/// 0 is the precomputed bias column, atoms `1..=N` are `inner`'s columns.
+/// Nothing beyond the `M`-length bias is stored — the correlation scan is
+/// one dot plus `inner`'s own scan.
+struct Biased<'a, D: OmpDictionary + ?Sized> {
+    inner: &'a D,
+    bias: Vec<f64>,
+}
+
+impl<D: OmpDictionary + ?Sized> OmpDictionary for Biased<'_, D> {
+    fn rows(&self) -> usize {
+        self.inner.rows()
+    }
+
+    fn cols(&self) -> usize {
+        self.inner.cols() + 1
+    }
+
+    fn column_into(&self, j: usize, out: &mut [f64]) {
+        if j == 0 {
+            out.copy_from_slice(&self.bias);
+        } else {
+            self.inner.column_into(j - 1, out);
+        }
+    }
+
+    fn correlations_into(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        exec: &ExecConfig,
+    ) -> Result<(), LinalgError> {
+        let (head, tail) = out.split_at_mut(1);
+        head[0] = vector::dot(&self.bias, x);
+        self.inner.correlations_into(x, tail, exec)
+    }
+}
+
+/// The one BOMP body: checks the measurement, computes the bias column
+/// with `bias` on the run's executor (the scans' worker budget), runs OMP
+/// over [`Biased`] and maps the result back to signal space. `backend`
+/// labels the `recover.bomp` span on the operator path.
+fn bomp_biased<D: OmpDictionary + ?Sized>(
+    inner: &D,
+    bias: impl FnOnce(&ExecConfig) -> Vec<f64>,
+    backend: Option<&str>,
+    y: &Vector,
+    config: &BompConfig,
+    rec: &Recorder,
+) -> Result<BompResult, LinalgError> {
+    let (m, n) = (inner.rows(), inner.cols());
+    check_measurement(m, n, y)?;
     let exec = resolve_exec(&config.omp, m, n + 1);
-    let dict = BiasedOpDictionary { op, bias: op.bias_column(&exec) };
+    let dict = Biased { inner, bias: bias(&exec) };
     let mut omp_cfg = config.omp;
     if config.track_mode || rec.is_enabled() {
         omp_cfg.track_coefficients = true;
     }
-    let _span = rec.span_with(
-        "recover.bomp",
-        &[
-            ("rows", Value::U64(m as u64)),
-            ("cols", Value::U64(n as u64)),
-            ("backend", Value::from(op.kind().label())),
-        ],
-    );
-    let inner: OmpResult = omp_with_op_traced(&dict, y, &omp_cfg, rec)?;
-    assemble(n, inner, config.track_mode, rec)
+    let fields = [
+        ("rows", Value::U64(m as u64)),
+        ("cols", Value::U64(n as u64)),
+        ("backend", Value::from(backend.unwrap_or_default())),
+    ];
+    let _span = rec.span_with("recover.bomp", &fields[..2 + usize::from(backend.is_some())]);
+    let result = omp_traced(&dict, y, &omp_cfg, rec)?;
+    assemble(n, result, config.track_mode, rec)
 }
 
 /// Recovery with a *known* mode — the baseline BOMP is compared against in
@@ -649,6 +627,10 @@ mod tests {
             let mut idx: Vec<usize> = r.top_k(3).iter().map(|o| o.index).collect();
             idx.sort_unstable();
             assert_eq!(idx, vec![10, 50, 120], "{:?}", op.kind());
+            // A zero measurement is already exact: no iteration runs.
+            let zero = bomp_with_op(op, &Vector::zeros(m), &BompConfig::default()).unwrap();
+            assert_eq!(zero.stop, StopReason::ResidualTolerance, "{:?}", op.kind());
+            assert_eq!((zero.iterations, zero.outliers.len()), (0, 0), "{:?}", op.kind());
         }
     }
 
@@ -656,15 +638,26 @@ mod tests {
     fn op_path_on_dense_backend_matches_matrix_path() {
         let (spec, y, _) =
             biased_instance(60, 200, 5000.0, &[(10, 9000.0), (50, 100.0), (120, 7000.0)], 2024);
-        let via_matrix = bomp(&spec, &y, &BompConfig::default()).unwrap();
         let op = MeasurementOperator::Dense(spec);
-        let via_op = bomp_with_op(&op, &y, &BompConfig::default()).unwrap();
-        assert_eq!(via_op.bias_selected, via_matrix.bias_selected);
-        assert_eq!(via_op.mode.to_bits(), via_matrix.mode.to_bits());
-        assert_eq!(via_op.iterations, via_matrix.iterations);
-        let a: Vec<usize> = via_op.outliers.iter().map(|o| o.index).collect();
-        let b: Vec<usize> = via_matrix.outliers.iter().map(|o| o.index).collect();
-        assert_eq!(a, b);
+        for config in [BompConfig::default(), BompConfig { track_mode: true, ..Default::default() }]
+        {
+            let via_matrix = bomp(&spec, &y, &config).unwrap();
+            let via_op = bomp_with_op(&op, &y, &config).unwrap();
+            assert_eq!(via_op.bias_selected, via_matrix.bias_selected);
+            assert_eq!(via_op.mode.to_bits(), via_matrix.mode.to_bits());
+            assert_eq!(via_op.iterations, via_matrix.iterations);
+            let a: Vec<usize> = via_op.outliers.iter().map(|o| o.index).collect();
+            let b: Vec<usize> = via_matrix.outliers.iter().map(|o| o.index).collect();
+            assert_eq!(a, b);
+            // The streamed operator regenerates the same columns, so the
+            // mode trace (empty unless tracked) agrees bit for bit.
+            let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&via_op.mode_trace), bits(&via_matrix.mode_trace));
+            assert_eq!(
+                via_op.mode_trace.len(),
+                if config.track_mode { via_op.iterations } else { 0 }
+            );
+        }
     }
 
     #[test]
@@ -732,6 +725,31 @@ mod tests {
             let seq = run(1);
             for workers in [2, 8] {
                 assert_eq!(run(workers), seq, "{:?}, workers = {workers}", op.kind());
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_measurement_is_rejected() {
+        let (spec, y, _) = biased_instance(40, 100, 1800.0, &[(7, 9000.0)], 3);
+        let phi0 = spec.materialize();
+        let ops = [
+            MeasurementOperator::Dense(spec),
+            MeasurementOperator::srht(40, 100, 3).unwrap(),
+            MeasurementOperator::seeded_sparse(40, 100, 3, 8).unwrap(),
+        ];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut poisoned = y.clone();
+            poisoned[11] = bad;
+            let cfg = BompConfig::default();
+            let mut results =
+                vec![bomp(&spec, &poisoned, &cfg), bomp_with_matrix(&phi0, &poisoned, &cfg)];
+            results.extend(ops.iter().map(|op| bomp_with_op(op, &poisoned, &cfg)));
+            for r in results {
+                assert!(
+                    matches!(r, Err(LinalgError::InvalidParameter { name: "y", .. })),
+                    "{bad}: {r:?}"
+                );
             }
         }
     }

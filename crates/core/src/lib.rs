@@ -37,8 +37,10 @@
 //! - [`ops`] — the [`MeasurementOp`] trait and matrix-free backends
 //!   (SRHT, seeded sparse) behind the same seeded contract;
 //! - [`omp`](mod@crate::omp) — orthogonal matching pursuit with the paper's QR-based inner
-//!   loop and residual-stall guard;
-//! - [`bomp`](mod@crate::bomp) — Biased OMP (Algorithm 1), recovering an unknown mode;
+//!   loop and residual-stall guard, over any [`OmpDictionary`] (a
+//!   materialized matrix or a measurement operator);
+//! - [`bomp`](mod@crate::bomp) — Biased OMP (Algorithm 1), recovering an unknown mode
+//!   from a spec, a materialized `Φ0` or an operator through one body;
 //! - [`bp`](mod@crate::bp) — basis pursuit (ADMM), the alternative recovery baseline;
 //! - [`outlier`] — exact k-outlier / top-k / absolute-top-k semantics;
 //! - [`metrics`] — the paper's EK / EV quality metrics;
@@ -59,7 +61,6 @@ pub mod omp;
 pub mod ops;
 pub mod outlier;
 pub mod sparse;
-pub mod streaming;
 
 pub use bomp::{
     bomp, bomp_traced, bomp_with_matrix, bomp_with_matrix_traced, bomp_with_op,
@@ -70,12 +71,10 @@ pub use cosamp::{cosamp, CosampConfig, CosampResult};
 pub use measurement::MeasurementSpec;
 pub use metrics::{error_on_key, error_on_value, outlier_errors};
 pub use omp::{
-    omp, omp_traced, omp_with_op, omp_with_op_traced, IterationRecord, OmpConfig, OmpDictionary,
-    OmpKernel, OmpResult, StopReason,
+    omp, omp_traced, IterationRecord, OmpConfig, OmpDictionary, OmpKernel, OmpResult, StopReason,
 };
 pub use ops::{
     MeasurementOp, MeasurementOperator, OpDescriptor, OpKind, SeededSparseOp, SketchBackend, SrhtOp,
 };
 pub use outlier::KeyValue;
 pub use sparse::SparseVector;
-pub use streaming::streaming_bomp;

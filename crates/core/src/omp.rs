@@ -16,34 +16,38 @@
 //!   residual stops decreasing", the paper's fix for floating-point error
 //!   accumulation in Gram–Schmidt QR.
 //!
-//! Two kernels implement the loop (selected by [`OmpConfig::kernel`]):
+//! The loop runs over any [`OmpDictionary`]: a materialized [`ColMatrix`]
+//! (its scan is the blocked [`cso_linalg::gemv`] kernel), a matrix-free
+//! [`MeasurementOperator`], or BOMP's bias-extended wrapper of either.
+//! Two kernels implement it (selected by [`OmpConfig::kernel`]):
 //!
 //! - [`OmpKernel::Fused`] (default) maintains the residual and the full
 //!   correlation vector `c = Φᵀr` incrementally. After selecting column
 //!   `j` the new orthonormal direction `q` satisfies `r' = r − (qᵀr)·q`
 //!   (one dot + one axpy, since `r ⊥ span(q₀..q_{k−1})`), and the
-//!   correlations follow as `c' = c − (qᵀr)·Φᵀq` — a single blocked
-//!   [`cso_linalg::gemv`] pass fused with the next argmax scan, instead of
-//!   re-projecting `y` through the QR and re-scanning every column.
+//!   correlations follow as `c' = c − (qᵀr)·Φᵀq` — one
+//!   [`OmpDictionary::correlations_into`] pass followed by a blocked
+//!   shift+argmax sweep, instead of re-projecting `y` through the QR and
+//!   re-scanning every column against `r`.
 //! - [`OmpKernel::Reference`] is the textbook loop (full `qr.residual`
-//!   re-projection and a fresh `Φᵀr` dot scan per iteration), kept as the
+//!   re-projection and a fresh `Φᵀr` scan per iteration), kept as the
 //!   oracle the fused path is tested against.
 //!
-//! Both kernels scan the dictionary in fixed [`COL_BLOCK`]-column blocks
-//! scheduled over the [`cso_exec`] pool; block boundaries are independent
-//! of the worker count and block winners fold in ascending order with a
-//! lowest-index tie-break, so results are bit-identical at any worker
-//! count. See DESIGN.md §9.
+//! Every scan and the fused refresh split over the [`cso_exec`] pool in
+//! ranges that are independent of the worker count, and selection is the
+//! serial left-to-right argmax with a lowest-index tie-break, so results
+//! are bit-identical at any worker count. See DESIGN.md §9.
 
 use crate::ops::{MeasurementOp, MeasurementOperator};
 use crate::sparse::SparseVector;
-use cso_exec::{ExecConfig, ExecStats};
+use cso_exec::ExecConfig;
 use cso_linalg::{gemv, vector, ColMatrix, IncrementalQr, LinalgError, Vector};
 use cso_obs::{Recorder, Value};
 
-/// Fixed column-block width for dictionary scans. Blocks are the unit of
-/// parallel scheduling *and* of the fused gemv kernel, and are independent
-/// of the worker count — the determinism contract (DESIGN.md §9).
+/// Fixed column-block width for the dense scan and the fused
+/// refresh+argmax sweep. Blocks are the unit of parallel scheduling and
+/// are independent of the worker count — the determinism contract
+/// (DESIGN.md §9).
 pub const COL_BLOCK: usize = 2048;
 
 /// Default for [`OmpConfig::par_min_work`]: dictionaries below ~2M
@@ -85,10 +89,10 @@ impl StopReason {
 /// Which inner-loop implementation [`omp`] runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OmpKernel {
-    /// Incremental residual/correlation recurrence with blocked gemv
-    /// refresh fused into the argmax scan (default).
+    /// Incremental residual/correlation recurrence: one `Dᵀq` pass per
+    /// iteration, its shift fused into the argmax sweep (default).
     Fused,
-    /// Textbook loop: full QR re-projection and a fresh dot scan per
+    /// Textbook loop: full QR re-projection and a fresh `Dᵀr` scan per
     /// iteration. The oracle the fused kernel is tested against.
     Reference,
 }
@@ -205,17 +209,20 @@ struct RunOutcome {
     stop: StopReason,
 }
 
-/// Runs OMP against a materialized dictionary.
+/// Runs OMP against a dictionary: a materialized [`ColMatrix`], a
+/// matrix-free [`MeasurementOperator`], or any other [`OmpDictionary`].
 ///
-/// `dictionary` is `M × D` (for BOMP, `D = N + 1` with the bias column
-/// first); `y` has length `M`. Errors on a dimension mismatch or an empty
-/// measurement.
-pub fn omp(
-    dictionary: &ColMatrix,
+/// `dict` is `M × D` (for BOMP, `D = N + 1` with the bias column first);
+/// `y` has length `M`. Errors on a dimension mismatch or an empty
+/// measurement. Every scan runs on [`OmpConfig::exec`], resolved once per
+/// run: dictionaries below [`OmpConfig::par_min_work`] elements stay
+/// inline.
+pub fn omp<D: OmpDictionary + ?Sized>(
+    dict: &D,
     y: &Vector,
     config: &OmpConfig,
 ) -> Result<OmpResult, LinalgError> {
-    omp_traced(dictionary, y, config, &Recorder::disabled())
+    omp_traced(dict, y, config, &Recorder::disabled())
 }
 
 /// As [`omp`], recording a `recover.omp` span with one `omp.iter` event per
@@ -224,36 +231,36 @@ pub fn omp(
 ///
 /// With a disabled recorder every instrumentation point reduces to a single
 /// branch, so this path is what [`omp`] itself runs.
-pub fn omp_traced(
-    dictionary: &ColMatrix,
+pub fn omp_traced<D: OmpDictionary + ?Sized>(
+    dict: &D,
     y: &Vector,
     config: &OmpConfig,
     rec: &Recorder,
 ) -> Result<OmpResult, LinalgError> {
-    if y.len() != dictionary.rows() {
+    if y.len() != dict.rows() {
         return Err(LinalgError::DimensionMismatch {
             op: "omp",
-            expected: (dictionary.rows(), 1),
+            expected: (dict.rows(), 1),
             actual: (y.len(), 1),
         });
     }
-    if dictionary.rows() == 0 || dictionary.cols() == 0 {
+    if dict.rows() == 0 || dict.cols() == 0 {
         return Err(LinalgError::Empty { op: "omp" });
     }
 
     let _span = rec.span_with(
         "recover.omp",
         &[
-            ("rows", Value::U64(dictionary.rows() as u64)),
-            ("cols", Value::U64(dictionary.cols() as u64)),
+            ("rows", Value::U64(dict.rows() as u64)),
+            ("cols", Value::U64(dict.cols() as u64)),
             ("kernel", Value::from(config.kernel.as_str())),
         ],
     );
-    let exec = resolve_exec(config, dictionary.rows(), dictionary.cols());
+    let exec = resolve_exec(config, dict.rows(), dict.cols());
 
     let outcome = match config.kernel {
-        OmpKernel::Fused => run_fused(dictionary, y, config, rec, &exec)?,
-        OmpKernel::Reference => run_reference(dictionary, y, config, rec, &exec)?,
+        OmpKernel::Fused => run_fused(dict, y, config, rec, &exec)?,
+        OmpKernel::Reference => run_reference(dict, y, config, rec, &exec)?,
     };
     finish_run(outcome, y, config, rec)
 }
@@ -298,11 +305,10 @@ fn finish_run(
     Ok(OmpResult { support, coefficients, residual_norm, stop, trace })
 }
 
-/// A dictionary the OMP kernels can scan without materializing it — the
-/// matrix-free counterpart of the `ColMatrix` entry points. Implementations
-/// provide exactly the two products the loop needs (a full transpose scan
-/// and single-column reads); everything else — QR, residual recurrence,
-/// stall guard, tracing — is shared with the dense kernels.
+/// A dictionary the OMP kernels can scan. Implementations provide exactly
+/// the two products the loop needs (a full transpose scan and
+/// single-column reads); everything else — QR, residual recurrence, stall
+/// guard, tracing — is the one loop in this module.
 pub trait OmpDictionary {
     /// Measurement dimension (length of every atom).
     fn rows(&self) -> usize;
@@ -380,63 +386,15 @@ impl OmpDictionary for ColMatrix {
     }
 }
 
-/// Runs OMP against a matrix-free dictionary (see [`OmpDictionary`]).
+/// The incremental-residual kernel (see the module docs and DESIGN.md §9).
 ///
-/// Same loop structure, stop conditions, and tie-breaks as [`omp`]; the
-/// per-iteration correlation refresh is a single
-/// [`OmpDictionary::correlations_into`] pass (`O(N log N)` for SRHT,
-/// `O(N·s)` for the seeded-sparse backend) fused with the argmax scan,
-/// instead of the dense blocked gemv. Both the pass and the refresh run on
-/// [`OmpConfig::exec`], resolved once per run by the same
-/// [`OmpConfig::par_min_work`] rule as [`omp`].
-pub fn omp_with_op<D: OmpDictionary + ?Sized>(
-    dict: &D,
-    y: &Vector,
-    config: &OmpConfig,
-) -> Result<OmpResult, LinalgError> {
-    omp_with_op_traced(dict, y, config, &Recorder::disabled())
-}
-
-/// As [`omp_with_op`], recording the same `recover.omp` span and events as
-/// [`omp_traced`] (plus a `scan = operator` attribute).
-pub fn omp_with_op_traced<D: OmpDictionary + ?Sized>(
-    dict: &D,
-    y: &Vector,
-    config: &OmpConfig,
-    rec: &Recorder,
-) -> Result<OmpResult, LinalgError> {
-    if y.len() != dict.rows() {
-        return Err(LinalgError::DimensionMismatch {
-            op: "omp",
-            expected: (dict.rows(), 1),
-            actual: (y.len(), 1),
-        });
-    }
-    if dict.rows() == 0 || dict.cols() == 0 {
-        return Err(LinalgError::Empty { op: "omp" });
-    }
-    let _span = rec.span_with(
-        "recover.omp",
-        &[
-            ("rows", Value::U64(dict.rows() as u64)),
-            ("cols", Value::U64(dict.cols() as u64)),
-            ("kernel", Value::from(config.kernel.as_str())),
-            ("scan", Value::from("operator")),
-        ],
-    );
-    let exec = resolve_exec(config, dict.rows(), dict.cols());
-    let outcome = match config.kernel {
-        OmpKernel::Fused => run_fused_op(dict, y, config, rec, &exec)?,
-        OmpKernel::Reference => run_reference_op(dict, y, config, rec, &exec)?,
-    };
-    finish_run(outcome, y, config, rec)
-}
-
-/// The fused kernel over an [`OmpDictionary`]: identical invariants to
-/// [`run_fused`], with the deferred `−α·Dᵀq` refresh computed by one
-/// operator transpose pass and folded into the argmax scan, both split
-/// over `exec` exactly as [`run_fused`] splits the dense refresh.
-fn run_fused_op<D: OmpDictionary + ?Sized>(
+/// Invariants at the top of each iteration:
+/// - `residual = y − proj(y, span(support))` (maintained by axpy),
+/// - `corr[j] = ⟨φ_j, residual⟩` **after** the pending refresh is applied —
+///   the refresh for the last selected direction is deferred (`pending`)
+///   and applied by the next argmax sweep, so a run that stops never pays
+///   a final `Dᵀq` pass.
+fn run_fused<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
     config: &OmpConfig,
@@ -458,6 +416,9 @@ fn run_fused_op<D: OmpDictionary + ?Sized>(
     let mut residual = y.clone();
     let mut norm = y_norm;
     let mut prev_norm = y_norm;
+    // Deferred correlation refresh: `Some(α)` means `corr` still reflects
+    // the residual *before* the last selection and must be shifted by
+    // `−α·Dᵀq_last` (fused into the next argmax sweep) before use.
     let mut pending: Option<f64> = None;
     let mut qt_phi = vec![0.0f64; d];
     let mut col = vec![0.0f64; rows];
@@ -489,6 +450,8 @@ fn run_fused_op<D: OmpDictionary + ?Sized>(
         }
         selected[j] = true;
         support.push(j);
+        // r ⊥ span(q₀..q_{k−1}) already, so the new projection removes
+        // only the q_k component: r' = r − (q_kᵀr)·q_k.
         let q = qr.q_col(qr.ncols() - 1);
         let alpha = vector::dot(q, residual.as_slice());
         vector::axpy(-alpha, q, residual.as_mut_slice());
@@ -503,10 +466,10 @@ fn run_fused_op<D: OmpDictionary + ?Sized>(
     Ok(RunOutcome { qr, support, trace, residual_norm: norm, stop })
 }
 
-/// The textbook loop over an [`OmpDictionary`]: full QR re-projection and a
-/// fresh transpose scan per iteration. The oracle [`run_fused_op`] is
-/// tested against.
-fn run_reference_op<D: OmpDictionary + ?Sized>(
+/// The textbook loop: full `qr.residual` re-projection and a fresh
+/// transpose scan per iteration, then the serial argmax (ties to the
+/// lowest index). The oracle [`run_fused`] is tested against.
+fn run_reference<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
     config: &OmpConfig,
@@ -595,115 +558,6 @@ fn record_iteration(
     Ok(config.stall_guard && norm >= prev_norm * (1.0 - config.min_relative_decrease))
 }
 
-/// The incremental-residual kernel (see the module docs and DESIGN.md §9).
-///
-/// Invariants at the top of each iteration:
-/// - `residual = y − proj(y, span(support))` (maintained by axpy),
-/// - `corr[j] = ⟨φ_j, residual⟩` **after** the pending refresh is applied —
-///   the refresh for the last selected direction is deferred (`pending`)
-///   and fused into the next argmax scan, so a run that stops never pays a
-///   final `Φᵀq` pass.
-fn run_fused(
-    dictionary: &ColMatrix,
-    y: &Vector,
-    config: &OmpConfig,
-    rec: &Recorder,
-    exec: &ExecConfig,
-) -> Result<RunOutcome, LinalgError> {
-    let rows = dictionary.rows();
-    let d = dictionary.cols();
-    let data = dictionary.as_col_major();
-    let y_norm = y.norm2();
-    let abs_tol = config.residual_tolerance * y_norm;
-
-    // Initial correlations c = Φᵀy: one blocked pass, bit-identical to a
-    // per-column dot scan.
-    let mut corr = vec![0.0f64; d];
-    let (_, stats) = cso_exec::par_map_chunks_mut(exec, &mut corr, COL_BLOCK, |b, chunk| {
-        let start = b * COL_BLOCK;
-        let block = &data[start * rows..(start + chunk.len()) * rows];
-        gemv::gemv_transpose_into(block, rows, y.as_slice(), chunk);
-    });
-    stats.record(rec);
-
-    let mut qr = IncrementalQr::new(rows);
-    let mut selected = vec![false; d];
-    let mut support: Vec<usize> = Vec::new();
-    let mut trace: Vec<IterationRecord> = Vec::new();
-    let mut residual = y.clone();
-    let mut norm = y_norm;
-    let mut prev_norm = y_norm;
-    // Deferred correlation refresh: `Some(α)` means `corr` still reflects
-    // the residual *before* the last selection and must be shifted by
-    // `−α·Φᵀq_last` (fused into the next scan) before use.
-    let mut pending: Option<f64> = None;
-
-    let stop = loop {
-        if support.len() >= config.max_iterations {
-            break StopReason::MaxIterations;
-        }
-        if norm <= abs_tol {
-            break StopReason::ResidualTolerance;
-        }
-        if support.len() == d {
-            break StopReason::DictionaryExhausted;
-        }
-        let best = match pending.take() {
-            Some(alpha) => {
-                let q = qr.q_col(qr.ncols() - 1);
-                let (partials, stats) =
-                    cso_exec::par_map_chunks_mut(exec, &mut corr, COL_BLOCK, |b, chunk| {
-                        refresh_block(data, rows, q, alpha, b, chunk, &selected)
-                    });
-                stats.record(rec);
-                fold_block_winners(partials)
-            }
-            None => argmax_unselected(&corr, &selected, 0),
-        };
-        let (j, _) = best.expect("unselected column exists");
-        match qr.push_column(dictionary.col(j)) {
-            Ok(()) => {}
-            Err(LinalgError::RankDeficient { .. }) => break StopReason::RankExhausted,
-            Err(e) => return Err(e),
-        }
-        selected[j] = true;
-        support.push(j);
-        // r ⊥ span(q₀..q_{k−1}) already, so the new projection removes
-        // only the q_k component: r' = r − (q_kᵀr)·q_k.
-        let q = qr.q_col(qr.ncols() - 1);
-        let alpha = vector::dot(q, residual.as_slice());
-        vector::axpy(-alpha, q, residual.as_mut_slice());
-        norm = residual.norm2();
-        pending = Some(alpha);
-        if record_iteration(config, rec, &qr, y, j, norm, prev_norm, &mut trace)? {
-            break StopReason::ResidualStall;
-        }
-        prev_norm = norm;
-    };
-
-    Ok(RunOutcome { qr, support, trace, residual_norm: norm, stop })
-}
-
-/// One block of the fused refresh+select pass: shifts `chunk` (the block's
-/// slice of the correlation vector) by `−α·Φ_blockᵀq` via the blocked gemv
-/// kernel, then returns the block's argmax over unselected columns.
-fn refresh_block(
-    data: &[f64],
-    rows: usize,
-    q: &[f64],
-    alpha: f64,
-    b: usize,
-    chunk: &mut [f64],
-    selected: &[bool],
-) -> Option<(usize, f64)> {
-    let start = b * COL_BLOCK;
-    let len = chunk.len();
-    let mut qt_phi = [0.0f64; COL_BLOCK];
-    let block = &data[start * rows..(start + len) * rows];
-    gemv::gemv_transpose_into(block, rows, q, &mut qt_phi[..len]);
-    shift_and_select(chunk, &qt_phi[..len], alpha, start, selected).0
-}
-
 /// Shifts every correlation by `−α·shifts` and returns the argmax of `|c|`
 /// over unselected columns, lowest index winning ties: exactly the serial
 /// left-to-right scan. The work runs over fixed [`COL_BLOCK`] blocks on
@@ -785,7 +639,9 @@ fn fold_block_winners(partials: Vec<Option<(usize, f64)>>) -> Option<(usize, f64
 
 /// Serial argmax of `|corr[j]|` over unselected columns (`selected[j]`
 /// flags `corr[j]`, whose column index is `start + j`), lowest index wins
-/// ties. Used for the first fused iteration (no refresh pending yet).
+/// ties. The selection rule of both kernels: the reference kernel and the
+/// first fused iteration call it directly, and the blocked sweep of
+/// [`shift_and_select_all`] reproduces it.
 fn argmax_unselected(corr: &[f64], selected: &[bool], start: usize) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (j, c) in corr.iter().enumerate() {
@@ -799,96 +655,6 @@ fn argmax_unselected(corr: &[f64], selected: &[bool], start: usize) -> Option<(u
         }
     }
     best
-}
-
-/// The textbook loop: full `qr.residual` re-projection and a fresh dot
-/// scan per iteration. Bit-for-bit the historical behaviour of this module
-/// (the scan itself now runs over [`COL_BLOCK`] blocks on the exec pool,
-/// which does not change any float).
-fn run_reference(
-    dictionary: &ColMatrix,
-    y: &Vector,
-    config: &OmpConfig,
-    rec: &Recorder,
-    exec: &ExecConfig,
-) -> Result<RunOutcome, LinalgError> {
-    let d = dictionary.cols();
-    let y_norm = y.norm2();
-    let abs_tol = config.residual_tolerance * y_norm;
-
-    let mut qr = IncrementalQr::new(dictionary.rows());
-    let mut selected = vec![false; d];
-    let mut support: Vec<usize> = Vec::new();
-    let mut trace: Vec<IterationRecord> = Vec::new();
-    let mut residual = y.clone();
-    let mut norm = y_norm;
-    let mut prev_norm = y_norm;
-
-    let stop = loop {
-        if support.len() >= config.max_iterations {
-            break StopReason::MaxIterations;
-        }
-        if norm <= abs_tol {
-            break StopReason::ResidualTolerance;
-        }
-        if support.len() == d {
-            break StopReason::DictionaryExhausted;
-        }
-        // Column selection: argmax |⟨φ_j, r⟩| over unselected columns.
-        // Ties break to the lowest index for determinism.
-        let best = select_column(dictionary, &residual, &selected, exec, rec);
-        let (j, _) = best.expect("unselected column exists");
-        match qr.push_column(dictionary.col(j)) {
-            Ok(()) => {}
-            Err(LinalgError::RankDeficient { .. }) => break StopReason::RankExhausted,
-            Err(e) => return Err(e),
-        }
-        selected[j] = true;
-        support.push(j);
-        residual = qr.residual(y.as_slice())?;
-        norm = residual.norm2();
-        if record_iteration(config, rec, &qr, y, j, norm, prev_norm, &mut trace)? {
-            break StopReason::ResidualStall;
-        }
-        prev_norm = norm;
-    };
-
-    Ok(RunOutcome { qr, support, trace, residual_norm: norm, stop })
-}
-
-/// Finds the unselected column with the largest `|⟨φ_j, r⟩|`, ties to the
-/// lowest index. The scan dominates the reference kernel's runtime
-/// (`O(M·D)` per iteration), so it runs over fixed [`COL_BLOCK`]-column
-/// blocks on the exec pool; block winners fold in ascending order, keeping
-/// the result identical to a serial scan at any worker count.
-fn select_column(
-    dictionary: &ColMatrix,
-    residual: &Vector,
-    selected: &[bool],
-    exec: &ExecConfig,
-    rec: &Recorder,
-) -> Option<(usize, f64)> {
-    let d = dictionary.cols();
-    let blocks = d.div_ceil(COL_BLOCK);
-    let (partials, stats): (Vec<Option<(usize, f64)>>, ExecStats) =
-        cso_exec::par_map_n(exec, blocks, |b| {
-            let start = b * COL_BLOCK;
-            let end = (start + COL_BLOCK).min(d);
-            let mut best: Option<(usize, f64)> = None;
-            for j in start..end {
-                if selected[j] {
-                    continue;
-                }
-                let c = vector::dot(dictionary.col(j), residual.as_slice()).abs();
-                match best {
-                    Some((_, b)) if b >= c => {}
-                    _ => best = Some((j, c)),
-                }
-            }
-            best
-        });
-    stats.record(rec);
-    fold_block_winners(partials)
 }
 
 #[cfg(test)]
@@ -1094,11 +860,10 @@ mod tests {
         ] {
             let truth = SparseVector::new(n, vec![(100, 5.0), (2300, -3.0), (4999, 2.0)]).unwrap();
             let y = op.apply(truth.to_dense().as_slice()).unwrap();
-            let seq = omp_with_op(&op, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base })
-                .unwrap();
+            let seq = omp(&op, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base }).unwrap();
             for workers in [2, 8] {
                 let cfg = OmpConfig { exec: ExecConfig::with_workers(workers), ..base };
-                let par = omp_with_op(&op, &y, &cfg).unwrap();
+                let par = omp(&op, &y, &cfg).unwrap();
                 assert_eq!(par.support, seq.support, "{:?}, workers = {workers}", op.kind());
                 assert_eq!(par.stop, seq.stop);
                 assert_eq!(par.residual_norm.to_bits(), seq.residual_norm.to_bits());
@@ -1194,7 +959,7 @@ mod tests {
         let (phi, y, _) = sparse_instance(40, 120, &[(8, 6.0), (55, -4.0), (99, 2.5)], 29);
         let op = MeasurementOperator::dense(40, 120, 29).unwrap();
         let via_matrix = omp(&phi, &y, &OmpConfig::default()).unwrap();
-        let via_op = omp_with_op(&op, &y, &OmpConfig::default()).unwrap();
+        let via_op = omp(&op, &y, &OmpConfig::default()).unwrap();
         assert_eq!(via_op.support, via_matrix.support);
         assert_eq!(via_op.stop, via_matrix.stop);
         assert_eq!(via_op.residual_norm.to_bits(), via_matrix.residual_norm.to_bits());
@@ -1213,13 +978,10 @@ mod tests {
         for op in &ops {
             let truth = SparseVector::new(120, vec![(8, 6.0), (55, -4.0), (99, 2.5)]).unwrap();
             let y = op.apply(truth.to_dense().as_slice()).unwrap();
-            let fused = omp_with_op(op, &y, &OmpConfig::default()).unwrap();
-            let reference = omp_with_op(
-                op,
-                &y,
-                &OmpConfig { kernel: OmpKernel::Reference, ..Default::default() },
-            )
-            .unwrap();
+            let fused = omp(op, &y, &OmpConfig::default()).unwrap();
+            let reference =
+                omp(op, &y, &OmpConfig { kernel: OmpKernel::Reference, ..Default::default() })
+                    .unwrap();
             assert_eq!(fused.support, reference.support, "{:?}", op.kind());
             assert_eq!(fused.stop, reference.stop);
             for (a, b) in fused.coefficients.iter().zip(reference.coefficients.iter()) {
@@ -1234,16 +996,49 @@ mod tests {
 
     #[test]
     fn colmatrix_implements_op_dictionary() {
-        let (phi, y, _) = sparse_instance(30, 90, &[(5, 4.0), (70, -2.0)], 41);
-        let direct = omp(&phi, &y, &OmpConfig::default()).unwrap();
-        let via_dict = omp_with_op(&phi, &y, &OmpConfig::default()).unwrap();
-        assert_eq!(direct.support, via_dict.support);
-        assert_eq!(direct.stop, via_dict.stop);
+        // The dense scan is the blocked gemv over the whole matrix, split
+        // over COL_BLOCK blocks, and column reads are plain copies.
+        let (phi, y, _) = sparse_instance(30, 2 * COL_BLOCK + 90, &[(5, 4.0), (70, -2.0)], 41);
+        let want = phi.gemv_transpose(&y).unwrap();
+        for workers in [1, 2] {
+            let mut got = vec![0.0; phi.cols()];
+            let exec = ExecConfig::with_workers(workers);
+            OmpDictionary::correlations_into(&phi, y.as_slice(), &mut got, &exec).unwrap();
+            assert!(got.iter().zip(want.iter()).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        let mut col = vec![0.0; phi.rows()];
+        OmpDictionary::column_into(&phi, 70, &mut col);
+        assert_eq!(col, phi.col(70));
+        let mut short = vec![0.0; phi.cols() - 1];
+        let exec = ExecConfig::sequential();
+        assert!(OmpDictionary::correlations_into(&phi, y.as_slice(), &mut short, &exec).is_err());
+    }
+
+    #[test]
+    fn nan_atom_selects_the_same_support_in_both_kernels() {
+        // A NaN entry in column 3000, past the first COL_BLOCK: its
+        // correlation is NaN on every scan, and a NaN incumbent loses to
+        // the next column. Both kernels select by that one serial rule, so
+        // they agree with each other at every worker count.
+        let truth = [(100, 5.0), (5, -4.0), (4000, 3.0), (3500, 2.0)];
+        let (mut phi, y, _) = sparse_instance(40, 5000, &truth, 43);
+        phi.col_mut(3000)[7] = f64::NAN;
+        let base = OmpConfig { par_min_work: 0, ..OmpConfig::default() };
+        for workers in [1, 2] {
+            let fused = OmpConfig { exec: ExecConfig::with_workers(workers), ..base };
+            let reference = OmpConfig { kernel: OmpKernel::Reference, ..fused };
+            let f = omp(&phi, &y, &fused).unwrap();
+            let r = omp(&phi, &y, &reference).unwrap();
+            assert_eq!(f.support, r.support, "workers = {workers}");
+            assert_eq!(f.stop, r.stop, "workers = {workers}");
+            // Every scan restarts at the column after the NaN.
+            assert!(f.support.iter().all(|&j| j > 3000), "{:?}", f.support);
+        }
     }
 
     #[test]
     fn op_path_checks_dimensions() {
         let op = MeasurementOperator::srht(10, 20, 1).unwrap();
-        assert!(omp_with_op(&op, &Vector::zeros(11), &OmpConfig::default()).is_err());
+        assert!(omp(&op, &Vector::zeros(11), &OmpConfig::default()).is_err());
     }
 }

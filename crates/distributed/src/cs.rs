@@ -10,9 +10,8 @@ use crate::cluster::Cluster;
 use crate::cost::CostMeter;
 use crate::protocol::{OutlierProtocol, ProtocolRun};
 use cso_core::{
-    bomp_with_matrix, bomp_with_matrix_traced, bomp_with_op, bomp_with_op_traced, BompConfig,
-    BompResult, KeyValue, MeasurementOp, MeasurementOperator, MeasurementSpec, OpKind,
-    SketchBackend,
+    bomp_with_matrix_traced, bomp_with_op_traced, BompConfig, BompResult, KeyValue, MeasurementOp,
+    MeasurementOperator, MeasurementSpec, OpKind, SketchBackend,
 };
 use cso_exec::ExecConfig;
 use cso_linalg::{ColMatrix, LinalgError, Vector};
@@ -63,7 +62,9 @@ impl Engine {
         }
     }
 
-    pub(crate) fn recover_traced(
+    /// BOMP over this run's dictionary, traced into `rec` (pass
+    /// [`Recorder::disabled`] for an untraced run).
+    pub(crate) fn recover(
         &self,
         y: &Vector,
         recovery: &BompConfig,
@@ -72,17 +73,6 @@ impl Engine {
         match self {
             Engine::Dense(phi0) => bomp_with_matrix_traced(phi0, y, recovery, rec),
             Engine::Op(op) => bomp_with_op_traced(op, y, recovery, rec),
-        }
-    }
-
-    pub(crate) fn recover(
-        &self,
-        y: &Vector,
-        recovery: &BompConfig,
-    ) -> Result<BompResult, LinalgError> {
-        match self {
-            Engine::Dense(phi0) => bomp_with_matrix(phi0, y, recovery),
-            Engine::Op(op) => bomp_with_op(op, y, recovery),
         }
     }
 }
@@ -240,7 +230,7 @@ impl CsProtocol {
         let recovery = self.effective_recovery(k);
         let result = {
             let _r = rec.span("recovery");
-            engine.recover_traced(&y, &recovery, rec)?
+            engine.recover(&y, &recovery, rec)?
         };
 
         meter.publish(rec);
@@ -315,7 +305,7 @@ impl CsProtocol {
         let y = crate::fold::dyadic_fold(self.m, &members);
 
         let recovery = self.effective_recovery(k);
-        let result = engine.recover(&y, &recovery)?;
+        let result = engine.recover(&y, &recovery, &Recorder::disabled())?;
         let estimate: Vec<KeyValue> =
             result.top_k(k).iter().map(|o| KeyValue { index: o.index, value: o.value }).collect();
         Ok(ProtocolRun {

@@ -339,7 +339,7 @@ impl CsProtocol {
         recovery.omp.exec = self.exec;
         let result = {
             let _r = rec.span("recovery");
-            engine.recover_traced(collector.sum(), &recovery, rec)?
+            engine.recover(collector.sum(), &recovery, rec)?
         };
         let estimate: Vec<KeyValue> =
             result.top_k(k).iter().map(|o| KeyValue { index: o.index, value: o.value }).collect();

@@ -355,7 +355,8 @@ pub enum PadIngest<'a> {
     Duplicate,
     /// The sketch's seed disagrees with the epoch's.
     SeedMismatch,
-    /// The payload does not decode to an `M`-length sketch.
+    /// The payload does not decode to an `M`-length sketch of finite
+    /// values.
     BadSketch,
     /// The pad cannot take this sketch lock-free — sealed, paused for a
     /// snapshot, or the node id is beyond the pad's slot range. The caller
@@ -459,10 +460,9 @@ impl IngestPad {
             self.duplicates.fetch_add(1, Ordering::Relaxed);
             return PadIngest::Duplicate;
         }
-        let sketch = quantize::decode(payload);
-        if sketch.len() != self.m {
+        let Some(sketch) = decode_sketch(payload, self.m) else {
             return PadIngest::BadSketch;
-        }
+        };
         match slot.state.compare_exchange(
             SLOT_EMPTY,
             SLOT_BUSY,
@@ -552,15 +552,15 @@ struct Session {
 /// Resource caps the store enforces at `OpenEpoch`. Every limit maps to a
 /// typed reject (`BadSpec` for a hostile geometry, `StoreFull` for
 /// capacity), never a panic or an unbounded allocation: recovery builds
-/// a dense `m × (n + 1)` matrix, so an unvalidated client-supplied `n`
-/// would otherwise let a single frame abort the process.
+/// a dense `m × n` matrix, so an unvalidated client-supplied `n` would
+/// otherwise let a single frame abort the process.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreLimits {
     /// Largest accepted ambient dimension `N` per epoch.
     pub max_n: u64,
-    /// Cap on the `m·n·8` bytes of `Φ0`. A dense recovery's peak is one
-    /// matrix of `m·(n + 1)·8` bytes: `Φ0` is generated straight into the
-    /// bias-extended `Φ̃ = [φ0, Φ0]`, one `m`-length column past the cap.
+    /// Cap on the `m·n·8` bytes of `Φ0`. A dense recovery's peak is that
+    /// matrix plus the `m`-length bias column `φ0`: BOMP borrows `Φ0`
+    /// and never builds the bias-extended `Φ̃ = [φ0, Φ0]`.
     pub max_matrix_bytes: u64,
     /// Live sessions the store holds before `OpenEpoch` of a new session
     /// is rejected (finished sessions are evicted to make room first).
@@ -864,11 +864,11 @@ impl RecoverJob {
     }
 
     /// Runs the recovery. A dense-backend epoch runs the exact seed path,
-    /// [`cso_core::bomp()`]: it generates `Φ0` straight into the
-    /// bias-extended `Φ̃`, one dense `m × (n + 1)` matrix that lives only
-    /// as long as the call, so the store never retains it. Matrix-free
-    /// backends rebuild the operator from the journaled descriptor and
-    /// recover without ever materializing.
+    /// [`cso_core::bomp()`]: it materializes `Φ0`, one dense `m × n`
+    /// matrix (plus the `m`-length bias column) that lives only as long
+    /// as the call, so the store never retains it. Matrix-free backends
+    /// rebuild the operator from the journaled descriptor and recover
+    /// without ever materializing. Both run the same BOMP body.
     pub fn run(self) -> (Message, Option<RecoveredEpoch>) {
         let result = if self.backend == SketchBackend::dense() {
             bomp(&self.spec, &self.y, &self.config)
@@ -1278,7 +1278,9 @@ impl SessionStore {
             stats.add("serve.sketches_duplicate", 1);
             return (Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None);
         }
-        let sketch = quantize::decode(payload);
+        let Some(sketch) = decode_sketch(payload, agg.spec().m) else {
+            return (reject(RejectCode::BadSketch), Effect::None);
+        };
         if agg.join(node as usize, sketch).is_err() {
             return (reject(RejectCode::BadSketch), Effect::None);
         }
@@ -1872,6 +1874,17 @@ fn evict_recovered_epoch(sess: &mut Session, stats: &mut StoreStats) -> bool {
         }
         None => false,
     }
+}
+
+/// Decodes an ingested sketch payload, or `None` unless it is an
+/// `m`-length vector of finite values. Both live ingest paths (the
+/// lock-free pad and the store-locked join) run this one check before the
+/// slot claim, the join or the WAL append: a NaN or infinite entry — from
+/// an F64/F32 value or a Fixed16 `scale` — would otherwise be acked,
+/// journaled, and fail the epoch's recovery. Replay trusts the journal.
+fn decode_sketch(payload: &EncodedSketch, m: usize) -> Option<Vector> {
+    let sketch = quantize::decode(payload);
+    (sketch.len() == m && sketch.iter().all(|v| v.is_finite())).then_some(sketch)
 }
 
 /// A no-retry reject frame for a typed protocol error.
@@ -2668,6 +2681,71 @@ mod tests {
         }
         assert!(pad.allocated_slots().count() <= PAD_CHUNK);
         assert_eq!(seal_bits(&mut store).0, 4);
+    }
+
+    /// A sketch with a NaN or infinite value — from an F64/F32 entry or a
+    /// Fixed16 `scale` — is refused on the lock-free pad and on the
+    /// store-locked path alike, before anything is journaled; the epoch
+    /// then seals and recovers over the finite leaves exactly as the
+    /// in-process fold + BOMP does.
+    #[test]
+    fn non_finite_sketches_are_rejected_before_the_journal() {
+        use crate::wal::WalRecord;
+        // Pad slots for nodes 0 and 1; node 3 takes the locked path.
+        let (mut store, mut conn) = opened(N, 2);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        let mut f64s = irregular(9).into_vec();
+        f64s[2] = f64::NAN;
+        let mut f32s: Vec<f32> = irregular(9).iter().map(|&v| v as f32).collect();
+        f32s[5] = f32::INFINITY;
+        let fixed = |scale: f64| EncodedSketch::Fixed16 { values: vec![3; M as usize], scale };
+        let mut neg_inf = irregular(9).into_vec();
+        neg_inf[0] = f64::NEG_INFINITY;
+        let poisoned = [
+            EncodedSketch::F64(f64s),
+            EncodedSketch::F32(f32s),
+            fixed(f64::NAN),
+            fixed(f64::INFINITY),
+            EncodedSketch::F64(neg_inf),
+        ];
+        for payload in &poisoned {
+            assert!(matches!(pad.ingest(1, SEED, payload), PadIngest::BadSketch), "{payload:?}");
+            for node in [0, 3] {
+                let msg = Message::Sketch { node, seed: SEED, payload: payload.clone() };
+                let (reply, effect) = send(&mut store, &mut conn, &msg);
+                assert_eq!(code_of(&reply), RejectCode::BadSketch, "node {node}: {payload:?}");
+                assert!(WalRecord::of_effect(&effect, &msg).is_none(), "nothing to journal");
+            }
+        }
+        // The refused nodes are not members: their finite sketches join.
+        let leaves = [0u32, 1, 3];
+        for node in leaves {
+            let reply = send(&mut store, &mut conn, &irregular_msg(node)).0;
+            assert_eq!(reply, Message::Ack { of: TAG_SKETCH, info: 0 });
+        }
+        let (nodes, duplicates, y) = seal_bits(&mut store);
+        assert_eq!((nodes, duplicates), (3, 0));
+        assert_eq!(y, fold_bits(leaves.map(|n| (n, n))));
+
+        let k = 2;
+        let recover = Message::RecoverEpoch { session: 1, epoch: 0, k };
+        let policy = RecoveryPolicy::default();
+        let Dispatch::Recover(job) =
+            store.dispatch(&mut conn, &recover, &policy, &mut StoreStats::new())
+        else {
+            panic!("expected a recover job");
+        };
+        let Message::Report { mode, outliers, .. } = job.run().0 else {
+            panic!("expected a report");
+        };
+        let y = Vector::from_vec(y.iter().map(|&b| f64::from_bits(b)).collect());
+        let spec = MeasurementSpec::new(M as usize, N as usize, SEED).expect("spec");
+        let want = bomp(&spec, &y, &policy.effective(M as usize, SEED, k)).expect("bomp");
+        assert_eq!(mode.to_bits(), want.mode.to_bits());
+        let want: Vec<(u32, u64)> =
+            want.top_k(k as usize).iter().map(|o| (o.index as u32, o.value.to_bits())).collect();
+        let got: Vec<(u32, u64)> = outliers.iter().map(|&(i, v)| (i, v.to_bits())).collect();
+        assert_eq!(got, want);
     }
 
     // ---- 1024-node seal ---------------------------------------------------

@@ -160,10 +160,16 @@ echo "==> [15/17] measurement-operator smoke (proptests + 3-backend sweep)"
 # e2e re-runs the protocol bit-identically under every wire-addressable
 # operator; the fast sweep times dense vs SRHT vs seeded-sparse without
 # touching the recorded full-scale artifacts (BENCH_pr9.json is
-# regenerated only by a full `figures -- recovery_ops` run).
+# regenerated only by a full `figures -- recovery_ops` run). The NaN-atom
+# test pins the fused and reference kernels to one selection rule; the
+# non-finite tests pin the typed rejects of a NaN/Inf measurement in BOMP
+# and of a NaN/Inf sketch on both live ingest paths.
 cargo test -q -p cso-core --test proptest_ops
 cargo test -q --release -p cso-linalg --lib fwht::
 cargo test -q --release -p cso-core --lib bit_identical
+cargo test -q --release -p cso-core --lib nan_atom
+cargo test -q -p cso-core --lib non_finite
+cargo test -q -p cso-serve --lib non_finite
 cargo test -q -p cso-serve --test loopback loopback_run_is_bit_identical_for_every_operator_backend
 cargo run --release -q -p cso-bench --bin figures -- recovery_ops --fast
 

@@ -2,7 +2,7 @@
 //! the wide-area deployment shape (regional hubs, memory-constrained
 //! aggregator) assembled from the extension modules.
 
-use cs_outlier::core::{streaming_bomp, BompConfig, MeasurementSpec};
+use cs_outlier::core::{bomp_with_op, BompConfig, MeasurementOperator, MeasurementSpec};
 use cs_outlier::distributed::{AggregationTree, TreeNode};
 use cs_outlier::workloads::{split, SliceStrategy};
 
@@ -37,7 +37,7 @@ fn three_level_tree_plus_streaming_recovery() {
     assert_eq!(cost.tuples, 21 * 90);
 
     // Matrix-free recovery on the aggregator.
-    let r = streaming_bomp(&spec, &y, &BompConfig::default()).unwrap();
+    let r = bomp_with_op(&MeasurementOperator::Dense(spec), &y, &BompConfig::default()).unwrap();
     assert!((r.mode - 450.0).abs() < 1e-6, "mode = {}", r.mode);
     let top: Vec<usize> = r.top_k(3).iter().map(|o| o.index).collect();
     assert_eq!(top, vec![100, 1400, 700], "ordered by |deviation|");
@@ -63,7 +63,8 @@ fn tree_shape_does_not_change_recovery() {
     let mut modes = Vec::new();
     for tree in &shapes {
         let (y, _) = tree.aggregate(&spec, &sketches).unwrap();
-        let r = streaming_bomp(&spec, &y, &BompConfig::default()).unwrap();
+        let r =
+            bomp_with_op(&MeasurementOperator::Dense(spec), &y, &BompConfig::default()).unwrap();
         assert_eq!(r.top_k(1)[0].index, 9);
         modes.push(r.mode);
     }
