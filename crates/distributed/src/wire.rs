@@ -330,81 +330,87 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-struct Writer {
+/// Little-endian byte sink: the encoder behind [`encode`], public so every
+/// other on-disk or on-wire format in the workspace shares one codec.
+#[derive(Debug, Default)]
+pub struct Writer {
     buf: Vec<u8>,
 }
 
+/// Bounds-checked little-endian cursor: the decoder behind [`decode`].
+/// Every getter returns [`WireError::Truncated`] past the end of the
+/// buffer instead of panicking.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+/// One putter on [`Writer`] and one getter on [`Reader`] per fixed-width
+/// type, all little-endian.
+macro_rules! fixed_width {
+    ($($t:ident),*) => {
+        impl Writer {
+            $(
+                #[doc = concat!("Appends a little-endian `", stringify!($t), "`.")]
+                pub fn $t(&mut self, v: $t) {
+                    self.buf.extend_from_slice(&v.to_le_bytes());
+                }
+            )*
+        }
+        impl Reader<'_> {
+            $(
+                #[doc = concat!("Reads a little-endian `", stringify!($t), "`.")]
+                pub fn $t(&mut self) -> Result<$t, WireError> {
+                    let bytes = self.take(std::mem::size_of::<$t>())?;
+                    Ok($t::from_le_bytes(bytes.try_into().expect("sized take")))
+                }
+            )*
+        }
+    };
+}
+fixed_width!(u8, u16, u32, u64, i16, f32, f64);
+
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
+    /// An empty writer.
+    pub fn new() -> Self {
+        Writer::default()
     }
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32(&mut self, v: f32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i16(&mut self, v: i16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// Appends raw bytes (an already-encoded nested frame).
+    pub fn bytes(&mut self, b: &[u8]) {
+        self.buf.extend_from_slice(b);
     }
     /// A metric name behind a u16 length prefix (names beyond 64 KiB are
     /// truncated byte-wise — far past anything the taxonomy produces).
     fn str16(&mut self, s: &str) {
         let bytes = &s.as_bytes()[..s.len().min(usize::from(u16::MAX))];
         self.u16(bytes.len() as u16);
-        self.buf.extend_from_slice(bytes);
+        self.bytes(bytes);
     }
-}
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    /// The encoded bytes.
+    pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
+    /// A cursor at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+        if self.remaining() < n {
             return Err(WireError::Truncated);
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-    fn f32(&mut self) -> Result<f32, WireError> {
-        Ok(f32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-    fn i16(&mut self) -> Result<i16, WireError> {
-        Ok(i16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    /// Takes every unread byte (a nested frame that runs to the end).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let s = &self.buf[self.pos..];
+        self.pos = self.buf.len();
+        s
     }
     /// A u16-length-prefixed metric name. Non-UTF-8 bytes decode lossily
     /// (the CRC rejects in-flight corruption; this guards resealed or
@@ -413,10 +419,12 @@ impl<'a> Reader<'a> {
         let len = usize::from(self.u16()?);
         Ok(String::from_utf8_lossy(self.take(len)?).into_owned())
     }
-    fn remaining(&self) -> usize {
+    /// Unread bytes left.
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
-    fn finished(&self) -> bool {
+    /// Whether every byte has been read.
+    pub fn finished(&self) -> bool {
         self.pos == self.buf.len()
     }
 }
@@ -582,7 +590,7 @@ pub fn encode(msg: &Message) -> Vec<u8> {
     }
     let sum = crc32(&w.buf);
     w.u32(sum);
-    w.buf
+    w.into_bytes()
 }
 
 /// Deserializes a message, requiring the buffer to contain exactly one

@@ -23,6 +23,7 @@
 //! recovery.
 
 use crate::frame::MAX_FRAME_BYTES;
+use crate::wal::{frame_record, ReplayError, WalRecord};
 use cso_core::{bomp, bomp_with_op, BompConfig, MeasurementSpec, OpKind, SketchBackend};
 use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
@@ -564,9 +565,10 @@ pub struct StoreLimits {
     pub max_matrix_bytes: u64,
     /// Live sessions the store holds before `OpenEpoch` of a new session
     /// is rejected (finished sessions are evicted to make room first).
+    /// Gates live opens only; replay restores every journaled session.
     pub max_sessions: usize,
     /// Live epochs per session before a new epoch is rejected (recovered
-    /// epochs are evicted to make room first).
+    /// epochs are evicted to make room first). Gates live opens only.
     pub max_epochs_per_session: usize,
     /// Node-id range of the lock-free [`IngestPad`] per epoch (bounded by
     /// the epoch's `n`). It caps ids, not memory: slots are allocated in
@@ -948,9 +950,9 @@ impl SessionStore {
         stats: &mut StoreStats,
     ) -> Dispatch {
         let (reply, effect) = match msg {
-            Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param } => {
-                self.open(conn, *session, *epoch, *m, *n, *seed, *op_kind, *op_param, stats)
-            }
+            Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param } => self
+                .open(conn, *session, *epoch, *m, *n, *seed, *op_kind, *op_param, stats)
+                .unwrap_or_else(|code| (reject(code), Effect::None)),
             Message::Sketch { node, seed, payload } => {
                 self.ingest(conn, *node, *seed, payload, stats)
             }
@@ -964,9 +966,9 @@ impl SessionStore {
             Message::EpochStatus { session, epoch } => {
                 (self.status(*session, *epoch), Effect::None)
             }
-            Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
-                self.manifest(*session, *epoch, *region, *leaf_lo, *leaf_hi, *fan_in, stats)
-            }
+            Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => self
+                .manifest(*session, *epoch, *region, *leaf_lo, *leaf_hi, *fan_in, stats)
+                .unwrap_or_else(|code| (reject(code), Effect::None)),
             _ => (reject(RejectCode::Unexpected), Effect::None),
         };
         Dispatch::Reply(reply, effect)
@@ -997,6 +999,9 @@ impl SessionStore {
         out
     }
 
+    /// Opens (or attaches to) an epoch: [`SessionStore::check_open`]'s
+    /// validation, then the admission policy — the session and epoch caps,
+    /// evicting finished work to make room — that only live opens meet.
     #[allow(clippy::too_many_arguments)]
     fn open(
         &mut self,
@@ -1009,20 +1014,60 @@ impl SessionStore {
         op_kind: u8,
         op_param: u64,
         stats: &mut StoreStats,
-    ) -> (Message, Effect) {
+    ) -> Result<(Message, Effect), RejectCode> {
+        let Some(fresh) = self.check_open(session, epoch, m, n, seed, op_kind, op_param)? else {
+            let nodes = self.epoch_mut(session, epoch)?.node_count();
+            conn.bound = Some((session, epoch));
+            return Ok((Message::Ack { of: TAG_OPEN_EPOCH, info: nodes }, Effect::None));
+        };
+        if !self.sessions.contains_key(&session)
+            && self.sessions.len() >= self.limits.max_sessions
+            && !self.evict_finished_session(stats)
+        {
+            return Err(RejectCode::StoreFull);
+        }
+        let limit = self.limits.max_epochs_per_session;
+        let entry = self.sessions.entry(session).or_default();
+        if entry.epochs.len() >= limit && !evict_recovered_epoch(entry, stats) {
+            return Err(RejectCode::StoreFull);
+        }
+        entry.epochs.insert(epoch, fresh);
+        conn.bound = Some((session, epoch));
+        stats.add("serve.epochs_opened", 1);
+        Ok((
+            Message::Ack { of: TAG_OPEN_EPOCH, info: 0 },
+            Effect::Opened { session, epoch, m, n, seed, op_kind, op_param },
+        ))
+    }
+
+    /// `open`'s validation without its admission policy: rejects a hostile
+    /// geometry or operator, and a configuration that disagrees with an
+    /// existing `(session, epoch)`. Returns the new ingesting epoch, or
+    /// `None` when the epoch exists with this configuration.
+    #[allow(clippy::too_many_arguments)]
+    fn check_open(
+        &self,
+        session: u64,
+        epoch: u64,
+        m: u32,
+        n: u64,
+        seed: u64,
+        op_kind: u8,
+        op_param: u64,
+    ) -> Result<Option<Epoch>, RejectCode> {
         // The epoch's sketches must fit a frame with headroom: M doubles
         // plus headers, capped at half the frame budget.
         if u64::from(m) * 8 > u64::from(MAX_FRAME_BYTES) / 2 {
-            return (reject(RejectCode::BadSpec), Effect::None);
+            return Err(RejectCode::BadSpec);
         }
         // The dense m×n matrix recovery materializes is the epoch's real
         // allocation, so the client-supplied n is bounded exactly like m:
         // a hostile OpenEpoch must be a typed reject, never an abort.
         if n == 0 || u64::from(m) > n || n > self.limits.max_n {
-            return (reject(RejectCode::BadSpec), Effect::None);
+            return Err(RejectCode::BadSpec);
         }
         let Some(backend) = SketchBackend::from_wire(op_kind, op_param) else {
-            return (reject(RejectCode::BadOperator), Effect::None);
+            return Err(RejectCode::BadOperator);
         };
         // Only the dense backend ever materializes the m×n matrix, so the
         // matrix-bytes cap gates dense epochs alone — matrix-free epochs
@@ -1030,7 +1075,7 @@ impl SessionStore {
         if backend.kind == OpKind::Dense
             && u128::from(m) * u128::from(n) * 8 > u128::from(self.limits.max_matrix_bytes)
         {
-            return (reject(RejectCode::BadSpec), Effect::None);
+            return Err(RejectCode::BadSpec);
         }
         if let Some(existing) = self.sessions.get(&session).and_then(|s| s.epochs.get(&epoch)) {
             // Re-opening is how additional connections attach to the same
@@ -1041,51 +1086,27 @@ impl SessionStore {
                 || existing.seed != seed
                 || existing.backend != backend
             {
-                return (reject(RejectCode::SpecMismatch), Effect::None);
+                return Err(RejectCode::SpecMismatch);
             }
-            let nodes = existing.node_count();
-            conn.bound = Some((session, epoch));
-            return (Message::Ack { of: TAG_OPEN_EPOCH, info: nodes }, Effect::None);
+            return Ok(None);
         }
-        let spec = match MeasurementSpec::new(m as usize, n as usize, seed) {
-            Ok(s) => s,
-            Err(_) => return (reject(RejectCode::BadSpec), Effect::None),
-        };
+        let spec =
+            MeasurementSpec::new(m as usize, n as usize, seed).map_err(|_| RejectCode::BadSpec)?;
         // Geometry is valid; any remaining construction failure is an
         // operator-parameter problem (dense with a nonzero param, sparse
         // density out of range, SRHT m over the padded width).
         if backend.build(m as usize, n as usize, seed).is_err() {
-            return (reject(RejectCode::BadOperator), Effect::None);
+            return Err(RejectCode::BadOperator);
         }
-        if !self.sessions.contains_key(&session)
-            && self.sessions.len() >= self.limits.max_sessions
-            && !self.evict_finished_session(stats)
-        {
-            return (reject(RejectCode::StoreFull), Effect::None);
-        }
-        let limit = self.limits.max_epochs_per_session;
-        let entry = self.sessions.entry(session).or_default();
-        if entry.epochs.len() >= limit && !evict_recovered_epoch(entry, stats) {
-            return (reject(RejectCode::StoreFull), Effect::None);
-        }
-        entry.epochs.insert(
-            epoch,
-            Epoch {
-                seed,
-                backend,
-                phase: EpochPhase::Ingest,
-                duplicates: 0,
-                topology: None,
-                forwarded: false,
-                state: EpochState::Ingest(SketchAggregator::new(spec), None),
-            },
-        );
-        conn.bound = Some((session, epoch));
-        stats.add("serve.epochs_opened", 1);
-        (
-            Message::Ack { of: TAG_OPEN_EPOCH, info: 0 },
-            Effect::Opened { session, epoch, m, n, seed, op_kind, op_param },
-        )
+        Ok(Some(Epoch {
+            seed,
+            backend,
+            phase: EpochPhase::Ingest,
+            duplicates: 0,
+            topology: None,
+            forwarded: false,
+            state: EpochState::Ingest(SketchAggregator::new(spec), None),
+        }))
     }
 
     /// Applies a relay's subtree declaration. The manifest must describe
@@ -1104,13 +1125,10 @@ impl SessionStore {
         leaf_hi: u64,
         fan_in: u64,
         stats: &mut StoreStats,
-    ) -> (Message, Effect) {
-        let ep = match self.epoch_mut(session, epoch) {
-            Ok(e) => e,
-            Err(code) => return (reject(code), Effect::None),
-        };
+    ) -> Result<(Message, Effect), RejectCode> {
+        let ep = self.epoch_mut(session, epoch)?;
         if ep.phase != EpochPhase::Ingest {
-            return (reject(RejectCode::EpochSealed), Effect::None);
+            return Err(RejectCode::EpochSealed);
         }
         let aligned = fan_in > 0
             && fan_in.is_power_of_two()
@@ -1118,20 +1136,23 @@ impl SessionStore {
             && leaf_hi > leaf_lo
             && leaf_hi <= leaf_lo + fan_in;
         if !aligned {
-            return (reject(RejectCode::TopologyMismatch), Effect::None);
+            return Err(RejectCode::TopologyMismatch);
         }
         if let Some(topo) = &ep.topology {
             if topo.fan_in != fan_in {
-                return (reject(RejectCode::TopologyMismatch), Effect::None);
+                return Err(RejectCode::TopologyMismatch);
             }
             match topo.regions.get(&region) {
                 Some(&(lo, hi)) if (lo, hi) != (leaf_lo, leaf_hi) => {
-                    return (reject(RejectCode::RegionConflict), Effect::None);
+                    return Err(RejectCode::RegionConflict);
                 }
                 Some(_) => {
                     // Identical re-declaration: the relay resumed.
                     let declared = topo.regions.len() as u64;
-                    return (Message::Ack { of: TAG_RELAY_MANIFEST, info: declared }, Effect::None);
+                    return Ok((
+                        Message::Ack { of: TAG_RELAY_MANIFEST, info: declared },
+                        Effect::None,
+                    ));
                 }
                 None => {}
             }
@@ -1141,10 +1162,10 @@ impl SessionStore {
         topo.regions.insert(region, (leaf_lo, leaf_hi));
         let declared = topo.regions.len() as u64;
         stats.add("serve.manifests_accepted", 1);
-        (
+        Ok((
             Message::Ack { of: TAG_RELAY_MANIFEST, info: declared },
             Effect::Manifested { session, epoch, region, leaf_lo, leaf_hi, fan_in },
-        )
+        ))
     }
 
     /// The relay-tier topology declared for `(session, epoch)`, if any.
@@ -1462,403 +1483,188 @@ impl SessionStore {
         out
     }
 
-    /// Serializes the union of disjoint shard stores as one snapshot,
-    /// ordered by ascending session id across shards — byte-identical to
-    /// [`SessionStore::snapshot_bytes`] on an unsharded store holding the
-    /// same sessions.
+    // ---- snapshot ------------------------------------------------------
+
+    /// Serializes the store as the compacted journal that rebuilds it; see
+    /// [`SessionStore::merged_snapshot_bytes`].
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        SessionStore::merged_snapshot_bytes(&[self])
+    }
+
+    /// Serializes the union of disjoint shard stores as one snapshot: a
+    /// `u64` record count, then the framed records whose replay rebuilds
+    /// each epoch, epochs in ascending `(session, epoch)` order across
+    /// shards — byte-identical to [`SessionStore::snapshot_bytes`] on an
+    /// unsharded store holding the same sessions. The inverse is
+    /// [`SessionStore::from_snapshot_bytes`]. Ingest pads are *not*
+    /// serialized — fold them first via
+    /// [`SessionStore::pause_and_drain_pads`].
     pub fn merged_snapshot_bytes(shards: &[&SessionStore]) -> Vec<u8> {
         let mut all: BTreeMap<u64, &Session> = BTreeMap::new();
         for store in shards {
-            for (sid, sess) in &store.sessions {
-                all.insert(*sid, sess);
+            all.extend(store.sessions.iter().map(|(sid, sess)| (*sid, sess)));
+        }
+        let (mut out, mut count) = (vec![0u8; 8], 0u64);
+        for (&session, sess) in &all {
+            for (&epoch, ep) in &sess.epochs {
+                ep.compacted(session, epoch, &mut |record| {
+                    frame_record(&mut out, &record.encode());
+                    count += 1;
+                });
             }
         }
-        let mut out = Vec::new();
-        serialize_sessions(&mut out, all.len(), all.iter().map(|(sid, s)| (*sid, *s)));
+        out[..8].copy_from_slice(&count.to_le_bytes());
         out
     }
+}
 
-    // ---- journal replay ------------------------------------------------
-    //
-    // Replay routes journal records back through the same typed state
-    // machine the live path uses, with two deliberate differences that make
-    // replay **idempotent** (a duplicated record is a no-op, never an error
-    // or a divergence): duplicate ingest replays skip the `duplicates`
-    // statistic (which is restored from the seal record and otherwise
-    // documented as non-durable), and a seal replay is self-contained —
-    // the record carries the canonical measurement, so it never depends on
-    // the per-node ingest records surviving a torn tail.
-
-    /// Replays an epoch-open record. Attaching to an already-replayed
-    /// epoch is the idempotent no-op; a spec disagreement means the
-    /// journal is inconsistent.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_open(
-        &mut self,
-        session: u64,
-        epoch: u64,
-        m: u32,
-        n: u64,
-        seed: u64,
-        op_kind: u8,
-        op_param: u64,
-    ) -> Result<(), String> {
-        let mut conn = ConnState::new();
-        let mut stats = StoreStats::new();
-        match self.open(&mut conn, session, epoch, m, n, seed, op_kind, op_param, &mut stats).0 {
-            Message::Ack { .. } => Ok(()),
-            Message::Reject { code, .. } => {
-                Err(format!("replayed open of ({session}, {epoch}) rejected: code {code}"))
+impl Epoch {
+    /// Emits, in replay order, the records whose replay rebuilds this
+    /// epoch: `Open`, each `Manifest`, then an `Ingest` per member while
+    /// ingesting or the self-contained `Seal` (plus `RecoverDone` once
+    /// recovered) after, and `ForwardDone` once acked upstream. An
+    /// ingesting epoch's `duplicates` tally is not carried: as on journal
+    /// replay, it restarts at zero.
+    fn compacted(&self, session: u64, epoch: u64, emit: &mut impl FnMut(WalRecord)) {
+        let spec = self.spec();
+        let (m, n, seed) = (spec.m as u32, spec.n as u64, self.seed);
+        let (op_kind, op_param) = self.backend.wire();
+        emit(WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param });
+        if let Some(topo) = &self.topology {
+            for (&region, &(leaf_lo, leaf_hi)) in &topo.regions {
+                let fan_in = topo.fan_in;
+                emit(WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in });
             }
-            other => Err(format!("replayed open of ({session}, {epoch}) got {other:?}")),
         }
-    }
-
-    /// Replays a node-ingest record. Returns `true` when the sketch was
-    /// applied, `false` for the idempotent no-ops (node already present,
-    /// epoch already sealed by a later self-contained seal record).
-    pub(crate) fn replay_ingest(
-        &mut self,
-        session: u64,
-        epoch: u64,
-        node: u32,
-        seed: u64,
-        payload: &EncodedSketch,
-    ) -> Result<bool, String> {
-        let ep = self
-            .epoch_mut(session, epoch)
-            .map_err(|c| format!("replayed ingest into ({session}, {epoch}): {c}"))?;
-        if seed != ep.seed {
-            return Err(format!("replayed ingest into ({session}, {epoch}): seed mismatch"));
-        }
-        match &mut ep.state {
+        match &self.state {
             EpochState::Ingest(agg, _) => {
-                if agg.contains(node as usize) {
-                    return Ok(false);
+                for node in agg.node_ids() {
+                    let sketch = agg.node_sketch(node).expect("listed node");
+                    let payload = EncodedSketch::F64(sketch.as_slice().to_vec());
+                    emit(WalRecord::Ingest { session, epoch, node: node as u32, seed, payload });
                 }
-                let sketch = quantize::decode(payload);
-                agg.join(node as usize, sketch)
-                    .map_err(|e| format!("replayed ingest of node {node}: {e}"))?;
-                Ok(true)
             }
-            // A duplicated ingest record replayed after the (authoritative)
-            // seal record: membership is frozen, the sketch is already in y.
-            EpochState::Sealed { .. } => Ok(false),
+            EpochState::Sealed { y, nodes, .. } => {
+                emit(WalRecord::Seal {
+                    session,
+                    epoch,
+                    seed,
+                    m,
+                    n,
+                    nodes: *nodes,
+                    duplicates: self.duplicates,
+                    op_kind,
+                    op_param,
+                    y_bits: y.iter().map(|v| v.to_bits()).collect(),
+                });
+                if self.phase == EpochPhase::Recovered {
+                    emit(WalRecord::RecoverDone { session, epoch });
+                }
+            }
+        }
+        if self.forwarded {
+            emit(WalRecord::ForwardDone { session, epoch });
         }
     }
+}
 
-    /// Replays a seal record. Self-contained: rebuilds the epoch from the
-    /// record's own spec and canonical measurement, creating it if the
-    /// open/ingest records were compacted or torn away. Preserves a
-    /// `Recovered` phase installed by an earlier replay.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_seal(
-        &mut self,
-        session: u64,
-        epoch: u64,
-        seed: u64,
-        m: u32,
-        n: u64,
-        nodes: u64,
-        duplicates: u64,
-        op_kind: u8,
-        op_param: u64,
-        y: Vector,
-    ) -> Result<(), String> {
-        let spec = MeasurementSpec::new(m as usize, n as usize, seed)
-            .map_err(|e| format!("replayed seal of ({session}, {epoch}): bad spec: {e}"))?;
-        let backend = SketchBackend::from_wire(op_kind, op_param).ok_or_else(|| {
-            format!("replayed seal of ({session}, {epoch}): unknown operator kind {op_kind}")
-        })?;
-        if y.len() != m as usize {
-            return Err(format!(
-                "replayed seal of ({session}, {epoch}): measurement length {} != m {m}",
-                y.len()
-            ));
-        }
-        let entry = self.sessions.entry(session).or_default();
-        let ep = entry.epochs.entry(epoch).or_insert_with(|| Epoch {
-            seed,
-            backend,
-            phase: EpochPhase::Ingest,
-            duplicates: 0,
-            topology: None,
-            forwarded: false,
-            state: EpochState::Ingest(SketchAggregator::new(spec), None),
-        });
-        if ep.seed != seed {
-            return Err(format!("replayed seal of ({session}, {epoch}): seed mismatch"));
-        }
-        if ep.backend != backend {
-            return Err(format!("replayed seal of ({session}, {epoch}): operator mismatch"));
-        }
-        ep.duplicates = duplicates;
-        ep.state = EpochState::Sealed { spec, y, nodes };
-        if ep.phase < EpochPhase::Sealed {
-            ep.phase = EpochPhase::Sealed;
+// ---- journal replay ------------------------------------------------------
+//
+// Replay routes journal records back through the same typed state machine
+// the live path uses, with two deliberate differences that make replay
+// **idempotent** (a duplicated record is a no-op, never an error or a
+// divergence): duplicate ingest replays skip the `duplicates` statistic
+// (which is restored from the seal record and otherwise documented as
+// non-durable), and a seal replay is self-contained — the record carries
+// the canonical measurement, so it never depends on the per-node ingest
+// records surviving a torn tail.
+
+impl WalRecord {
+    /// Applies the record to a store being rebuilt: the one replay body
+    /// behind journal recovery, snapshot loading and test mirrors. `Open`
+    /// and `Manifest` run the live validators, and so does a `Seal` (it
+    /// re-validates its epoch, or creates it when the open was compacted
+    /// or torn away). Duplicated records are no-ops; a record the live
+    /// path would refuse is a [`ReplayError::Rejected`] carrying that
+    /// path's reject code.
+    ///
+    /// `open`'s admission policy — the session and epoch caps and the
+    /// evictions that make room under them — is not replayed: every
+    /// journaled epoch was admitted when it was written, and the caps are
+    /// per shard while recovery rebuilds one merged store. A recovered
+    /// epoch the live store had evicted may therefore come back; the next
+    /// open that needs room evicts it again.
+    pub fn replay(&self, store: &mut SessionStore) -> Result<(), ReplayError> {
+        let Some((session, epoch)) = self.target() else { return Ok(()) };
+        let refused = |code| ReplayError::Rejected { kind: self.kind(), session, epoch, code };
+        let mut open = |m, n, seed, op_kind, op_param| {
+            if let Some(fresh) =
+                store.check_open(session, epoch, m, n, seed, op_kind, op_param).map_err(refused)?
+            {
+                store.sessions.entry(session).or_default().epochs.insert(epoch, fresh);
+            }
+            Ok::<_, ReplayError>(())
+        };
+        match *self {
+            WalRecord::Open { m, n, seed, op_kind, op_param, .. } => {
+                open(m, n, seed, op_kind, op_param)?;
+            }
+            WalRecord::Ingest { node, seed, ref payload, .. } => {
+                let ep = store.epoch_mut(session, epoch).map_err(refused)?;
+                if seed != ep.seed {
+                    return Err(refused(RejectCode::SeedMismatch));
+                }
+                // A member's duplicate, or an ingest replayed after the
+                // (authoritative) seal that froze it: already counted.
+                if let EpochState::Ingest(agg, _) = &mut ep.state {
+                    if !agg.contains(node as usize) {
+                        let sketch = quantize::decode(payload);
+                        agg.join(node as usize, sketch)
+                            .map_err(|_| refused(RejectCode::BadSketch))?;
+                    }
+                }
+            }
+            WalRecord::Seal {
+                seed,
+                m,
+                n,
+                nodes,
+                duplicates,
+                op_kind,
+                op_param,
+                ref y_bits,
+                ..
+            } => {
+                if y_bits.len() != m as usize {
+                    return Err(refused(RejectCode::BadSketch));
+                }
+                open(m, n, seed, op_kind, op_param)?;
+                let ep = store.epoch_mut(session, epoch).map_err(refused)?;
+                let y = Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect());
+                ep.state = EpochState::Sealed { spec: *ep.spec(), y, nodes };
+                ep.duplicates = duplicates;
+                // A replayed `Recovered` phase survives a duplicated seal.
+                ep.phase = ep.phase.max(EpochPhase::Sealed);
+            }
+            WalRecord::RecoverDone { .. } => match store.epoch_mut(session, epoch) {
+                Ok(ep) if ep.phase != EpochPhase::Ingest => ep.phase = EpochPhase::Recovered,
+                _ => {} // absent (evicted before a snapshot), or a torn-reordered duplicate
+            },
+            WalRecord::ForwardDone { .. } => {
+                store.mark_forwarded(session, epoch);
+            }
+            WalRecord::Manifest { region, leaf_lo, leaf_hi, fan_in, .. } => {
+                // After the seal the topology is frozen: a duplicate is a no-op.
+                if store.epoch_mut(session, epoch).map_err(refused)?.phase == EpochPhase::Ingest {
+                    let mut stats = StoreStats::new();
+                    store
+                        .manifest(session, epoch, region, leaf_lo, leaf_hi, fan_in, &mut stats)
+                        .map_err(refused)?;
+                }
+            }
+            WalRecord::CleanShutdown => {}
         }
         Ok(())
-    }
-
-    /// Replays a recover-done record: marks the epoch recovered (making it
-    /// evictable again after restart). Tolerant of the epoch being absent
-    /// or unsealed — a duplicated or torn-reordered record is a no-op.
-    pub(crate) fn replay_recovered(&mut self, session: u64, epoch: u64) {
-        if let Ok(ep) = self.epoch_mut(session, epoch) {
-            if ep.phase != EpochPhase::Ingest {
-                ep.phase = EpochPhase::Recovered;
-            }
-        }
-    }
-
-    /// Replays a relay-manifest record through the live validation path.
-    /// Duplicates are idempotent; a conflicting manifest means the journal
-    /// is inconsistent.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn replay_manifest(
-        &mut self,
-        session: u64,
-        epoch: u64,
-        region: u32,
-        leaf_lo: u64,
-        leaf_hi: u64,
-        fan_in: u64,
-    ) -> Result<(), String> {
-        let ep = self
-            .epoch_mut(session, epoch)
-            .map_err(|c| format!("replayed manifest into ({session}, {epoch}): {c}"))?;
-        if ep.phase != EpochPhase::Ingest {
-            // A duplicated manifest record replayed after the
-            // (authoritative, self-contained) seal: the topology the seal
-            // froze is already in place — idempotent no-op.
-            return Ok(());
-        }
-        let mut stats = StoreStats::new();
-        match self.manifest(session, epoch, region, leaf_lo, leaf_hi, fan_in, &mut stats).0 {
-            Message::Ack { .. } => Ok(()),
-            Message::Reject { code, .. } => Err(format!(
-                "replayed manifest of region {region} in ({session}, {epoch}) rejected: code {code}"
-            )),
-            other => Err(format!("replayed manifest got {other:?}")),
-        }
-    }
-
-    /// Replays a forward-done record: marks the epoch's pre-sum as already
-    /// acked upstream so the resumed forwarder skips it. Tolerant of the
-    /// epoch being absent (evicted) or the record being duplicated.
-    pub(crate) fn replay_forward_done(&mut self, session: u64, epoch: u64) {
-        self.mark_forwarded(session, epoch);
-    }
-
-    // ---- snapshot ------------------------------------------------------
-
-    /// Serializes the full store deterministically (`BTreeMap` order).
-    /// The inverse is [`SessionStore::from_snapshot_bytes`]; the format is
-    /// internal to the WAL directory and versioned by the snapshot file
-    /// header, not here. Ingest pads are *not* serialized — fold them
-    /// first via [`SessionStore::pause_and_drain_pads`].
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        serialize_sessions(
-            &mut out,
-            self.sessions.len(),
-            self.sessions.iter().map(|(sid, s)| (*sid, s)),
-        );
-        out
-    }
-
-    /// Rebuilds a store from [`SessionStore::snapshot_bytes`] output.
-    /// Aggregators are reconstructed through `join` (map inserts; the
-    /// dyadic fold runs once, at the next read), so the rebuilt
-    /// measurement is bit-identical to the snapshotted store's.
-    pub fn from_snapshot_bytes(buf: &[u8], limits: StoreLimits) -> Result<SessionStore, String> {
-        let mut r = SnapReader { buf, pos: 0 };
-        let mut store = SessionStore::with_limits(limits);
-        let n_sessions = r.u32()?;
-        for _ in 0..n_sessions {
-            let sid = r.u64()?;
-            let n_epochs = r.u32()?;
-            let sess = store.sessions.entry(sid).or_default();
-            for _ in 0..n_epochs {
-                let eid = r.u64()?;
-                let seed = r.u64()?;
-                let op_kind = r.u8()?;
-                let op_param = r.u64()?;
-                let backend = SketchBackend::from_wire(op_kind, op_param)
-                    .ok_or_else(|| format!("snapshot: unknown operator kind {op_kind}"))?;
-                let phase = EpochPhase::from_u8(r.u8()?)
-                    .ok_or_else(|| "snapshot: bad epoch phase".to_string())?;
-                let duplicates = r.u64()?;
-                let forwarded = match r.u8()? {
-                    0 => false,
-                    1 => true,
-                    b => return Err(format!("snapshot: bad forwarded flag {b}")),
-                };
-                let topology = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let fan_in = r.u64()?;
-                        let n_regions = r.u32()?;
-                        let mut regions = BTreeMap::new();
-                        for _ in 0..n_regions {
-                            let region = r.u32()?;
-                            let lo = r.u64()?;
-                            let hi = r.u64()?;
-                            regions.insert(region, (lo, hi));
-                        }
-                        Some(EpochTopology { fan_in, regions })
-                    }
-                    b => return Err(format!("snapshot: bad topology flag {b}")),
-                };
-                let tag = r.u8()?;
-                let m = r.u32()? as usize;
-                let n = r.u64()? as usize;
-                let spec_seed = r.u64()?;
-                let spec = MeasurementSpec::new(m, n, spec_seed)
-                    .map_err(|e| format!("snapshot: bad spec: {e}"))?;
-                let state = match tag {
-                    0 => {
-                        let mut agg = SketchAggregator::new(spec);
-                        let count = r.u32()?;
-                        for _ in 0..count {
-                            let node = r.u64()? as usize;
-                            let mut vals = Vec::with_capacity(m);
-                            for _ in 0..m {
-                                vals.push(f64::from_bits(r.u64()?));
-                            }
-                            agg.join(node, Vector::from_vec(vals))
-                                .map_err(|e| format!("snapshot: join: {e}"))?;
-                        }
-                        EpochState::Ingest(agg, None)
-                    }
-                    1 => {
-                        let nodes = r.u64()?;
-                        let mut vals = Vec::with_capacity(m);
-                        for _ in 0..m {
-                            vals.push(f64::from_bits(r.u64()?));
-                        }
-                        EpochState::Sealed { spec, y: Vector::from_vec(vals), nodes }
-                    }
-                    t => return Err(format!("snapshot: unknown epoch state tag {t}")),
-                };
-                sess.epochs.insert(
-                    eid,
-                    Epoch { seed, backend, phase, duplicates, topology, forwarded, state },
-                );
-            }
-        }
-        if r.pos != buf.len() {
-            return Err(format!("snapshot: {} trailing bytes", buf.len() - r.pos));
-        }
-        Ok(store)
-    }
-}
-
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Shared serialization body for [`SessionStore::snapshot_bytes`] and
-/// [`SessionStore::merged_snapshot_bytes`]: `count` sessions, each
-/// `(sid, session)` in the order the iterator yields them (callers pass
-/// `BTreeMap` iterators, so the output is deterministic).
-fn serialize_sessions<'a>(
-    out: &mut Vec<u8>,
-    count: usize,
-    sessions: impl Iterator<Item = (u64, &'a Session)>,
-) {
-    put_u32(out, count as u32);
-    for (sid, sess) in sessions {
-        put_u64(out, sid);
-        put_u32(out, sess.epochs.len() as u32);
-        for (eid, ep) in &sess.epochs {
-            put_u64(out, *eid);
-            put_u64(out, ep.seed);
-            let (op_kind, op_param) = ep.backend.wire();
-            out.push(op_kind);
-            put_u64(out, op_param);
-            out.push(ep.phase.as_u8());
-            put_u64(out, ep.duplicates);
-            out.push(u8::from(ep.forwarded));
-            match &ep.topology {
-                None => out.push(0),
-                Some(topo) => {
-                    out.push(1);
-                    put_u64(out, topo.fan_in);
-                    put_u32(out, topo.regions.len() as u32);
-                    for (region, (lo, hi)) in &topo.regions {
-                        put_u32(out, *region);
-                        put_u64(out, *lo);
-                        put_u64(out, *hi);
-                    }
-                }
-            }
-            match &ep.state {
-                EpochState::Ingest(agg, _) => {
-                    out.push(0);
-                    let spec = agg.spec();
-                    put_u32(out, spec.m as u32);
-                    put_u64(out, spec.n as u64);
-                    put_u64(out, spec.seed);
-                    let ids = agg.node_ids();
-                    put_u32(out, ids.len() as u32);
-                    for node in ids {
-                        put_u64(out, node as u64);
-                        let sketch = agg.node_sketch(node).expect("listed node");
-                        for v in sketch.as_slice() {
-                            put_u64(out, v.to_bits());
-                        }
-                    }
-                }
-                EpochState::Sealed { spec, y, nodes } => {
-                    out.push(1);
-                    put_u32(out, spec.m as u32);
-                    put_u64(out, spec.n as u64);
-                    put_u64(out, spec.seed);
-                    put_u64(out, *nodes);
-                    for v in y.as_slice() {
-                        put_u64(out, v.to_bits());
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Bounds-checked little-endian reader for snapshot and WAL-record
-/// decoding: every truncation is a typed error, never a slice panic.
-pub(crate) struct SnapReader<'a> {
-    pub(crate) buf: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-impl SnapReader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], String> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let end = end.ok_or_else(|| "snapshot: truncated".to_string())?;
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    pub(crate) fn remaining(&self) -> &[u8] {
-        &self.buf[self.pos..]
     }
 }
 
@@ -2456,31 +2262,78 @@ mod tests {
             let y = Vector::from_vec((0..M as usize).map(|i| i as f64).collect());
             quantize::encode(&y, SketchEncoding::F64)
         };
+        let open = WalRecord::Open {
+            session: 1,
+            epoch: 0,
+            m: M,
+            n: N,
+            seed: SEED,
+            op_kind: 0,
+            op_param: 0,
+        };
+        let ingest = WalRecord::Ingest { session: 1, epoch: 0, node: 3, seed: SEED, payload };
+        let nodes = |store: &SessionStore| match store.status(1, 0) {
+            Message::Status { nodes, .. } => nodes,
+            other => panic!("expected a status, got {other:?}"),
+        };
         let mut store = SessionStore::new();
-        store.replay_open(1, 0, M, N, SEED, 0, 0).unwrap();
-        assert!(store.replay_ingest(1, 0, 3, SEED, &payload).unwrap());
+        open.replay(&mut store).unwrap();
+        ingest.replay(&mut store).unwrap();
+        assert_eq!(nodes(&store), 1, "the first ingest replay applies");
         let once = store.snapshot_bytes();
 
-        store.replay_open(1, 0, M, N, SEED, 0, 0).unwrap();
-        assert!(!store.replay_ingest(1, 0, 3, SEED, &payload).unwrap());
+        open.replay(&mut store).unwrap();
+        ingest.replay(&mut store).unwrap();
+        assert_eq!(nodes(&store), 1, "the duplicate ingest replay does not");
         assert_eq!(store.snapshot_bytes(), once, "duplicate replay is a no-op");
 
         // Seal is self-contained: replaying it onto a store whose ingest
         // records were torn away still installs the canonical measurement.
-        let y = Vector::from_vec((0..M as usize).map(|i| 2.0 * i as f64).collect());
+        let seal = WalRecord::Seal {
+            session: 1,
+            epoch: 0,
+            seed: SEED,
+            m: M,
+            n: N,
+            nodes: 1,
+            duplicates: 0,
+            op_kind: 0,
+            op_param: 0,
+            y_bits: (0..M).map(|i| (2.0 * i as f64).to_bits()).collect(),
+        };
+        let recovered = WalRecord::RecoverDone { session: 1, epoch: 0 };
         let mut bare = SessionStore::new();
-        bare.replay_seal(1, 0, SEED, M, N, 1, 0, 0, 0, y.clone()).unwrap();
+        seal.replay(&mut bare).unwrap();
         assert_eq!(bare.epoch_phase(1, 0), Some(EpochPhase::Sealed));
-        bare.replay_recovered(1, 0);
+        recovered.replay(&mut bare).unwrap();
         assert_eq!(bare.epoch_phase(1, 0), Some(EpochPhase::Recovered));
         // Replaying the seal again preserves the recovered phase.
-        bare.replay_seal(1, 0, SEED, M, N, 1, 0, 0, 0, y).unwrap();
+        seal.replay(&mut bare).unwrap();
         assert_eq!(bare.epoch_phase(1, 0), Some(EpochPhase::Recovered));
         // A recover replayed against a still-ingesting epoch is a no-op.
         let mut fresh = SessionStore::new();
-        fresh.replay_open(1, 0, M, N, SEED, 0, 0).unwrap();
-        fresh.replay_recovered(1, 0);
+        open.replay(&mut fresh).unwrap();
+        recovered.replay(&mut fresh).unwrap();
         assert_eq!(fresh.epoch_phase(1, 0), Some(EpochPhase::Ingest));
+    }
+
+    /// A snapshot replays through `open`'s bounds, so a hostile geometry
+    /// is a typed error before anything is sized by it.
+    #[test]
+    fn hostile_snapshot_geometry_is_a_typed_error() {
+        let limits = StoreLimits::default();
+        for (m, n) in [(u32::MAX, u64::MAX), (M, limits.max_n + 1)] {
+            let open =
+                WalRecord::Open { session: 1, epoch: 0, m, n, seed: SEED, op_kind: 0, op_param: 0 };
+            let mut bytes = 1u64.to_le_bytes().to_vec();
+            frame_record(&mut bytes, &open.encode());
+            let code = RejectCode::BadSpec;
+            assert_eq!(
+                SessionStore::from_snapshot_bytes(&bytes, limits).err(),
+                Some(ReplayError::Rejected { kind: open.kind(), session: 1, epoch: 0, code }),
+                "m = {m}, n = {n}"
+            );
+        }
     }
 
     // ---- chunked ingest pad ---------------------------------------------
@@ -2791,6 +2644,91 @@ mod tests {
             .expect("valid snapshot");
         ingest_arrivals(&mut rebuilt, FAN_IN / 2..FAN_IN);
         assert_eq!(seal_bits(&mut rebuilt), (FAN_IN as u64, 0, all_leaves()));
+    }
+
+    /// An ingesting epoch's `duplicates` tally is not durable, whichever
+    /// way the restart goes: a restart from a snapshot and one from the
+    /// journal alone seal with the same `(nodes, duplicates, y)`.
+    #[test]
+    fn duplicates_reset_alike_on_snapshot_and_replay_restart() {
+        use crate::wal::{Durability, Wal};
+        let base = std::env::temp_dir().join(format!("cso-session-dups-{}", std::process::id()));
+        let mut sealed = Vec::new();
+        for via_snapshot in [false, true] {
+            let dir = base.join(if via_snapshot { "snapshot" } else { "journal" });
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut wal = Wal::open(&Durability::at(&dir)).expect("open journal");
+            let mut stats = StoreStats::new();
+            let (mut live, mut conn) = (SessionStore::new(), ConnState::new());
+            for msg in [open_over(N), irregular_msg(5), irregular_msg(5)] {
+                let (_, effect) = send(&mut live, &mut conn, &msg);
+                if let Some(record) = WalRecord::of_effect(&effect, &msg) {
+                    wal.append(&record, &mut stats);
+                }
+            }
+            if via_snapshot {
+                wal.snapshot(&live.snapshot_bytes(), &mut stats);
+            }
+            assert!(!wal.failed());
+            drop(wal);
+            let (mut restarted, report) =
+                SessionStore::recover_from(&dir, StoreLimits::default()).expect("recover");
+            assert_eq!(report.snapshot_loaded, via_snapshot);
+            sealed.push(seal_bits(&mut restarted));
+        }
+        let _ = std::fs::remove_dir_all(&base);
+        assert_eq!(sealed[0], sealed[1], "journal vs snapshot restart");
+        assert_eq!(sealed[0], (1, 0, fold_bits([(5, 5)])));
+    }
+
+    /// The session and epoch caps are admission policy, applied per shard;
+    /// recovery rebuilds one merged store. A sharded store holding more
+    /// sessions than one shard's cap — in its snapshot and in the journal
+    /// after it — reloads whole, and so it does under lowered caps.
+    #[test]
+    fn sharded_snapshot_over_one_shards_cap_recovers_whole() {
+        use crate::wal::{Durability, Wal};
+        let dir = std::env::temp_dir().join(format!("cso-session-shards-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open journal");
+        let mut stats = StoreStats::new();
+        let limits = StoreLimits::default();
+        let mut shards = SessionStore::with_limits(limits).split_by_session(8);
+        let sessions = 3 * limits.max_sessions as u64;
+        for session in 0..sessions {
+            if session == 2 * limits.max_sessions as u64 {
+                let live: Vec<&SessionStore> = shards.iter().collect();
+                wal.snapshot(&SessionStore::merged_snapshot_bytes(&live), &mut stats);
+            }
+            let shard = &mut shards[(session % 8) as usize];
+            let open = Message::OpenEpoch {
+                session,
+                epoch: 0,
+                m: M,
+                n: N,
+                seed: SEED,
+                op_kind: 0,
+                op_param: 0,
+            };
+            let mut conn = ConnState::new();
+            for msg in [open, irregular_msg(session as u32)] {
+                let (reply, effect) = send(shard, &mut conn, &msg);
+                assert!(matches!(reply, Message::Ack { .. }), "session {session}: {reply:?}");
+                wal.append(&WalRecord::of_effect(&effect, &msg).expect("journaled"), &mut stats);
+            }
+        }
+        assert!(!wal.failed());
+        drop(wal);
+        let live: Vec<&SessionStore> = shards.iter().collect();
+        let live = SessionStore::merged_snapshot_bytes(&live);
+        let lowered = StoreLimits { max_sessions: 1, max_epochs_per_session: 1, ..limits };
+        for limits in [limits, lowered] {
+            let (restored, report) = SessionStore::recover_from(&dir, limits).expect("recover");
+            assert!(report.snapshot_loaded);
+            assert_eq!(restored.session_count(), sessions as usize);
+            assert!(restored.snapshot_bytes() == live, "restored store differs from the live one");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   written, under the same store lock that applied it, so record order
 //!   always equals application order.
 //! - **Snapshots** — every [`Durability::snapshot_every_records`] records
-//!   the full store is serialized (see [`SessionStore::snapshot_bytes`]),
-//!   written atomically (temp + rename), and older segments are pruned, so
-//!   replay length stays bounded no matter how long the server runs.
+//!   the store is written as the compacted record stream that rebuilds it
+//!   (see [`SessionStore::snapshot_bytes`]), atomically (temp + rename),
+//!   and older segments are pruned, so replay length stays bounded no
+//!   matter how long the server runs.
 //! - **Recovery** — [`SessionStore::recover_from`] loads the newest valid
 //!   snapshot and replays the segment tail through the same typed state
 //!   machine the live path uses. A torn tail (the partially written record
@@ -50,13 +51,16 @@
 //! `duplicates` statistic is restored from the seal record and is
 //! otherwise non-durable — replaying a duplicated ingest record is a
 //! silent no-op, which is what makes replay idempotent.
+//!
+//! Segments and snapshots share one record codec and framing, and every
+//! record, from either, is applied by the one [`WalRecord::replay`] body.
 
-use crate::session::StoreStats;
-use crate::session::{put_u32, put_u64, SessionStore, SnapReader, StoreLimits};
+use crate::session::{RejectCode, SessionStore, StoreLimits, StoreStats};
 use cso_distributed::quantize::EncodedSketch;
-use cso_distributed::wire::{self, Message};
+use cso_distributed::wire::{self, Message, Reader, WireError, Writer};
+use std::fmt;
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -68,12 +72,11 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"CSOWAL01";
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CSOSNAP1";
 /// Current segment/snapshot format version. Version 2 added the
 /// measurement-operator descriptor (`op_kind`, `op_param`) to open and
-/// seal records and to each snapshotted epoch — a v1 journal is refused
-/// with a typed error rather than replayed with a guessed operator.
-/// Version 3 added the relay tier: manifest (kind 7) and forward-done
-/// (kind 6) records, and per-epoch topology + forwarded state in the
-/// snapshot. Older journals are refused, never half-replayed.
-pub const WAL_VERSION: u32 = 3;
+/// seal records. Version 3 added the relay tier: manifest (kind 7) and
+/// forward-done (kind 6) records. Version 4 made the snapshot body a
+/// compacted record stream. Older journals are refused, never
+/// half-replayed.
+pub const WAL_VERSION: u32 = 4;
 
 /// Hard cap on one record's encoded length — a flipped length prefix must
 /// never drive an allocation. Generous: the largest legitimate record is a
@@ -176,9 +179,9 @@ pub enum WalError {
         /// Why the header was rejected.
         reason: String,
     },
-    /// A replayed record was internally inconsistent with the store built
-    /// so far (e.g. a seal whose seed disagrees with its open).
-    Replay(String),
+    /// An intact record did not decode, or was inconsistent with the
+    /// store built so far (e.g. a seal whose seed disagrees with its open).
+    Replay(ReplayError),
     /// A **non-final** segment ends in a torn record. Recovery heals the
     /// final segment's torn tail in place (truncating it before the
     /// writer ever starts a follow-on segment), so this state only
@@ -200,7 +203,7 @@ pub enum WalError {
         /// The unreadable snapshot.
         path: PathBuf,
         /// Why it failed to load.
-        reason: String,
+        reason: ReplayError,
     },
 }
 
@@ -232,6 +235,48 @@ impl std::error::Error for WalError {}
 
 fn io_err(context: &str, e: &io::Error) -> WalError {
     WalError::Io { context: context.to_string(), kind: e.kind() }
+}
+
+/// Why a record or a snapshot could not be replayed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReplayError {
+    /// The bytes did not decode: a record body, a snapshot header, or a
+    /// torn record inside a snapshot (where any tear is fatal).
+    Decode(WireError),
+    /// The record is one the live state machine refuses; `code` is the
+    /// reject the live path returns for the same transition.
+    Rejected {
+        /// The record's kind byte.
+        kind: u8,
+        /// Session id.
+        session: u64,
+        /// Epoch number.
+        epoch: u64,
+        /// The live path's reject.
+        code: RejectCode,
+    },
+    /// Reading the snapshot file failed.
+    Io(io::ErrorKind),
+}
+
+impl fmt::Display for ReplayError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ReplayError::Decode(e) => write!(f, "undecodable: {e}"),
+            ReplayError::Rejected { kind, session, epoch, code } => {
+                write!(f, "kind-{kind} record for ({session}, {epoch}) rejected: {code}")
+            }
+            ReplayError::Io(kind) => write!(f, "read failed: {kind:?}"),
+        }
+    }
+}
+
+impl std::error::Error for ReplayError {}
+
+impl From<WireError> for ReplayError {
+    fn from(e: WireError) -> Self {
+        ReplayError::Decode(e)
+    }
 }
 
 /// One journaled state transition. Kinds 1–4 mirror the [`Effect`]s the
@@ -423,30 +468,48 @@ const KIND_FORWARD_DONE: u8 = 6;
 const KIND_MANIFEST: u8 = 7;
 
 impl WalRecord {
-    /// Encodes the record as `[kind][body]` (the framing CRC and length
-    /// prefix are added by the segment writer).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+    /// The record's kind byte, the first byte of its encoding.
+    pub(crate) fn kind(&self) -> u8 {
         match self {
+            WalRecord::Open { .. } => KIND_OPEN,
+            WalRecord::Ingest { .. } => KIND_INGEST,
+            WalRecord::Seal { .. } => KIND_SEAL,
+            WalRecord::RecoverDone { .. } => KIND_RECOVER_DONE,
+            WalRecord::CleanShutdown => KIND_CLEAN_SHUTDOWN,
+            WalRecord::ForwardDone { .. } => KIND_FORWARD_DONE,
+            WalRecord::Manifest { .. } => KIND_MANIFEST,
+        }
+    }
+
+    /// The `(session, epoch)` the record addresses; `None` for the
+    /// clean-shutdown marker.
+    pub(crate) fn target(&self) -> Option<(u64, u64)> {
+        match *self {
+            WalRecord::Open { session, epoch, .. }
+            | WalRecord::Ingest { session, epoch, .. }
+            | WalRecord::Seal { session, epoch, .. }
+            | WalRecord::RecoverDone { session, epoch }
+            | WalRecord::ForwardDone { session, epoch }
+            | WalRecord::Manifest { session, epoch, .. } => Some((session, epoch)),
+            WalRecord::CleanShutdown => None,
+        }
+    }
+
+    /// Encodes the record as `[kind][body]` (the framing CRC and length
+    /// prefix are added by the segment and snapshot writers).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u8(self.kind());
+        match *self {
             WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param } => {
-                out.push(KIND_OPEN);
-                let msg = Message::OpenEpoch {
-                    session: *session,
-                    epoch: *epoch,
-                    m: *m,
-                    n: *n,
-                    seed: *seed,
-                    op_kind: *op_kind,
-                    op_param: *op_param,
-                };
-                out.extend_from_slice(&wire::encode(&msg));
+                let msg = Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param };
+                w.bytes(&wire::encode(&msg));
             }
-            WalRecord::Ingest { session, epoch, node, seed, payload } => {
-                out.push(KIND_INGEST);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *epoch);
-                let msg = Message::Sketch { node: *node, seed: *seed, payload: payload.clone() };
-                out.extend_from_slice(&wire::encode(&msg));
+            WalRecord::Ingest { session, epoch, node, seed, ref payload } => {
+                w.u64(session);
+                w.u64(epoch);
+                let msg = Message::Sketch { node, seed, payload: payload.clone() };
+                w.bytes(&wire::encode(&msg));
             }
             WalRecord::Seal {
                 session,
@@ -458,94 +521,75 @@ impl WalRecord {
                 duplicates,
                 op_kind,
                 op_param,
-                y_bits,
+                ref y_bits,
             } => {
-                out.push(KIND_SEAL);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *seed);
-                put_u32(&mut out, *m);
-                put_u64(&mut out, *n);
-                put_u64(&mut out, *nodes);
-                put_u64(&mut out, *duplicates);
-                out.push(*op_kind);
-                put_u64(&mut out, *op_param);
-                for bits in y_bits {
-                    put_u64(&mut out, *bits);
-                }
+                w.u64(session);
+                w.u64(epoch);
+                w.u64(seed);
+                w.u32(m);
+                w.u64(n);
+                w.u64(nodes);
+                w.u64(duplicates);
+                w.u8(op_kind);
+                w.u64(op_param);
+                y_bits.iter().for_each(|&bits| w.u64(bits));
             }
-            WalRecord::RecoverDone { session, epoch } => {
-                out.push(KIND_RECOVER_DONE);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *epoch);
+            WalRecord::RecoverDone { session, epoch }
+            | WalRecord::ForwardDone { session, epoch } => {
+                w.u64(session);
+                w.u64(epoch);
             }
-            WalRecord::CleanShutdown => out.push(KIND_CLEAN_SHUTDOWN),
-            WalRecord::ForwardDone { session, epoch } => {
-                out.push(KIND_FORWARD_DONE);
-                put_u64(&mut out, *session);
-                put_u64(&mut out, *epoch);
-            }
+            WalRecord::CleanShutdown => {}
             WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
-                out.push(KIND_MANIFEST);
-                let msg = Message::RelayManifest {
-                    session: *session,
-                    epoch: *epoch,
-                    region: *region,
-                    leaf_lo: *leaf_lo,
-                    leaf_hi: *leaf_hi,
-                    fan_in: *fan_in,
-                };
-                out.extend_from_slice(&wire::encode(&msg));
+                let msg =
+                    Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in };
+                w.bytes(&wire::encode(&msg));
             }
         }
-        out
+        w.into_bytes()
     }
 
-    /// Decodes a `[kind][body]` record. Any malformation is a typed error.
-    pub fn decode(buf: &[u8]) -> Result<WalRecord, String> {
-        let (&kind, body) = buf.split_first().ok_or("empty record")?;
-        match kind {
-            KIND_OPEN => match wire::decode(body) {
-                Ok(Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param }) => {
-                    Ok(WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param })
+    /// Decodes a `[kind][body]` record. Any malformation is a typed
+    /// [`WireError`]: a nested frame of the wrong message kind or a seal
+    /// whose measurement length disagrees with its `m` is a
+    /// [`WireError::BadField`], trailing bytes are [`WireError::Truncated`]
+    /// (as in [`wire::decode`]).
+    pub fn decode(buf: &[u8]) -> Result<WalRecord, WireError> {
+        let mut r = Reader::new(buf);
+        let wrong_frame = |msg: Message| WireError::BadField {
+            field: "record frame tag",
+            value: u64::from(msg.tag()),
+        };
+        let record = match r.u8()? {
+            KIND_OPEN => match wire::decode(r.rest())? {
+                Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param } => {
+                    WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param }
                 }
-                Ok(other) => Err(format!("open record held a {} frame", other.tag())),
-                Err(e) => Err(format!("open record: {e}")),
+                other => return Err(wrong_frame(other)),
             },
             KIND_INGEST => {
-                let mut r = SnapReader { buf: body, pos: 0 };
-                let session = r.u64()?;
-                let epoch = r.u64()?;
-                match wire::decode(r.remaining()) {
-                    Ok(Message::Sketch { node, seed, payload }) => {
-                        Ok(WalRecord::Ingest { session, epoch, node, seed, payload })
+                let (session, epoch) = (r.u64()?, r.u64()?);
+                match wire::decode(r.rest())? {
+                    Message::Sketch { node, seed, payload } => {
+                        WalRecord::Ingest { session, epoch, node, seed, payload }
                     }
-                    Ok(other) => Err(format!("ingest record held a {} frame", other.tag())),
-                    Err(e) => Err(format!("ingest record: {e}")),
+                    other => return Err(wrong_frame(other)),
                 }
             }
             KIND_SEAL => {
-                let mut r = SnapReader { buf: body, pos: 0 };
-                let session = r.u64()?;
-                let epoch = r.u64()?;
-                let seed = r.u64()?;
-                let m = r.u32()?;
-                let n = r.u64()?;
-                let nodes = r.u64()?;
-                let duplicates = r.u64()?;
-                let op_kind = r.u8()?;
-                let op_param = r.u64()?;
-                if r.remaining().len() != m as usize * 8 {
-                    return Err(format!(
-                        "seal record carries {} measurement bytes for m={m}",
-                        r.remaining().len()
-                    ));
+                let (session, epoch, seed, m) = (r.u64()?, r.u64()?, r.u64()?, r.u32()?);
+                let (n, nodes, duplicates) = (r.u64()?, r.u64()?, r.u64()?);
+                let (op_kind, op_param) = (r.u8()?, r.u64()?);
+                // Checked before allocating: `m` is untrusted.
+                if r.remaining() != m as usize * 8 {
+                    let value = r.remaining() as u64;
+                    return Err(WireError::BadField { field: "seal measurement bytes", value });
                 }
                 let mut y_bits = Vec::with_capacity(m as usize);
                 for _ in 0..m {
                     y_bits.push(r.u64()?);
                 }
-                Ok(WalRecord::Seal {
+                WalRecord::Seal {
                     session,
                     epoch,
                     seed,
@@ -556,97 +600,83 @@ impl WalRecord {
                     op_kind,
                     op_param,
                     y_bits,
-                })
-            }
-            KIND_RECOVER_DONE => {
-                let mut r = SnapReader { buf: body, pos: 0 };
-                let session = r.u64()?;
-                let epoch = r.u64()?;
-                if !r.remaining().is_empty() {
-                    return Err("recover-done record has trailing bytes".into());
                 }
-                Ok(WalRecord::RecoverDone { session, epoch })
             }
-            KIND_CLEAN_SHUTDOWN => {
-                if !body.is_empty() {
-                    return Err("clean-shutdown record has a body".into());
+            KIND_RECOVER_DONE => WalRecord::RecoverDone { session: r.u64()?, epoch: r.u64()? },
+            KIND_CLEAN_SHUTDOWN => WalRecord::CleanShutdown,
+            KIND_FORWARD_DONE => WalRecord::ForwardDone { session: r.u64()?, epoch: r.u64()? },
+            KIND_MANIFEST => match wire::decode(r.rest())? {
+                Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
+                    WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in }
                 }
-                Ok(WalRecord::CleanShutdown)
-            }
-            KIND_FORWARD_DONE => {
-                let mut r = SnapReader { buf: body, pos: 0 };
-                let session = r.u64()?;
-                let epoch = r.u64()?;
-                if !r.remaining().is_empty() {
-                    return Err("forward-done record has trailing bytes".into());
-                }
-                Ok(WalRecord::ForwardDone { session, epoch })
-            }
-            KIND_MANIFEST => match wire::decode(body) {
-                Ok(Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in }) => {
-                    Ok(WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in })
-                }
-                Ok(other) => Err(format!("manifest record held a {} frame", other.tag())),
-                Err(e) => Err(format!("manifest record: {e}")),
+                other => return Err(wrong_frame(other)),
             },
-            k => Err(format!("unknown record kind {k}")),
+            kind => return Err(WireError::UnknownTag(kind)),
+        };
+        if !r.finished() {
+            return Err(WireError::Truncated);
         }
+        Ok(record)
     }
+}
 
-    /// Applies the record to a store being rebuilt. Duplicated records are
-    /// no-ops; inconsistent ones are typed errors. This is the exact path
-    /// recovery drives, exposed so tests can mirror-replay a record list
-    /// against an in-memory store.
-    pub fn replay(&self, store: &mut SessionStore) -> Result<(), String> {
-        match self {
-            WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param } => {
-                store.replay_open(*session, *epoch, *m, *n, *seed, *op_kind, *op_param)
-            }
-            WalRecord::Ingest { session, epoch, node, seed, payload } => {
-                store.replay_ingest(*session, *epoch, *node, *seed, payload).map(|_| ())
-            }
-            WalRecord::Seal {
-                session,
-                epoch,
-                seed,
-                m,
-                n,
-                nodes,
-                duplicates,
-                op_kind,
-                op_param,
-                y_bits,
-            } => {
-                let y = cso_linalg::Vector::from_vec(
-                    y_bits.iter().map(|&b| f64::from_bits(b)).collect(),
-                );
-                store.replay_seal(
-                    *session,
-                    *epoch,
-                    *seed,
-                    *m,
-                    *n,
-                    *nodes,
-                    *duplicates,
-                    *op_kind,
-                    *op_param,
-                    y,
-                )
-            }
-            WalRecord::RecoverDone { session, epoch } => {
-                store.replay_recovered(*session, *epoch);
-                Ok(())
-            }
-            WalRecord::CleanShutdown => Ok(()),
-            WalRecord::ForwardDone { session, epoch } => {
-                store.replay_forward_done(*session, *epoch);
-                Ok(())
-            }
-            WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
-                store.replay_manifest(*session, *epoch, *region, *leaf_lo, *leaf_hi, *fan_in)
-            }
-        }
+/// Appends `payload` to `out` framed as `[len u32][crc32 u32][payload]` —
+/// the framing of segment and snapshot records alike.
+pub(crate) fn frame_record(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(&wire::crc32(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+}
+
+/// Splits the first framed record off `buf`: its payload and framed
+/// length, or why the framing is torn (short, bad length, bad CRC).
+fn next_record(buf: &[u8]) -> Result<(&[u8], usize), WireError> {
+    let mut r = Reader::new(buf);
+    let (len, crc) = (r.u32()?, r.u32()?);
+    if len == 0 || len > MAX_RECORD_BYTES {
+        return Err(WireError::BadField { field: "record length", value: u64::from(len) });
     }
+    let payload = buf.get(8..8 + len as usize).ok_or(WireError::Truncated)?;
+    let computed = wire::crc32(payload);
+    if computed != crc {
+        return Err(WireError::ChecksumMismatch { stored: crc, computed });
+    }
+    Ok((payload, 8 + len as usize))
+}
+
+/// What [`replay_records`] applied.
+struct Replayed {
+    records: u64,
+    last_kind: Option<u8>,
+    /// Where replay stopped at a torn record, and why it is torn.
+    torn: Option<(usize, WireError)>,
+}
+
+/// The framing loop shared by segments and snapshots: decodes and
+/// replays every record framed in `buf[pos..]` into `store`. A record
+/// that frames intact but fails to decode or replay is an inconsistency —
+/// surfaced, never skipped. A torn record stops the loop: it ends a
+/// segment (everything before it stands) but fails a snapshot.
+fn replay_records(
+    buf: &[u8],
+    mut pos: usize,
+    store: &mut SessionStore,
+) -> Result<Replayed, ReplayError> {
+    let mut done = Replayed { records: 0, last_kind: None, torn: None };
+    while pos < buf.len() {
+        let (payload, framed) = match next_record(&buf[pos..]) {
+            Ok(next) => next,
+            Err(e) => {
+                done.torn = Some((pos, e));
+                break;
+            }
+        };
+        WalRecord::decode(payload)?.replay(store)?;
+        done.last_kind = Some(payload[0]);
+        done.records += 1;
+        pos += framed;
+    }
+    Ok(done)
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -754,9 +784,7 @@ impl Wal {
         let payload = record.encode();
         let kind = payload[0];
         let mut framed = Vec::with_capacity(8 + payload.len());
-        put_u32(&mut framed, payload.len() as u32);
-        put_u32(&mut framed, wire::crc32(&payload));
-        framed.extend_from_slice(&payload);
+        frame_record(&mut framed, &payload);
         // One write syscall per record: a SIGKILL after this point leaves
         // the full record in the page cache, so process-crash durability
         // never depends on user-space buffering.
@@ -830,7 +858,7 @@ impl Wal {
         !self.failed && self.records_since_snapshot >= self.cfg.snapshot_every_records
     }
 
-    /// Writes a pre-serialized store image (see
+    /// Writes a pre-serialized store snapshot (see
     /// [`SessionStore::snapshot_bytes`] /
     /// [`SessionStore::merged_snapshot_bytes`]) and prunes the segments
     /// the snapshot covers: rotates to a fresh segment, writes
@@ -853,12 +881,13 @@ impl Wal {
             return;
         }
         self.records_since_snapshot = 0;
-        let mut out = Vec::with_capacity(20 + body.len());
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u32(&mut out, WAL_VERSION);
-        put_u32(&mut out, wire::crc32(body));
-        put_u64(&mut out, body.len() as u64);
-        out.extend_from_slice(body);
+        let mut out = Writer::new();
+        out.bytes(SNAPSHOT_MAGIC);
+        out.u32(WAL_VERSION);
+        out.u32(wire::crc32(body));
+        out.u64(body.len() as u64);
+        out.bytes(body);
+        let out = out.into_bytes();
         let path = snapshot_path(&self.cfg.dir, self.seg_seq);
         let tmp = path.with_extension("tmp");
         let written = (|| -> io::Result<()> {
@@ -955,10 +984,7 @@ fn replay_segment(
     path: &Path,
     store: &mut SessionStore,
 ) -> Result<(u64, Option<u8>, SegmentEnd), WalError> {
-    let mut buf = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| io_err("read segment", &e))?;
+    let buf = fs::read(path).map_err(|e| io_err("read segment", &e))?;
     if buf.len() < 12 {
         // A short file that is a strict prefix of the canonical header is
         // the stub a crash leaves mid-rotation: the header never finished,
@@ -985,33 +1011,9 @@ fn replay_segment(
             reason: format!("version {version} (this build reads {WAL_VERSION})"),
         });
     }
-    let mut pos = 12usize;
-    let mut replayed = 0u64;
-    let mut last_kind = None;
-    while pos < buf.len() {
-        let torn = Ok((replayed, last_kind, SegmentEnd::Torn { offset: pos as u64 }));
-        if buf.len() - pos < 8 {
-            return torn; // torn framing
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-        if len == 0 || len > MAX_RECORD_BYTES || buf.len() - pos - 8 < len as usize {
-            return torn; // torn or flipped length
-        }
-        let payload = &buf[pos + 8..pos + 8 + len as usize];
-        if wire::crc32(payload) != crc {
-            return torn; // torn or flipped body
-        }
-        // The frame is intact: a record that fails to *decode or replay*
-        // past this point is not a torn write, it is an inconsistency —
-        // surfaced, never skipped.
-        let record = WalRecord::decode(payload).map_err(WalError::Replay)?;
-        record.replay(store).map_err(WalError::Replay)?;
-        last_kind = Some(payload[0]);
-        replayed += 1;
-        pos += 8 + len as usize;
-    }
-    Ok((replayed, last_kind, SegmentEnd::Clean))
+    let done = replay_records(&buf, 12, store).map_err(WalError::Replay)?;
+    let end = done.torn.map_or(SegmentEnd::Clean, |(at, _)| SegmentEnd::Torn { offset: at as u64 });
+    Ok((done.records, done.last_kind, end))
 }
 
 /// Truncates a torn segment at `keep` bytes and fsyncs it, so the next
@@ -1030,33 +1032,57 @@ fn heal_stub(path: &Path) -> Result<(), WalError> {
     f.sync_all().map_err(|e| io_err("fsync healed stub", &e))
 }
 
-/// Reads a snapshot file, returning the store body on success.
-fn read_snapshot(path: &Path, limits: StoreLimits) -> Result<SessionStore, String> {
-    let mut buf = Vec::new();
-    File::open(path).and_then(|mut f| f.read_to_end(&mut buf)).map_err(|e| format!("read: {e}"))?;
-    if buf.len() < 24 {
-        return Err("shorter than the header".to_string());
+/// Loads a snapshot file, or says why it is unreadable — a fault that
+/// [`SessionStore::recover_from`] falls back from where it can. A foreign
+/// format version is one such fault: the header CRC covers only the body,
+/// so a damaged version word looks the same.
+fn read_snapshot(path: &Path, limits: StoreLimits) -> Result<SessionStore, ReplayError> {
+    let buf = fs::read(path).map_err(|e| ReplayError::Io(e.kind()))?;
+    let mut r = Reader::new(&buf);
+    let (magic, version, crc, len) = (r.u64()?, r.u32()?, r.u32()?, r.u64()?);
+    let bad = |field, value| Err(WireError::BadField { field, value }.into());
+    if magic != u64::from_le_bytes(*SNAPSHOT_MAGIC) {
+        return bad("snapshot magic", magic);
     }
-    if &buf[..8] != SNAPSHOT_MAGIC {
-        return Err("bad magic".to_string());
-    }
-    let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
     if version != WAL_VERSION {
-        return Err(format!("version {version}"));
+        return bad("snapshot version", u64::from(version));
     }
-    let crc = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    let len = u64::from_le_bytes(buf[16..24].try_into().unwrap());
-    if len != (buf.len() - 24) as u64 {
-        return Err("length mismatch".to_string());
+    // The header's length and whole-body CRC catch a cut at a record
+    // boundary, which the record framing alone cannot see.
+    if len != r.remaining() as u64 {
+        return bad("snapshot body length", len);
     }
-    let body = &buf[24..];
-    if wire::crc32(body) != crc {
-        return Err("crc mismatch".to_string());
+    let body = r.rest();
+    let computed = wire::crc32(body);
+    if computed != crc {
+        return Err(WireError::ChecksumMismatch { stored: crc, computed }.into());
     }
     SessionStore::from_snapshot_bytes(body, limits)
 }
 
 impl SessionStore {
+    /// Rebuilds a store from [`SessionStore::snapshot_bytes`] output: a
+    /// `u64` record count, then framed records replayed through
+    /// [`WalRecord::replay`] into an empty store with `limits`. Any torn
+    /// record, and a count the body does not hold (so every strict prefix
+    /// of a snapshot), is a typed error.
+    pub fn from_snapshot_bytes(
+        buf: &[u8],
+        limits: StoreLimits,
+    ) -> Result<SessionStore, ReplayError> {
+        let declared = Reader::new(buf).u64()?;
+        let mut store = SessionStore::with_limits(limits);
+        let done = replay_records(buf, 8, &mut store)?;
+        if let Some((_, torn)) = done.torn {
+            return Err(torn.into());
+        }
+        if done.records != declared {
+            let value = done.records;
+            return Err(WireError::BadField { field: "snapshot record count", value }.into());
+        }
+        Ok(store)
+    }
+
     /// Rebuilds a store from a WAL directory: loads the newest valid
     /// snapshot, then replays the segment tail through the typed state
     /// machine. An absent or empty directory yields an empty store. A torn
@@ -1087,7 +1113,7 @@ impl SessionStore {
         // segments would replay a *gapped* history, not a prefix.
         let mut store = SessionStore::with_limits(limits);
         let mut from_seq = 0u64;
-        let mut newest_failed: Option<(u64, &PathBuf, String)> = None;
+        let mut newest_failed: Option<(u64, &PathBuf, ReplayError)> = None;
         for (seq, path) in snapshots.iter().rev() {
             match read_snapshot(path, limits) {
                 Ok(s) => {
@@ -1097,17 +1123,15 @@ impl SessionStore {
                     break;
                 }
                 Err(reason) => {
-                    if newest_failed.is_none() {
-                        newest_failed = Some((*seq, path, reason));
-                    }
+                    newest_failed.get_or_insert((*seq, path, reason));
                 }
             }
         }
-        if let Some((failed_seq, failed_path, reason)) = newest_failed {
+        if let Some((failed_seq, path, reason)) = newest_failed {
             if failed_seq > from_seq
                 && (from_seq..failed_seq).any(|s| !segments.iter().any(|(seq, _)| *seq == s))
             {
-                return Err(WalError::SnapshotGap { path: failed_path.clone(), reason });
+                return Err(WalError::SnapshotGap { path: path.clone(), reason });
             }
         }
 
@@ -1394,6 +1418,37 @@ mod tests {
             SessionStore::recover_from(&dir, StoreLimits::default()),
             Err(WalError::SnapshotGap { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A seal that creates its epoch passes `open`'s checks: one with
+    /// `m > n`, which its own snapshot could not reload, is a typed replay
+    /// error in recovery and in the in-memory mirror alike.
+    #[test]
+    fn lone_seal_that_open_rejects_is_a_typed_replay_error() {
+        let dir = temp_dir("lone-seal");
+        let seal = WalRecord::Seal {
+            session: 1,
+            epoch: 0,
+            seed: 7,
+            m: 8,
+            n: 4,
+            nodes: 1,
+            duplicates: 0,
+            op_kind: 0,
+            op_param: 0,
+            y_bits: vec![0; 8],
+        };
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open");
+        wal.append(&seal, &mut StoreStats::new());
+        drop(wal);
+        let code = RejectCode::BadSpec;
+        let rejected = ReplayError::Rejected { kind: KIND_SEAL, session: 1, epoch: 0, code };
+        assert!(matches!(
+            SessionStore::recover_from(&dir, StoreLimits::default()),
+            Err(WalError::Replay(e)) if e == rejected
+        ));
+        assert_eq!(seal.replay(&mut SessionStore::new()), Err(rejected));
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -16,8 +16,12 @@
 #      and write a valid BENCH_pr4.json
 #  11. the serving smoke: the loopback server e2e tests must pass and the
 #      serve_throughput sweep must run and write a valid BENCH_pr5.json
-#  12. the durability smoke: the kill-9 crash harness and the torn-tail
-#      WAL fuzz must pass, and the fsync-policy sweep must run and write
+#  12. the durability smoke: the kill-9 crash harness, the torn-tail
+#      WAL fuzz and the snapshot/replay unit tests (snapshots are
+#      compacted journals replayed by one body; hostile snapshots and
+#      lone seals are typed errors; duplicates reset alike on every
+#      restart path; a sharded store over one shard's caps reloads
+#      whole) must pass, and the fsync-policy sweep must run and write
 #      a valid BENCH_pr6.json
 #  13. the telemetry smoke: the live-introspection e2e and the frame
 #      extension fuzz must pass, cso-top must render against its own
@@ -112,6 +116,7 @@ echo "==> [12/17] durability smoke (kill-9 crash harness + WAL fuzz + fsync swee
 # bit-flips journal tails at every offset expecting only typed outcomes.
 cargo test -q -p cso-serve --test crash
 cargo test -q -p cso-serve --test proptest_wal
+cargo test -q -p cso-serve --lib -- snapshot replay
 cargo run --release -q -p cso-bench --bin figures -- serve_durable
 for artifact in results/serve_durable.csv BENCH_pr6.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
