@@ -1,10 +1,9 @@
-//! Observability overhead: BOMP recovery untraced vs traced with a
-//! disabled recorder (must be indistinguishable — the disabled path is one
-//! branch per call site) vs traced with an enabled recorder (pays for
-//! coefficient tracking and trace storage).
+//! Observability overhead: BOMP recovery with the default disabled
+//! recorder (one branch per call site) vs with an enabled recorder in
+//! `OmpConfig::rec` (pays for coefficient tracking and trace storage).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use cso_core::{bomp_with_matrix, bomp_with_matrix_traced, BompConfig, MeasurementSpec};
+use cso_core::{bomp_with_matrix, BompConfig, MeasurementSpec};
 use cso_linalg::{ColMatrix, Vector};
 use cso_obs::Recorder;
 use cso_workloads::{MajorityConfig, MajorityData};
@@ -28,17 +27,14 @@ fn bench_observation_overhead(c: &mut Criterion) {
     let cfg = BompConfig::with_max_iterations(S + 1);
     let mut g = c.benchmark_group("obs_overhead");
     g.sample_size(10);
-    g.bench_function("untraced", |b| {
-        b.iter(|| bomp_with_matrix(black_box(&phi), black_box(&y), &cfg).unwrap())
-    });
-    let disabled = Recorder::disabled();
     g.bench_function("disabled_recorder", |b| {
-        b.iter(|| bomp_with_matrix_traced(black_box(&phi), black_box(&y), &cfg, &disabled).unwrap())
+        b.iter(|| bomp_with_matrix(black_box(&phi), black_box(&y), &cfg).unwrap())
     });
     g.bench_function("enabled_recorder", |b| {
         b.iter(|| {
-            let rec = Recorder::new();
-            bomp_with_matrix_traced(black_box(&phi), black_box(&y), &cfg, &rec).unwrap()
+            let mut traced = cfg.clone();
+            traced.omp.rec = Recorder::new();
+            bomp_with_matrix(black_box(&phi), black_box(&y), &traced).unwrap()
         })
     });
     g.finish();

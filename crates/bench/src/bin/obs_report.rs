@@ -5,15 +5,17 @@
 //! enabled recorder; the resulting [`RunReport`] (trace + metrics + EK/EV)
 //! is self-validated (strict JSON parse, required top-level keys, comm
 //! metrics equal to the protocol's `CommunicationCost` exactly) and written
-//! to `results/run_report.jsonl`. The binary then times the untraced run
-//! against the disabled-recorder run and writes the comparison to
-//! `BENCH_pr2.json` at the repository root.
+//! to `results/run_report.jsonl`. The binary then times the default run
+//! (its recorder is disabled) against one given an explicitly disabled
+//! recorder and one given an enabled recorder, and writes the comparison
+//! to `BENCH_pr2.json` at the repository root. The first two run the same
+//! code, so their difference is the timing noise floor.
 //!
 //! Run with: `cargo run --release -p cso-bench --bin obs_report`
 //! (CI runs this as its observability smoke step.)
 
 use cso_core::{outlier_errors, BompConfig};
-use cso_distributed::{Cluster, CsProtocol};
+use cso_distributed::{Cluster, CsProtocol, OutlierProtocol};
 use cso_obs::{json, Recorder, RunReport, REPORT_KEYS};
 use cso_workloads::{split, MajorityConfig, MajorityData, SliceStrategy};
 use std::time::Instant;
@@ -67,7 +69,7 @@ fn main() {
 
     // --- Traced run → RunReport -----------------------------------------
     let rec = Recorder::new();
-    let run = proto.run_traced(&cluster, K, &rec).expect("protocol run");
+    let run = proto.clone().with_recorder(rec.clone()).run(&cluster, K).expect("protocol run");
     let truth = data.true_k_outliers(K);
     let (ek, ev) = outlier_errors(&truth, &run.estimate).expect("quality metrics");
 
@@ -110,17 +112,16 @@ fn main() {
 
     // --- Overhead: untraced vs disabled recorder ------------------------
     let iters: u32 = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(20);
-    let disabled = Recorder::disabled();
+    let disabled = proto.clone().with_recorder(Recorder::disabled());
     let untraced_ns = time_ns(iters, || {
-        use cso_distributed::OutlierProtocol;
         std::hint::black_box(proto.run(&cluster, K).expect("run"));
     });
     let disabled_ns = time_ns(iters, || {
-        std::hint::black_box(proto.run_traced(&cluster, K, &disabled).expect("run"));
+        std::hint::black_box(disabled.run(&cluster, K).expect("run"));
     });
     let enabled_ns = time_ns(iters, || {
-        let r = Recorder::new();
-        std::hint::black_box(proto.run_traced(&cluster, K, &r).expect("run"));
+        let traced = proto.clone().with_recorder(Recorder::new());
+        std::hint::black_box(traced.run(&cluster, K).expect("run"));
     });
     let overhead = disabled_ns / untraced_ns - 1.0;
     println!(

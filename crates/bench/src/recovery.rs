@@ -203,10 +203,12 @@ pub fn recovery(opts: &Opts) {
             exec: ExecConfig::sequential(),
             ..OmpConfig::default()
         };
+        let reference = OmpConfig { kernel: OmpKernel::Reference, ..base.clone() };
+        let fused = OmpConfig { kernel: OmpKernel::Fused, ..base };
         let (reference_omp_ns, fused_omp_ns) = best_pair_ns(
             reps,
-            || omp(phi, y, &OmpConfig { kernel: OmpKernel::Reference, ..base }).expect("omp"),
-            || omp(phi, y, &OmpConfig { kernel: OmpKernel::Fused, ..base }).expect("omp"),
+            || omp(phi, y, &reference).expect("omp"),
+            || omp(phi, y, &fused).expect("omp"),
         );
 
         samples.push(Sample {

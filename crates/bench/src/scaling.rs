@@ -73,8 +73,9 @@ fn measure_exec(
     k: usize,
 ) -> (u64, u64, f64) {
     let rec = Recorder::new();
-    run_cs_job_exec(exec, splits, n, m, 42, k, &BompConfig::for_k_outliers(k), &rec)
-        .expect("scaling workload must run");
+    let mut recovery = BompConfig::for_k_outliers(k);
+    recovery.omp.rec = rec.clone();
+    run_cs_job_exec(exec, splits, n, m, 42, k, &recovery).expect("scaling workload must run");
     let snap = rec.metrics_snapshot();
     let tasks = snap.counter("exec.tasks").unwrap_or(0);
     let steals = snap.counter("exec.steals").unwrap_or(0);
@@ -110,17 +111,8 @@ fn measure_wall(
         .map(|_| {
             let t = Instant::now();
             std::hint::black_box(
-                run_cs_job_exec(
-                    exec,
-                    splits,
-                    n,
-                    m,
-                    42,
-                    k,
-                    &BompConfig::for_k_outliers(k),
-                    &Recorder::disabled(),
-                )
-                .expect("scaling workload must run"),
+                run_cs_job_exec(exec, splits, n, m, 42, k, &BompConfig::for_k_outliers(k))
+                    .expect("scaling workload must run"),
             );
             t.elapsed().as_nanos() as f64
         })

@@ -18,7 +18,7 @@
 //! adds only the `M`-length bias column, and one body runs OMP over it.
 
 use crate::measurement::MeasurementSpec;
-use crate::omp::{omp, omp_traced, resolve_exec, OmpConfig, OmpDictionary, OmpResult, StopReason};
+use crate::omp::{omp, resolve_exec, OmpConfig, OmpDictionary, OmpResult, StopReason};
 use crate::ops::{MeasurementOp, MeasurementOperator};
 use crate::sparse::SparseVector;
 use cso_exec::ExecConfig;
@@ -79,7 +79,7 @@ impl BompResult {
 }
 
 /// Configuration for [`bomp`] / [`bomp_with_matrix`].
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct BompConfig {
     /// Inner OMP configuration. `max_iterations` is the paper's `R = f(k)`.
     pub omp: OmpConfig,
@@ -113,34 +113,15 @@ pub fn bomp(
     y: &Vector,
     config: &BompConfig,
 ) -> Result<BompResult, LinalgError> {
-    bomp_traced(spec, y, config, &Recorder::disabled())
-}
-
-/// As [`bomp`], recording the recovery trace into `rec` (see
-/// [`bomp_with_matrix_traced`]).
-pub fn bomp_traced(
-    spec: &MeasurementSpec,
-    y: &Vector,
-    config: &BompConfig,
-    rec: &Recorder,
-) -> Result<BompResult, LinalgError> {
     // Reject a bad measurement before the `M × N` allocation.
     check_measurement(spec.m, spec.n, y)?;
-    bomp_with_matrix_traced(&spec.materialize(), y, config, rec)
+    bomp_with_matrix(&spec.materialize(), y, config)
 }
 
 /// Runs BOMP against an already-materialized `Φ0` (`M × N`).
-pub fn bomp_with_matrix(
-    phi0: &ColMatrix,
-    y: &Vector,
-    config: &BompConfig,
-) -> Result<BompResult, LinalgError> {
-    bomp_with_matrix_traced(phi0, y, config, &Recorder::disabled())
-}
-
-/// As [`bomp_with_matrix`], recording a `recover.bomp` span into `rec`.
 ///
-/// Per iteration one `bomp.iter` event carries the selected atom in signal
+/// The run records a `recover.bomp` span into `config.omp.rec`. Per
+/// iteration one `bomp.iter` event carries the selected atom in signal
 /// space (`atom = -1, bias = true` for the bias column), the residual norm,
 /// and the running mode estimate `z₀/√N` — the per-iteration signals of the
 /// paper's Figures 4(b) and 9. A final `bomp.done` event records mode,
@@ -148,13 +129,12 @@ pub fn bomp_with_matrix(
 /// is enabled, per-iteration coefficient tracking is switched on so the
 /// mode series can be computed (one `O(k²)` solve per iteration — the cost
 /// of watching); a disabled recorder changes nothing.
-pub fn bomp_with_matrix_traced(
+pub fn bomp_with_matrix(
     phi0: &ColMatrix,
     y: &Vector,
     config: &BompConfig,
-    rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
-    bomp_biased(phi0, |_| dense_bias(phi0), None, y, config, rec)
+    bomp_biased(phi0, |_| dense_bias(phi0), None, y, config)
 }
 
 /// Runs BOMP against a measurement operator without materializing the
@@ -162,24 +142,14 @@ pub fn bomp_with_matrix_traced(
 /// OMP iteration the correlation refresh costs one operator transpose pass
 /// (`O(N log N)` for SRHT, `O(N·s)` for seeded-sparse, a streamed
 /// regeneration of the columns for dense) instead of a pass over a stored
-/// matrix, and peak memory stays `O(M + N)`.
+/// matrix, and peak memory stays `O(M + N)`. It records the same span and
+/// events as [`bomp_with_matrix`], plus a `backend` attribute.
 pub fn bomp_with_op(
     op: &MeasurementOperator,
     y: &Vector,
     config: &BompConfig,
 ) -> Result<BompResult, LinalgError> {
-    bomp_with_op_traced(op, y, config, &Recorder::disabled())
-}
-
-/// As [`bomp_with_op`], recording the same `recover.bomp` span and events
-/// as [`bomp_with_matrix_traced`] (plus a `backend` attribute).
-pub fn bomp_with_op_traced(
-    op: &MeasurementOperator,
-    y: &Vector,
-    config: &BompConfig,
-    rec: &Recorder,
-) -> Result<BompResult, LinalgError> {
-    bomp_biased(op, |exec| op.bias_column(exec), Some(op.kind().label()), y, config, rec)
+    bomp_biased(op, |exec| op.bias_column(exec), Some(op.kind().label()), y, config)
 }
 
 /// Rejects an empty geometry, a measurement of the wrong length, and a
@@ -267,13 +237,13 @@ fn bomp_biased<D: OmpDictionary + ?Sized>(
     backend: Option<&str>,
     y: &Vector,
     config: &BompConfig,
-    rec: &Recorder,
 ) -> Result<BompResult, LinalgError> {
     let (m, n) = (inner.rows(), inner.cols());
     check_measurement(m, n, y)?;
     let exec = resolve_exec(&config.omp, m, n + 1);
     let dict = Biased { inner, bias: bias(&exec) };
-    let mut omp_cfg = config.omp;
+    let rec = &config.omp.rec;
+    let mut omp_cfg = config.omp.clone();
     if config.track_mode || rec.is_enabled() {
         omp_cfg.track_coefficients = true;
     }
@@ -283,7 +253,7 @@ fn bomp_biased<D: OmpDictionary + ?Sized>(
         ("backend", Value::from(backend.unwrap_or_default())),
     ];
     let _span = rec.span_with("recover.bomp", &fields[..2 + usize::from(backend.is_some())]);
-    let result = omp_traced(&dict, y, &omp_cfg, rec)?;
+    let result = omp(&dict, y, &omp_cfg)?;
     assemble(n, result, config.track_mode, rec)
 }
 
@@ -317,7 +287,7 @@ pub fn omp_with_known_mode(
     let bias_part = phi0.matvec(&ones)?;
     let y_prime = y.sub(&bias_part)?;
 
-    let mut omp_cfg = config.omp;
+    let mut omp_cfg = config.omp.clone();
     omp_cfg.track_coefficients = false;
     let inner = omp(phi0, &y_prime, &omp_cfg)?;
 
@@ -668,8 +638,12 @@ mod tests {
         for config in [BompConfig::default(), BompConfig { track_mode: true, ..Default::default() }]
         {
             let (rec_a, rec_b) = (Recorder::new(), Recorder::new());
-            let a = bomp_traced(&spec, &y, &config, &rec_a).unwrap();
-            let b = bomp_with_matrix_traced(&phi0, &y, &config, &rec_b).unwrap();
+            let traced = |rec: &Recorder| BompConfig {
+                omp: OmpConfig { rec: rec.clone(), ..config.omp.clone() },
+                ..config.clone()
+            };
+            let a = bomp(&spec, &y, &traced(&rec_a)).unwrap();
+            let b = bomp_with_matrix(&phi0, &y, &traced(&rec_b)).unwrap();
             let untraced = bomp(&spec, &y, &config).unwrap();
             for r in [&a, &untraced] {
                 assert_eq!(r.mode.to_bits(), b.mode.to_bits());

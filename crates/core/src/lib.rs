@@ -63,16 +63,14 @@ pub mod outlier;
 pub mod sparse;
 
 pub use bomp::{
-    bomp, bomp_traced, bomp_with_matrix, bomp_with_matrix_traced, bomp_with_op,
-    bomp_with_op_traced, omp_with_known_mode, BompConfig, BompResult, RecoveredOutlier,
+    bomp, bomp_with_matrix, bomp_with_op, omp_with_known_mode, BompConfig, BompResult,
+    RecoveredOutlier,
 };
 pub use bp::{basis_pursuit, BpConfig, BpResult};
 pub use cosamp::{cosamp, CosampConfig, CosampResult};
 pub use measurement::MeasurementSpec;
 pub use metrics::{error_on_key, error_on_value, outlier_errors};
-pub use omp::{
-    omp, omp_traced, IterationRecord, OmpConfig, OmpDictionary, OmpKernel, OmpResult, StopReason,
-};
+pub use omp::{omp, IterationRecord, OmpConfig, OmpDictionary, OmpKernel, OmpResult, StopReason};
 pub use ops::{
     MeasurementOp, MeasurementOperator, OpDescriptor, OpKind, SeededSparseOp, SketchBackend, SrhtOp,
 };

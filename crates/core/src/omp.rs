@@ -108,7 +108,7 @@ impl OmpKernel {
 }
 
 /// Tuning knobs for [`omp`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OmpConfig {
     /// Iteration budget `R` (the paper's `f(k)`).
     pub max_iterations: usize,
@@ -133,6 +133,11 @@ pub struct OmpConfig {
     /// Minimum dictionary size (`rows · cols`) before `exec` is engaged;
     /// below it every scan runs sequentially regardless of `exec.workers`.
     pub par_min_work: usize,
+    /// Where the run records its `recover.omp` span and its `omp.iter` /
+    /// `omp.stop` events. Travels with `exec`; the default
+    /// [`Recorder::disabled`] reduces every instrumentation point to one
+    /// branch.
+    pub rec: Recorder,
 }
 
 impl Default for OmpConfig {
@@ -146,6 +151,7 @@ impl Default for OmpConfig {
             kernel: OmpKernel::Fused,
             exec: ExecConfig::default(),
             par_min_work: DEFAULT_PAR_MIN_WORK,
+            rec: Recorder::disabled(),
         }
     }
 }
@@ -216,26 +222,13 @@ struct RunOutcome {
 /// `y` has length `M`. Errors on a dimension mismatch or an empty
 /// measurement. Every scan runs on [`OmpConfig::exec`], resolved once per
 /// run: dictionaries below [`OmpConfig::par_min_work`] elements stay
-/// inline.
+/// inline. The run records a `recover.omp` span with one `omp.iter` event
+/// per iteration (selected atom, residual norm, relative residual
+/// decrease) and a final `omp.stop` event into [`OmpConfig::rec`].
 pub fn omp<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
     config: &OmpConfig,
-) -> Result<OmpResult, LinalgError> {
-    omp_traced(dict, y, config, &Recorder::disabled())
-}
-
-/// As [`omp`], recording a `recover.omp` span with one `omp.iter` event per
-/// iteration (selected atom, residual norm, relative residual decrease) and
-/// a final `omp.stop` event into `rec`.
-///
-/// With a disabled recorder every instrumentation point reduces to a single
-/// branch, so this path is what [`omp`] itself runs.
-pub fn omp_traced<D: OmpDictionary + ?Sized>(
-    dict: &D,
-    y: &Vector,
-    config: &OmpConfig,
-    rec: &Recorder,
 ) -> Result<OmpResult, LinalgError> {
     if y.len() != dict.rows() {
         return Err(LinalgError::DimensionMismatch {
@@ -248,7 +241,7 @@ pub fn omp_traced<D: OmpDictionary + ?Sized>(
         return Err(LinalgError::Empty { op: "omp" });
     }
 
-    let _span = rec.span_with(
+    let _span = config.rec.span_with(
         "recover.omp",
         &[
             ("rows", Value::U64(dict.rows() as u64)),
@@ -259,10 +252,10 @@ pub fn omp_traced<D: OmpDictionary + ?Sized>(
     let exec = resolve_exec(config, dict.rows(), dict.cols());
 
     let outcome = match config.kernel {
-        OmpKernel::Fused => run_fused(dict, y, config, rec, &exec)?,
-        OmpKernel::Reference => run_reference(dict, y, config, rec, &exec)?,
+        OmpKernel::Fused => run_fused(dict, y, config, &exec)?,
+        OmpKernel::Reference => run_reference(dict, y, config, &exec)?,
     };
-    finish_run(outcome, y, config, rec)
+    finish_run(outcome, y, config)
 }
 
 /// The worker budget for every scan of one run, resolved exactly once:
@@ -282,7 +275,6 @@ fn finish_run(
     outcome: RunOutcome,
     y: &Vector,
     config: &OmpConfig,
-    rec: &Recorder,
 ) -> Result<OmpResult, LinalgError> {
     let RunOutcome { qr, support, trace, residual_norm, stop } = outcome;
 
@@ -291,8 +283,8 @@ fn finish_run(
     } else {
         qr.solve_least_squares(y.as_slice())?.into_vec()
     };
-    if rec.is_enabled() {
-        rec.event(
+    if config.rec.is_enabled() {
+        config.rec.event(
             "omp.stop",
             &[
                 ("reason", Value::from(stop.as_str())),
@@ -398,7 +390,6 @@ fn run_fused<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
     config: &OmpConfig,
-    rec: &Recorder,
     exec: &ExecConfig,
 ) -> Result<RunOutcome, LinalgError> {
     let rows = dict.rows();
@@ -437,7 +428,7 @@ fn run_fused<D: OmpDictionary + ?Sized>(
             Some(alpha) => {
                 let q = qr.q_col(qr.ncols() - 1);
                 dict.correlations_into(q, &mut qt_phi, exec)?;
-                shift_and_select_all(&mut corr, &qt_phi, alpha, &selected, exec, rec)
+                shift_and_select_all(&mut corr, &qt_phi, alpha, &selected, exec, &config.rec)
             }
             None => argmax_unselected(&corr, &selected, 0),
         };
@@ -457,7 +448,7 @@ fn run_fused<D: OmpDictionary + ?Sized>(
         vector::axpy(-alpha, q, residual.as_mut_slice());
         norm = residual.norm2();
         pending = Some(alpha);
-        if record_iteration(config, rec, &qr, y, j, norm, prev_norm, &mut trace)? {
+        if record_iteration(config, &qr, y, j, norm, prev_norm, &mut trace)? {
             break StopReason::ResidualStall;
         }
         prev_norm = norm;
@@ -473,7 +464,6 @@ fn run_reference<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
     config: &OmpConfig,
-    rec: &Recorder,
     exec: &ExecConfig,
 ) -> Result<RunOutcome, LinalgError> {
     let rows = dict.rows();
@@ -514,7 +504,7 @@ fn run_reference<D: OmpDictionary + ?Sized>(
         support.push(j);
         residual = qr.residual(y.as_slice())?;
         norm = residual.norm2();
-        if record_iteration(config, rec, &qr, y, j, norm, prev_norm, &mut trace)? {
+        if record_iteration(config, &qr, y, j, norm, prev_norm, &mut trace)? {
             break StopReason::ResidualStall;
         }
         prev_norm = norm;
@@ -526,10 +516,8 @@ fn run_reference<D: OmpDictionary + ?Sized>(
 /// Shared per-iteration bookkeeping: coefficient tracking, trace push, the
 /// `omp.iter` event, and the stall-guard decision (returns `true` when the
 /// guard fires). Identical for both kernels so their traces agree.
-#[allow(clippy::too_many_arguments)]
 fn record_iteration(
     config: &OmpConfig,
-    rec: &Recorder,
     qr: &IncrementalQr,
     y: &Vector,
     j: usize,
@@ -543,7 +531,7 @@ fn record_iteration(
         None
     };
     trace.push(IterationRecord { selected: j, residual_norm: norm, coefficients });
-    rec.event(
+    config.rec.event(
         "omp.iter",
         &[
             ("iter", Value::U64(trace.len() as u64)),
@@ -831,10 +819,15 @@ mod tests {
         // exec pool on even for this small instance.
         let (phi, y, _) = sparse_instance(16, 2500, &[(100, 5.0), (2300, -3.0)], 31);
         let base = OmpConfig { par_min_work: 0, ..OmpConfig::default() };
-        let seq = omp(&phi, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base }).unwrap();
+        let seq =
+            omp(&phi, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base.clone() }).unwrap();
         for workers in [2, 8] {
-            let par = omp(&phi, &y, &OmpConfig { exec: ExecConfig::with_workers(workers), ..base })
-                .unwrap();
+            let par = omp(
+                &phi,
+                &y,
+                &OmpConfig { exec: ExecConfig::with_workers(workers), ..base.clone() },
+            )
+            .unwrap();
             assert_eq!(par.support, seq.support, "workers = {workers}");
             assert_eq!(par.stop, seq.stop);
             assert_eq!(par.residual_norm.to_bits(), seq.residual_norm.to_bits());
@@ -860,9 +853,10 @@ mod tests {
         ] {
             let truth = SparseVector::new(n, vec![(100, 5.0), (2300, -3.0), (4999, 2.0)]).unwrap();
             let y = op.apply(truth.to_dense().as_slice()).unwrap();
-            let seq = omp(&op, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base }).unwrap();
+            let seq = omp(&op, &y, &OmpConfig { exec: ExecConfig::sequential(), ..base.clone() })
+                .unwrap();
             for workers in [2, 8] {
-                let cfg = OmpConfig { exec: ExecConfig::with_workers(workers), ..base };
+                let cfg = OmpConfig { exec: ExecConfig::with_workers(workers), ..base.clone() };
                 let par = omp(&op, &y, &cfg).unwrap();
                 assert_eq!(par.support, seq.support, "{:?}, workers = {workers}", op.kind());
                 assert_eq!(par.stop, seq.stop);
@@ -1025,8 +1019,8 @@ mod tests {
         phi.col_mut(3000)[7] = f64::NAN;
         let base = OmpConfig { par_min_work: 0, ..OmpConfig::default() };
         for workers in [1, 2] {
-            let fused = OmpConfig { exec: ExecConfig::with_workers(workers), ..base };
-            let reference = OmpConfig { kernel: OmpKernel::Reference, ..fused };
+            let fused = OmpConfig { exec: ExecConfig::with_workers(workers), ..base.clone() };
+            let reference = OmpConfig { kernel: OmpKernel::Reference, ..fused.clone() };
             let f = omp(&phi, &y, &fused).unwrap();
             let r = omp(&phi, &y, &reference).unwrap();
             assert_eq!(f.support, r.support, "workers = {workers}");

@@ -8,7 +8,7 @@
 //! exactly; residual norms are matched at `{:.3e}` so the snapshot survives
 //! last-bit libm differences while still pinning the convergence curve.
 
-use cso_core::{bomp_traced, BompConfig, MeasurementSpec, OmpKernel};
+use cso_core::{bomp, BompConfig, MeasurementSpec, OmpKernel};
 use cso_obs::{Recorder, Value};
 
 /// The fixed instance: N keys at the mode, three planted outliers.
@@ -24,7 +24,8 @@ fn run_fixture_with(kernel: OmpKernel) -> Recorder {
     let mut cfg = BompConfig::for_k_outliers(3);
     cfg.omp.kernel = kernel;
     let rec = Recorder::new();
-    bomp_traced(&spec, &y, &cfg, &rec).expect("recovery");
+    cfg.omp.rec = rec.clone();
+    bomp(&spec, &y, &cfg).expect("recovery");
     rec
 }
 
@@ -113,7 +114,9 @@ fn trace_matches_result_fields() {
     let y = spec.measure_dense(&x).expect("measure");
 
     let rec = Recorder::new();
-    let result = bomp_traced(&spec, &y, &BompConfig::for_k_outliers(3), &rec).expect("recovery");
+    let mut cfg = BompConfig::for_k_outliers(3);
+    cfg.omp.rec = rec.clone();
+    let result = bomp(&spec, &y, &cfg).expect("recovery");
 
     let iters = rec.events_named("bomp.iter");
     assert_eq!(iters.len(), result.iterations);

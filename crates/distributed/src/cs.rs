@@ -8,9 +8,12 @@
 
 use crate::cluster::Cluster;
 use crate::cost::CostMeter;
+use crate::fault::FaultPlan;
 use crate::protocol::{OutlierProtocol, ProtocolRun};
+use crate::quantize::SketchEncoding;
+use crate::retry::RetryPolicy;
 use cso_core::{
-    bomp_with_matrix_traced, bomp_with_op_traced, BompConfig, BompResult, KeyValue, MeasurementOp,
+    bomp_with_matrix, bomp_with_op, BompConfig, BompResult, KeyValue, MeasurementOp,
     MeasurementOperator, MeasurementSpec, OpKind, SketchBackend,
 };
 use cso_exec::ExecConfig;
@@ -44,6 +47,10 @@ pub struct CsProtocol {
     /// and drop the per-scan cost from `O(M·N)` to `O(Np·log Np)` /
     /// `O(N·s)` (DESIGN.md §13).
     pub backend: SketchBackend,
+    /// Where runs record their spans, events and `comm.*` metrics;
+    /// threaded into the recovery as `recovery.omp.rec`, beside `exec`.
+    /// The default [`Recorder::disabled`] records nothing.
+    pub rec: Recorder,
 }
 
 /// How one run measures and recovers: the dense backend keeps the legacy
@@ -62,17 +69,15 @@ impl Engine {
         }
     }
 
-    /// BOMP over this run's dictionary, traced into `rec` (pass
-    /// [`Recorder::disabled`] for an untraced run).
+    /// BOMP over this run's dictionary, traced into `recovery.omp.rec`.
     pub(crate) fn recover(
         &self,
         y: &Vector,
         recovery: &BompConfig,
-        rec: &Recorder,
     ) -> Result<BompResult, LinalgError> {
         match self {
-            Engine::Dense(phi0) => bomp_with_matrix_traced(phi0, y, recovery, rec),
-            Engine::Op(op) => bomp_with_op_traced(op, y, recovery, rec),
+            Engine::Dense(phi0) => bomp_with_matrix(phi0, y, recovery),
+            Engine::Op(op) => bomp_with_op(op, y, recovery),
         }
     }
 }
@@ -87,6 +92,7 @@ impl CsProtocol {
             recovery: BompConfig::default(),
             exec: ExecConfig::default(),
             backend: SketchBackend::dense(),
+            rec: Recorder::disabled(),
         }
     }
 
@@ -100,6 +106,12 @@ impl CsProtocol {
     /// ([`ExecConfig::sequential`] pins the single-threaded reference path).
     pub fn with_exec(mut self, exec: ExecConfig) -> Self {
         self.exec = exec;
+        self
+    }
+
+    /// Records every run into `rec` (see [`CsProtocol::rec`]).
+    pub fn with_recorder(mut self, rec: Recorder) -> Self {
+        self.rec = rec;
         self
     }
 
@@ -149,13 +161,15 @@ impl CsProtocol {
 
     /// The recovery configuration a run with outlier budget `k` actually
     /// uses: the `R = f(k)` iteration heuristic resolved and capped at `M`,
-    /// and the protocol's [`ExecConfig`] threaded into the OMP scans.
-    /// Out-of-process aggregators (`cso-serve`) recover with exactly this
-    /// configuration to stay bit-identical to the in-process paths.
+    /// and the protocol's [`ExecConfig`] and [`Recorder`] threaded into the
+    /// OMP scans. Out-of-process aggregators (`cso-serve`) recover with
+    /// exactly this configuration to stay bit-identical to the in-process
+    /// paths.
     pub fn effective_recovery(&self, k: usize) -> BompConfig {
-        let mut recovery = self.recovery;
+        let mut recovery = self.recovery.clone();
         recovery.omp.max_iterations = self.budget_for(k).min(self.m);
         recovery.omp.exec = self.exec;
+        recovery.omp.rec = self.rec.clone();
         recovery
     }
 
@@ -174,20 +188,46 @@ impl CsProtocol {
         phi0.matvec(&Vector::from_vec(slice.to_vec()))
     }
 
-    /// As [`OutlierProtocol::run`], recording the execution into `rec`.
+    /// Runs the protocol over the real wire format: every node's sketch is
+    /// quantized with `encoding`, framed as a [`crate::wire::Message`],
+    /// decoded on the aggregator, and the cost is the **actual encoded byte
+    /// count** (headers included) rather than the abstract tuple
+    /// accounting.
+    ///
+    /// This is the fault-free degraded run: [`CsProtocol::run_degraded`]
+    /// over [`FaultPlan::none`] with [`RetryPolicy::no_retry`], so every
+    /// frame crosses once, `rounds` is 1 and `tuples` is `L·M`. With
+    /// [`crate::quantize::SketchEncoding::F64`] the recovered result is
+    /// identical to [`OutlierProtocol::run`]; narrower encodings trade
+    /// bounded recovery noise for a 2–4× smaller payload (the paper's
+    /// footnote 2).
+    pub fn run_over_wire(
+        &self,
+        cluster: &Cluster,
+        k: usize,
+        encoding: SketchEncoding,
+    ) -> Result<ProtocolRun, LinalgError> {
+        let plan = FaultPlan::none();
+        Ok(self.run_degraded(cluster, k, encoding, &plan, &RetryPolicy::no_retry())?.run)
+    }
+}
+
+impl OutlierProtocol for CsProtocol {
+    fn name(&self) -> &'static str {
+        "cs-bomp"
+    }
+
+    /// Runs the protocol priced in abstract tuples, recording into
+    /// [`CsProtocol::rec`].
     ///
     /// The trace is one `protocol.cs` span containing `sketch.build` (all
     /// node-side measurements), `transport` (the single sketch round, one
     /// virtual tick), and `recovery` (which BOMP fills with per-iteration
-    /// events — see [`cso_core::bomp_with_matrix_traced`]). The finished
+    /// events — see [`cso_core::bomp_with_matrix`]). The finished
     /// [`CostMeter`] is published into the `comm.*` counters, so the
     /// recorder's metrics agree with [`ProtocolRun::cost`] exactly.
-    pub fn run_traced(
-        &self,
-        cluster: &Cluster,
-        k: usize,
-        rec: &Recorder,
-    ) -> Result<ProtocolRun, LinalgError> {
+    fn run(&self, cluster: &Cluster, k: usize) -> Result<ProtocolRun, LinalgError> {
+        let rec = &self.rec;
         let n = cluster.n();
         // All parties regenerate the same operator from the seed; the dense
         // engine materializes Φ0 once here since the simulation shares an
@@ -230,104 +270,13 @@ impl CsProtocol {
         let recovery = self.effective_recovery(k);
         let result = {
             let _r = rec.span("recovery");
-            engine.recover(&y, &recovery, rec)?
+            engine.recover(&y, &recovery)?
         };
 
         meter.publish(rec);
         let estimate: Vec<KeyValue> =
             result.top_k(k).iter().map(|o| KeyValue { index: o.index, value: o.value }).collect();
         Ok(ProtocolRun { protocol: self.name(), estimate, mode: result.mode, cost: meter.finish() })
-    }
-}
-
-impl CsProtocol {
-    /// Runs the protocol over the real wire format: every node's sketch is
-    /// quantized with `encoding`, framed as a [`crate::wire::Message`], decoded on
-    /// the aggregator, and the cost is the **actual encoded byte count**
-    /// (headers included) rather than the abstract tuple accounting.
-    ///
-    /// With [`crate::quantize::SketchEncoding::F64`] the recovered result is identical to
-    /// [`OutlierProtocol::run`]; narrower encodings trade bounded recovery
-    /// noise for a 2–4× smaller payload (the paper's footnote 2).
-    pub fn run_over_wire(
-        &self,
-        cluster: &Cluster,
-        k: usize,
-        encoding: crate::quantize::SketchEncoding,
-    ) -> Result<ProtocolRun, LinalgError> {
-        use crate::quantize;
-        use crate::wire;
-
-        let n = cluster.n();
-        let engine = self.engine(n)?;
-
-        // Node-side measurement runs on the executor; framing and decoding
-        // stay sequential in node order, and the aggregation uses the
-        // canonical dyadic fold (the byte and float accounting must match
-        // the reference exactly).
-        let sketches = self.build_sketches(&engine, cluster, &Recorder::disabled())?;
-        let mut total_bytes = 0u64;
-        let mut decoded: Vec<Vector> = Vec::with_capacity(sketches.len());
-        for (l, sketch) in sketches.iter().enumerate() {
-            // Node side: quantize + frame.
-            let msg = wire::Message::Sketch {
-                node: l as u32,
-                seed: self.seed,
-                payload: quantize::encode(sketch, encoding),
-            };
-            let bytes = wire::encode(&msg);
-            total_bytes += bytes.len() as u64;
-            // Aggregator side: decode + verify configuration agreement.
-            match wire::decode(&bytes).map_err(|_| LinalgError::InvalidParameter {
-                name: "wire",
-                message: "sketch message failed to decode".into(),
-            })? {
-                wire::Message::Sketch { seed, payload, .. } => {
-                    if seed != self.seed {
-                        return Err(LinalgError::InvalidParameter {
-                            name: "seed",
-                            message: "node and aggregator disagree on the seed".into(),
-                        });
-                    }
-                    decoded.push(quantize::decode(&payload));
-                }
-                _ => {
-                    return Err(LinalgError::InvalidParameter {
-                        name: "wire",
-                        message: "unexpected message kind".into(),
-                    })
-                }
-            }
-        }
-        // The aggregator folds decoded sketches in the canonical dyadic
-        // order over node ids, matching the reference run bit-for-bit.
-        let members: Vec<(usize, &Vector)> = decoded.iter().enumerate().collect();
-        let y = crate::fold::dyadic_fold(self.m, &members);
-
-        let recovery = self.effective_recovery(k);
-        let result = engine.recover(&y, &recovery, &Recorder::disabled())?;
-        let estimate: Vec<KeyValue> =
-            result.top_k(k).iter().map(|o| KeyValue { index: o.index, value: o.value }).collect();
-        Ok(ProtocolRun {
-            protocol: self.name(),
-            estimate,
-            mode: result.mode,
-            cost: crate::cost::CommunicationCost {
-                bits: total_bytes * 8,
-                tuples: (cluster.l() * self.m) as u64,
-                rounds: 1,
-            },
-        })
-    }
-}
-
-impl OutlierProtocol for CsProtocol {
-    fn name(&self) -> &'static str {
-        "cs-bomp"
-    }
-
-    fn run(&self, cluster: &Cluster, k: usize) -> Result<ProtocolRun, LinalgError> {
-        self.run_traced(cluster, k, &Recorder::disabled())
     }
 }
 
@@ -483,6 +432,30 @@ mod tests {
         assert!(wire_run.cost.bits < abstract_run.cost.bits + cluster.l() as u64 * 8 * 32);
     }
 
+    /// The wire run is the fault-free degraded run: one round, every node's
+    /// `M` values sent once, and every frame's bytes counted once.
+    #[test]
+    fn wire_execution_is_one_round_of_one_frame_per_node() {
+        let (cluster, _) = majority_cluster(77);
+        let proto = CsProtocol::new(110, 5).with_recovery(BompConfig::for_k_outliers(8));
+        let encoding = crate::quantize::SketchEncoding::F64;
+        let run = proto.run_over_wire(&cluster, 8, encoding).unwrap();
+        let frames: u64 = proto
+            .node_sketches(&cluster)
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(l, sketch)| {
+                let payload = crate::quantize::encode(sketch, encoding);
+                let msg = crate::wire::Message::Sketch { node: l as u32, seed: 5, payload };
+                crate::wire::encode(&msg).len() as u64
+            })
+            .sum();
+        assert_eq!(run.cost.rounds, 1);
+        assert_eq!(run.cost.tuples, (cluster.l() * proto.m) as u64);
+        assert_eq!(run.cost.bits, frames * 8);
+    }
+
     #[test]
     fn wire_execution_with_quantization_is_cheaper_and_still_accurate() {
         let (cluster, data) = majority_cluster(78);
@@ -507,7 +480,7 @@ mod tests {
             .with_exec(ExecConfig::sequential());
         let plain = proto.run(&cluster, 8).unwrap();
         let rec = Recorder::new();
-        let traced = proto.run_traced(&cluster, 8, &rec).unwrap();
+        let traced = proto.clone().with_recorder(rec.clone()).run(&cluster, 8).unwrap();
 
         // Tracing must not change the computation.
         assert_eq!(plain.estimate, traced.estimate);
@@ -580,7 +553,7 @@ mod tests {
             .with_recovery(BompConfig::for_k_outliers(6))
             .with_exec(ExecConfig::with_workers(4));
         let rec = Recorder::new();
-        let run = proto.run_traced(&cluster, 6, &rec).unwrap();
+        let run = proto.with_recorder(rec.clone()).run(&cluster, 6).unwrap();
         let snap = rec.metrics_snapshot();
         // One executor task per node.
         assert_eq!(snap.counter("exec.tasks"), Some(cluster.l() as u64));

@@ -25,7 +25,8 @@ use crate::retry::RetryPolicy;
 use crate::wire;
 use cso_core::KeyValue;
 use cso_linalg::{LinalgError, Vector};
-use cso_obs::{Recorder, Value};
+use cso_obs::Value;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Virtual ticks one transmission attempt takes when the channel does not
@@ -48,12 +49,17 @@ pub enum Offer {
 /// canonical [dyadic fold] over node ids, so a degraded (surviving-subset)
 /// measurement is bit-identical to what any other path — flat server,
 /// relay tier, in-process reference — computes over the same survivors.
+/// The fold is lazy: an accepted offer invalidates the cached sum and the
+/// next [`SketchCollector::sum`] refolds it, so collecting `L` sketches
+/// and then reading costs `O(L·M)`, not `O(L²·M)`.
 ///
 /// [dyadic fold]: crate::fold::dyadic_fold
 #[derive(Debug, Clone)]
 pub struct SketchCollector {
     m: usize,
-    sum: Vector,
+    /// The dyadic fold of `sketches`; empty after an accepted offer until
+    /// the next read fills it.
+    sum: OnceCell<Vector>,
     sketches: BTreeMap<u32, Vector>,
     seen: BTreeSet<(u32, u64)>,
     duplicates_ignored: u64,
@@ -64,7 +70,7 @@ impl SketchCollector {
     pub fn new(m: usize) -> Self {
         SketchCollector {
             m,
-            sum: Vector::zeros(m),
+            sum: OnceCell::new(),
             sketches: BTreeMap::new(),
             seen: BTreeSet::new(),
             duplicates_ignored: 0,
@@ -93,15 +99,18 @@ impl SketchCollector {
                 self.sketches.insert(node, sketch.clone());
             }
         }
-        let members: Vec<(usize, &Vector)> =
-            self.sketches.iter().map(|(id, s)| (*id as usize, s)).collect();
-        self.sum = crate::fold::dyadic_fold(self.m, &members);
+        self.sum.take();
         Ok(Offer::Accepted)
     }
 
-    /// The partial aggregate measurement `Σ_{l∈S} y_l` so far.
+    /// The partial aggregate measurement `Σ_{l∈S} y_l` so far, folded now
+    /// if an offer was accepted since the last read.
     pub fn sum(&self) -> &Vector {
-        &self.sum
+        self.sum.get_or_init(|| {
+            let members: Vec<(usize, &Vector)> =
+                self.sketches.iter().map(|(id, s)| (*id as usize, s)).collect();
+            crate::fold::dyadic_fold(self.m, &members)
+        })
     }
 
     /// Node ids that have contributed, ascending.
@@ -169,6 +178,18 @@ impl CsProtocol {
     /// dropped or corrupt frame still crossed the wire — so the reported
     /// [`crate::cost::CommunicationCost`] prices fault recovery honestly.
     /// Errors only on invalid configuration or when *no* node survives.
+    ///
+    /// The run records into [`CsProtocol::rec`]: one `protocol.cs.degraded`
+    /// span containing `sketch.build`, `transport` (one `transport.node`
+    /// event per node with its attempt count, survival, and virtual
+    /// elapsed ticks), and `recovery`. The recorder's tick advances by the
+    /// round's elapsed virtual time. Published metrics: the `comm.*`
+    /// counters (equal to the returned
+    /// [`crate::cost::CommunicationCost`] exactly), the transport counters
+    /// `retry.retransmissions` / `transport.corrupt_rejected` /
+    /// `transport.duplicates` / `transport.timeouts` / `nodes.survived` /
+    /// `nodes.dropped`, the channel's `fault.*` counters, and the
+    /// `transport.surviving_fraction` gauge.
     pub fn run_degraded(
         &self,
         cluster: &Cluster,
@@ -177,30 +198,7 @@ impl CsProtocol {
         plan: &FaultPlan,
         policy: &RetryPolicy,
     ) -> Result<DegradedRun, LinalgError> {
-        self.run_degraded_traced(cluster, k, encoding, plan, policy, &Recorder::disabled())
-    }
-
-    /// As [`CsProtocol::run_degraded`], recording the execution into `rec`.
-    ///
-    /// The trace is one `protocol.cs.degraded` span containing
-    /// `sketch.build`, `transport` (one `transport.node` event per node with
-    /// its attempt count, survival, and virtual elapsed ticks), and
-    /// `recovery`. The recorder's tick advances by the round's elapsed
-    /// virtual time. Published metrics: the `comm.*` counters (equal to the
-    /// returned [`crate::cost::CommunicationCost`] exactly), the transport
-    /// counters `retry.retransmissions` / `transport.corrupt_rejected` /
-    /// `transport.duplicates` / `transport.timeouts` /
-    /// `nodes.survived` / `nodes.dropped`, the channel's `fault.*`
-    /// counters, and the `transport.surviving_fraction` gauge.
-    pub fn run_degraded_traced(
-        &self,
-        cluster: &Cluster,
-        k: usize,
-        encoding: SketchEncoding,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        rec: &Recorder,
-    ) -> Result<DegradedRun, LinalgError> {
+        let rec = &self.rec;
         let n = cluster.n();
         let engine = self.engine(n)?;
 
@@ -334,12 +332,10 @@ impl CsProtocol {
             return Err(LinalgError::Empty { op: "degraded aggregation" });
         }
 
-        let mut recovery = self.recovery;
-        recovery.omp.max_iterations = self.budget_for(k).min(self.m);
-        recovery.omp.exec = self.exec;
+        let recovery = self.effective_recovery(k);
         let result = {
             let _r = rec.span("recovery");
-            engine.recover(collector.sum(), &recovery, rec)?
+            engine.recover(collector.sum(), &recovery)?
         };
         let estimate: Vec<KeyValue> =
             result.top_k(k).iter().map(|o| KeyValue { index: o.index, value: o.value }).collect();
@@ -383,6 +379,7 @@ mod tests {
     use super::*;
     use crate::wire::CHECKSUM_BYTES;
     use cso_core::BompConfig;
+    use cso_obs::Recorder;
     use cso_workloads::{split, MajorityConfig, MajorityData, SliceStrategy};
 
     fn cluster_of(l: usize, seed: u64) -> (Cluster, MajorityData) {
@@ -581,8 +578,11 @@ mod tests {
         let plan = FaultPlan::new(1234).fail_nodes(&[2, 5]).corrupt_rate(0.05);
         let policy = RetryPolicy::default();
         let rec = Recorder::new();
-        let deg =
-            p.run_degraded_traced(&cluster, 8, SketchEncoding::F64, &plan, &policy, &rec).unwrap();
+        let deg = p
+            .clone()
+            .with_recorder(rec.clone())
+            .run_degraded(&cluster, 8, SketchEncoding::F64, &plan, &policy)
+            .unwrap();
 
         // Tracing must not perturb the deterministic execution.
         let plain = p.run_degraded(&cluster, 8, SketchEncoding::F64, &plan, &policy).unwrap();
@@ -635,5 +635,61 @@ mod tests {
         assert_eq!(c.sum().as_slice(), &[2.0, 4.0, 6.0]);
         let bad = Vector::from_vec(vec![1.0]);
         assert!(c.offer(2, 9, &bad).is_err());
+    }
+
+    /// The lazily folded sum is, after every offer, bit-identical to a
+    /// fresh dyadic fold over the accepted members. The random sequences
+    /// replay earlier frames (duplicates) and let nodes offer a second
+    /// seed, whose sketch joins that node's one member.
+    #[test]
+    fn collector_sum_matches_fresh_fold_after_every_offer() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let m = 6;
+        let (mut duplicates, mut second_seeds) = (0, 0);
+        for run in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(run);
+            let mut collector = SketchCollector::new(m);
+            let mut offered: Vec<(u32, u64, Vector)> = Vec::new();
+            let mut seen = BTreeSet::new();
+            let mut members: BTreeMap<u32, Vector> = BTreeMap::new();
+            for step in 0..48 {
+                let (node, seed, sketch) = if step % 4 == 3 {
+                    offered[rng.gen_range(0..offered.len())].clone()
+                } else {
+                    let node = rng.gen_range(0..20u32);
+                    let seed = if rng.gen_bool(0.3) { 8 } else { 7 };
+                    // Mixed magnitudes, so any other summation order shows
+                    // in the low bits.
+                    let sketch: Vec<f64> = (0..m)
+                        .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-6..7)))
+                        .collect();
+                    (node, seed, Vector::from_vec(sketch))
+                };
+                let offer = collector.offer(node, seed, &sketch).unwrap();
+                if seen.insert((node, seed)) {
+                    assert_eq!(offer, Offer::Accepted);
+                    match members.get_mut(&node) {
+                        Some(total) => {
+                            total.add_assign(&sketch).unwrap();
+                            second_seeds += 1;
+                        }
+                        None => {
+                            members.insert(node, sketch.clone());
+                        }
+                    }
+                } else {
+                    assert_eq!(offer, Offer::Duplicate);
+                    duplicates += 1;
+                }
+                offered.push((node, seed, sketch));
+                let fresh: Vec<(usize, &Vector)> =
+                    members.iter().map(|(id, s)| (*id as usize, s)).collect();
+                let want = crate::fold::dyadic_fold(m, &fresh);
+                let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(collector.sum()), bits(&want), "run {run}, step {step}");
+            }
+        }
+        assert!(duplicates > 0 && second_seeds > 0, "{duplicates} dups, {second_seeds} 2nd seeds");
     }
 }

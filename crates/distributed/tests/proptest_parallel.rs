@@ -40,7 +40,7 @@ fn slices_strategy() -> impl Strategy<Value = Vec<Vec<f64>>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `run` and `run_traced` are bit-identical across worker counts, and
+    /// Untraced and traced runs are bit-identical across worker counts:
     /// tracing never perturbs the computation.
     #[test]
     fn run_and_run_traced_identical_across_worker_counts(
@@ -58,7 +58,7 @@ proptest! {
             let run = proto.run(&cluster, k).unwrap();
             assert_bit_identical(&run, &reference)?;
             let rec = Recorder::new();
-            let traced = proto.run_traced(&cluster, k, &rec).unwrap();
+            let traced = proto.with_recorder(rec).run(&cluster, k).unwrap();
             assert_bit_identical(&traced, &reference)?;
         }
     }

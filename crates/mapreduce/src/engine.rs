@@ -164,21 +164,6 @@ where
     map_reduce_with_combiner(splits, mapper, no_combiner, pair_bytes, reducer)
 }
 
-/// As [`map_reduce`], recording per-phase spans into `rec`
-/// (see [`map_reduce_with_combiner_traced`]).
-pub fn map_reduce_traced<I, K, V, O>(
-    splits: &[Vec<I>],
-    mapper: impl FnMut(&I, &mut Emitter<K, V>),
-    pair_bytes: u64,
-    reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
-    rec: &Recorder,
-) -> (Vec<O>, JobCounters)
-where
-    K: Ord,
-{
-    map_reduce_with_combiner_traced(splits, mapper, no_combiner, pair_bytes, reducer, rec)
-}
-
 /// As [`map_reduce`], running map+combine tasks on `exec`'s worker threads
 /// (see [`map_reduce_with_combiner_exec_traced`] for the determinism
 /// guarantee).
@@ -198,21 +183,15 @@ where
         exec,
         splits,
         mapper,
-        no_combiner_sync,
+        no_combiner,
         pair_bytes,
         reducer,
         &Recorder::disabled(),
     )
 }
 
-/// The identity combiner used by [`map_reduce`].
+/// The identity combiner used by [`map_reduce`] and [`map_reduce_exec`].
 fn no_combiner<K, V>(_key: &K, values: Vec<V>) -> Vec<V> {
-    values
-}
-
-/// The identity combiner for the parallel entry points (same function,
-/// named separately so the `Fn + Sync` bound is explicit).
-fn no_combiner_sync<K, V>(_key: &K, values: Vec<V>) -> Vec<V> {
     values
 }
 
@@ -221,27 +200,34 @@ fn no_combiner_sync<K, V>(_key: &K, values: Vec<V>) -> Vec<V> {
 /// aggregations. The combiner receives one task's values for a key and
 /// returns the (usually single-element) values actually shipped; shuffle
 /// counters reflect the combined output.
+///
+/// This is the sequential reference implementation: map tasks run inline
+/// in task order. The parallel engine
+/// ([`map_reduce_with_combiner_exec_traced`]) shares the per-task body and
+/// the ordered merge with this function, differing only in where tasks
+/// execute.
 pub fn map_reduce_with_combiner<I, K, V, O>(
     splits: &[Vec<I>],
-    mapper: impl FnMut(&I, &mut Emitter<K, V>),
-    combiner: impl FnMut(&K, Vec<V>) -> Vec<V>,
+    mut mapper: impl FnMut(&I, &mut Emitter<K, V>),
+    mut combiner: impl FnMut(&K, Vec<V>) -> Vec<V>,
     pair_bytes: u64,
     reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
 ) -> (Vec<O>, JobCounters)
 where
     K: Ord,
 {
-    map_reduce_with_combiner_traced(
-        splits,
-        mapper,
-        combiner,
-        pair_bytes,
-        reducer,
-        &Recorder::disabled(),
-    )
+    let mut counters = JobCounters { map_tasks: splits.len() as u64, ..Default::default() };
+    let rec = Recorder::disabled();
+    let outputs: Vec<MapTaskOutput<K, V>> = splits
+        .iter()
+        .map(|split| run_map_task(split, &mut mapper, &mut combiner, pair_bytes))
+        .collect();
+    let groups = merge_task_outputs(outputs, &mut counters, &rec);
+    reduce_groups(groups, reducer, &mut counters, &rec)
 }
 
-/// As [`map_reduce_with_combiner`], recording the job into `rec`.
+/// As [`map_reduce_with_combiner`], running the map+combine tasks on
+/// `exec`'s workers and recording the job into `rec`.
 ///
 /// The trace is one `mr.job` span containing `mr.map` (map + combine +
 /// shuffle accounting, with one `mr.task` event per split carrying its
@@ -250,46 +236,13 @@ where
 /// whole job call [`JobCounters::publish`] once, so a multi-job pipeline
 /// controls which runs land in the metrics.
 ///
-/// This is the sequential reference implementation: map tasks run inline
-/// in task order. The parallel engine
-/// ([`map_reduce_with_combiner_exec_traced`]) shares the per-task body and
-/// the ordered merge with this function, differing only in where tasks
-/// execute.
-pub fn map_reduce_with_combiner_traced<I, K, V, O>(
-    splits: &[Vec<I>],
-    mut mapper: impl FnMut(&I, &mut Emitter<K, V>),
-    mut combiner: impl FnMut(&K, Vec<V>) -> Vec<V>,
-    pair_bytes: u64,
-    reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
-    rec: &Recorder,
-) -> (Vec<O>, JobCounters)
-where
-    K: Ord,
-{
-    let mut counters = JobCounters { map_tasks: splits.len() as u64, ..Default::default() };
-
-    let _job_span = rec.span_with("mr.job", &[("tasks", Value::U64(splits.len() as u64))]);
-    let groups = {
-        let _map_span = rec.span("mr.map");
-        let outputs: Vec<MapTaskOutput<K, V>> = splits
-            .iter()
-            .map(|split| run_map_task(split, &mut mapper, &mut combiner, pair_bytes))
-            .collect();
-        merge_task_outputs(outputs, &mut counters, rec)
-    };
-    reduce_groups(groups, reducer, &mut counters, rec)
-}
-
-/// As [`map_reduce_with_combiner_traced`], running the map+combine tasks
-/// on `exec`'s workers.
-///
 /// **Determinism:** worker threads only produce per-task map outputs; the
 /// merge into shuffle groups happens on the calling thread, sequentially,
-/// in task order — the same merge the sequential reference performs. Output, counters, and the recorded
-/// `mr.*` trace are therefore bit-identical to the sequential path for
-/// any worker count (tested). With `exec.workers > 1` and an enabled
-/// recorder, the section additionally records `exec.*` spans and metrics
-/// inside `mr.map` (see `cso_exec::ExecStats::record`).
+/// in task order — the same merge the sequential reference performs.
+/// Output, counters, and the recorded `mr.*` trace are therefore
+/// bit-identical for any worker count (tested). With `exec.workers > 1`
+/// and an enabled recorder, the section additionally records `exec.*`
+/// spans and metrics inside `mr.map` (see `cso_exec::ExecStats::record`).
 pub fn map_reduce_with_combiner_exec_traced<I, K, V, O>(
     exec: &ExecConfig,
     splits: &[Vec<I>],

@@ -6,10 +6,10 @@
 //! paper's mappers do this lookup against the broadcast `KeyList`).
 
 use crate::engine::{map_reduce_with_combiner_exec_traced, JobCounters};
-use cso_core::{bomp_with_matrix_traced, BompConfig, KeyValue, MeasurementSpec};
+use cso_core::{bomp_with_matrix, BompConfig, KeyValue, MeasurementSpec};
 use cso_exec::ExecConfig;
 use cso_linalg::{LinalgError, Vector};
-use cso_obs::{Recorder, Value};
+use cso_obs::Value;
 
 /// One raw input record: a resolved key index and a signed score.
 pub type Record = (usize, f64);
@@ -40,6 +40,13 @@ pub struct TopKJobOutput {
 /// compresses the partial vector with the seed-shared `Φ0`, and emits
 /// `(measurement row, partial measurement)` pairs. The reduce side sums
 /// each row and the driver runs BOMP on the assembled global measurement.
+///
+/// The job records into `recovery.omp.rec`: one `job.cs` span containing
+/// `sketch.build` (Algorithm 3's per-split partial aggregation and
+/// compression), the engine's `mr.job` span (shuffle + per-row summation),
+/// and `recovery` (BOMP with its per-iteration events). The finished
+/// [`JobCounters`] are published into the `mr.*` counters, so the
+/// recorder's metrics agree with [`CsJobOutput::counters`] exactly.
 pub fn run_cs_job(
     splits: &[Vec<Record>],
     n: usize,
@@ -48,31 +55,11 @@ pub fn run_cs_job(
     k: usize,
     recovery: &BompConfig,
 ) -> Result<CsJobOutput, LinalgError> {
-    run_cs_job_traced(splits, n, m, seed, k, recovery, &Recorder::disabled())
+    run_cs_job_exec(&ExecConfig::sequential(), splits, n, m, seed, k, recovery)
 }
 
-/// As [`run_cs_job`], recording the execution into `rec`.
-///
-/// The trace is one `job.cs` span containing `sketch.build` (Algorithm 3's
-/// per-split partial aggregation and compression), the engine's `mr.job`
-/// span (shuffle + per-row summation), and `recovery` (BOMP with its
-/// per-iteration events). The finished [`JobCounters`] are published into
-/// the `mr.*` counters, so the recorder's metrics agree with
-/// [`CsJobOutput::counters`] exactly.
-pub fn run_cs_job_traced(
-    splits: &[Vec<Record>],
-    n: usize,
-    m: usize,
-    seed: u64,
-    k: usize,
-    recovery: &BompConfig,
-    rec: &Recorder,
-) -> Result<CsJobOutput, LinalgError> {
-    run_cs_job_exec(&ExecConfig::sequential(), splits, n, m, seed, k, recovery, rec)
-}
-
-/// As [`run_cs_job_traced`], running the per-split sketch construction and
-/// the engine's map tasks on `exec`'s worker threads.
+/// As [`run_cs_job`], running the per-split sketch construction and the
+/// engine's map tasks on `exec`'s worker threads.
 ///
 /// Output is **bit-identical** to the sequential reference for any worker
 /// count: per-split sketches are computed in isolation and merged in split
@@ -80,7 +67,6 @@ pub fn run_cs_job_traced(
 /// (see [`crate::engine`]). With `exec.workers > 1` and an enabled
 /// recorder, `exec.*` spans and metrics appear inside `sketch.build` and
 /// `mr.map`; sequential traces are unchanged.
-#[allow(clippy::too_many_arguments)]
 pub fn run_cs_job_exec(
     exec: &ExecConfig,
     splits: &[Vec<Record>],
@@ -89,8 +75,8 @@ pub fn run_cs_job_exec(
     seed: u64,
     k: usize,
     recovery: &BompConfig,
-    rec: &Recorder,
 ) -> Result<CsJobOutput, LinalgError> {
+    let rec = &recovery.omp.rec;
     let spec = MeasurementSpec::new(m, n, seed)?;
 
     let _job_span = rec.span_with(
@@ -159,7 +145,7 @@ pub fn run_cs_job_exec(
     let phi0 = spec.materialize();
     let result = {
         let _recovery_span = rec.span("recovery");
-        bomp_with_matrix_traced(&phi0, &y, recovery, rec)?
+        bomp_with_matrix(&phi0, &y, recovery)?
     };
     counters.publish(rec);
     let outliers =
@@ -201,6 +187,7 @@ pub fn run_topk_job(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cso_obs::Recorder;
 
     /// Splits with a known aggregate: mode 0, outliers at keys 7 and 31.
     fn fixture(n: usize) -> (Vec<Vec<Record>>, Vec<f64>) {
@@ -264,8 +251,9 @@ mod tests {
         let (splits, _) = fixture(64);
         let plain = run_cs_job(&splits, 64, 40, 9, 3, &BompConfig::default()).unwrap();
         let rec = Recorder::new();
-        let traced =
-            run_cs_job_traced(&splits, 64, 40, 9, 3, &BompConfig::default(), &rec).unwrap();
+        let mut config = BompConfig::default();
+        config.omp.rec = rec.clone();
+        let traced = run_cs_job(&splits, 64, 40, 9, 3, &config).unwrap();
         assert_eq!(plain.outliers, traced.outliers);
         assert_eq!(plain.counters, traced.counters);
         assert!((plain.mode - traced.mode).abs() < 1e-12);
@@ -317,7 +305,6 @@ mod tests {
                 1,
                 1,
                 &BompConfig::default(),
-                &Recorder::disabled(),
             )
             .is_err());
         }
@@ -344,7 +331,6 @@ mod tests {
                 11,
                 4,
                 &BompConfig::default(),
-                &Recorder::disabled(),
             )
             .unwrap();
             assert_eq!(par.counters, seq.counters, "workers = {workers}");

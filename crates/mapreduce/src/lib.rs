@@ -21,12 +21,9 @@ pub mod profile;
 
 pub use cso_exec::ExecConfig;
 pub use engine::{
-    map_reduce, map_reduce_exec, map_reduce_traced, map_reduce_with_combiner,
-    map_reduce_with_combiner_exec_traced, map_reduce_with_combiner_traced, Emitter, JobCounters,
+    map_reduce, map_reduce_exec, map_reduce_with_combiner, map_reduce_with_combiner_exec_traced,
+    Emitter, JobCounters,
 };
-pub use jobs::{
-    run_cs_job, run_cs_job_exec, run_cs_job_traced, run_topk_job, CsJobOutput, Record,
-    TopKJobOutput,
-};
+pub use jobs::{run_cs_job, run_cs_job_exec, run_topk_job, CsJobOutput, Record, TopKJobOutput};
 pub use model::{cs_bomp, traditional_topk, JobEstimate, WorkloadShape};
 pub use profile::ClusterProfile;

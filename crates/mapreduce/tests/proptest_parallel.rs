@@ -4,7 +4,6 @@
 
 use cso_exec::ExecConfig;
 use cso_mapreduce::{map_reduce, map_reduce_exec, run_cs_job, run_cs_job_exec};
-use cso_obs::Recorder;
 use proptest::prelude::*;
 
 /// Worker counts exercised against the sequential reference.
@@ -35,7 +34,6 @@ proptest! {
                 seed,
                 3,
                 &cfg,
-                &Recorder::disabled(),
             )
             .unwrap();
             prop_assert_eq!(run.counters, reference.counters);

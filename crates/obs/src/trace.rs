@@ -133,9 +133,17 @@ struct Inner {
 /// Cloning shares the underlying buffers; a disabled recorder
 /// ([`Recorder::disabled`], also the `Default`) turns every call into a
 /// no-op behind a single branch.
-#[derive(Debug, Clone, Default)]
+#[derive(Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
+}
+
+/// Prints only whether the recorder is enabled, not its buffers: configs
+/// that carry a recorder derive `Debug`.
+impl std::fmt::Debug for Recorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Recorder").field("enabled", &self.is_enabled()).finish()
+    }
 }
 
 impl Recorder {

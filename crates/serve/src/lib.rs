@@ -69,4 +69,6 @@ pub use session::{
     PendingForward, RecoverJob, RecoveredEpoch, RecoveryPolicy, RejectCode, SessionStore,
     StoreLimits, StoreStats,
 };
-pub use wal::{Durability, FsyncPolicy, RecoveryReport, ReplayError, Wal, WalError, WalRecord};
+pub use wal::{
+    Durability, FsyncPolicy, RecoveryReport, ReplayError, SegmentFault, Wal, WalError, WalRecord,
+};

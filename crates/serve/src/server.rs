@@ -299,6 +299,22 @@ impl Shared {
         }
     }
 
+    /// What follows a journal append on a worker, once every shard lock
+    /// is released: given [`Shared::journal`]'s `(latched, snapshot_due)`,
+    /// a WAL that latched failed is flight-recorded on `lane` and the
+    /// flight recorder dumped, and a due snapshot is taken.
+    fn after_journal(&self, lane: usize, (latched, snapshot_due): (bool, bool)) {
+        if latched {
+            self.flight.record(lane, FK_WAL_LATCHED, &[lane as u64]);
+            self.dump_flight();
+        }
+        if snapshot_due {
+            let mut snap_stats = StoreStats::new();
+            self.snapshot_all(&mut snap_stats);
+            snap_stats.flush(&self.rec);
+        }
+    }
+
     /// The live metrics snapshot the introspection plane serves: the
     /// recorder's registry plus the occupancy gauges derived from the
     /// lock-free shard mirrors and the inbox backlogs. Never touches a
@@ -996,19 +1012,11 @@ fn handle_frame(
                         PadIngest::Accepted(permit) => {
                             stats.add("serve.sketches_accepted", 1);
                             stats.add("serve.shard_lockfree_ingests", 1);
-                            let (latched, snap_due) =
+                            let journaled =
                                 sh.journal(&Effect::Ingested { session, epoch }, msg, &mut stats);
                             drop(permit);
                             stats.flush(&sh.rec);
-                            if latched {
-                                sh.flight.record(lane, FK_WAL_LATCHED, &[lane as u64]);
-                                sh.dump_flight();
-                            }
-                            if snap_due {
-                                let mut snap_stats = StoreStats::new();
-                                sh.snapshot_all(&mut snap_stats);
-                                snap_stats.flush(&sh.rec);
-                            }
+                            sh.after_journal(lane, journaled);
                             break 'reply Message::Ack { of: TAG_SKETCH, info: 0 };
                         }
                         PadIngest::Duplicate => {
@@ -1078,7 +1086,7 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
     let shard = &sh.shards[idx];
     let mut stats = StoreStats::new();
     stats.add("serve.shard_locked_dispatches", 1);
-    let (dispatched, latched, snap_due) = {
+    let (dispatched, journaled) = {
         let mut store = lock_unpoisoned(&shard.store);
         let d = store.dispatch(&mut conn.state, msg, &sh.config.policy, &mut stats);
         // Journal before the ack leaves the process; the journal lock
@@ -1098,18 +1106,10 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
                 _ => None,
             };
         }
-        (d, journaled.0, journaled.1)
+        (d, journaled)
     };
     stats.flush(&sh.rec);
-    if latched {
-        sh.flight.record(lane, FK_WAL_LATCHED, &[lane as u64]);
-        sh.dump_flight();
-    }
-    if snap_due {
-        let mut snap_stats = StoreStats::new();
-        sh.snapshot_all(&mut snap_stats);
-        snap_stats.flush(&sh.rec);
-    }
+    sh.after_journal(lane, journaled);
     match dispatched {
         Dispatch::Reply(reply, effect) => {
             // A journaled seal is a flight waypoint: the WAL append (and
@@ -1135,7 +1135,7 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
             if let Some(ep) = &summary {
                 crash_point("mid-recover");
                 let mut stats = StoreStats::new();
-                let (latched, snap_due) = {
+                let journaled = {
                     let mut store = lock_unpoisoned(&shard.store);
                     store.finish_recover(session, epoch, &mut stats);
                     let j = sh.journal(&Effect::Recovered { session, epoch }, msg, &mut stats);
@@ -1143,15 +1143,7 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
                     j
                 };
                 stats.flush(&sh.rec);
-                if latched {
-                    sh.flight.record(lane, FK_WAL_LATCHED, &[lane as u64]);
-                    sh.dump_flight();
-                }
-                if snap_due {
-                    let mut snap_stats = StoreStats::new();
-                    sh.snapshot_all(&mut snap_stats);
-                    snap_stats.flush(&sh.rec);
-                }
+                sh.after_journal(lane, journaled);
                 sh.flight.record(
                     lane,
                     FK_RECOVERED,

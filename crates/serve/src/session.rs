@@ -661,7 +661,7 @@ impl ConnState {
 /// How recoveries are configured: the same knobs [`CsProtocol`] resolves —
 /// a base [`BompConfig`] (defaulting to the paper's `R = f(k)` heuristic)
 /// and the executor the OMP scans run on.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RecoveryPolicy {
     /// Base recovery configuration (iteration budget `usize::MAX` means
     /// "resolve the paper heuristic at recover time").
@@ -673,14 +673,16 @@ pub struct RecoveryPolicy {
 impl RecoveryPolicy {
     /// The exact configuration a recover of `(m, seed, k)` runs with —
     /// identical to [`CsProtocol::effective_recovery`], which is what makes
-    /// server-side recovery bit-identical to the in-process paths.
+    /// server-side recovery bit-identical to the in-process paths. The
+    /// serve path records no recovery trace.
     fn effective(&self, m: usize, seed: u64, k: u32) -> BompConfig {
         CsProtocol {
             m,
             seed,
-            recovery: self.recovery,
+            recovery: self.recovery.clone(),
             exec: self.exec,
             backend: SketchBackend::dense(),
+            rec: Recorder::disabled(),
         }
         .effective_recovery(k as usize)
     }

@@ -177,7 +177,7 @@ pub enum WalError {
         /// The offending file.
         path: PathBuf,
         /// Why the header was rejected.
-        reason: String,
+        reason: SegmentFault,
     },
     /// An intact record did not decode, or was inconsistent with the
     /// store built so far (e.g. a seal whose seed disagrees with its open).
@@ -232,6 +232,36 @@ impl std::fmt::Display for WalError {
 }
 
 impl std::error::Error for WalError {}
+
+/// Why a segment header was rejected ([`WalError::BadSegment`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SegmentFault {
+    /// The file is shorter than the header and is not a prefix of it (a
+    /// rotation stub is).
+    Short {
+        /// The file's length in bytes.
+        len: usize,
+    },
+    /// The first eight bytes are not [`SEGMENT_MAGIC`].
+    BadMagic,
+    /// The header names a format version this build does not read.
+    Version {
+        /// The version word the header carries.
+        found: u32,
+    },
+}
+
+impl std::fmt::Display for SegmentFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SegmentFault::Short { len } => write!(f, "{len} bytes is shorter than the header"),
+            SegmentFault::BadMagic => write!(f, "bad magic"),
+            SegmentFault::Version { found } => {
+                write!(f, "version {found} (this build reads {WAL_VERSION})")
+            }
+        }
+    }
+}
 
 fn io_err(context: &str, e: &io::Error) -> WalError {
     WalError::Io { context: context.to_string(), kind: e.kind() }
@@ -993,23 +1023,17 @@ fn replay_segment(
         if segment_header().starts_with(&buf) {
             return Ok((0, None, SegmentEnd::Stub));
         }
-        return Err(WalError::BadSegment {
-            path: path.to_path_buf(),
-            reason: format!("{} bytes is shorter than the header", buf.len()),
-        });
+        let reason = SegmentFault::Short { len: buf.len() };
+        return Err(WalError::BadSegment { path: path.to_path_buf(), reason });
     }
     if &buf[..8] != SEGMENT_MAGIC {
-        return Err(WalError::BadSegment {
-            path: path.to_path_buf(),
-            reason: "bad magic".to_string(),
-        });
+        let reason = SegmentFault::BadMagic;
+        return Err(WalError::BadSegment { path: path.to_path_buf(), reason });
     }
     let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
     if version != WAL_VERSION {
-        return Err(WalError::BadSegment {
-            path: path.to_path_buf(),
-            reason: format!("version {version} (this build reads {WAL_VERSION})"),
-        });
+        let reason = SegmentFault::Version { found: version };
+        return Err(WalError::BadSegment { path: path.to_path_buf(), reason });
     }
     let done = replay_records(&buf, 12, store).map_err(WalError::Replay)?;
     let end = done.torn.map_or(SegmentEnd::Clean, |(at, _)| SegmentEnd::Torn { offset: at as u64 });
@@ -1467,6 +1491,42 @@ mod tests {
             SessionStore::recover_from(&dir, StoreLimits::default()),
             Err(WalError::BadSegment { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Each way a segment header can be unreadable is its own
+    /// [`SegmentFault`], and the text names it.
+    #[test]
+    fn bad_segment_reasons_are_typed() {
+        let dir = temp_dir("segfault");
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open");
+        wal.append(&sample_records()[0], &mut StoreStats::new());
+        drop(wal);
+        let seg = segment_path(&dir, 0);
+        let good = fs::read(&seg).expect("segment");
+        let mut bad_magic = good.clone();
+        bad_magic[0] ^= 0xFF;
+        let mut foreign = good.clone();
+        foreign[8..12].copy_from_slice(&(WAL_VERSION + 7).to_le_bytes());
+        let cases = [
+            (b"XYZ".to_vec(), SegmentFault::Short { len: 3 }, "3 bytes is shorter".to_string()),
+            (bad_magic, SegmentFault::BadMagic, "bad magic".to_string()),
+            (
+                foreign,
+                SegmentFault::Version { found: WAL_VERSION + 7 },
+                format!("version {} (this build reads {WAL_VERSION})", WAL_VERSION + 7),
+            ),
+        ];
+        for (bytes, want, text) in cases {
+            fs::write(&seg, &bytes).expect("rewrite");
+            match SessionStore::recover_from(&dir, StoreLimits::default()) {
+                Err(e @ WalError::BadSegment { reason, .. }) => {
+                    assert_eq!(reason, want);
+                    assert!(e.to_string().contains(&text), "{e}");
+                }
+                other => panic!("{want:?}: expected BadSegment, got {:?}", other.err()),
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

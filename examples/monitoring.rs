@@ -89,7 +89,8 @@ fn main() {
     // the retry policy runs on.
     let rec = Recorder::new();
     let degraded = CsProtocol::new(140, 777)
-        .run_degraded_traced(&cluster, 5, SketchEncoding::F64, &plan, &RetryPolicy::default(), &rec)
+        .with_recorder(rec.clone())
+        .run_degraded(&cluster, 5, SketchEncoding::F64, &plan, &RetryPolicy::default())
         .expect("at least one data center must survive");
     println!(
         "surviving data centers: {:?} ({:.0}% of the fleet); dropped: {:?}",

@@ -7,7 +7,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use cs_outlier::core::{bomp_traced, outlier_errors, BompConfig, MeasurementSpec};
+use cs_outlier::core::{bomp, outlier_errors, BompConfig, MeasurementSpec};
 use cs_outlier::linalg::Vector;
 use cs_outlier::obs::{Recorder, RunReport, Value};
 use cs_outlier::workloads::{split, MajorityConfig, MajorityData, SliceStrategy};
@@ -51,7 +51,9 @@ fn main() {
     rec.counter_add("comm.rounds", 1);
 
     // Aggregator side: recover mode + outliers from the summed sketch.
-    let result = bomp_traced(&spec, &y, &BompConfig::default(), &rec).expect("recovery");
+    let mut config = BompConfig::default();
+    config.omp.rec = rec.clone();
+    let result = bomp(&spec, &y, &config).expect("recovery");
     println!(
         "\nrecovered mode b = {:.1}  (true: {:.1}), {} iterations",
         result.mode, data.mode, result.iterations

@@ -4,8 +4,10 @@
 #   1. formatting (rustfmt.toml is the single source of style)
 #   2. release build of every crate
 #   3. the full default test suite
-#   4. the heavier fault-injection sweeps (feature-gated off by default)
-#   5. a warnings-clean check over all targets, fault-injection included
+#   4. the heavier fault-injection sweeps (feature-gated off by default),
+#      plus the lazy degraded-collector fold and sliced CRC-32 oracles
+#   5. a warnings-clean check over all targets, fault-injection included,
+#      and no `fn *_traced` twin in cso-core or cso-distributed
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -21,8 +23,9 @@
 #      compacted journals replayed by one body; hostile snapshots and
 #      lone seals are typed errors; duplicates reset alike on every
 #      restart path; a sharded store over one shard's caps reloads
-#      whole) must pass, and the fsync-policy sweep must run and write
-#      a valid BENCH_pr6.json
+#      whole; each unreadable segment header is its typed SegmentFault)
+#      must pass, and the fsync-policy sweep must run and write a valid
+#      BENCH_pr6.json
 #  13. the telemetry smoke: the live-introspection e2e and the frame
 #      extension fuzz must pass, cso-top must render against its own
 #      server, and the overhead sweep must write a valid BENCH_pr7.json
@@ -67,9 +70,17 @@ cargo test -q --workspace
 
 echo "==> [4/17] fault-injection sweeps"
 cargo test -q -p cso-distributed --features fault-injection
+# The lazily folded degraded collector and the sliced CRC-32, each
+# against its reference (a fresh fold per offer; the byte-at-a-time loop).
+cargo test -q -p cso-distributed --lib -- collector_sum_matches sliced_crc32
 
 echo "==> [5/17] warnings-clean (all targets, fault-injection on)"
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-injection
+# The recorder rides in OmpConfig::rec / CsProtocol::rec: no traced twins.
+if grep -rnE "fn [a-z_]+_traced\b" crates/core/src crates/distributed/src; then
+    echo "a *_traced twin is back; pass the recorder in the config instead"
+    exit 1
+fi
 
 echo "==> [6/17] rustdoc warnings-clean"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -117,6 +128,7 @@ echo "==> [12/17] durability smoke (kill-9 crash harness + WAL fuzz + fsync swee
 cargo test -q -p cso-serve --test crash
 cargo test -q -p cso-serve --test proptest_wal
 cargo test -q -p cso-serve --lib -- snapshot replay
+cargo test -q -p cso-serve --lib -- bad_segment_reasons_are_typed
 cargo run --release -q -p cso-bench --bin figures -- serve_durable
 for artifact in results/serve_durable.csv BENCH_pr6.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
