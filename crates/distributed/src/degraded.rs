@@ -113,12 +113,14 @@ impl SketchCollector {
         })
     }
 
-    /// Node ids that have contributed, ascending.
+    /// Node ids that have contributed, ascending, each once — a node
+    /// offered under two seeds is one fold member.
     pub fn nodes(&self) -> Vec<u32> {
-        self.seen.iter().map(|&(node, _)| node).collect()
+        self.sketches.keys().copied().collect()
     }
 
-    /// Number of distinct contributions.
+    /// Number of distinct `(node, seed)` contributions; a node offered
+    /// under two seeds counts twice (see [`SketchCollector::nodes`]).
     pub fn len(&self) -> usize {
         self.seen.len()
     }
@@ -635,6 +637,19 @@ mod tests {
         assert_eq!(c.sum().as_slice(), &[2.0, 4.0, 6.0]);
         let bad = Vector::from_vec(vec![1.0]);
         assert!(c.offer(2, 9, &bad).is_err());
+    }
+
+    /// A node offered under two seeds is listed once by `nodes` (the
+    /// fold's members) and counted twice by `len` (its contributions).
+    #[test]
+    fn collector_lists_a_two_seed_node_once() {
+        let mut c = SketchCollector::new(2);
+        let y = Vector::from_vec(vec![1.0, 2.0]);
+        assert_eq!(c.offer(4, 7, &y).unwrap(), Offer::Accepted);
+        assert_eq!(c.offer(4, 8, &y).unwrap(), Offer::Accepted);
+        assert_eq!(c.nodes(), vec![4]);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.sum().as_slice(), &[2.0, 4.0]);
     }
 
     /// The lazily folded sum is, after every offer, bit-identical to a

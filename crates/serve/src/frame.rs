@@ -145,6 +145,24 @@ fn map_body_err(e: io::Error) -> FrameError {
     }
 }
 
+/// Decodes a length prefix into `(extended, declared body length)`,
+/// refusing a declared length over [`MAX_FRAME_BYTES`].
+fn parse_prefix(prefix: [u8; LEN_PREFIX_BYTES]) -> Result<(bool, usize), FrameError> {
+    let raw = u32::from_le_bytes(prefix);
+    let declared = raw & !FLAG_EXTENDED;
+    if declared > MAX_FRAME_BYTES {
+        return Err(FrameError::TooLarge { declared });
+    }
+    Ok((raw & FLAG_EXTENDED != 0, declared as usize))
+}
+
+/// Decodes a frame body: the extension block when the prefix flagged
+/// one, then the wire frame.
+fn parse_body(body: &[u8], extended: bool) -> Result<(Message, Option<TraceContext>), FrameError> {
+    let (ctx, frame) = if extended { parse_extensions(body)? } else { (None, body) };
+    Ok((wire::decode(frame)?, ctx))
+}
+
 /// Walks the extension block, returning the trace context (if present)
 /// and the wire-frame remainder. Unknown entry ids are skipped; entries
 /// overrunning the block are [`FrameError::BadExtension`].
@@ -197,17 +215,11 @@ pub fn read_frame_ctx(
         }
     }
     r.read_exact(&mut prefix[1..]).map_err(map_body_err)?;
-    let raw = u32::from_le_bytes(prefix);
-    let extended = raw & FLAG_EXTENDED != 0;
-    let declared = raw & !FLAG_EXTENDED;
-    if declared > MAX_FRAME_BYTES {
-        return Err(FrameError::TooLarge { declared });
-    }
-    let mut body = vec![0u8; declared as usize];
+    let (extended, declared) = parse_prefix(prefix)?;
+    let mut body = vec![0u8; declared];
     r.read_exact(&mut body).map_err(map_body_err)?;
-    let (ctx, frame) = if extended { parse_extensions(&body)? } else { (None, &body[..]) };
-    let msg = wire::decode(frame)?;
-    Ok((msg, LEN_PREFIX_BYTES + declared as usize, ctx))
+    let (msg, ctx) = parse_body(&body, extended)?;
+    Ok((msg, LEN_PREFIX_BYTES + declared, ctx))
 }
 
 /// Reads exactly one length-prefixed frame and decodes it, dropping any
@@ -236,7 +248,7 @@ pub fn write_frame_ctx(
     };
     let entry_len = 2 + TRACE_CONTEXT_BYTES; // id + len + payload
     let mut ext = Vec::with_capacity(1 + entry_len);
-    ext.push(entry_len as u8 - 2 + 2); // ext block length: one entry
+    ext.push(entry_len as u8); // ext block length: one entry
     ext.push(EXT_TRACE_CONTEXT);
     ext.push(TRACE_CONTEXT_BYTES as u8);
     ext.extend_from_slice(&ctx.trace_id.to_le_bytes());
@@ -347,28 +359,15 @@ impl FrameAssembler {
     /// `Ok(None)` — one readiness event may deliver many frames.
     pub fn next_frame(&mut self) -> Result<Option<AssembledFrame>, FrameError> {
         let avail = &self.buf[self.pos..];
-        if avail.len() < LEN_PREFIX_BYTES {
-            return Ok(None);
-        }
-        let raw = u32::from_le_bytes(avail[..LEN_PREFIX_BYTES].try_into().expect("4 bytes"));
-        let extended = raw & FLAG_EXTENDED != 0;
-        let declared = raw & !FLAG_EXTENDED;
-        if declared > MAX_FRAME_BYTES {
-            return Err(FrameError::TooLarge { declared });
-        }
-        let total = LEN_PREFIX_BYTES + declared as usize;
-        if avail.len() < total {
-            return Ok(None);
-        }
-        let body = &avail[LEN_PREFIX_BYTES..total];
+        let Some(prefix) = avail.get(..LEN_PREFIX_BYTES) else { return Ok(None) };
+        let (extended, declared) = parse_prefix(prefix.try_into().expect("4 bytes"))?;
+        let total = LEN_PREFIX_BYTES + declared;
+        let Some(body) = avail.get(LEN_PREFIX_BYTES..total) else { return Ok(None) };
         // The frame is structurally complete: whatever happens next, it is
         // consumed, so decode failures leave the stream synchronized.
-        let parsed = (|| {
-            let (ctx, frame) = if extended { parse_extensions(body)? } else { (None, body) };
-            Ok((wire::decode(frame)?, total, ctx))
-        })();
+        let parsed = parse_body(body, extended).map(|(msg, ctx)| Some((msg, total, ctx)));
         self.pos += total;
-        parsed.map(Some)
+        parsed
     }
 }
 

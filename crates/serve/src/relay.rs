@@ -50,6 +50,7 @@ use crate::client::{ClientError, ServeClient};
 use crate::server::{spawn, ServerConfig, ServerHandle};
 use crate::session::PendingForward;
 use crate::wal::crash_point;
+use cso_core::SketchBackend;
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::wire::{Message, TAG_RELAY_MANIFEST};
 use cso_distributed::{RetryPolicy, TopologySpec};
@@ -233,15 +234,16 @@ fn forward_one(
     let rec = server.recorder();
     let (leaf_lo, leaf_hi) =
         cfg.topology.leaf_range(u64::from(cfg.region)).expect("region validated at spawn");
+    let op = &pending.op;
     let (mut up, _) = ServeClient::open_with_backend(
         cfg.upstream,
         &cfg.retry,
         pending.session,
         pending.epoch,
-        pending.m,
-        pending.n,
-        pending.seed,
-        pending.backend,
+        op.m as u32,
+        op.n as u64,
+        op.seed,
+        SketchBackend { kind: op.kind, param: op.param },
     )?;
     let manifest = Message::RelayManifest {
         session: pending.session,

@@ -78,12 +78,12 @@
 
 use crate::frame::{encode_frame, write_frame, FrameAssembler, FrameError, TraceContext};
 use crate::session::{
-    ConnState, Dispatch, Effect, IngestPad, PadIngest, PendingForward, RecoveredEpoch,
-    RecoveryPolicy, RejectCode, SessionStore, StoreLimits, StoreStats,
+    ConnState, Dispatch, Effect, IngestPad, PendingForward, RecoveredEpoch, RecoveryPolicy,
+    RejectCode, SessionStore, StoreLimits, StoreStats,
 };
 use crate::sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::wal::{crash_point, Durability, RecoveryReport, Wal, WalRecord};
-use cso_distributed::wire::{Message, TAG_SKETCH};
+use cso_distributed::wire::Message;
 use cso_obs::{FlightKind, FlightRecorder, MetricsSnapshot, Recorder, RunReport};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -254,21 +254,28 @@ impl Shared {
         (session & self.shard_mask) as usize
     }
 
-    /// Journals a dispatched message's effect. Safe to call with or
-    /// without a shard lock held (it takes only the journal lock, which
-    /// is ordered after every shard lock); a no-op without durability or
-    /// for effect-free messages. Returns `(latched, snapshot_due)`:
-    /// `latched` when this append flipped the WAL into its failed state
-    /// (the caller dumps the flight recorder after releasing its locks),
-    /// `snapshot_due` when the caller should run
-    /// [`Shared::snapshot_all`] — **after** releasing any shard lock,
-    /// because the snapshot re-acquires them all in ascending order.
+    /// Journals a dispatched message's effect: [`Shared::append`] of its
+    /// record, if it has one. The record is only built with durability on.
     fn journal(&self, effect: &Effect, msg: &Message, stats: &mut StoreStats) -> (bool, bool) {
+        match self.wal.as_ref().and_then(|_| WalRecord::of_effect(effect, msg)) {
+            Some(record) => self.append(&record, stats),
+            None => (false, false),
+        }
+    }
+
+    /// Appends `record` to the journal. Safe to call with or without a
+    /// shard lock held (it takes only the journal lock, which is ordered
+    /// after every shard lock); a no-op without durability. Returns
+    /// `(latched, snapshot_due)`: `latched` when this append flipped the
+    /// WAL into its failed state (the caller dumps the flight recorder
+    /// after releasing its locks), `snapshot_due` when the caller should
+    /// run [`Shared::snapshot_all`] — **after** releasing any shard lock,
+    /// because the snapshot re-acquires them all in ascending order.
+    fn append(&self, record: &WalRecord, stats: &mut StoreStats) -> (bool, bool) {
         let Some(wal) = &self.wal else { return (false, false) };
-        let Some(record) = WalRecord::of_effect(effect, msg) else { return (false, false) };
         let mut wal = lock_unpoisoned(wal);
         let was_failed = wal.failed();
-        wal.append(&record, stats);
+        wal.append(record, stats);
         (!was_failed && wal.failed(), wal.should_snapshot())
     }
 
@@ -299,13 +306,16 @@ impl Shared {
         }
     }
 
-    /// What follows a journal append on a worker, once every shard lock
-    /// is released: given [`Shared::journal`]'s `(latched, snapshot_due)`,
-    /// a WAL that latched failed is flight-recorded on `lane` and the
-    /// flight recorder dumped, and a due snapshot is taken.
-    fn after_journal(&self, lane: usize, (latched, snapshot_due): (bool, bool)) {
+    /// What follows a journal append, once every shard lock is released:
+    /// given [`Shared::append`]'s `(latched, snapshot_due)`, a WAL that
+    /// latched failed is flight-recorded on the worker's `lane` (if the
+    /// caller is a worker) and the flight recorder dumped, and a due
+    /// snapshot is taken.
+    fn after_journal(&self, lane: Option<usize>, (latched, snapshot_due): (bool, bool)) {
         if latched {
-            self.flight.record(lane, FK_WAL_LATCHED, &[lane as u64]);
+            if let Some(lane) = lane {
+                self.flight.record(lane, FK_WAL_LATCHED, &[lane as u64]);
+            }
             self.dump_flight();
         }
         if snapshot_due {
@@ -392,31 +402,20 @@ impl ServerHandle {
     /// duplicated ack resolves to.
     pub fn complete_forward(&self, session: u64, epoch: u64) -> bool {
         let sh = &self.shared;
-        let idx = sh.shard_index(session);
-        let shard = &sh.shards[idx];
+        let shard = &sh.shards[sh.shard_index(session)];
         let mut stats = StoreStats::new();
-        let (latched, snapshot_due);
-        {
+        let journaled = {
             let mut store = lock_unpoisoned(&shard.store);
-            if !store.mark_forwarded(session, epoch) {
+            let Effect::Record(record) = store.mark_forwarded(session, epoch) else {
                 return false;
-            }
+            };
             // Journal lock nests inside the shard lock (global order), so
             // the mark and its record are atomic with respect to the
             // snapshot choreography.
-            let effect = Effect::ForwardDone { session, epoch };
-            let msg = Message::SealEpoch { session, epoch };
-            (latched, snapshot_due) = sh.journal(&effect, &msg, &mut stats);
-        }
+            sh.append(&record, &mut stats)
+        };
         stats.flush(&sh.rec);
-        if latched {
-            sh.dump_flight();
-        }
-        if snapshot_due {
-            let mut snap_stats = StoreStats::new();
-            sh.snapshot_all(&mut snap_stats);
-            snap_stats.flush(&sh.rec);
-        }
+        sh.after_journal(None, journaled);
         true
     }
 
@@ -1006,41 +1005,21 @@ fn handle_frame(
                 (conn.state.bound() == Some((*s, *e))).then(|| (*s, *e, Arc::clone(p)))
             });
             if let Some((session, epoch, pad)) = cached {
-                {
-                    let mut stats = StoreStats::new();
-                    match pad.ingest(*node, *seed, payload) {
-                        PadIngest::Accepted(permit) => {
-                            stats.add("serve.sketches_accepted", 1);
-                            stats.add("serve.shard_lockfree_ingests", 1);
-                            let journaled =
-                                sh.journal(&Effect::Ingested { session, epoch }, msg, &mut stats);
-                            drop(permit);
-                            stats.flush(&sh.rec);
-                            sh.after_journal(lane, journaled);
-                            break 'reply Message::Ack { of: TAG_SKETCH, info: 0 };
-                        }
-                        PadIngest::Duplicate => {
-                            stats.add("serve.sketches_duplicate", 1);
-                            stats.flush(&sh.rec);
-                            break 'reply Message::Ack { of: TAG_SKETCH, info: 1 };
-                        }
-                        PadIngest::SeedMismatch => {
-                            break 'reply Message::Reject {
-                                code: RejectCode::SeedMismatch.as_u16(),
-                                retry_after_ms: 0,
-                            };
-                        }
-                        PadIngest::BadSketch => {
-                            break 'reply Message::Reject {
-                                code: RejectCode::BadSketch.as_u16(),
-                                retry_after_ms: 0,
-                            };
-                        }
-                        // Pad sealed/paused or node out of range: the
-                        // shard-locked path resolves it (and re-caches).
-                        PadIngest::Unavailable => conn.pad = None,
+                let mut stats = StoreStats::new();
+                let outcome = pad.ingest(*node, *seed, payload);
+                if let Some((reply, effect)) = outcome.reply(session, epoch, &mut stats) {
+                    if matches!(effect, Effect::Ingested { .. }) {
+                        stats.add("serve.shard_lockfree_ingests", 1);
                     }
+                    let journaled = sh.journal(&effect, msg, &mut stats);
+                    drop(outcome);
+                    stats.flush(&sh.rec);
+                    sh.after_journal(Some(lane), journaled);
+                    break 'reply reply;
                 }
+                // Pad sealed/paused or node out of range: the shard-locked
+                // path resolves it (and re-caches).
+                conn.pad = None;
             }
         }
         slow_path(sh, lane, conn, msg)
@@ -1092,10 +1071,10 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
         // Journal before the ack leaves the process; the journal lock
         // nests inside the shard lock (global lock order), so journal
         // order agrees with this shard's application order.
-        let mut journaled = (false, false);
-        if let Dispatch::Reply(_, effect) = &d {
-            journaled = sh.journal(effect, msg, &mut stats);
-        }
+        let journaled = match &d {
+            Dispatch::Reply(_, effect) => sh.journal(effect, msg, &mut stats),
+            Dispatch::Recover(_) => (false, false),
+        };
         shard.publish_occupancy(&store);
         // Refresh the fast-path pad after binding-shaped messages: a
         // successful open/attach binds the connection, and a sketch that
@@ -1109,14 +1088,14 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
         (d, journaled)
     };
     stats.flush(&sh.rec);
-    sh.after_journal(lane, journaled);
+    sh.after_journal(Some(lane), journaled);
     match dispatched {
         Dispatch::Reply(reply, effect) => {
             // A journaled seal is a flight waypoint: the WAL append (and
             // its fsync, per policy) happened above, so dumping here
             // keeps flight.jsonl always at-or-behind what replay
             // reconstructs — even through SIGKILL.
-            if let Effect::Sealed { session, epoch, nodes, .. } = &effect {
+            if let Effect::Record(WalRecord::Seal { session, epoch, nodes, .. }) = &effect {
                 sh.flight.record(lane, FK_SEALED, &[*session, *epoch, *nodes]);
                 sh.dump_flight();
             }
@@ -1137,13 +1116,13 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
                 let mut stats = StoreStats::new();
                 let journaled = {
                     let mut store = lock_unpoisoned(&shard.store);
-                    store.finish_recover(session, epoch, &mut stats);
-                    let j = sh.journal(&Effect::Recovered { session, epoch }, msg, &mut stats);
+                    let effect = store.finish_recover(session, epoch, &mut stats);
+                    let j = sh.journal(&effect, msg, &mut stats);
                     shard.publish_occupancy(&store);
                     j
                 };
                 stats.flush(&sh.rec);
-                sh.after_journal(lane, journaled);
+                sh.after_journal(Some(lane), journaled);
                 sh.flight.record(
                     lane,
                     FK_RECOVERED,

@@ -24,7 +24,10 @@
 
 use crate::frame::MAX_FRAME_BYTES;
 use crate::wal::{frame_record, ReplayError, WalRecord};
-use cso_core::{bomp, bomp_with_op, BompConfig, MeasurementSpec, OpKind, SketchBackend};
+use cso_core::{
+    bomp, bomp_with_op, BompConfig, MeasurementOperator, MeasurementSpec, OpDescriptor, OpKind,
+    SketchBackend,
+};
 use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
     Message, TAG_OPEN_EPOCH, TAG_RELAY_MANIFEST, TAG_SEAL_EPOCH, TAG_SKETCH,
@@ -55,7 +58,7 @@ pub enum RejectCode {
     /// The addressed epoch does not exist in the session.
     UnknownEpoch = 5,
     /// An open re-declared an existing epoch with a different `(M, N,
-    /// seed)` configuration.
+    /// seed)` configuration or measurement operator.
     SpecMismatch = 6,
     /// A sketch's seed disagrees with the epoch's seed.
     SeedMismatch = 7,
@@ -215,11 +218,11 @@ impl EpochTopology {
 /// One aggregation window of a session.
 #[derive(Debug)]
 struct Epoch {
-    seed: u64,
-    /// Which measurement operator the epoch's nodes sketched with.
-    /// Validated at open; recovery rebuilds the operator from it, so a
-    /// replayed epoch recovers with the exact operator its sketches used.
-    backend: SketchBackend,
+    /// The measurement operator the epoch's nodes sketched with: geometry,
+    /// seed and backend. Validated at open; recovery rebuilds the operator
+    /// from it, so a replayed epoch recovers with the exact operator its
+    /// sketches used.
+    op: OpDescriptor,
     phase: EpochPhase,
     duplicates: u64,
     /// Subtree manifests, when this epoch is fed by a relay tier.
@@ -247,15 +250,20 @@ struct Epoch {
 enum EpochState {
     /// Accepting sketches (phase `Ingest`).
     Ingest(SketchAggregator, Option<Arc<IngestPad>>),
-    /// Sealed or recovered: just the spec and the canonical measurement.
-    Sealed { spec: MeasurementSpec, y: Vector, nodes: u64 },
+    /// Sealed or recovered: just the canonical measurement.
+    Sealed { y: Vector, nodes: u64 },
 }
 
 impl Epoch {
-    fn spec(&self) -> &MeasurementSpec {
-        match &self.state {
-            EpochState::Ingest(agg, _) => agg.spec(),
-            EpochState::Sealed { spec, .. } => spec,
+    /// Raises the ingest pad's barrier with `quiesce` (which waits out
+    /// in-flight claims), then folds the pad's sketches into the
+    /// aggregator and its duplicate tally into the epoch's. A no-op
+    /// without a pad.
+    fn drain_pad(&mut self, quiesce: fn(&IngestPad)) {
+        if let EpochState::Ingest(agg, Some(pad)) = &mut self.state {
+            quiesce(pad);
+            pad.drain_into(agg);
+            self.duplicates += pad.take_duplicates();
         }
     }
 
@@ -365,6 +373,34 @@ pub enum PadIngest<'a> {
     Unavailable,
 }
 
+impl PadIngest<'_> {
+    /// The reply and effect an ingest outcome of `(session, epoch)` stands
+    /// for, counting `serve.sketches_*` into `stats`; `None` for
+    /// [`PadIngest::Unavailable`], which the caller resolves on the
+    /// store-locked path. Borrows the outcome, so an accepted sketch's
+    /// permit lives on until the caller drops it after journaling.
+    pub(crate) fn reply(
+        &self,
+        session: u64,
+        epoch: u64,
+        stats: &mut StoreStats,
+    ) -> Option<(Message, Effect)> {
+        Some(match self {
+            PadIngest::Accepted(_) => {
+                stats.add("serve.sketches_accepted", 1);
+                (Message::Ack { of: TAG_SKETCH, info: 0 }, Effect::Ingested { session, epoch })
+            }
+            PadIngest::Duplicate => {
+                stats.add("serve.sketches_duplicate", 1);
+                (Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None)
+            }
+            PadIngest::SeedMismatch => (reject(RejectCode::SeedMismatch), Effect::None),
+            PadIngest::BadSketch => (reject(RejectCode::BadSketch), Effect::None),
+            PadIngest::Unavailable => return None,
+        })
+    }
+}
+
 /// RAII guard keeping an [`IngestPad`]'s seal/snapshot barrier open; see
 /// [`PadIngest::Accepted`].
 #[derive(Debug)]
@@ -386,12 +422,11 @@ impl IngestPad {
     /// `0..min(n, max_nodes)`, with nodes already in the aggregator
     /// pre-marked so their retransmits count as duplicates. Only the
     /// chunks those members fall in are allocated up front.
-    fn new(agg: &SketchAggregator, seed: u64, max_nodes: usize) -> IngestPad {
-        let spec = agg.spec();
-        let capacity = spec.n.min(max_nodes);
+    fn new(agg: &SketchAggregator, op: &OpDescriptor, max_nodes: usize) -> IngestPad {
+        let capacity = op.n.min(max_nodes);
         let pad = IngestPad {
-            seed,
-            m: spec.m,
+            seed: op.seed,
+            m: op.m,
             sealed: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             active: AtomicU64::new(0),
@@ -577,6 +612,44 @@ pub struct StoreLimits {
     pub max_nodes_per_epoch: usize,
 }
 
+impl StoreLimits {
+    /// Validates an open's wire fields into the operator they name, in the
+    /// reject precedence every open meets: a hostile geometry is
+    /// `BadSpec`, then an unknown operator kind `BadOperator`, then a dense
+    /// matrix over the byte cap `BadSpec`.
+    fn descriptor(
+        &self,
+        m: u32,
+        n: u64,
+        seed: u64,
+        op_kind: u8,
+        op_param: u64,
+    ) -> Result<OpDescriptor, RejectCode> {
+        // The epoch's sketches must fit a frame with headroom: M doubles
+        // plus headers, capped at half the frame budget.
+        if u64::from(m) * 8 > u64::from(MAX_FRAME_BYTES) / 2 {
+            return Err(RejectCode::BadSpec);
+        }
+        // The dense m×n matrix recovery materializes is the epoch's real
+        // allocation, so the client-supplied n is bounded exactly like m:
+        // a hostile OpenEpoch must be a typed reject, never an abort.
+        if n == 0 || u64::from(m) > n || n > self.max_n {
+            return Err(RejectCode::BadSpec);
+        }
+        let op = OpDescriptor::from_wire(op_kind, op_param, m as usize, n as usize, seed)
+            .ok_or(RejectCode::BadOperator)?;
+        // Only the dense backend ever materializes the m×n matrix, so the
+        // matrix-bytes cap gates dense epochs alone — matrix-free epochs
+        // peak at O(N) scratch during recovery, already bounded by max_n.
+        if op.kind == OpKind::Dense
+            && u128::from(m) * u128::from(n) * 8 > u128::from(self.max_matrix_bytes)
+        {
+            return Err(RejectCode::BadSpec);
+        }
+        Ok(op)
+    }
+}
+
 impl Default for StoreLimits {
     fn default() -> Self {
         StoreLimits {
@@ -719,16 +792,10 @@ pub struct PendingForward {
     pub session: u64,
     /// Epoch number.
     pub epoch: u64,
-    /// Shared measurement seed.
-    pub seed: u64,
-    /// Sketch length `M`.
-    pub m: u32,
-    /// Key-space size `N`.
-    pub n: u64,
+    /// The epoch's measurement operator (geometry, seed and backend).
+    pub op: OpDescriptor,
     /// Leaves frozen into the region's pre-sum.
     pub nodes: u64,
-    /// The epoch's measurement operator.
-    pub backend: SketchBackend,
     /// The region's canonical pre-summed measurement.
     pub y: Vector,
 }
@@ -742,91 +809,20 @@ pub struct PendingForward {
 pub enum Effect {
     /// Nothing changed (reject, duplicate, or read-only query).
     None,
-    /// A fresh epoch was created (attaching to an existing one is free).
-    Opened {
-        /// Session id.
-        session: u64,
-        /// Epoch number.
-        epoch: u64,
-        /// Sketch length `M`.
-        m: u32,
-        /// Key-space size `N`.
-        n: u64,
-        /// Shared measurement seed.
-        seed: u64,
-        /// Measurement-operator kind (0 = dense, 1 = SRHT, 2 = sparse).
-        op_kind: u8,
-        /// Operator parameter (density `s` for seeded-sparse; 0 otherwise).
-        op_param: u64,
-    },
     /// A new node's sketch joined the epoch (duplicates are not effects).
+    /// Its record is the request's sketch payload; see
+    /// [`WalRecord::of_effect`].
     Ingested {
         /// Session id.
         session: u64,
         /// Epoch number.
         epoch: u64,
     },
-    /// The epoch sealed; carries the compacted canonical measurement so
-    /// the journal record is self-contained (replaying it never depends on
-    /// the per-node ingest records surviving).
-    Sealed {
-        /// Session id.
-        session: u64,
-        /// Epoch number.
-        epoch: u64,
-        /// Shared measurement seed.
-        seed: u64,
-        /// Sketch length `M`.
-        m: u32,
-        /// Key-space size `N`.
-        n: u64,
-        /// Frozen membership count.
-        nodes: u64,
-        /// Duplicate sketches ignored during ingest.
-        duplicates: u64,
-        /// Measurement-operator kind (0 = dense, 1 = SRHT, 2 = sparse).
-        op_kind: u8,
-        /// Operator parameter (density `s` for seeded-sparse; 0 otherwise).
-        op_param: u64,
-        /// The canonical `M`-length measurement (dyadic fold over node ids).
-        y: Vector,
-    },
-    /// The epoch's recovery completed (never produced by
-    /// [`SessionStore::dispatch`] — the server emits it alongside
-    /// [`SessionStore::finish_recover`], after the detached
-    /// [`RecoverJob`] ran outside the store lock).
-    Recovered {
-        /// Session id.
-        session: u64,
-        /// Epoch number.
-        epoch: u64,
-    },
-    /// A relay declared a new subtree of the epoch (an idempotent
-    /// re-declaration is `Effect::None`).
-    Manifested {
-        /// Session id.
-        session: u64,
-        /// Epoch number.
-        epoch: u64,
-        /// Region id (= the relay's super-node id).
-        region: u32,
-        /// First leaf id of the region's block.
-        leaf_lo: u64,
-        /// One past the last leaf id of the block.
-        leaf_hi: u64,
-        /// Leaves per region.
-        fan_in: u64,
-    },
-    /// A relay's forwarded pre-sum for this epoch was acknowledged
-    /// upstream (never produced by [`SessionStore::dispatch`] — the relay
-    /// layer emits it alongside [`SessionStore::mark_forwarded`] after the
-    /// upstream ack, so a restart resumes the push loop past this epoch).
-    ForwardDone {
-        /// Session id.
-        session: u64,
-        /// Epoch number.
-        epoch: u64,
-    },
+    /// Any other durable transition, as the journal record that the store
+    /// applied through [`WalRecord::replay`]: a fresh open (attaching is
+    /// free), a seal, a completed recovery, a new relay manifest, or an
+    /// upstream-acked forward.
+    Record(WalRecord),
 }
 
 /// The outcome of dispatching one message against the store: either the
@@ -844,16 +840,15 @@ pub enum Dispatch {
     Recover(RecoverJob),
 }
 
-/// Everything a recovery needs, detached from the store: the spec, the
-/// canonical measurement (an `M`-length clone), and the resolved BOMP
-/// configuration.
+/// Everything a recovery needs, detached from the store: the operator
+/// descriptor, the canonical measurement (an `M`-length clone), and the
+/// resolved BOMP configuration.
 #[derive(Debug)]
 pub struct RecoverJob {
     session: u64,
     epoch: u64,
     k: u32,
-    spec: MeasurementSpec,
-    backend: SketchBackend,
+    op: OpDescriptor,
     y: Vector,
     nodes: u64,
     duplicates: u64,
@@ -874,13 +869,10 @@ impl RecoverJob {
     /// rebuild the operator from the journaled descriptor and recover
     /// without ever materializing. Both run the same BOMP body.
     pub fn run(self) -> (Message, Option<RecoveredEpoch>) {
-        let result = if self.backend == SketchBackend::dense() {
-            bomp(&self.spec, &self.y, &self.config)
-        } else {
-            match self.backend.build(self.spec.m, self.spec.n, self.spec.seed) {
-                Ok(op) => bomp_with_op(&op, &self.y, &self.config),
-                Err(e) => Err(e),
-            }
+        let result = match self.op.build() {
+            Ok(MeasurementOperator::Dense(spec)) => bomp(&spec, &self.y, &self.config),
+            Ok(op) => bomp_with_op(&op, &self.y, &self.config),
+            Err(e) => Err(e),
         };
         let result = match result {
             Ok(r) => r,
@@ -951,28 +943,30 @@ impl SessionStore {
         policy: &RecoveryPolicy,
         stats: &mut StoreStats,
     ) -> Dispatch {
-        let (reply, effect) = match msg {
+        let applied = match *msg {
             Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param } => self
-                .open(conn, *session, *epoch, *m, *n, *seed, *op_kind, *op_param, stats)
-                .unwrap_or_else(|code| (reject(code), Effect::None)),
-            Message::Sketch { node, seed, payload } => {
-                self.ingest(conn, *node, *seed, payload, stats)
+                .limits
+                .descriptor(m, n, seed, op_kind, op_param)
+                .and_then(|op| self.open(conn, session, epoch, op, stats)),
+            Message::Sketch { node, seed, ref payload } => {
+                self.ingest(conn, node, seed, payload, stats)
             }
-            Message::SealEpoch { session, epoch } => self.seal(*session, *epoch, stats),
+            Message::SealEpoch { session, epoch } => self.seal(session, epoch, stats),
             Message::RecoverEpoch { session, epoch, k } => {
-                match self.begin_recover(*session, *epoch, *k, policy) {
+                match self.begin_recover(session, epoch, k, policy) {
                     Ok(job) => return Dispatch::Recover(job),
-                    Err(code) => (reject(code), Effect::None),
+                    Err(code) => Err(code),
                 }
             }
             Message::EpochStatus { session, epoch } => {
-                (self.status(*session, *epoch), Effect::None)
+                Ok((self.status(session, epoch), Effect::None))
             }
-            Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => self
-                .manifest(*session, *epoch, *region, *leaf_lo, *leaf_hi, *fan_in, stats)
-                .unwrap_or_else(|code| (reject(code), Effect::None)),
-            _ => (reject(RejectCode::Unexpected), Effect::None),
+            Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
+                self.manifest(session, epoch, region, leaf_lo, leaf_hi, fan_in, stats)
+            }
+            _ => Err(RejectCode::Unexpected),
         };
+        let (reply, effect) = applied.unwrap_or_else(|code| (reject(code), Effect::None));
         Dispatch::Reply(reply, effect)
     }
 
@@ -1001,23 +995,29 @@ impl SessionStore {
         out
     }
 
+    /// Applies a live transition's journal record through the one mutation
+    /// body, [`WalRecord::replay`], and hands the record back as the
+    /// effect to journal. A refusal is the reject code the replay met.
+    fn apply(&mut self, record: WalRecord) -> Result<Effect, RejectCode> {
+        record.replay(self).map_err(|e| match e {
+            ReplayError::Rejected { code, .. } => code,
+            _ => RejectCode::Internal,
+        })?;
+        Ok(Effect::Record(record))
+    }
+
     /// Opens (or attaches to) an epoch: [`SessionStore::check_open`]'s
     /// validation, then the admission policy — the session and epoch caps,
     /// evicting finished work to make room — that only live opens meet.
-    #[allow(clippy::too_many_arguments)]
     fn open(
         &mut self,
         conn: &mut ConnState,
         session: u64,
         epoch: u64,
-        m: u32,
-        n: u64,
-        seed: u64,
-        op_kind: u8,
-        op_param: u64,
+        op: OpDescriptor,
         stats: &mut StoreStats,
     ) -> Result<(Message, Effect), RejectCode> {
-        let Some(fresh) = self.check_open(session, epoch, m, n, seed, op_kind, op_param)? else {
+        let Some(fresh) = self.check_open(session, epoch, op)? else {
             let nodes = self.epoch_mut(session, epoch)?.node_count();
             conn.bound = Some((session, epoch));
             return Ok((Message::Ack { of: TAG_OPEN_EPOCH, info: nodes }, Effect::None));
@@ -1036,73 +1036,36 @@ impl SessionStore {
         entry.epochs.insert(epoch, fresh);
         conn.bound = Some((session, epoch));
         stats.add("serve.epochs_opened", 1);
-        Ok((
-            Message::Ack { of: TAG_OPEN_EPOCH, info: 0 },
-            Effect::Opened { session, epoch, m, n, seed, op_kind, op_param },
-        ))
+        let record = open_record(session, epoch, &op);
+        Ok((Message::Ack { of: TAG_OPEN_EPOCH, info: 0 }, Effect::Record(record)))
     }
 
-    /// `open`'s validation without its admission policy: rejects a hostile
-    /// geometry or operator, and a configuration that disagrees with an
-    /// existing `(session, epoch)`. Returns the new ingesting epoch, or
-    /// `None` when the epoch exists with this configuration.
-    #[allow(clippy::too_many_arguments)]
+    /// `open`'s validation of a [`StoreLimits::descriptor`] without its
+    /// admission policy: rejects an operator that disagrees with an
+    /// existing `(session, epoch)`, or that its geometry cannot build.
+    /// Returns the new ingesting epoch, or `None` when the epoch exists
+    /// with this operator.
     fn check_open(
         &self,
         session: u64,
         epoch: u64,
-        m: u32,
-        n: u64,
-        seed: u64,
-        op_kind: u8,
-        op_param: u64,
+        op: OpDescriptor,
     ) -> Result<Option<Epoch>, RejectCode> {
-        // The epoch's sketches must fit a frame with headroom: M doubles
-        // plus headers, capped at half the frame budget.
-        if u64::from(m) * 8 > u64::from(MAX_FRAME_BYTES) / 2 {
-            return Err(RejectCode::BadSpec);
-        }
-        // The dense m×n matrix recovery materializes is the epoch's real
-        // allocation, so the client-supplied n is bounded exactly like m:
-        // a hostile OpenEpoch must be a typed reject, never an abort.
-        if n == 0 || u64::from(m) > n || n > self.limits.max_n {
-            return Err(RejectCode::BadSpec);
-        }
-        let Some(backend) = SketchBackend::from_wire(op_kind, op_param) else {
-            return Err(RejectCode::BadOperator);
-        };
-        // Only the dense backend ever materializes the m×n matrix, so the
-        // matrix-bytes cap gates dense epochs alone — matrix-free epochs
-        // peak at O(N) scratch during recovery, already bounded by max_n.
-        if backend.kind == OpKind::Dense
-            && u128::from(m) * u128::from(n) * 8 > u128::from(self.limits.max_matrix_bytes)
-        {
-            return Err(RejectCode::BadSpec);
-        }
         if let Some(existing) = self.sessions.get(&session).and_then(|s| s.epochs.get(&epoch)) {
             // Re-opening is how additional connections attach to the same
-            // epoch — legal only when they agree on the configuration.
-            let spec = existing.spec();
-            if spec.m != m as usize
-                || spec.n != n as usize
-                || existing.seed != seed
-                || existing.backend != backend
-            {
-                return Err(RejectCode::SpecMismatch);
-            }
-            return Ok(None);
+            // epoch — legal only when they agree on geometry, seed and
+            // operator.
+            return if existing.op == op { Ok(None) } else { Err(RejectCode::SpecMismatch) };
         }
-        let spec =
-            MeasurementSpec::new(m as usize, n as usize, seed).map_err(|_| RejectCode::BadSpec)?;
+        let spec = MeasurementSpec::new(op.m, op.n, op.seed).map_err(|_| RejectCode::BadSpec)?;
         // Geometry is valid; any remaining construction failure is an
         // operator-parameter problem (dense with a nonzero param, sparse
         // density out of range, SRHT m over the padded width).
-        if backend.build(m as usize, n as usize, seed).is_err() {
+        if op.build().is_err() {
             return Err(RejectCode::BadOperator);
         }
         Ok(Some(Epoch {
-            seed,
-            backend,
+            op,
             phase: EpochPhase::Ingest,
             duplicates: 0,
             topology: None,
@@ -1164,10 +1127,8 @@ impl SessionStore {
         topo.regions.insert(region, (leaf_lo, leaf_hi));
         let declared = topo.regions.len() as u64;
         stats.add("serve.manifests_accepted", 1);
-        Ok((
-            Message::Ack { of: TAG_RELAY_MANIFEST, info: declared },
-            Effect::Manifested { session, epoch, region, leaf_lo, leaf_hi, fan_in },
-        ))
+        let record = WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in };
+        Ok((Message::Ack { of: TAG_RELAY_MANIFEST, info: declared }, Effect::Record(record)))
     }
 
     /// The relay-tier topology declared for `(session, epoch)`, if any.
@@ -1182,35 +1143,26 @@ impl SessionStore {
         let mut out = Vec::new();
         for (&session, sess) in &self.sessions {
             for (&epoch, ep) in &sess.epochs {
-                if ep.forwarded || ep.phase == EpochPhase::Ingest {
+                let EpochState::Sealed { y, nodes } = &ep.state else { continue };
+                if ep.forwarded {
                     continue;
                 }
-                let EpochState::Sealed { spec, y, nodes } = &ep.state else { continue };
-                out.push(PendingForward {
-                    session,
-                    epoch,
-                    seed: ep.seed,
-                    m: spec.m as u32,
-                    n: spec.n as u64,
-                    nodes: *nodes,
-                    backend: ep.backend,
-                    y: y.clone(),
-                });
+                out.push(PendingForward { session, epoch, op: ep.op, nodes: *nodes, y: y.clone() });
             }
         }
         out
     }
 
-    /// Marks `(session, epoch)`'s pre-sum as acked upstream. Returns
-    /// `false` (a no-op) when the epoch is unknown or already marked, so
-    /// replaying a duplicated `ForwardDone` record is idempotent.
-    pub fn mark_forwarded(&mut self, session: u64, epoch: u64) -> bool {
+    /// Marks `(session, epoch)`'s pre-sum as acked upstream through the
+    /// replay body, returning the `ForwardDone` record to journal.
+    /// [`Effect::None`] (nothing to journal) when the epoch is unknown or
+    /// already marked: the no-op a duplicated ack resolves to.
+    pub fn mark_forwarded(&mut self, session: u64, epoch: u64) -> Effect {
         match self.epoch_mut(session, epoch) {
             Ok(ep) if !ep.forwarded => {
-                ep.forwarded = true;
-                true
+                self.apply(WalRecord::ForwardDone { session, epoch }).unwrap_or(Effect::None)
             }
-            _ => false,
+            _ => Effect::None,
         }
     }
 
@@ -1251,47 +1203,24 @@ impl SessionStore {
         seed: u64,
         payload: &EncodedSketch,
         stats: &mut StoreStats,
-    ) -> (Message, Effect) {
-        let Some((session, epoch)) = conn.bound else {
-            return (reject(RejectCode::SketchBeforeOpen), Effect::None);
-        };
-        let ep = match self.epoch_mut(session, epoch) {
-            Ok(e) => e,
-            Err(code) => return (reject(code), Effect::None),
-        };
-        if ep.phase != EpochPhase::Ingest {
-            return (reject(RejectCode::EpochSealed), Effect::None);
-        }
-        if seed != ep.seed {
-            return (reject(RejectCode::SeedMismatch), Effect::None);
-        }
+    ) -> Result<(Message, Effect), RejectCode> {
+        let (session, epoch) = conn.bound.ok_or(RejectCode::SketchBeforeOpen)?;
+        let ep = self.epoch_mut(session, epoch)?;
         let EpochState::Ingest(agg, pad) = &mut ep.state else {
-            return (reject(RejectCode::EpochSealed), Effect::None);
+            return Err(RejectCode::EpochSealed);
         };
+        if seed != ep.op.seed {
+            return Err(RejectCode::SeedMismatch);
+        }
         // With a pad attached, the locked path defers to it for in-range
         // nodes so first-wins arbitration has a single owner (the slot
         // CAS). Out-of-range or paused attempts fall through to the direct
         // join below — safe, because this caller holds the store lock and
-        // drains only ever run under it.
-        if let Some(p) = pad {
-            match p.ingest(node, seed, payload) {
-                PadIngest::Accepted(permit) => {
-                    // Dispatch callers journal under the same store lock
-                    // that seals/drains take, so the permit's job is done.
-                    drop(permit);
-                    stats.add("serve.sketches_accepted", 1);
-                    return (
-                        Message::Ack { of: TAG_SKETCH, info: 0 },
-                        Effect::Ingested { session, epoch },
-                    );
-                }
-                PadIngest::Duplicate => {
-                    stats.add("serve.sketches_duplicate", 1);
-                    return (Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None);
-                }
-                PadIngest::SeedMismatch => return (reject(RejectCode::SeedMismatch), Effect::None),
-                PadIngest::BadSketch => return (reject(RejectCode::BadSketch), Effect::None),
-                PadIngest::Unavailable => {}
+        // drains only ever run under it. Dispatch callers journal under
+        // that same lock, so an accepted claim's permit drops at once.
+        if let Some(pad) = pad {
+            if let Some(done) = pad.ingest(node, seed, payload).reply(session, epoch, stats) {
+                return Ok(done);
             }
         }
         if agg.contains(node as usize) {
@@ -1299,68 +1228,38 @@ impl SessionStore {
             // mirroring the degraded path's (node, seed) dedup.
             ep.duplicates += 1;
             stats.add("serve.sketches_duplicate", 1);
-            return (Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None);
+            return Ok((Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None));
         }
-        let Some(sketch) = decode_sketch(payload, agg.spec().m) else {
-            return (reject(RejectCode::BadSketch), Effect::None);
-        };
-        if agg.join(node as usize, sketch).is_err() {
-            return (reject(RejectCode::BadSketch), Effect::None);
-        }
+        let sketch = decode_sketch(payload, ep.op.m).ok_or(RejectCode::BadSketch)?;
+        agg.join(node as usize, sketch).map_err(|_| RejectCode::BadSketch)?;
         stats.add("serve.sketches_accepted", 1);
-        (Message::Ack { of: TAG_SKETCH, info: 0 }, Effect::Ingested { session, epoch })
+        Ok((Message::Ack { of: TAG_SKETCH, info: 0 }, Effect::Ingested { session, epoch }))
     }
 
-    fn seal(&mut self, session: u64, epoch: u64, stats: &mut StoreStats) -> (Message, Effect) {
-        let ep = match self.epoch_mut(session, epoch) {
-            Ok(e) => e,
-            Err(code) => return (reject(code), Effect::None),
-        };
-        if ep.phase != EpochPhase::Ingest {
-            return (reject(RejectCode::DuplicateSeal), Effect::None);
-        }
+    /// Seals an ingesting epoch: freezes its pad, then applies the
+    /// self-contained seal record through the replay body, which compacts
+    /// the epoch to its canonical measurement.
+    fn seal(
+        &mut self,
+        session: u64,
+        epoch: u64,
+        stats: &mut StoreStats,
+    ) -> Result<(Message, Effect), RejectCode> {
+        let ep = self.epoch_mut(session, epoch)?;
         // Freeze the lock-free overlay first: close the pad, wait out
         // in-flight claims, and fold everything it holds into the
         // aggregator so the compacted measurement is the canonical sum
         // over *all* accepted nodes.
-        let pad_duplicates = match &mut ep.state {
-            EpochState::Ingest(agg, Some(pad)) => {
-                pad.begin_seal();
-                pad.drain_into(agg);
-                pad.take_duplicates()
-            }
-            _ => 0,
-        };
-        ep.duplicates += pad_duplicates;
+        ep.drain_pad(IngestPad::begin_seal);
         let EpochState::Ingest(agg, _) = &mut ep.state else {
-            return (reject(RejectCode::DuplicateSeal), Effect::None);
+            return Err(RejectCode::DuplicateSeal);
         };
-        // Compact at the freeze point: membership can no longer change, so
-        // only the canonical measurement survives the seal.
         let nodes = agg.node_count() as u64;
-        let spec = *agg.spec();
-        let y = agg.global_measurement().clone();
-        let seed = ep.seed;
-        let duplicates = ep.duplicates;
-        let (op_kind, op_param) = ep.backend.wire();
-        ep.state = EpochState::Sealed { spec, y: y.clone(), nodes };
-        ep.phase = EpochPhase::Sealed;
+        let y = agg.global_measurement();
+        let record = seal_record(session, epoch, &ep.op, nodes, ep.duplicates, y);
+        let effect = self.apply(record)?;
         stats.add("serve.epochs_sealed", 1);
-        (
-            Message::Ack { of: TAG_SEAL_EPOCH, info: nodes },
-            Effect::Sealed {
-                session,
-                epoch,
-                seed,
-                m: spec.m as u32,
-                n: spec.n as u64,
-                nodes,
-                duplicates,
-                op_kind,
-                op_param,
-                y,
-            },
-        )
+        Ok((Message::Ack { of: TAG_SEAL_EPOCH, info: nodes }, effect))
     }
 
     fn begin_recover(
@@ -1371,7 +1270,7 @@ impl SessionStore {
         policy: &RecoveryPolicy,
     ) -> Result<RecoverJob, RejectCode> {
         let ep = self.epoch_mut(session, epoch)?;
-        let EpochState::Sealed { spec, y, nodes } = &ep.state else {
+        let EpochState::Sealed { y, nodes } = &ep.state else {
             return Err(RejectCode::NotSealed);
         };
         if *nodes == 0 {
@@ -1381,23 +1280,24 @@ impl SessionStore {
             session,
             epoch,
             k,
-            spec: *spec,
-            backend: ep.backend,
+            op: ep.op,
             y: y.clone(),
             nodes: *nodes,
             duplicates: ep.duplicates,
-            config: policy.effective(spec.m, ep.seed, k),
+            config: policy.effective(ep.op.m, ep.op.seed, k),
         })
     }
 
-    /// Marks `(session, epoch)` recovered after a [`RecoverJob`] succeeded.
-    /// A no-op when the epoch has been evicted in the meantime; repeatable
-    /// (recover is repeatable).
-    pub fn finish_recover(&mut self, session: u64, epoch: u64, stats: &mut StoreStats) {
-        if let Ok(ep) = self.epoch_mut(session, epoch) {
-            ep.phase = EpochPhase::Recovered;
-            stats.add("serve.epochs_recovered", 1);
+    /// Marks `(session, epoch)` recovered after a [`RecoverJob`] succeeded,
+    /// through the replay body, returning the `RecoverDone` record to
+    /// journal. A no-op ([`Effect::None`]) when the epoch has been evicted
+    /// in the meantime; repeatable (recover is repeatable).
+    pub fn finish_recover(&mut self, session: u64, epoch: u64, stats: &mut StoreStats) -> Effect {
+        if self.epoch_mut(session, epoch).is_err() {
+            return Effect::None;
         }
+        stats.add("serve.epochs_recovered", 1);
+        self.apply(WalRecord::RecoverDone { session, epoch }).unwrap_or(Effect::None)
     }
 
     fn epoch_mut(&mut self, session: u64, epoch: u64) -> Result<&mut Epoch, RejectCode> {
@@ -1417,19 +1317,9 @@ impl SessionStore {
     pub fn pad_for(&mut self, session: u64, epoch: u64) -> Option<Arc<IngestPad>> {
         let max_nodes = self.limits.max_nodes_per_epoch;
         let ep = self.sessions.get_mut(&session)?.epochs.get_mut(&epoch)?;
-        if ep.phase != EpochPhase::Ingest {
-            return None;
-        }
-        let seed = ep.seed;
-        match &mut ep.state {
-            EpochState::Ingest(agg, pad) => {
-                if pad.is_none() {
-                    *pad = Some(Arc::new(IngestPad::new(agg, seed, max_nodes)));
-                }
-                pad.clone()
-            }
-            EpochState::Sealed { .. } => None,
-        }
+        let EpochState::Ingest(agg, pad) = &mut ep.state else { return None };
+        let pad = pad.get_or_insert_with(|| Arc::new(IngestPad::new(agg, &ep.op, max_nodes)));
+        Some(Arc::clone(pad))
     }
 
     /// Pauses every ingest pad, waits out in-flight claims, and folds pad
@@ -1444,15 +1334,7 @@ impl SessionStore {
     pub fn pause_and_drain_pads(&mut self) {
         for sess in self.sessions.values_mut() {
             for ep in sess.epochs.values_mut() {
-                let dups = match &mut ep.state {
-                    EpochState::Ingest(agg, Some(pad)) => {
-                        pad.pause();
-                        pad.drain_into(agg);
-                        pad.take_duplicates()
-                    }
-                    _ => 0,
-                };
-                ep.duplicates += dups;
+                ep.drain_pad(IngestPad::pause);
             }
         }
     }
@@ -1528,10 +1410,7 @@ impl Epoch {
     /// ingesting epoch's `duplicates` tally is not carried: as on journal
     /// replay, it restarts at zero.
     fn compacted(&self, session: u64, epoch: u64, emit: &mut impl FnMut(WalRecord)) {
-        let spec = self.spec();
-        let (m, n, seed) = (spec.m as u32, spec.n as u64, self.seed);
-        let (op_kind, op_param) = self.backend.wire();
-        emit(WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param });
+        emit(open_record(session, epoch, &self.op));
         if let Some(topo) = &self.topology {
             for (&region, &(leaf_lo, leaf_hi)) in &topo.regions {
                 let fan_in = topo.fan_in;
@@ -1543,22 +1422,12 @@ impl Epoch {
                 for node in agg.node_ids() {
                     let sketch = agg.node_sketch(node).expect("listed node");
                     let payload = EncodedSketch::F64(sketch.as_slice().to_vec());
-                    emit(WalRecord::Ingest { session, epoch, node: node as u32, seed, payload });
+                    let (node, seed) = (node as u32, self.op.seed);
+                    emit(WalRecord::Ingest { session, epoch, node, seed, payload });
                 }
             }
-            EpochState::Sealed { y, nodes, .. } => {
-                emit(WalRecord::Seal {
-                    session,
-                    epoch,
-                    seed,
-                    m,
-                    n,
-                    nodes: *nodes,
-                    duplicates: self.duplicates,
-                    op_kind,
-                    op_param,
-                    y_bits: y.iter().map(|v| v.to_bits()).collect(),
-                });
+            EpochState::Sealed { y, nodes } => {
+                emit(seal_record(session, epoch, &self.op, *nodes, self.duplicates, y));
                 if self.phase == EpochPhase::Recovered {
                     emit(WalRecord::RecoverDone { session, epoch });
                 }
@@ -1567,6 +1436,36 @@ impl Epoch {
         if self.forwarded {
             emit(WalRecord::ForwardDone { session, epoch });
         }
+    }
+}
+
+/// The `Open` record of an epoch measured by `op`.
+fn open_record(session: u64, epoch: u64, op: &OpDescriptor) -> WalRecord {
+    let (m, n, seed) = (op.m as u32, op.n as u64, op.seed);
+    WalRecord::Open { session, epoch, m, n, seed, op_kind: op.kind.code(), op_param: op.param }
+}
+
+/// The self-contained `Seal` record of an epoch measured by `op`, whose
+/// frozen membership of `nodes` folds to the canonical measurement `y`.
+fn seal_record(
+    session: u64,
+    epoch: u64,
+    op: &OpDescriptor,
+    nodes: u64,
+    duplicates: u64,
+    y: &Vector,
+) -> WalRecord {
+    WalRecord::Seal {
+        session,
+        epoch,
+        seed: op.seed,
+        m: op.m as u32,
+        n: op.n as u64,
+        nodes,
+        duplicates,
+        op_kind: op.kind.code(),
+        op_param: op.param,
+        y_bits: y.iter().map(|v| v.to_bits()).collect(),
     }
 }
 
@@ -1582,13 +1481,13 @@ impl Epoch {
 // records surviving a torn tail.
 
 impl WalRecord {
-    /// Applies the record to a store being rebuilt: the one replay body
-    /// behind journal recovery, snapshot loading and test mirrors. `Open`
-    /// and `Manifest` run the live validators, and so does a `Seal` (it
-    /// re-validates its epoch, or creates it when the open was compacted
-    /// or torn away). Duplicated records are no-ops; a record the live
-    /// path would refuse is a [`ReplayError::Rejected`] carrying that
-    /// path's reject code.
+    /// Applies the record to a store: the one mutation body behind journal
+    /// recovery, snapshot loading, test mirrors, and the live seal,
+    /// recover-done and forward-done transitions. `Open` and `Manifest`
+    /// run the live validators, and so does a `Seal` (it re-validates its
+    /// epoch, or creates it when the open was compacted or torn away).
+    /// Duplicated records are no-ops; a record the live path would refuse
+    /// is a [`ReplayError::Rejected`] carrying that path's reject code.
     ///
     /// `open`'s admission policy — the session and epoch caps and the
     /// evictions that make room under them — is not replayed: every
@@ -1600,9 +1499,8 @@ impl WalRecord {
         let Some((session, epoch)) = self.target() else { return Ok(()) };
         let refused = |code| ReplayError::Rejected { kind: self.kind(), session, epoch, code };
         let mut open = |m, n, seed, op_kind, op_param| {
-            if let Some(fresh) =
-                store.check_open(session, epoch, m, n, seed, op_kind, op_param).map_err(refused)?
-            {
+            let op = store.limits.descriptor(m, n, seed, op_kind, op_param).map_err(refused)?;
+            if let Some(fresh) = store.check_open(session, epoch, op).map_err(refused)? {
                 store.sessions.entry(session).or_default().epochs.insert(epoch, fresh);
             }
             Ok::<_, ReplayError>(())
@@ -1613,7 +1511,7 @@ impl WalRecord {
             }
             WalRecord::Ingest { node, seed, ref payload, .. } => {
                 let ep = store.epoch_mut(session, epoch).map_err(refused)?;
-                if seed != ep.seed {
+                if seed != ep.op.seed {
                     return Err(refused(RejectCode::SeedMismatch));
                 }
                 // A member's duplicate, or an ingest replayed after the
@@ -1643,7 +1541,7 @@ impl WalRecord {
                 open(m, n, seed, op_kind, op_param)?;
                 let ep = store.epoch_mut(session, epoch).map_err(refused)?;
                 let y = Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect());
-                ep.state = EpochState::Sealed { spec: *ep.spec(), y, nodes };
+                ep.state = EpochState::Sealed { y, nodes };
                 ep.duplicates = duplicates;
                 // A replayed `Recovered` phase survives a duplicated seal.
                 ep.phase = ep.phase.max(EpochPhase::Sealed);
@@ -1653,7 +1551,9 @@ impl WalRecord {
                 _ => {} // absent (evicted before a snapshot), or a torn-reordered duplicate
             },
             WalRecord::ForwardDone { .. } => {
-                store.mark_forwarded(session, epoch);
+                if let Ok(ep) = store.epoch_mut(session, epoch) {
+                    ep.forwarded = true;
+                }
             }
             WalRecord::Manifest { region, leaf_lo, leaf_hi, fan_in, .. } => {
                 // After the seal the topology is frozen: a duplicate is a no-op.
@@ -2400,7 +2300,9 @@ mod tests {
     fn seal_bits(store: &mut SessionStore) -> (u64, u64, Vec<u64>) {
         let seal = Message::SealEpoch { session: 1, epoch: 0 };
         match send(store, &mut ConnState::new(), &seal).1 {
-            Effect::Sealed { nodes, duplicates, y, .. } => (nodes, duplicates, bits(&y)),
+            Effect::Record(WalRecord::Seal { nodes, duplicates, y_bits, .. }) => {
+                (nodes, duplicates, y_bits)
+            }
             other => panic!("expected a seal effect, got {other:?}"),
         }
     }

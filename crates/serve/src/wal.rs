@@ -55,7 +55,7 @@
 //! Segments and snapshots share one record codec and framing, and every
 //! record, from either, is applied by the one [`WalRecord::replay`] body.
 
-use crate::session::{RejectCode, SessionStore, StoreLimits, StoreStats};
+use crate::session::{Effect, RejectCode, SessionStore, StoreLimits, StoreStats};
 use cso_distributed::quantize::EncodedSketch;
 use cso_distributed::wire::{self, Message, Reader, WireError, Writer};
 use std::fmt;
@@ -309,12 +309,10 @@ impl From<WireError> for ReplayError {
     }
 }
 
-/// One journaled state transition. Kinds 1–4 mirror the [`Effect`]s the
-/// state machine produces; [`WalRecord::CleanShutdown`] is the marker
-/// [`crate::server::ServerHandle::shutdown`] appends after a graceful
-/// drain, distinguishing it from a crash at the next startup.
-///
-/// [`Effect`]: crate::session::Effect
+/// One journaled state transition, applied by [`WalRecord::replay`] on the
+/// live path and on replay alike; [`WalRecord::CleanShutdown`] is the
+/// marker [`crate::server::ServerHandle::shutdown`] appends after a
+/// graceful drain, distinguishing it from a crash at the next startup.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A fresh epoch was created (kind 1; body is the v2-encoded
@@ -418,73 +416,16 @@ pub enum WalRecord {
 impl WalRecord {
     /// Builds the journal record for a dispatched message's [`Effect`],
     /// or `None` for effect-free messages. `msg` is the original request —
-    /// an ingest effect journals its sketch payload verbatim from there.
-    ///
-    /// [`Effect`]: crate::session::Effect
-    pub fn of_effect(effect: &crate::session::Effect, msg: &Message) -> Option<WalRecord> {
-        use crate::session::Effect;
-        match effect {
-            Effect::None => None,
-            Effect::Opened { session, epoch, m, n, seed, op_kind, op_param } => {
-                Some(WalRecord::Open {
-                    session: *session,
-                    epoch: *epoch,
-                    m: *m,
-                    n: *n,
-                    seed: *seed,
-                    op_kind: *op_kind,
-                    op_param: *op_param,
-                })
+    /// an ingest effect journals its sketch payload verbatim from there;
+    /// every other effect already is its record.
+    pub fn of_effect(effect: &Effect, msg: &Message) -> Option<WalRecord> {
+        match (effect, msg) {
+            (Effect::Ingested { session, epoch }, Message::Sketch { node, seed, payload }) => {
+                let (session, epoch, node, seed) = (*session, *epoch, *node, *seed);
+                Some(WalRecord::Ingest { session, epoch, node, seed, payload: payload.clone() })
             }
-            Effect::Ingested { session, epoch } => match msg {
-                Message::Sketch { node, seed, payload } => Some(WalRecord::Ingest {
-                    session: *session,
-                    epoch: *epoch,
-                    node: *node,
-                    seed: *seed,
-                    payload: payload.clone(),
-                }),
-                _ => None,
-            },
-            Effect::Sealed {
-                session,
-                epoch,
-                seed,
-                m,
-                n,
-                nodes,
-                duplicates,
-                op_kind,
-                op_param,
-                y,
-            } => Some(WalRecord::Seal {
-                session: *session,
-                epoch: *epoch,
-                seed: *seed,
-                m: *m,
-                n: *n,
-                nodes: *nodes,
-                duplicates: *duplicates,
-                op_kind: *op_kind,
-                op_param: *op_param,
-                y_bits: y.as_slice().iter().map(|v| v.to_bits()).collect(),
-            }),
-            Effect::Recovered { session, epoch } => {
-                Some(WalRecord::RecoverDone { session: *session, epoch: *epoch })
-            }
-            Effect::Manifested { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
-                Some(WalRecord::Manifest {
-                    session: *session,
-                    epoch: *epoch,
-                    region: *region,
-                    leaf_lo: *leaf_lo,
-                    leaf_hi: *leaf_hi,
-                    fan_in: *fan_in,
-                })
-            }
-            Effect::ForwardDone { session, epoch } => {
-                Some(WalRecord::ForwardDone { session: *session, epoch: *epoch })
-            }
+            (Effect::Record(record), _) => Some(record.clone()),
+            _ => None,
         }
     }
 }

@@ -5,9 +5,10 @@
 #   2. release build of every crate
 #   3. the full default test suite
 #   4. the heavier fault-injection sweeps (feature-gated off by default),
-#      plus the lazy degraded-collector fold and sliced CRC-32 oracles
+#      plus the lazy degraded-collector fold and sliced CRC-32 oracles and
+#      the collector's one-entry-per-node listing
 #   5. a warnings-clean check over all targets, fault-injection included,
-#      and no `fn *_traced` twin in cso-core or cso-distributed
+#      and no `fn *_traced` twin in cso-core, cso-distributed or cso-serve
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -24,8 +25,10 @@
 #      lone seals are typed errors; duplicates reset alike on every
 #      restart path; a sharded store over one shard's caps reloads
 #      whole; each unreadable segment header is its typed SegmentFault)
-#      must pass, and the fsync-policy sweep must run and write a valid
-#      BENCH_pr6.json
+#      and the snapshot decoder fuzz (bit flips, hostile record lengths,
+#      a wrong record count, a seal whose m disagrees with its body: all
+#      typed errors) must pass, and the fsync-policy sweep must run and
+#      write a valid BENCH_pr6.json
 #  13. the telemetry smoke: the live-introspection e2e and the frame
 #      extension fuzz must pass, cso-top must render against its own
 #      server, and the overhead sweep must write a valid BENCH_pr7.json
@@ -71,13 +74,15 @@ cargo test -q --workspace
 echo "==> [4/17] fault-injection sweeps"
 cargo test -q -p cso-distributed --features fault-injection
 # The lazily folded degraded collector and the sliced CRC-32, each
-# against its reference (a fresh fold per offer; the byte-at-a-time loop).
-cargo test -q -p cso-distributed --lib -- collector_sum_matches sliced_crc32
+# against its reference (a fresh fold per offer; the byte-at-a-time loop),
+# and the collector listing a node offered under two seeds once.
+cargo test -q -p cso-distributed --lib -- collector_sum_matches sliced_crc32 \
+    collector_lists_a_two_seed_node_once
 
 echo "==> [5/17] warnings-clean (all targets, fault-injection on)"
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-injection
 # The recorder rides in OmpConfig::rec / CsProtocol::rec: no traced twins.
-if grep -rnE "fn [a-z_]+_traced\b" crates/core/src crates/distributed/src; then
+if grep -rnE "fn [a-z_]+_traced\b" crates/core/src crates/distributed/src crates/serve/src; then
     echo "a *_traced twin is back; pass the recorder in the config instead"
     exit 1
 fi
@@ -124,9 +129,11 @@ echo "==> [12/17] durability smoke (kill-9 crash harness + WAL fuzz + fsync swee
 # The crash harness SIGKILLs a child-process server at every seeded
 # injection point (and at arbitrary times) and requires the resumed run
 # to be bit-identical to a never-crashed one; the WAL fuzz truncates and
-# bit-flips journal tails at every offset expecting only typed outcomes.
+# bit-flips journal tails at every offset expecting only typed outcomes;
+# the snapshot fuzz damages a live store's snapshot the same way.
 cargo test -q -p cso-serve --test crash
 cargo test -q -p cso-serve --test proptest_wal
+cargo test -q -p cso-serve --test proptest_snapshot
 cargo test -q -p cso-serve --lib -- snapshot replay
 cargo test -q -p cso-serve --lib -- bad_segment_reasons_are_typed
 cargo run --release -q -p cso-bench --bin figures -- serve_durable
