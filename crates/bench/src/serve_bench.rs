@@ -598,7 +598,7 @@ fn run_ingest_remote(
 }
 
 /// The `serve_sharded` experiment (PR 8): connection-scaling sweep on the
-/// epoll + sharded-store engine, plus an overload soak.
+/// epoll engine with lock-free ingest pads, plus an overload soak.
 ///
 /// **Sweep** — each connection is a simulated remote node: strict
 /// request/response (one in-flight sketch), with a fixed think interval
@@ -636,9 +636,9 @@ pub fn serve_sharded(opts: &Opts) {
     let proto = CsProtocol::new(m, 77);
     let sketches = proto.node_sketches(&cluster).expect("sketches");
 
-    // Two readiness-loop workers, default shard count: the scaling must
-    // come from batched wakeups and lock-free pads, not from a worker
-    // thread per connection.
+    // Two readiness-loop workers: the scaling must come from batched
+    // wakeups and lock-free pads, not from a worker thread per
+    // connection.
     let server = spawn(ServerConfig {
         handlers: 2,
         queue_depth: connection_counts.iter().copied().max().unwrap() + 2,
@@ -682,7 +682,7 @@ pub fn serve_sharded(opts: &Opts) {
     );
     assert!(
         metrics.counter("serve.shard_locked_dispatches").unwrap_or(0) > 0,
-        "opens/seals/recovers go through the shard-locked path"
+        "opens/seals/recovers go through the store-locked path"
     );
     server.shutdown();
 
@@ -822,7 +822,7 @@ fn write_sharded_json(
     out.push_str("{\"bench\":\"serve_sharded\",\"params\":{");
     out.push_str(&format!(
         "\"nodes\":{},\"n\":{n},\"m\":{m},\"k\":{k},\"encoding\":\"f64\",\
-         \"workers\":2,\"shards\":8,\"node_think_us\":300,\"host_cpus\":{cores}",
+         \"workers\":2,\"node_think_us\":300,\"host_cpus\":{cores}",
         samples.first().map_or(0, |s| s.nodes)
     ));
     out.push_str(&format!("}},\"scaling_x_at_8\":{scaling_x_at_8:.3},\"sweep\":["));

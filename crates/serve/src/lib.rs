@@ -16,8 +16,8 @@
 //!   declarations; `std` already links libc, so nothing is added to
 //!   `Cargo.toml`);
 //! - [`server`] — the epoll readiness-loop runtime: worker threads each
-//!   polling many nonblocking connections, a sharded session store with
-//!   a lock-free sketch ingest fast path, bounded admission, straggler
+//!   polling many nonblocking connections, one locked session store
+//!   with a lock-free sketch ingest fast path, bounded admission, straggler
 //!   deadlines, `serve.*` metrics and per-epoch JSONL reports;
 //! - [`client`] — a blocking client plus [`run_cs_over_server`], which
 //!   drives the whole protocol against a live server and (with f64

@@ -67,7 +67,7 @@ use std::time::Duration;
 /// topology it owns.
 #[derive(Debug, Clone)]
 pub struct RelayConfig {
-    /// The embedded region-facing server (port, shards, durability, …).
+    /// The embedded region-facing server (port, limits, durability, …).
     /// Leaves of this region connect here exactly as to a flat root.
     pub server: ServerConfig,
     /// The parent tier's listen address.

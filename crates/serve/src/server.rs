@@ -1,5 +1,5 @@
 //! The long-running TCP aggregation server: an epoll readiness loop over
-//! a sharded session store.
+//! one locked session store with a lock-free sketch ingest path.
 //!
 //! ## Engine (PR 8)
 //!
@@ -19,29 +19,28 @@
 //! pushing backpressure into the client's retry loop instead of letting
 //! memory grow.
 //!
-//! ## Sharding and the lock-free hot path
+//! ## The store lock and the lock-free hot path
 //!
-//! The session store is split into a power-of-two array of
-//! [`ServerConfig::shards`] independently locked shards (shard index =
-//! `session & (shards − 1)`). Non-sketch traffic (open/seal/recover/
-//! status) dispatches under its shard's lock exactly as before. Sketch
+//! Every session lives in one [`SessionStore`] behind one lock, whose
+//! [`StoreLimits`] caps are server-wide. Non-sketch traffic (open/seal/
+//! recover/status/manifest) dispatches under the store lock. Sketch
 //! ingest takes a **lock-free fast path**: after a successful open the
 //! connection caches the epoch's [`IngestPad`], and each sketch claims a
-//! per-node slot with a CAS and writes its payload without touching any
-//! shard lock — only the journal lock is taken, to append the record
+//! per-node slot with a CAS and writes its payload without touching the
+//! store lock — only the journal lock is taken, to append the record
 //! before the ack (`serve.shard_lockfree_ingests` vs
 //! `serve.shard_locked_dispatches` count the split). Seal quiesces the
-//! pad and moves it into the aggregator under the shard lock, so sealed
+//! pad and moves it into the aggregator under the store lock, so sealed
 //! measurements remain the canonical dyadic fold over node ids —
 //! bit-identical to `run_over_wire`.
 //!
-//! All shards feed a **single journal writer** (one WAL behind one lock),
-//! so journal order is still well-defined. Lock order is global: shard
-//! locks ascending, then the journal lock; the hot path takes only the
-//! journal lock. Snapshots lock every shard, pause + drain the pads
-//! (waiting out in-flight claims, whose permits are held across their
-//! journal appends), serialize the merged store, and only then write the
-//! snapshot — so a snapshot can never miss an acknowledged sketch.
+//! One journal writer (one WAL behind one lock) records every transition.
+//! Lock order: the store lock, then the journal lock; the hot path takes
+//! only the journal lock, so journal order is application order. A
+//! snapshot locks the store, pauses + drains the pads (waiting out
+//! in-flight claims, whose permits are held across their journal
+//! appends), serializes the store, and only then writes the snapshot —
+//! so a snapshot can never miss an acknowledged sketch.
 //!
 //! Fault containment per connection (see [`crate::frame`]):
 //!
@@ -56,13 +55,13 @@
 //!
 //! Workers record `serve.*` counters and latency histograms through a
 //! shared [`Recorder`] — counters and histograms only, never spans. The
-//! **lock-audit rule**: nothing under a shard lock touches the recorder.
-//! Store and WAL code buffer into a [`StoreStats`] (they cannot reach a
-//! recorder by construction) and the worker flushes after the guard
-//! drops; occupancy gauges are published to per-shard atomics while the
+//! **lock-audit rule**: nothing under the store lock touches the
+//! recorder. Store and WAL code buffer into a [`StoreStats`] (they cannot
+//! reach a recorder by construction) and the worker flushes after the
+//! guard drops; occupancy gauges are published to two atomics while the
 //! guard is still held and turned into gauge values only on the
 //! introspection path. An [`Message::Introspect`] frame is answered from
-//! the recorder's own registry — a metrics poll never touches a shard
+//! the recorder's own registry — a metrics poll never touches the store
 //! lock. The readiness loop itself is observable through
 //! `serve.loop_wakeups` / `serve.loop_events`.
 //!
@@ -170,8 +169,7 @@ pub struct ServerConfig {
     /// Recovery configuration applied at epoch recover.
     pub policy: RecoveryPolicy,
     /// Resource caps the session store enforces at `OpenEpoch` (hostile
-    /// geometry, session/epoch counts). Applied **per shard**, so the
-    /// global session capacity is `shards × max_sessions`.
+    /// geometry, session/epoch counts), server-wide.
     pub limits: StoreLimits,
     /// When set, every recovered epoch appends one JSONL report line here.
     pub report_path: Option<PathBuf>,
@@ -181,10 +179,6 @@ pub struct ServerConfig {
     /// When set, the session store is recovered from this WAL directory at
     /// startup and every state transition is journaled before its ack.
     pub durability: Option<Durability>,
-    /// Session-store shards (rounded up to a power of two). Sessions hash
-    /// to shards by id; more shards mean less lock contention on the
-    /// non-sketch dispatch path.
-    pub shards: usize,
     /// Flight recorder and slow-request telemetry.
     pub telemetry: TelemetryConfig,
 }
@@ -201,27 +195,8 @@ impl Default for ServerConfig {
             report_path: None,
             port: 0,
             durability: None,
-            shards: 8,
             telemetry: TelemetryConfig::default(),
         }
-    }
-}
-
-/// One session-store shard plus its occupancy mirrors (published while
-/// the shard guard is held, read lock-free by the introspection path).
-struct Shard {
-    store: Mutex<SessionStore>,
-    sessions: AtomicU64,
-    epochs: AtomicU64,
-}
-
-impl Shard {
-    /// Publishes the occupancy gauges' sources. Call with the shard guard
-    /// still held (the values are consistent with the transition just
-    /// applied).
-    fn publish_occupancy(&self, store: &SessionStore) {
-        self.sessions.store(store.session_count() as u64, Ordering::Relaxed);
-        self.epochs.store(store.epoch_count() as u64, Ordering::Relaxed);
     }
 }
 
@@ -235,10 +210,13 @@ struct WorkerLink {
 
 /// Everything the worker threads share.
 struct Shared {
-    // Global lock order: shard locks in ascending index order, then the
-    // journal lock. The sketch fast path takes only the journal lock.
-    shards: Vec<Shard>,
-    shard_mask: u64,
+    // Lock order: the store lock, then the journal lock. The sketch fast
+    // path takes only the journal lock.
+    store: Mutex<SessionStore>,
+    /// Occupancy mirrors of `store` (published while its guard is held,
+    /// read lock-free by the introspection path).
+    sessions: AtomicU64,
+    epochs: AtomicU64,
     wal: Option<Mutex<Wal>>,
     links: Vec<Arc<WorkerLink>>,
     live_conns: AtomicU64,
@@ -250,8 +228,12 @@ struct Shared {
 }
 
 impl Shared {
-    fn shard_index(&self, session: u64) -> usize {
-        (session & self.shard_mask) as usize
+    /// Publishes the occupancy gauges' sources. Call with the store guard
+    /// still held (the values are consistent with the transition just
+    /// applied).
+    fn publish_occupancy(&self, store: &SessionStore) {
+        self.sessions.store(store.session_count() as u64, Ordering::Relaxed);
+        self.epochs.store(store.epoch_count() as u64, Ordering::Relaxed);
     }
 
     /// Journals a dispatched message's effect: [`Shared::append`] of its
@@ -263,14 +245,14 @@ impl Shared {
         }
     }
 
-    /// Appends `record` to the journal. Safe to call with or without a
-    /// shard lock held (it takes only the journal lock, which is ordered
-    /// after every shard lock); a no-op without durability. Returns
+    /// Appends `record` to the journal. Safe to call with or without the
+    /// store lock held (it takes only the journal lock, which is ordered
+    /// after the store lock); a no-op without durability. Returns
     /// `(latched, snapshot_due)`: `latched` when this append flipped the
     /// WAL into its failed state (the caller dumps the flight recorder
     /// after releasing its locks), `snapshot_due` when the caller should
-    /// run [`Shared::snapshot_all`] — **after** releasing any shard lock,
-    /// because the snapshot re-acquires them all in ascending order.
+    /// run [`Shared::snapshot_all`] — **after** releasing the store lock,
+    /// because the snapshot takes it.
     fn append(&self, record: &WalRecord, stats: &mut StoreStats) -> (bool, bool) {
         let Some(wal) = &self.wal else { return (false, false) };
         let mut wal = lock_unpoisoned(wal);
@@ -279,34 +261,29 @@ impl Shared {
         (!was_failed && wal.failed(), wal.should_snapshot())
     }
 
-    /// The consistent-cut snapshot choreography: lock every shard
-    /// (ascending), pause and drain every ingest pad (waiting out
-    /// in-flight lock-free claims, whose permits span their journal
-    /// appends — so a quiesced pad means every accepted sketch is both
-    /// folded and journaled), serialize the merged store, write the
-    /// snapshot under the journal lock, then resume the pads. Callers
-    /// must hold no shard lock. `should_snapshot` is re-checked under the
-    /// journal lock so concurrent workers cannot double-snapshot.
+    /// The consistent-cut snapshot choreography: lock the store, pause and
+    /// drain every ingest pad (waiting out in-flight lock-free claims,
+    /// whose permits span their journal appends — so a quiesced pad means
+    /// every accepted sketch is both folded and journaled), serialize the
+    /// store, write the snapshot under the journal lock, then resume the
+    /// pads. Callers must not hold the store lock. `should_snapshot` is
+    /// re-checked under the journal lock so concurrent workers cannot
+    /// double-snapshot.
     fn snapshot_all(&self, stats: &mut StoreStats) {
         let Some(wal) = &self.wal else { return };
-        let mut guards: Vec<_> = self.shards.iter().map(|s| lock_unpoisoned(&s.store)).collect();
-        for g in guards.iter_mut() {
-            g.pause_and_drain_pads();
-        }
-        let refs: Vec<&SessionStore> = guards.iter().map(|g| &**g).collect();
-        let bytes = SessionStore::merged_snapshot_bytes(&refs);
+        let mut store = lock_unpoisoned(&self.store);
+        store.pause_and_drain_pads();
+        let bytes = store.snapshot_bytes();
         {
             let mut wal = lock_unpoisoned(wal);
             if wal.should_snapshot() {
                 wal.snapshot(&bytes, stats);
             }
         }
-        for g in guards.iter() {
-            g.resume_pads();
-        }
+        store.resume_pads();
     }
 
-    /// What follows a journal append, once every shard lock is released:
+    /// What follows a journal append, once the store lock is released:
     /// given [`Shared::append`]'s `(latched, snapshot_due)`, a WAL that
     /// latched failed is flight-recorded on the worker's `lane` (if the
     /// caller is a worker) and the flight recorder dumped, and a due
@@ -327,14 +304,12 @@ impl Shared {
 
     /// The live metrics snapshot the introspection plane serves: the
     /// recorder's registry plus the occupancy gauges derived from the
-    /// lock-free shard mirrors and the inbox backlogs. Never touches a
-    /// shard lock.
+    /// lock-free store mirrors and the inbox backlogs. Never touches the
+    /// store lock.
     fn introspect_snapshot(&self) -> MetricsSnapshot {
-        let sessions: u64 = self.shards.iter().map(|s| s.sessions.load(Ordering::Relaxed)).sum();
-        let epochs: u64 = self.shards.iter().map(|s| s.epochs.load(Ordering::Relaxed)).sum();
         let backlog: u64 = self.links.iter().map(|l| lock_unpoisoned(&l.inbox).len() as u64).sum();
-        self.rec.gauge_set("serve.sessions", sessions as f64);
-        self.rec.gauge_set("serve.epochs", epochs as f64);
+        self.rec.gauge_set("serve.sessions", self.sessions.load(Ordering::Relaxed) as f64);
+        self.rec.gauge_set("serve.epochs", self.epochs.load(Ordering::Relaxed) as f64);
         self.rec.gauge_set("serve.queue_depth", backlog as f64);
         self.rec.metrics_snapshot()
     }
@@ -380,19 +355,14 @@ impl ServerHandle {
     }
 
     /// Sealed epochs whose pre-summed measurement has not yet been acked
-    /// by the upstream tier, across every shard. The relay forwarder
-    /// polls this after each seal and after recovery — WAL replay
-    /// restores both the sealed measurement and the forwarded flag, so a
-    /// restarted relay resumes exactly the pushes that were never acked.
-    /// Deterministic order: ascending `(session, epoch)`.
+    /// by the upstream tier. The relay forwarder polls this after each
+    /// seal and after recovery — WAL replay restores both the sealed
+    /// measurement and the forwarded flag, so a restarted relay resumes
+    /// exactly the pushes that were never acked. Deterministic order:
+    /// ascending `(session, epoch)`.
     pub fn sealed_unforwarded(&self) -> Vec<PendingForward> {
-        let mut out = Vec::new();
-        for shard in &self.shared.shards {
-            let store = lock_unpoisoned(&shard.store);
-            out.extend(store.sealed_unforwarded());
-        }
-        out.sort_by_key(|p| (p.session, p.epoch));
-        out
+        let sh = &self.shared;
+        lock_unpoisoned(&sh.store).sealed_unforwarded()
     }
 
     /// Records that an epoch's pre-sum was acked upstream: marks the
@@ -402,16 +372,15 @@ impl ServerHandle {
     /// duplicated ack resolves to.
     pub fn complete_forward(&self, session: u64, epoch: u64) -> bool {
         let sh = &self.shared;
-        let shard = &sh.shards[sh.shard_index(session)];
         let mut stats = StoreStats::new();
         let journaled = {
-            let mut store = lock_unpoisoned(&shard.store);
+            let mut store = lock_unpoisoned(&sh.store);
             let Effect::Record(record) = store.mark_forwarded(session, epoch) else {
                 return false;
             };
-            // Journal lock nests inside the shard lock (global order), so
-            // the mark and its record are atomic with respect to the
-            // snapshot choreography.
+            // Journal lock nests inside the store lock, so the mark and
+            // its record are atomic with respect to the snapshot
+            // choreography.
             sh.append(&record, &mut stats)
         };
         stats.flush(&sh.rec);
@@ -474,8 +443,7 @@ impl Drop for ServerHandle {
 /// With [`ServerConfig::durability`] set, the session store is first
 /// recovered from the WAL directory (`serve.restarts`,
 /// `serve.replayed_records`, and — for a prior process that did not drain
-/// cleanly — `serve.unclean_shutdowns` record what was found), then split
-/// across the shard array by session id.
+/// cleanly — `serve.unclean_shutdowns` record what was found).
 pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", config.port))?;
     let addr = listener.local_addr()?;
@@ -502,24 +470,15 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         }
         None => (SessionStore::with_limits(config.limits), None),
     };
-    let shard_count = config.shards.max(1).next_power_of_two();
-    let shards: Vec<Shard> = store
-        .split_by_session(shard_count)
-        .into_iter()
-        .map(|s| Shard {
-            sessions: AtomicU64::new(s.session_count() as u64),
-            epochs: AtomicU64::new(s.epoch_count() as u64),
-            store: Mutex::new(s),
-        })
-        .collect();
     let workers = config.handlers.max(1);
     let links: Vec<Arc<WorkerLink>> = (0..workers)
         .map(|_| Ok(Arc::new(WorkerLink { inbox: Mutex::new(Vec::new()), wake: EventFd::new()? })))
         .collect::<std::io::Result<_>>()?;
     let flight = FlightRecorder::new(FLIGHT_KINDS.to_vec(), workers, config.telemetry.flight_slots);
     let shared = Arc::new(Shared {
-        shards,
-        shard_mask: (shard_count - 1) as u64,
+        sessions: AtomicU64::new(store.session_count() as u64),
+        epochs: AtomicU64::new(store.epoch_count() as u64),
+        store: Mutex::new(store),
         wal,
         links,
         live_conns: AtomicU64::new(0),
@@ -973,8 +932,8 @@ impl Worker {
 }
 
 /// Dispatches one assembled frame and queues its reply: the introspection
-/// plane first (never touches a shard lock), then the lock-free sketch
-/// fast path, then the shard-locked dispatch path.
+/// plane first (never touches the store lock), then the lock-free sketch
+/// fast path, then the store-locked dispatch path.
 fn handle_frame(
     sh: &Shared,
     lane: usize,
@@ -999,7 +958,7 @@ fn handle_frame(
         // is bound to, with a live ingest pad. Claim a slot (CAS), write
         // the payload, journal **while holding the pad permit** (so a
         // seal/snapshot quiesce cannot observe the sketch folded but not
-        // journaled), ack. No shard lock anywhere.
+        // journaled), ack. No store lock anywhere.
         if let Message::Sketch { node, seed, payload } = msg {
             let cached = conn.pad.as_ref().and_then(|(s, e, p)| {
                 (conn.state.bound() == Some((*s, *e))).then(|| (*s, *e, Arc::clone(p)))
@@ -1017,7 +976,7 @@ fn handle_frame(
                     sh.after_journal(Some(lane), journaled);
                     break 'reply reply;
                 }
-                // Pad sealed/paused or node out of range: the shard-locked
+                // Pad sealed/paused or node out of range: the store-locked
                 // path resolves it (and re-caches).
                 conn.pad = None;
             }
@@ -1045,45 +1004,28 @@ fn handle_frame(
     conn.out.extend_from_slice(&encode_frame(&reply));
 }
 
-/// The shard-locked dispatch path: route by the message's target session,
-/// dispatch under that shard's lock, journal before the ack leaves the
-/// process, and run any recovery outside every lock.
+/// The store-locked dispatch path: dispatch under the store lock, journal
+/// before the ack leaves the process, and run any recovery outside every
+/// lock.
 fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Message {
-    let session = match msg {
-        Message::OpenEpoch { session, .. }
-        | Message::SealEpoch { session, .. }
-        | Message::RecoverEpoch { session, .. }
-        | Message::EpochStatus { session, .. }
-        | Message::RelayManifest { session, .. } => Some(*session),
-        Message::Sketch { .. } => conn.state.bound().map(|(s, _)| s),
-        _ => None,
-    };
-    // Unroutable messages (an unbound sketch, an unexpected tag) still go
-    // through dispatch for its typed reject; shard 0 is arbitrary since
-    // no store state is touched.
-    let idx = sh.shard_index(session.unwrap_or(0));
-    let shard = &sh.shards[idx];
     let mut stats = StoreStats::new();
     stats.add("serve.shard_locked_dispatches", 1);
     let (dispatched, journaled) = {
-        let mut store = lock_unpoisoned(&shard.store);
+        let mut store = lock_unpoisoned(&sh.store);
         let d = store.dispatch(&mut conn.state, msg, &sh.config.policy, &mut stats);
         // Journal before the ack leaves the process; the journal lock
-        // nests inside the shard lock (global lock order), so journal
-        // order agrees with this shard's application order.
+        // nests inside the store lock, so journal order is application
+        // order.
         let journaled = match &d {
             Dispatch::Reply(_, effect) => sh.journal(effect, msg, &mut stats),
             Dispatch::Recover(_) => (false, false),
         };
-        shard.publish_occupancy(&store);
+        sh.publish_occupancy(&store);
         // Refresh the fast-path pad after binding-shaped messages: a
         // successful open/attach binds the connection, and a sketch that
         // fell through here may have raced a seal or an eviction.
         if matches!(msg, Message::OpenEpoch { .. } | Message::Sketch { .. }) {
-            conn.pad = match conn.state.bound() {
-                Some((s, e)) if sh.shard_index(s) == idx => store.pad_for(s, e).map(|p| (s, e, p)),
-                _ => None,
-            };
+            conn.pad = conn.state.bound().and_then(|(s, e)| Some((s, e, store.pad_for(s, e)?)));
         }
         (d, journaled)
     };
@@ -1103,9 +1045,10 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
         }
         Dispatch::Recover(job) => {
             // BOMP and the Φ0 materialization run outside every lock: a
-            // recovery must never stall other shards' (or this shard's)
-            // ingest. It does occupy this worker, which is the same
-            // trade the thread-per-connection engine made per handler.
+            // recovery must never stall ingest or any other session's
+            // control plane. It does occupy this worker, which is the
+            // same trade the thread-per-connection engine made per
+            // handler.
             let (session, epoch) = job.target();
             let recover_started = Instant::now();
             let (reply, summary) = job.run();
@@ -1115,10 +1058,10 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
                 crash_point("mid-recover");
                 let mut stats = StoreStats::new();
                 let journaled = {
-                    let mut store = lock_unpoisoned(&shard.store);
+                    let mut store = lock_unpoisoned(&sh.store);
                     let effect = store.finish_recover(session, epoch, &mut stats);
                     let j = sh.journal(&effect, msg, &mut stats);
-                    shard.publish_occupancy(&store);
+                    sh.publish_occupancy(&store);
                     j
                 };
                 stats.flush(&sh.rec);
@@ -1187,8 +1130,8 @@ mod tests {
             }
             let start_depth = depth;
             depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
-            if line.contains("lock_unpoisoned(&shard.store)")
-                || line.contains("lock_unpoisoned(&s.store)")
+            if line.contains("lock_unpoisoned(&sh.store)")
+                || line.contains("lock_unpoisoned(&self.store)")
             {
                 guard_scopes.push(start_depth);
                 sections += 1;

@@ -267,6 +267,32 @@ impl Epoch {
         }
     }
 
+    /// Declares a relay's region. The manifest must describe the region's
+    /// aligned dyadic block exactly — `fan_in` a power of two, `leaf_lo =
+    /// region · fan_in`, `lo < hi ≤ lo + fan_in` — and agree with whatever
+    /// earlier manifests established: one `fan_in` per epoch, one leaf
+    /// range per region. Re-declaring an identical region is a no-op.
+    fn declare_region(
+        &mut self,
+        region: u32,
+        (lo, hi): (u64, u64),
+        fan_in: u64,
+    ) -> Result<(), RejectCode> {
+        let aligned = fan_in.is_power_of_two()
+            && u64::from(region).checked_mul(fan_in) == Some(lo)
+            && hi > lo
+            && hi - lo <= fan_in;
+        let topo = match &mut self.topology {
+            _ if !aligned => return Err(RejectCode::TopologyMismatch),
+            Some(topo) if topo.fan_in != fan_in => return Err(RejectCode::TopologyMismatch),
+            topo => topo.get_or_insert_with(|| EpochTopology { fan_in, ..Default::default() }),
+        };
+        if *topo.regions.entry(region).or_insert((lo, hi)) != (lo, hi) {
+            return Err(RejectCode::RegionConflict);
+        }
+        Ok(())
+    }
+
     fn node_count(&self) -> u64 {
         match &self.state {
             EpochState::Ingest(agg, pad) => {
@@ -302,11 +328,11 @@ unsafe impl Sync for PadSlot {}
 
 /// Lock-free sketch accumulation for one ingesting epoch.
 ///
-/// The hot path of the sharded server: a worker that already knows its
-/// connection's bound epoch claims the sketch's node slot with a single
-/// CAS and deposits the decoded vector — no store lock, no map insert, no
-/// fold. Drains move READY slots into the epoch's [`SketchAggregator`]
-/// under the shard lock, at seal and before every durability snapshot;
+/// The server's hot path: a worker that already knows its connection's
+/// bound epoch claims the sketch's node slot with a single CAS and
+/// deposits the decoded vector — no store lock, no map insert, no fold.
+/// Drains move READY slots into the epoch's [`SketchAggregator`] under
+/// the store lock, at seal and before every durability snapshot;
 /// the canonical `y = Σ y_l` (the dyadic fold over node ids — the
 /// bit-identity invariant) is formed once, when the seal reads it.
 ///
@@ -326,7 +352,7 @@ unsafe impl Sync for PadSlot {}
 ///   drop, then drains. Later claims bounce with [`PadIngest::Unavailable`].
 /// - **paused**: set around snapshots for the same quiescence guarantee,
 ///   then cleared — bounced claims retry through the locked slow path,
-///   which blocks on the shard lock until the snapshot completes.
+///   which blocks on the store lock until the snapshot completes.
 ///
 /// First-wins semantics are identical to the locked path: the slot CAS
 /// arbitrates duplicates exactly like the aggregator's `contains` check.
@@ -481,7 +507,7 @@ impl IngestPad {
         self.active.fetch_add(1, Ordering::SeqCst);
         let permit = PadPermit { pad: self };
         // Barrier check precedes the seed check: a sealed epoch must
-        // answer `EpochSealed` (via the shard-locked path) even to a
+        // answer `EpochSealed` (via the store-locked path) even to a
         // wrong-seed sketch, matching the store's reject precedence.
         if self.sealed.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
             return PadIngest::Unavailable;
@@ -551,7 +577,7 @@ impl IngestPad {
 
     /// Moves every READY slot's sketch into `agg` — each a map insert; the
     /// aggregator folds once, when the measurement is next read. Walks
-    /// only allocated chunks. Callers hold the shard's store lock; claims
+    /// only allocated chunks. Callers hold the store lock; claims
     /// racing this drain keep their slots for the next drain.
     fn drain_into(&self, agg: &mut SketchAggregator) {
         for (node, slot) in self.allocated_slots() {
@@ -599,8 +625,9 @@ pub struct StoreLimits {
     /// and never builds the bias-extended `Φ̃ = [φ0, Φ0]`.
     pub max_matrix_bytes: u64,
     /// Live sessions the store holds before `OpenEpoch` of a new session
-    /// is rejected (finished sessions are evicted to make room first).
-    /// Gates live opens only; replay restores every journaled session.
+    /// is rejected (the lowest-id finished session is evicted to make
+    /// room first). Server-wide: one store holds every session. Gates
+    /// live opens only; replay restores every journaled session.
     pub max_sessions: usize,
     /// Live epochs per session before a new epoch is rejected (recovered
     /// epochs are evicted to make room first). Gates live opens only.
@@ -655,7 +682,7 @@ impl Default for StoreLimits {
         StoreLimits {
             max_n: 1 << 22,
             max_matrix_bytes: 256 << 20,
-            max_sessions: 64,
+            max_sessions: 512,
             max_epochs_per_session: 64,
             max_nodes_per_epoch: 1 << 16,
         }
@@ -962,7 +989,9 @@ impl SessionStore {
                 Ok((self.status(session, epoch), Effect::None))
             }
             Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
-                self.manifest(session, epoch, region, leaf_lo, leaf_hi, fan_in, stats)
+                let record =
+                    WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in };
+                self.manifest(session, epoch, record, stats)
             }
             _ => Err(RejectCode::Unexpected),
         };
@@ -1074,61 +1103,32 @@ impl SessionStore {
         }))
     }
 
-    /// Applies a relay's subtree declaration. The manifest must describe
-    /// the region's aligned dyadic block exactly — `fan_in` a power of
-    /// two, `leaf_lo = region · fan_in`, `lo < hi ≤ lo + fan_in` — and
-    /// agree with whatever earlier manifests established: one `fan_in`
-    /// per epoch, one leaf range per region. Re-declaring an identical
-    /// region is idempotent (relay resume after reconnect).
-    #[allow(clippy::too_many_arguments)]
+    /// Applies a relay's subtree declaration: its `Manifest` record goes
+    /// through the replay body, which validates it (see
+    /// [`Epoch::declare_region`]). A sealed epoch's topology is frozen.
+    /// Re-declaring an identical region acks without an effect (relay
+    /// resume after reconnect).
     fn manifest(
         &mut self,
         session: u64,
         epoch: u64,
-        region: u32,
-        leaf_lo: u64,
-        leaf_hi: u64,
-        fan_in: u64,
+        record: WalRecord,
         stats: &mut StoreStats,
     ) -> Result<(Message, Effect), RejectCode> {
-        let ep = self.epoch_mut(session, epoch)?;
-        if ep.phase != EpochPhase::Ingest {
+        if self.epoch_mut(session, epoch)?.phase != EpochPhase::Ingest {
             return Err(RejectCode::EpochSealed);
         }
-        let aligned = fan_in > 0
-            && fan_in.is_power_of_two()
-            && leaf_lo == u64::from(region) * fan_in
-            && leaf_hi > leaf_lo
-            && leaf_hi <= leaf_lo + fan_in;
-        if !aligned {
-            return Err(RejectCode::TopologyMismatch);
+        let declared =
+            |store: &Self| store.topology_of(session, epoch).map_or(0, |t| t.regions.len() as u64);
+        let before = declared(self);
+        let effect = self.apply(record)?;
+        let info = declared(self);
+        if info == before {
+            // Identical re-declaration: the relay resumed.
+            return Ok((Message::Ack { of: TAG_RELAY_MANIFEST, info }, Effect::None));
         }
-        if let Some(topo) = &ep.topology {
-            if topo.fan_in != fan_in {
-                return Err(RejectCode::TopologyMismatch);
-            }
-            match topo.regions.get(&region) {
-                Some(&(lo, hi)) if (lo, hi) != (leaf_lo, leaf_hi) => {
-                    return Err(RejectCode::RegionConflict);
-                }
-                Some(_) => {
-                    // Identical re-declaration: the relay resumed.
-                    let declared = topo.regions.len() as u64;
-                    return Ok((
-                        Message::Ack { of: TAG_RELAY_MANIFEST, info: declared },
-                        Effect::None,
-                    ));
-                }
-                None => {}
-            }
-        }
-        let topo =
-            ep.topology.get_or_insert_with(|| EpochTopology { fan_in, ..Default::default() });
-        topo.regions.insert(region, (leaf_lo, leaf_hi));
-        let declared = topo.regions.len() as u64;
         stats.add("serve.manifests_accepted", 1);
-        let record = WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in };
-        Ok((Message::Ack { of: TAG_RELAY_MANIFEST, info: declared }, Effect::Record(record)))
+        Ok((Message::Ack { of: TAG_RELAY_MANIFEST, info }, effect))
     }
 
     /// The relay-tier topology declared for `(session, epoch)`, if any.
@@ -1350,46 +1350,17 @@ impl SessionStore {
         }
     }
 
-    // ---- sharding ------------------------------------------------------
-
-    /// Partitions the store into `shards` disjoint stores (shard index =
-    /// `session & (shards − 1)`; `shards` must be a power of two). The
-    /// inverse view for durability is
-    /// [`SessionStore::merged_snapshot_bytes`].
-    pub fn split_by_session(mut self, shards: usize) -> Vec<SessionStore> {
-        assert!(shards.is_power_of_two(), "shard count must be a power of two");
-        let mask = (shards - 1) as u64;
-        let mut out: Vec<SessionStore> =
-            (0..shards).map(|_| SessionStore::with_limits(self.limits)).collect();
-        while let Some((sid, sess)) = self.sessions.pop_first() {
-            out[(sid & mask) as usize].sessions.insert(sid, sess);
-        }
-        out
-    }
-
     // ---- snapshot ------------------------------------------------------
 
-    /// Serializes the store as the compacted journal that rebuilds it; see
-    /// [`SessionStore::merged_snapshot_bytes`].
-    pub fn snapshot_bytes(&self) -> Vec<u8> {
-        SessionStore::merged_snapshot_bytes(&[self])
-    }
-
-    /// Serializes the union of disjoint shard stores as one snapshot: a
+    /// Serializes the store as the compacted journal that rebuilds it: a
     /// `u64` record count, then the framed records whose replay rebuilds
-    /// each epoch, epochs in ascending `(session, epoch)` order across
-    /// shards — byte-identical to [`SessionStore::snapshot_bytes`] on an
-    /// unsharded store holding the same sessions. The inverse is
-    /// [`SessionStore::from_snapshot_bytes`]. Ingest pads are *not*
-    /// serialized — fold them first via
+    /// each epoch, epochs in ascending `(session, epoch)` order. The
+    /// inverse is [`SessionStore::from_snapshot_bytes`]. Ingest pads are
+    /// *not* serialized — fold them first via
     /// [`SessionStore::pause_and_drain_pads`].
-    pub fn merged_snapshot_bytes(shards: &[&SessionStore]) -> Vec<u8> {
-        let mut all: BTreeMap<u64, &Session> = BTreeMap::new();
-        for store in shards {
-            all.extend(store.sessions.iter().map(|(sid, sess)| (*sid, sess)));
-        }
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
         let (mut out, mut count) = (vec![0u8; 8], 0u64);
-        for (&session, sess) in &all {
+        for (&session, sess) in &self.sessions {
             for (&epoch, ep) in &sess.epochs {
                 ep.compacted(session, epoch, &mut |record| {
                     frame_record(&mut out, &record.encode());
@@ -1491,10 +1462,10 @@ impl WalRecord {
     ///
     /// `open`'s admission policy — the session and epoch caps and the
     /// evictions that make room under them — is not replayed: every
-    /// journaled epoch was admitted when it was written, and the caps are
-    /// per shard while recovery rebuilds one merged store. A recovered
-    /// epoch the live store had evicted may therefore come back; the next
-    /// open that needs room evicts it again.
+    /// journaled epoch was admitted when it was written, under caps that
+    /// may since have been lowered. A recovered epoch the live store had
+    /// evicted may therefore come back; the next open that needs room
+    /// evicts it again.
     pub fn replay(&self, store: &mut SessionStore) -> Result<(), ReplayError> {
         let Some((session, epoch)) = self.target() else { return Ok(()) };
         let refused = |code| ReplayError::Rejected { kind: self.kind(), session, epoch, code };
@@ -1556,12 +1527,10 @@ impl WalRecord {
                 }
             }
             WalRecord::Manifest { region, leaf_lo, leaf_hi, fan_in, .. } => {
+                let ep = store.epoch_mut(session, epoch).map_err(refused)?;
                 // After the seal the topology is frozen: a duplicate is a no-op.
-                if store.epoch_mut(session, epoch).map_err(refused)?.phase == EpochPhase::Ingest {
-                    let mut stats = StoreStats::new();
-                    store
-                        .manifest(session, epoch, region, leaf_lo, leaf_hi, fan_in, &mut stats)
-                        .map_err(refused)?;
+                if ep.phase == EpochPhase::Ingest {
+                    ep.declare_region(region, (leaf_lo, leaf_hi), fan_in).map_err(refused)?;
                 }
             }
             WalRecord::CleanShutdown => {}
@@ -1966,6 +1935,26 @@ mod tests {
             assert_eq!(outliers.len(), 1, "kind {op_kind}");
             assert_eq!(outliers[0].0, 17, "kind {op_kind}: wrong outlier key");
         }
+    }
+
+    /// A manifest whose `region · fan_in` overflows `u64` names no aligned
+    /// block: it is a typed `TopologyMismatch`, neither a debug-build
+    /// overflow panic nor (wrapped to 0) a block accepted as aligned.
+    #[test]
+    fn manifest_with_an_overflowing_block_is_a_topology_mismatch() {
+        let mut fx = Fixture::new();
+        fx.send(&open_msg());
+        let manifest = |region, leaf_lo, leaf_hi, fan_in| Message::RelayManifest {
+            session: 1,
+            epoch: 0,
+            region,
+            leaf_lo,
+            leaf_hi,
+            fan_in,
+        };
+        assert_eq!(code_of(&fx.send(&manifest(2, 0, 1, 1 << 63))), RejectCode::TopologyMismatch);
+        assert_eq!(fx.store.topology_of(1, 0), None, "a refused manifest declares nothing");
+        assert!(matches!(fx.send(&manifest(1, 4, 8, 4)), Message::Ack { info: 1, .. }));
     }
 
     /// Capacity is bounded and typed: pending work fills the store to its
@@ -2585,10 +2574,10 @@ mod tests {
         assert_eq!(sealed[0], (1, 0, fold_bits([(5, 5)])));
     }
 
-    /// The session and epoch caps are admission policy, applied per shard;
-    /// recovery rebuilds one merged store. A sharded store holding more
-    /// sessions than one shard's cap — in its snapshot and in the journal
-    /// after it — reloads whole, and so it does under lowered caps.
+    /// The session and epoch caps are admission policy for live opens;
+    /// recovery rebuilds the whole store. A store filled to its session
+    /// cap — in its snapshot and in the journal after it — reloads whole
+    /// under those caps, and so it does under lowered caps.
     #[test]
     fn sharded_snapshot_over_one_shards_cap_recovers_whole() {
         use crate::wal::{Durability, Wal};
@@ -2596,15 +2585,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut wal = Wal::open(&Durability::at(&dir)).expect("open journal");
         let mut stats = StoreStats::new();
-        let limits = StoreLimits::default();
-        let mut shards = SessionStore::with_limits(limits).split_by_session(8);
-        let sessions = 3 * limits.max_sessions as u64;
+        let limits = StoreLimits { max_sessions: 192, ..StoreLimits::default() };
+        let mut live = SessionStore::with_limits(limits);
+        let sessions = limits.max_sessions as u64;
         for session in 0..sessions {
-            if session == 2 * limits.max_sessions as u64 {
-                let live: Vec<&SessionStore> = shards.iter().collect();
-                wal.snapshot(&SessionStore::merged_snapshot_bytes(&live), &mut stats);
+            if session == 2 * sessions / 3 {
+                wal.snapshot(&live.snapshot_bytes(), &mut stats);
             }
-            let shard = &mut shards[(session % 8) as usize];
             let open = Message::OpenEpoch {
                 session,
                 epoch: 0,
@@ -2616,15 +2603,14 @@ mod tests {
             };
             let mut conn = ConnState::new();
             for msg in [open, irregular_msg(session as u32)] {
-                let (reply, effect) = send(shard, &mut conn, &msg);
+                let (reply, effect) = send(&mut live, &mut conn, &msg);
                 assert!(matches!(reply, Message::Ack { .. }), "session {session}: {reply:?}");
                 wal.append(&WalRecord::of_effect(&effect, &msg).expect("journaled"), &mut stats);
             }
         }
         assert!(!wal.failed());
         drop(wal);
-        let live: Vec<&SessionStore> = shards.iter().collect();
-        let live = SessionStore::merged_snapshot_bytes(&live);
+        let live = live.snapshot_bytes();
         let lowered = StoreLimits { max_sessions: 1, max_epochs_per_session: 1, ..limits };
         for limits in [limits, lowered] {
             let (restored, report) = SessionStore::recover_from(&dir, limits).expect("recover");

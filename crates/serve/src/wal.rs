@@ -830,16 +830,15 @@ impl Wal {
     }
 
     /// Writes a pre-serialized store snapshot (see
-    /// [`SessionStore::snapshot_bytes`] /
-    /// [`SessionStore::merged_snapshot_bytes`]) and prunes the segments
-    /// the snapshot covers: rotates to a fresh segment, writes
+    /// [`SessionStore::snapshot_bytes`]) and prunes the segments the
+    /// snapshot covers: rotates to a fresh segment, writes
     /// `snapshot-<seq>.bin` atomically (temp + rename + fsync), then
     /// deletes all older segments and snapshots. Taking bytes rather than
-    /// a `&SessionStore` lets the sharded server serialize the union of
-    /// all shards while holding their locks, then write it under the
-    /// journal lock alone. On any failure the journal is left untouched
-    /// except for the rotation — recovery falls back to the previous
-    /// snapshot plus a longer replay, never to wrong bits.
+    /// a `&SessionStore` lets the server serialize the store under its
+    /// lock and write the bytes under the journal lock. On any failure
+    /// the journal is left untouched except for the rotation — recovery
+    /// falls back to the previous snapshot plus a longer replay, never to
+    /// wrong bits.
     pub fn snapshot(&mut self, body: &[u8], stats: &mut StoreStats) {
         if self.failed {
             return;

@@ -613,3 +613,96 @@ fn open_exhaustion_does_not_sleep_after_the_final_attempt() {
     );
     fake.join().unwrap();
 }
+
+/// The session cap is server-wide: with room for two live sessions, a
+/// third session's open is `StoreFull` while the first two hold unsealed
+/// epochs, whatever their ids.
+#[test]
+fn session_cap_is_server_wide() {
+    use cso_serve::{ClientError, StoreLimits};
+    let limits = StoreLimits { max_sessions: 2, ..StoreLimits::default() };
+    let server = spawn(ServerConfig { limits, ..ServerConfig::default() }).unwrap();
+    let retry = RetryPolicy::no_retry();
+    let _first = ServeClient::open(server.addr(), &retry, 1, 0, 16, 64, SEED).unwrap();
+    let _second = ServeClient::open(server.addr(), &retry, 2, 0, 16, 64, SEED).unwrap();
+    match ServeClient::open(server.addr(), &retry, 3, 0, 16, 64, SEED) {
+        Err(ClientError::Rejected(RejectCode::StoreFull)) => {}
+        Err(e) => panic!("third session: expected StoreFull, got {e:?}"),
+        Ok(_) => panic!("third session admitted past a two-session cap"),
+    }
+    server.shutdown();
+}
+
+/// Eight sessions run at once against one durable server, one thread per
+/// session and two ingest connections each, with snapshots landing
+/// mid-run. Each session carries its own data, so a sketch folded into
+/// the wrong session changes its bits: every report must equal its own
+/// `run_over_wire`, and after a restart on the same journal every epoch
+/// must re-recover the same bits.
+#[test]
+fn concurrent_sessions_match_run_over_wire_across_snapshots_and_restart() {
+    const SESSIONS: u64 = 8;
+    let runs: Vec<(Cluster, cso_distributed::ProtocolRun)> = (0..SESSIONS)
+        .map(|s| {
+            let cfg = MajorityConfig { n: 400, s: 8, ..MajorityConfig::default() };
+            let data = MajorityData::generate(&cfg, 100 + s).unwrap();
+            let strategy = SliceStrategy::Camouflaged { offset: 2000.0, fraction: 0.2 };
+            let cluster =
+                Cluster::new(split(&data.values, 16, strategy, 200 + s).unwrap()).unwrap();
+            let reference = proto().run_over_wire(&cluster, K, SketchEncoding::F64).unwrap();
+            (cluster, reference)
+        })
+        .collect();
+    let distinct: std::collections::BTreeSet<String> =
+        runs.iter().map(|(_, r)| format!("{:?} {:?}", r.mode.to_bits(), r.estimate)).collect();
+    assert_eq!(distinct.len(), SESSIONS as usize, "every session's reference differs");
+    let assert_bits = |s: u64, mode: f64, outliers: &[(u32, f64)], when: &str| {
+        let want = &runs[s as usize].1;
+        assert_eq!(mode.to_bits(), want.mode.to_bits(), "session {s} {when}: mode bits");
+        assert_eq!(outliers.len(), want.estimate.len(), "session {s} {when}");
+        for (got, want) in outliers.iter().zip(&want.estimate) {
+            assert_eq!(got.0 as usize, want.index, "session {s} {when}");
+            assert_eq!(got.1.to_bits(), want.value.to_bits(), "session {s} {when}");
+        }
+    };
+    let dir = std::env::temp_dir().join(format!("cso-serve-sessions-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable = || ServerConfig {
+        durability: Some(Durability { snapshot_every_records: 16, ..Durability::at(&dir) }),
+        ..ServerConfig::default()
+    };
+
+    let server = spawn(durable()).unwrap();
+    let start = std::sync::Barrier::new(SESSIONS as usize);
+    std::thread::scope(|scope| {
+        for s in 0..SESSIONS {
+            let (addr, runs, start) = (server.addr(), &runs, &start);
+            let assert_bits = &assert_bits;
+            scope.spawn(move || {
+                start.wait();
+                let cfg =
+                    ServeRunConfig { connections: 2, session: s, ..ServeRunConfig::default() };
+                let run = run_cs_over_server(&proto(), &runs[s as usize].0, K, addr, &cfg).unwrap();
+                assert_eq!(run.nodes, 16, "session {s}");
+                assert_bits(s, run.mode, &run.outliers, "live");
+            });
+        }
+    });
+    let metrics = server.recorder().metrics_snapshot();
+    assert!(metrics.counter("serve.wal_snapshots").unwrap_or(0) >= 2, "{metrics:?}");
+    assert_eq!(metrics.counter("serve.epochs_recovered"), Some(SESSIONS));
+    server.shutdown();
+
+    let server = spawn(durable()).unwrap();
+    assert!(server.recovery_report().is_some_and(|r| r.snapshot_loaded));
+    let retry = RetryPolicy::default();
+    for s in 0..SESSIONS {
+        let (mut control, nodes) =
+            ServeClient::open(server.addr(), &retry, s, 0, M as u32, 400, SEED).unwrap();
+        assert_eq!(nodes, 16, "session {s}: restart lost sealed nodes");
+        let (mode, outliers) = control.recover(K as u32).unwrap();
+        assert_bits(s, mode, &outliers, "after restart");
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -8,7 +8,8 @@
 #      plus the lazy degraded-collector fold and sliced CRC-32 oracles and
 #      the collector's one-entry-per-node listing
 #   5. a warnings-clean check over all targets, fault-injection included,
-#      and no `fn *_traced` twin in cso-core, cso-distributed or cso-serve
+#      no `fn *_traced` twin in cso-core, cso-distributed or cso-serve,
+#      and no session-store shard routing back in cso-serve
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -23,8 +24,9 @@
 #      WAL fuzz and the snapshot/replay unit tests (snapshots are
 #      compacted journals replayed by one body; hostile snapshots and
 #      lone seals are typed errors; duplicates reset alike on every
-#      restart path; a sharded store over one shard's caps reloads
-#      whole; each unreadable segment header is its typed SegmentFault)
+#      restart path; a store filled to its caps reloads whole under
+#      lowered caps; each unreadable segment header is its typed
+#      SegmentFault)
 #      and the snapshot decoder fuzz (bit flips, hostile record lengths,
 #      a wrong record count, a seal whose m disagrees with its body: all
 #      typed errors) must pass, and the fsync-policy sweep must run and
@@ -32,9 +34,9 @@
 #  13. the telemetry smoke: the live-introspection e2e and the frame
 #      extension fuzz must pass, cso-top must render against its own
 #      server, and the overhead sweep must write a valid BENCH_pr7.json
-#  14. the sharded-engine smoke: the connection reassembly fuzz must
-#      pass, the sharded sweep (fast) must run its scaling points plus
-#      the overload soak (Busy rejects under a tiny admission cap, the
+#  14. the event-loop smoke: the connection reassembly fuzz must
+#      pass, the serve_sharded sweep (fast) must run its scaling points
+#      plus the overload soak (Busy rejects under a tiny admission cap, the
 #      server stays live after the storm), and every reject code and
 #      serve.* metric OPERATIONS.md documents must exist in source
 #  15. the measurement-operator smoke: the operator proptests (FWHT
@@ -84,6 +86,11 @@ RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-i
 # The recorder rides in OmpConfig::rec / CsProtocol::rec: no traced twins.
 if grep -rnE "fn [a-z_]+_traced\b" crates/core/src crates/distributed/src crates/serve/src; then
     echo "a *_traced twin is back; pass the recorder in the config instead"
+    exit 1
+fi
+# One session store behind one lock: no shard split, merge or routing.
+if grep -rnE "split_by_session|merged_snapshot_bytes|shard_index|shard_mask" crates/serve/src; then
+    echo "session-store sharding is back; the server holds one store"
     exit 1
 fi
 
@@ -155,7 +162,7 @@ for artifact in results/serve_telemetry.csv BENCH_pr7.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
 
-echo "==> [14/17] sharded-engine smoke (reassembly fuzz + sweep + docs-link check)"
+echo "==> [14/17] event-loop smoke (reassembly fuzz + sweep + docs-link check)"
 # The reassembly fuzz drives frames through every split point and
 # arbitrary read/write interleavings expecting typed outcomes only; the
 # fast sweep runs the scaling points and the overload soak, which
