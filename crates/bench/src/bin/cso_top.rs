@@ -92,7 +92,7 @@ fn main() {
         };
         let now = Instant::now();
         if let Some((earlier, t0)) = prev.take() {
-            if lines % HEADER_EVERY == 0 {
+            if lines.is_multiple_of(HEADER_EVERY) {
                 println!("{}", header(is_relay(&snap)));
             }
             println!("{}", render(&snap, &earlier, now - t0));
@@ -229,7 +229,7 @@ fn run_self_test(interval: Duration) {
                 let (a, b) = (earlier.counter(name).unwrap_or(0), snap.counter(name).unwrap_or(0));
                 assert!(b >= a, "{name} went backwards: {a} -> {b}");
             }
-            if rendered % HEADER_EVERY == 0 {
+            if rendered.is_multiple_of(HEADER_EVERY) {
                 println!("{}", header(is_relay(&snap)));
             }
             println!("{}", render(&snap, earlier, now - *t0));

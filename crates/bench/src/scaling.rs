@@ -54,7 +54,7 @@ fn workload(splits: usize, records_per_split: usize, n: usize) -> Vec<Vec<Record
 /// core count itself when it is not a power of two.
 fn worker_counts() -> Vec<usize> {
     let cores = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1);
-    let top = cores.max(4).min(MAX_WORKERS);
+    let top = cores.clamp(4, MAX_WORKERS);
     let mut counts: Vec<usize> =
         std::iter::successors(Some(1usize), |w| Some(w * 2)).take_while(|&w| w <= top).collect();
     if !counts.contains(&top) {

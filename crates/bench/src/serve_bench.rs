@@ -546,11 +546,15 @@ fn write_durable_json(samples: &[DurableSample], n: usize, m: usize, k: usize, c
     println!("wrote BENCH_pr6.json");
 }
 
+/// Simulated off-wire time per sketch per remote node: the order of a
+/// same-region network RTT, and >> the server's per-frame cost.
+const NODE_THINK: std::time::Duration = std::time::Duration::from_micros(300);
+
 /// Like [`run_ingest`], but each client models a *remote node*: after
-/// every acked sketch it spends `think` off the wire (the link RTT plus
-/// local sketch work a WAN node would pay between frames). Used by the
-/// sharded sweep so the fan-out axis measures connection multiplexing —
-/// the readiness loop's job — rather than loopback syscall throughput,
+/// every acked sketch it spends [`NODE_THINK`] off the wire (the link RTT
+/// plus local sketch work a WAN node would pay between frames). Used by
+/// the sharded sweep so the fan-out axis measures connection multiplexing
+/// — the readiness loop's job — rather than loopback syscall throughput,
 /// which on a single-core host is already saturated by one ping-pong
 /// connection.
 fn run_ingest_remote(
@@ -561,7 +565,6 @@ fn run_ingest_remote(
     connections: usize,
     epoch: u64,
     k: u32,
-    think: std::time::Duration,
 ) -> (f64, Vec<u64>) {
     let retry = RetryPolicy::default();
     let m = proto.m as u32;
@@ -580,7 +583,7 @@ fn run_ingest_remote(
                         .send_sketch(node as u32, sketch, SketchEncoding::F64)
                         .expect("sketch accepted");
                     rtts.push(t.elapsed().as_nanos() as u64);
-                    std::thread::sleep(think);
+                    std::thread::sleep(NODE_THINK);
                 }
                 rtts
             }));
@@ -624,9 +627,6 @@ fn run_ingest_remote(
 pub fn serve_sharded(opts: &Opts) {
     let (nodes, n, m, k) = if opts.trials <= 4 { (64, 256, 48, 4) } else { (768, 2048, 96, 8) };
     let connection_counts = [1usize, 2, 4, 8, 12];
-    // ~300 us of simulated off-wire time per sketch per node: the order
-    // of a same-region network RTT, and >> the server's per-frame cost.
-    let think = std::time::Duration::from_micros(300);
 
     let data =
         MajorityData::generate(&MajorityConfig { n, s: k, ..MajorityConfig::default() }, 2024)
@@ -656,7 +656,6 @@ pub fn serve_sharded(opts: &Opts) {
             connections,
             epoch as u64,
             k as u32,
-            think,
         );
         rtts.sort_unstable();
         samples.push(Sample {
@@ -710,7 +709,6 @@ pub fn serve_sharded(opts: &Opts) {
         for c in 0..overload_conns {
             let (addr, proto, patient, sketches) =
                 (over_server.addr(), &proto, &patient, &sketches);
-            let n = n;
             handles.push(scope.spawn(move || {
                 let mut rtts = Vec::new();
                 for (node, sketch) in sketches.iter().enumerate().skip(c).step_by(overload_conns) {
@@ -822,8 +820,9 @@ fn write_sharded_json(
     out.push_str("{\"bench\":\"serve_sharded\",\"params\":{");
     out.push_str(&format!(
         "\"nodes\":{},\"n\":{n},\"m\":{m},\"k\":{k},\"encoding\":\"f64\",\
-         \"workers\":2,\"node_think_us\":300,\"host_cpus\":{cores}",
-        samples.first().map_or(0, |s| s.nodes)
+         \"workers\":2,\"node_think_us\":{},\"host_cpus\":{cores}",
+        samples.first().map_or(0, |s| s.nodes),
+        NODE_THINK.as_micros()
     ));
     out.push_str(&format!("}},\"scaling_x_at_8\":{scaling_x_at_8:.3},\"sweep\":["));
     for (i, s) in samples.iter().enumerate() {

@@ -492,7 +492,7 @@ mod tests {
             .collect();
         assert_eq!(par_spans[..2], ["mr.job", "mr.map"]);
         assert_eq!(*par_spans.last().unwrap(), "mr.reduce");
-        assert_eq!(par_spans.iter().filter(|s| **s == "exec.worker").count(), 6.min(8));
+        assert_eq!(par_spans.iter().filter(|s| **s == "exec.worker").count(), splits.len().min(8));
         assert_eq!(par_rec.events_named("exec.task").len(), splits.len());
         assert_eq!(par_rec.events_named("mr.task").len(), splits.len());
         let snap = par_rec.metrics_snapshot();

@@ -23,24 +23,26 @@
 //!
 //! Every session lives in one [`SessionStore`] behind one lock, whose
 //! [`StoreLimits`] caps are server-wide. Non-sketch traffic (open/seal/
-//! recover/status/manifest) dispatches under the store lock. Sketch
-//! ingest takes a **lock-free fast path**: after a successful open the
-//! connection caches the epoch's [`IngestPad`], and each sketch claims a
-//! per-node slot with a CAS and writes its payload without touching the
-//! store lock — only the journal lock is taken, to append the record
-//! before the ack (`serve.shard_lockfree_ingests` vs
-//! `serve.shard_locked_dispatches` count the split). Seal quiesces the
-//! pad and moves it into the aggregator under the store lock, so sealed
-//! measurements remain the canonical dyadic fold over node ids —
-//! bit-identical to `run_over_wire`.
+//! recover/status/manifest) dispatches under the store lock. An ingesting
+//! epoch's members live in its [`IngestPad`], and sketch ingest takes a
+//! **lock-free fast path**: after a successful open the connection caches
+//! the pad, and each sketch claims its node's slot with a CAS and writes
+//! its payload without touching the store lock — only the journal lock is
+//! taken, to append the record before the ack (`serve.shard_lockfree_ingests`
+//! vs `serve.shard_locked_dispatches` count the split). The locked path
+//! and replay make the same claim, and a node id past
+//! [`StoreLimits::max_nodes_per_epoch`] is a typed `NodeOutOfRange` on
+//! all of them. Seal quiesces the pad under the store lock and folds its
+//! sketches in ascending id order, so sealed measurements remain the
+//! canonical dyadic fold over node ids — bit-identical to `run_over_wire`.
 //!
 //! One journal writer (one WAL behind one lock) records every transition.
 //! Lock order: the store lock, then the journal lock; the hot path takes
 //! only the journal lock, so journal order is application order. A
-//! snapshot locks the store, pauses + drains the pads (waiting out
-//! in-flight claims, whose permits are held across their journal
-//! appends), serializes the store, and only then writes the snapshot —
-//! so a snapshot can never miss an acknowledged sketch.
+//! snapshot locks the store, pauses the pads (waiting out in-flight
+//! claims, whose permits are held across their journal appends),
+//! serializes the store, and only then writes the snapshot — so a
+//! snapshot can never miss an acknowledged sketch.
 //!
 //! Fault containment per connection (see [`crate::frame`]):
 //!
@@ -261,18 +263,18 @@ impl Shared {
         (!was_failed && wal.failed(), wal.should_snapshot())
     }
 
-    /// The consistent-cut snapshot choreography: lock the store, pause and
-    /// drain every ingest pad (waiting out in-flight lock-free claims,
-    /// whose permits span their journal appends — so a quiesced pad means
-    /// every accepted sketch is both folded and journaled), serialize the
+    /// The consistent-cut snapshot choreography: lock the store, pause
+    /// every ingest pad (waiting out in-flight lock-free claims, whose
+    /// permits span their journal appends — so a quiesced pad means every
+    /// accepted sketch is both in its slot and journaled), serialize the
     /// store, write the snapshot under the journal lock, then resume the
     /// pads. Callers must not hold the store lock. `should_snapshot` is
     /// re-checked under the journal lock so concurrent workers cannot
     /// double-snapshot.
     fn snapshot_all(&self, stats: &mut StoreStats) {
         let Some(wal) = &self.wal else { return };
-        let mut store = lock_unpoisoned(&self.store);
-        store.pause_and_drain_pads();
+        let store = lock_unpoisoned(&self.store);
+        store.pause_pads();
         let bytes = store.snapshot_bytes();
         {
             let mut wal = lock_unpoisoned(wal);
@@ -976,8 +978,8 @@ fn handle_frame(
                     sh.after_journal(Some(lane), journaled);
                     break 'reply reply;
                 }
-                // Pad sealed/paused or node out of range: the store-locked
-                // path resolves it (and re-caches).
+                // Pad sealed or paused: the store-locked path resolves it
+                // (and re-caches).
                 conn.pad = None;
             }
         }
@@ -1023,7 +1025,7 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
         sh.publish_occupancy(&store);
         // Refresh the fast-path pad after binding-shaped messages: a
         // successful open/attach binds the connection, and a sketch that
-        // fell through here may have raced a seal or an eviction.
+        // fell through here may have raced a seal, a pause or an eviction.
         if matches!(msg, Message::OpenEpoch { .. } | Message::Sketch { .. }) {
             conn.pad = conn.state.bound().and_then(|(s, e)| Some((s, e, store.pad_for(s, e)?)));
         }

@@ -1,7 +1,8 @@
 //! Sessioned epoch lifecycle — the server's pure state machine.
 //!
 //! A **session** (keyed by run id) is a sequence of **epochs**; each epoch
-//! is one aggregation window backed by a [`SketchAggregator`] and walks
+//! is one aggregation window whose members live in its [`IngestPad`] and
+//! walks
 //!
 //! ```text
 //! open ──► ingest ──► seal ──► recover (→ report)
@@ -16,10 +17,9 @@
 //!
 //! Ingest is **idempotent and order-free**: a re-sent sketch for a node
 //! that already contributed is acknowledged as a duplicate (retransmits
-//! are free), and because the aggregator keeps its measurement canonical
-//! (the dyadic fold over node ids, run once on the first read after a
-//! membership change; see `cso_distributed::incremental`), any arrival
-//! interleaving across concurrent connections yields bit-identical
+//! are free), and because the seal folds the members canonically (the
+//! dyadic fold over node ids, [`cso_distributed::dyadic_fold`]), any
+//! arrival interleaving across concurrent connections yields bit-identical
 //! recovery.
 
 use crate::frame::MAX_FRAME_BYTES;
@@ -32,7 +32,7 @@ use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
     Message, TAG_OPEN_EPOCH, TAG_RELAY_MANIFEST, TAG_SEAL_EPOCH, TAG_SKETCH,
 };
-use cso_distributed::{CsProtocol, SketchAggregator};
+use cso_distributed::{dyadic_fold, CsProtocol};
 use cso_exec::ExecConfig;
 use cso_linalg::Vector;
 use cso_obs::Recorder;
@@ -70,7 +70,8 @@ pub enum RejectCode {
     NotSealed = 10,
     /// A recover arrived for an epoch with zero contributions.
     EmptyEpoch = 11,
-    /// A sketch payload was malformed (wrong length for the epoch's `M`).
+    /// A sketch payload was malformed: the wrong length for the epoch's
+    /// `M`, or a NaN or infinite value.
     BadSketch = 12,
     /// The epoch configuration itself was invalid (e.g. `M > N`).
     BadSpec = 13,
@@ -99,6 +100,9 @@ pub enum RejectCode {
     /// Two relays claimed the same region of an epoch with different leaf
     /// ranges — a deployment error the fold must not paper over.
     RegionConflict = 20,
+    /// A sketch's node id is not below the epoch's
+    /// [`StoreLimits::max_nodes_per_epoch`].
+    NodeOutOfRange = 21,
 }
 
 impl RejectCode {
@@ -131,6 +135,7 @@ impl RejectCode {
             18 => BadOperator,
             19 => TopologyMismatch,
             20 => RegionConflict,
+            21 => NodeOutOfRange,
             _ => return None,
         })
     }
@@ -159,6 +164,7 @@ impl fmt::Display for RejectCode {
             RejectCode::BadOperator => "unknown or invalid measurement operator",
             RejectCode::TopologyMismatch => "relay manifest disagrees with epoch topology",
             RejectCode::RegionConflict => "region already claimed with a different leaf range",
+            RejectCode::NodeOutOfRange => "node id past the epoch's node bound",
         };
         write!(f, "{s}")
     }
@@ -224,7 +230,6 @@ struct Epoch {
     /// sketches used.
     op: OpDescriptor,
     phase: EpochPhase,
-    duplicates: u64,
     /// Subtree manifests, when this epoch is fed by a relay tier.
     topology: Option<EpochTopology>,
     /// True once a relay journaled the upstream ack of this epoch's
@@ -235,38 +240,24 @@ struct Epoch {
     state: EpochState,
 }
 
-/// The storage backing an epoch. Sealing **compacts**: membership is
-/// frozen at seal, so the per-node sketches (the `O(L·M)` bulk of an
-/// epoch) are dropped and only the canonical `M`-length measurement
-/// recovery needs is retained. A long-running server therefore holds
-/// `O(M)` per finished epoch, not `O(L·M)`.
-///
-/// While ingesting, the server may attach an [`IngestPad`]: a lock-free
-/// overlay that absorbs sketch arrivals without the store lock. Pad
-/// contents move into the aggregator at seal and at snapshot time; the
-/// aggregator folds them canonically once, when the seal reads the
-/// measurement.
+/// The storage backing an epoch. While ingesting, the epoch *is* its
+/// [`IngestPad`]: the one member table that every ingest path claims
+/// slots in — the lock-free fast path, the store-locked dispatch path and
+/// journal replay. Sealing **compacts**: membership is frozen at seal, so
+/// the per-node sketches (the `O(L·M)` bulk of an epoch) are folded and
+/// dropped, and only the canonical `M`-length measurement recovery needs
+/// is retained. A long-running server therefore holds `O(M)` per finished
+/// epoch, not `O(L·M)`.
 #[derive(Debug)]
 enum EpochState {
     /// Accepting sketches (phase `Ingest`).
-    Ingest(SketchAggregator, Option<Arc<IngestPad>>),
-    /// Sealed or recovered: just the canonical measurement.
-    Sealed { y: Vector, nodes: u64 },
+    Ingest(Arc<IngestPad>),
+    /// Sealed or recovered: the canonical measurement of `nodes` members,
+    /// and the duplicate sketches ingest ignored.
+    Sealed { y: Vector, nodes: u64, duplicates: u64 },
 }
 
 impl Epoch {
-    /// Raises the ingest pad's barrier with `quiesce` (which waits out
-    /// in-flight claims), then folds the pad's sketches into the
-    /// aggregator and its duplicate tally into the epoch's. A no-op
-    /// without a pad.
-    fn drain_pad(&mut self, quiesce: fn(&IngestPad)) {
-        if let EpochState::Ingest(agg, Some(pad)) = &mut self.state {
-            quiesce(pad);
-            pad.drain_into(agg);
-            self.duplicates += pad.take_duplicates();
-        }
-    }
-
     /// Declares a relay's region. The manifest must describe the region's
     /// aligned dyadic block exactly — `fan_in` a power of two, `leaf_lo =
     /// region · fan_in`, `lo < hi ≤ lo + fan_in` — and agree with whatever
@@ -295,9 +286,7 @@ impl Epoch {
 
     fn node_count(&self) -> u64 {
         match &self.state {
-            EpochState::Ingest(agg, pad) => {
-                agg.node_count() as u64 + pad.as_ref().map_or(0, |p| p.pending())
-            }
+            EpochState::Ingest(pad) => pad.accepted.load(Ordering::Relaxed),
             EpochState::Sealed { nodes, .. } => *nodes,
         }
     }
@@ -308,54 +297,59 @@ impl Epoch {
 const SLOT_EMPTY: u8 = 0;
 const SLOT_BUSY: u8 = 1;
 const SLOT_READY: u8 = 2;
-const SLOT_DRAINED: u8 = 3;
 
-/// One node's slot in an [`IngestPad`]: a four-state cell
-/// (`EMPTY → BUSY → READY → DRAINED`) claimed by compare-and-swap. The
-/// `UnsafeCell` is sound because the state machine gives exclusive access:
-/// only the thread that won the `EMPTY → BUSY` CAS writes the cell, and
-/// only the (store-locked) drainer that wins `READY → DRAINED` reads it.
+/// One node's slot in an [`IngestPad`]: a three-state cell
+/// (`EMPTY → BUSY → READY`) claimed by compare-and-swap. The `UnsafeCell`
+/// is sound because the state machine gives exclusive access: only the
+/// thread that won the `EMPTY → BUSY` CAS writes the cell, and a READY
+/// cell is read, or taken by the seal, only through the store that owns
+/// the pad.
 struct PadSlot {
     state: AtomicU8,
     cell: UnsafeCell<Option<Vector>>,
 }
 
 // Safety: cross-thread access to `cell` is mediated by `state` — see
-// [`PadSlot`]. Writes happen strictly inside BUSY, reads strictly inside
-// the READY→DRAINED transition, and the Release/Acquire pairs on `state`
-// order them.
+// [`PadSlot`]. The claim that won `EMPTY → BUSY` writes the cell strictly
+// inside BUSY and publishes it with a Release store of READY; claims never
+// touch a cell they did not win. Nothing writes a READY cell again except
+// the seal's `take`, which runs after the sealed pad has quiesced (no
+// claim in flight, none to come). Readers of READY cells — the seal and
+// the snapshot — load the state with Acquire and run only through the one
+// `SessionStore` that owns the pad: the seal through `&mut SessionStore`,
+// the snapshot through `&SessionStore`, so a read never overlaps the take.
+// In the server that store sits behind the store lock.
 unsafe impl Sync for PadSlot {}
 
-/// Lock-free sketch accumulation for one ingesting epoch.
+/// One ingesting epoch's member table, claimed lock-free.
 ///
 /// The server's hot path: a worker that already knows its connection's
 /// bound epoch claims the sketch's node slot with a single CAS and
 /// deposits the decoded vector — no store lock, no map insert, no fold.
-/// Drains move READY slots into the epoch's [`SketchAggregator`] under
-/// the store lock, at seal and before every durability snapshot;
+/// The store-locked dispatch path and journal replay make the same claim,
+/// so first-wins arbitration has one owner: the slot CAS. The seal moves
+/// the READY sketches out and folds them once, in ascending id order, into
 /// the canonical `y = Σ y_l` (the dyadic fold over node ids — the
-/// bit-identity invariant) is formed once, when the seal reads it.
+/// bit-identity invariant); a snapshot reads them in place.
 ///
-/// Memory follows the nodes that arrive, not the key space: node ids
-/// `0..min(n, max_nodes_per_epoch)` map to fixed chunks of
-/// `PAD_CHUNK` (256) slots, and a chunk is allocated by the first claim
-/// that lands in it (or when a member joined before the pad existed is
-/// pre-marked). An epoch of `L` nodes with dense ids holds about `L`
-/// slots plus one small `OnceLock` cell per 256 ids of capacity; drains
-/// walk only allocated chunks.
+/// Node ids `0..max_nodes_per_epoch` are legal ([`StoreLimits`]); any
+/// other id is a typed [`PadIngest::NodeOutOfRange`], before the sketch is
+/// decoded. Memory follows the nodes that arrive, not the id range: ids
+/// map to fixed chunks of `PAD_CHUNK` (256) slots, and a chunk is
+/// allocated by the first claim that lands in it. An epoch of `L` nodes
+/// with dense ids holds about `L` slots plus one small `OnceLock` cell per
+/// 256 ids of the range (256 cells at the default bound); the seal and
+/// the snapshot walk only allocated chunks.
 ///
 /// Two flags coordinate with the store-locked control plane, both via the
 /// `active` permit counter ([`PadPermit`] is held across the caller's WAL
 /// append, so a quiesced pad implies every accepted sketch is journaled):
 ///
 /// - **sealed**: set at seal; the sealer waits for in-flight permits to
-///   drop, then drains. Later claims bounce with [`PadIngest::Unavailable`].
+///   drop, then folds. Later claims bounce with [`PadIngest::Unavailable`].
 /// - **paused**: set around snapshots for the same quiescence guarantee,
 ///   then cleared — bounced claims retry through the locked slow path,
 ///   which blocks on the store lock until the snapshot completes.
-///
-/// First-wins semantics are identical to the locked path: the slot CAS
-/// arbitrates duplicates exactly like the aggregator's `contains` check.
 #[derive(Debug)]
 pub struct IngestPad {
     seed: u64,
@@ -363,13 +357,14 @@ pub struct IngestPad {
     sealed: AtomicBool,
     paused: AtomicBool,
     active: AtomicU64,
+    /// Sketches deposited: the epoch's member count.
     accepted: AtomicU64,
-    drained: AtomicU64,
+    /// Duplicate sketches the live paths met.
     duplicates: AtomicU64,
-    /// Node ids `0..capacity` take the lock-free path.
+    /// Node ids `0..capacity` are legal.
     capacity: usize,
     /// `capacity / PAD_CHUNK` (rounded up) chunk cells; a chunk's slots are
-    /// allocated by the first claim (or pre-mark) that lands in it.
+    /// allocated by the first claim that lands in it.
     chunks: Box<[OnceLock<Box<[PadSlot]>>]>,
 }
 
@@ -379,31 +374,45 @@ impl fmt::Debug for PadSlot {
     }
 }
 
-/// Outcome of one lock-free ingest attempt against an [`IngestPad`].
+/// Outcome of one ingest attempt against an [`IngestPad`].
 #[derive(Debug)]
 pub enum PadIngest<'a> {
     /// The sketch was deposited. Hold the permit until the WAL append for
     /// this sketch completes (or immediately drop it when not journaling):
     /// seal and snapshot quiescence wait on it.
     Accepted(PadPermit<'a>),
-    /// The node already contributed (here or in the aggregator).
+    /// The node already contributed.
     Duplicate,
+    /// The node id is not below the epoch's bound.
+    NodeOutOfRange,
     /// The sketch's seed disagrees with the epoch's.
     SeedMismatch,
     /// The payload does not decode to an `M`-length sketch of finite
     /// values.
     BadSketch,
-    /// The pad cannot take this sketch lock-free — sealed, paused for a
-    /// snapshot, or the node id is beyond the pad's slot range. The caller
-    /// falls back to the store-locked path, which resolves it correctly.
+    /// The pad is sealed, or paused for a snapshot. The lock-free caller
+    /// retries on the store-locked path, which resolves it.
     Unavailable,
 }
 
 impl PadIngest<'_> {
+    /// The typed reject of a refused sketch; `None` for an accepted or
+    /// duplicate one. [`PadIngest::Unavailable`] answers as the sealed
+    /// epoch it usually is: the store-locked path never meets a paused pad.
+    fn refusal(&self) -> Option<RejectCode> {
+        match self {
+            PadIngest::Accepted(_) | PadIngest::Duplicate => None,
+            PadIngest::NodeOutOfRange => Some(RejectCode::NodeOutOfRange),
+            PadIngest::SeedMismatch => Some(RejectCode::SeedMismatch),
+            PadIngest::BadSketch => Some(RejectCode::BadSketch),
+            PadIngest::Unavailable => Some(RejectCode::EpochSealed),
+        }
+    }
+
     /// The reply and effect an ingest outcome of `(session, epoch)` stands
     /// for, counting `serve.sketches_*` into `stats`; `None` for
-    /// [`PadIngest::Unavailable`], which the caller resolves on the
-    /// store-locked path. Borrows the outcome, so an accepted sketch's
+    /// [`PadIngest::Unavailable`], which the lock-free caller resolves on
+    /// the store-locked path. Borrows the outcome, so an accepted sketch's
     /// permit lives on until the caller drops it after journaling.
     pub(crate) fn reply(
         &self,
@@ -420,9 +429,8 @@ impl PadIngest<'_> {
                 stats.add("serve.sketches_duplicate", 1);
                 (Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None)
             }
-            PadIngest::SeedMismatch => (reject(RejectCode::SeedMismatch), Effect::None),
-            PadIngest::BadSketch => (reject(RejectCode::BadSketch), Effect::None),
             PadIngest::Unavailable => return None,
+            refused => (reject(refused.refusal()?), Effect::None),
         })
     }
 }
@@ -444,46 +452,31 @@ impl Drop for PadPermit<'_> {
 const PAD_CHUNK: usize = 256;
 
 impl IngestPad {
-    /// A pad for an epoch currently backed by `agg`: lock-free node ids
-    /// `0..min(n, max_nodes)`, with nodes already in the aggregator
-    /// pre-marked so their retransmits count as duplicates. Only the
-    /// chunks those members fall in are allocated up front.
-    fn new(agg: &SketchAggregator, op: &OpDescriptor, max_nodes: usize) -> IngestPad {
-        let capacity = op.n.min(max_nodes);
-        let pad = IngestPad {
+    /// An empty pad for an epoch measured by `op`, taking node ids
+    /// `0..capacity`. No chunk is allocated until a claim lands in it.
+    fn new(op: &OpDescriptor, capacity: usize) -> IngestPad {
+        IngestPad {
             seed: op.seed,
             m: op.m,
             sealed: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             active: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
-            drained: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
             capacity,
             chunks: (0..capacity.div_ceil(PAD_CHUNK)).map(|_| OnceLock::new()).collect(),
-        };
-        for node in agg.node_ids() {
-            if let Some(slot) = pad.slot(node) {
-                // Pre-marked DRAINED: the sketch lives in the aggregator;
-                // the drain pass skips it, a claim reads it as a duplicate.
-                slot.state.store(SLOT_DRAINED, Ordering::Relaxed);
-            }
         }
-        pad
     }
 
-    /// `node`'s slot, allocating its chunk on first use; `None` past the
-    /// pad's capacity.
-    fn slot(&self, node: usize) -> Option<&PadSlot> {
-        if node >= self.capacity {
-            return None;
-        }
+    /// `node`'s slot, allocating its chunk on first use; `node` must be
+    /// below the pad's capacity.
+    fn slot(&self, node: usize) -> &PadSlot {
         let chunk = self.chunks[node / PAD_CHUNK].get_or_init(|| {
             (0..PAD_CHUNK)
                 .map(|_| PadSlot { state: AtomicU8::new(SLOT_EMPTY), cell: UnsafeCell::new(None) })
                 .collect()
         });
-        Some(&chunk[node % PAD_CHUNK])
+        &chunk[node % PAD_CHUNK]
     }
 
     /// Every allocated slot with its node id, ascending.
@@ -495,32 +488,50 @@ impl IngestPad {
             .flat_map(|(base, slots)| slots.iter().enumerate().map(move |(i, s)| (base + i, s)))
     }
 
-    /// Attempts a lock-free ingest of `node`'s sketch. See [`PadIngest`]
-    /// for the contract of each outcome.
+    /// Every READY slot with its node id, ascending. Callers reach the pad
+    /// through its owning store (see the `Sync` safety argument).
+    fn ready_slots(&self) -> impl Iterator<Item = (usize, &PadSlot)> {
+        self.allocated_slots().filter(|(_, slot)| slot.state.load(Ordering::Acquire) == SLOT_READY)
+    }
+
+    /// Attempts a lock-free ingest of `node`'s sketch, counting a duplicate
+    /// into the epoch's tally. See [`PadIngest`] for the contract of each
+    /// outcome.
     pub fn ingest(&self, node: u32, seed: u64, payload: &EncodedSketch) -> PadIngest<'_> {
-        if node as usize >= self.capacity {
-            return PadIngest::Unavailable;
-        }
+        self.claim(node, seed, payload, true)
+    }
+
+    /// The one slot claim behind every ingest path; `tally` counts a
+    /// duplicate into the epoch's `duplicates` (replay does not).
+    fn claim(&self, node: u32, seed: u64, payload: &EncodedSketch, tally: bool) -> PadIngest<'_> {
         // Raise the permit before checking the barrier flags (Dekker-style
         // with the sealer/snapshotter, both sides SeqCst): either we see
         // the flag and bounce, or the barrier's quiescence wait sees us.
         self.active.fetch_add(1, Ordering::SeqCst);
         let permit = PadPermit { pad: self };
-        // Barrier check precedes the seed check: a sealed epoch must
-        // answer `EpochSealed` (via the store-locked path) even to a
-        // wrong-seed sketch, matching the store's reject precedence.
+        // Barrier check precedes the range and seed checks: a sealed epoch
+        // must answer `EpochSealed` (via the store-locked path) to every
+        // sketch, matching the store's reject precedence.
         if self.sealed.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
             return PadIngest::Unavailable;
+        }
+        if node as usize >= self.capacity {
+            return PadIngest::NodeOutOfRange;
         }
         if seed != self.seed {
             return PadIngest::SeedMismatch;
         }
+        let duplicate = || {
+            if tally {
+                self.duplicates.fetch_add(1, Ordering::Relaxed);
+            }
+            PadIngest::Duplicate
+        };
         // Allocated under the permit, so a quiesced pad has no chunk
-        // half-built behind the drain's back.
-        let slot = self.slot(node as usize).expect("node checked against capacity");
+        // half-built behind the seal's back.
+        let slot = self.slot(node as usize);
         if slot.state.load(Ordering::Acquire) != SLOT_EMPTY {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
-            return PadIngest::Duplicate;
+            return duplicate();
         }
         let Some(sketch) = decode_sketch(payload, self.m) else {
             return PadIngest::BadSketch;
@@ -538,16 +549,8 @@ impl IngestPad {
                 self.accepted.fetch_add(1, Ordering::Relaxed);
                 PadIngest::Accepted(permit)
             }
-            Err(_) => {
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-                PadIngest::Duplicate
-            }
+            Err(_) => duplicate(),
         }
-    }
-
-    /// Sketches deposited but not yet moved into the aggregator.
-    pub fn pending(&self) -> u64 {
-        self.accepted.load(Ordering::Relaxed).saturating_sub(self.drained.load(Ordering::Relaxed))
     }
 
     /// Raises `flag` and spins until every in-flight permit has dropped —
@@ -560,11 +563,6 @@ impl IngestPad {
         }
     }
 
-    /// Permanently closes the pad for seal: no further lock-free ingest.
-    fn begin_seal(&self) {
-        self.quiesce(&self.sealed);
-    }
-
     /// Pauses the pad for a snapshot; [`resume`](IngestPad::resume)
     /// reopens it.
     fn pause(&self) {
@@ -575,33 +573,33 @@ impl IngestPad {
         self.paused.store(false, Ordering::SeqCst);
     }
 
-    /// Moves every READY slot's sketch into `agg` — each a map insert; the
-    /// aggregator folds once, when the measurement is next read. Walks
-    /// only allocated chunks. Callers hold the store lock; claims
-    /// racing this drain keep their slots for the next drain.
-    fn drain_into(&self, agg: &mut SketchAggregator) {
-        for (node, slot) in self.allocated_slots() {
-            let claimed = slot
-                .state
-                .compare_exchange(SLOT_READY, SLOT_DRAINED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok();
-            if !claimed {
-                continue;
-            }
-            // Safety: the READY→DRAINED CAS gave us exclusive access.
-            let sketch = unsafe { (*slot.cell.get()).take() }.expect("READY slot holds a sketch");
-            if agg.contains(node) {
-                self.duplicates.fetch_add(1, Ordering::Relaxed);
-            } else {
-                agg.join(node, sketch).expect("pad sketch length was validated at claim");
-            }
-            self.drained.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Permanently closes the pad, waits out in-flight claims, and moves
+    /// every READY sketch out of its slot — a pad still cached after the
+    /// seal holds none. Returns the member count and their canonical
+    /// measurement: the dyadic fold in ascending id order, the function
+    /// the in-process aggregator runs, so the bits match it. Callers hold
+    /// the owning store exclusively (`&mut SessionStore`).
+    fn seal(&self) -> (u64, Vector) {
+        self.quiesce(&self.sealed);
+        let members: Vec<(usize, Vector)> = self
+            .ready_slots()
+            // Safety: the pad is sealed and quiesced, and the caller holds
+            // the owning store exclusively: nothing else touches the cell.
+            .filter_map(|(node, slot)| Some((node, unsafe { (*slot.cell.get()).take() }?)))
+            .collect();
+        let refs: Vec<(usize, &Vector)> = members.iter().map(|(node, s)| (*node, s)).collect();
+        (members.len() as u64, dyadic_fold(self.m, &refs))
     }
 
-    /// Hands the pad's duplicate tally to the epoch's durable counter.
-    fn take_duplicates(&self) -> u64 {
-        self.duplicates.swap(0, Ordering::Relaxed)
+    /// The READY sketches with their node ids, ascending — read in place
+    /// for a snapshot. Callers reach the pad through its owning store, and
+    /// the server pauses it first so the members are a consistent cut.
+    fn members(&self) -> impl Iterator<Item = (usize, &Vector)> {
+        // Safety: a READY cell is written again only by the seal's take,
+        // which needs the owning store exclusively (see the `Sync`
+        // argument).
+        self.ready_slots()
+            .filter_map(|(node, slot)| Some((node, unsafe { &*slot.cell.get() }.as_ref()?)))
     }
 }
 
@@ -632,10 +630,10 @@ pub struct StoreLimits {
     /// Live epochs per session before a new epoch is rejected (recovered
     /// epochs are evicted to make room first). Gates live opens only.
     pub max_epochs_per_session: usize,
-    /// Node-id range of the lock-free [`IngestPad`] per epoch (bounded by
-    /// the epoch's `n`). It caps ids, not memory: slots are allocated in
-    /// 256-slot chunks as nodes arrive. Nodes with ids past the range take
-    /// the store-locked slow path — correct, just not lock-free.
+    /// Node ids `0..max_nodes_per_epoch` are legal in an epoch; any other
+    /// id is a typed `NodeOutOfRange` reject on every ingest path, replay
+    /// included. It caps ids, not memory: the epoch's [`IngestPad`]
+    /// allocates its slots in 256-slot chunks as nodes arrive.
     pub max_nodes_per_epoch: usize,
 }
 
@@ -1072,8 +1070,8 @@ impl SessionStore {
     /// `open`'s validation of a [`StoreLimits::descriptor`] without its
     /// admission policy: rejects an operator that disagrees with an
     /// existing `(session, epoch)`, or that its geometry cannot build.
-    /// Returns the new ingesting epoch, or `None` when the epoch exists
-    /// with this operator.
+    /// Returns the new ingesting epoch with its empty pad, or `None` when
+    /// the epoch exists with this operator.
     fn check_open(
         &self,
         session: u64,
@@ -1086,20 +1084,20 @@ impl SessionStore {
             // operator.
             return if existing.op == op { Ok(None) } else { Err(RejectCode::SpecMismatch) };
         }
-        let spec = MeasurementSpec::new(op.m, op.n, op.seed).map_err(|_| RejectCode::BadSpec)?;
+        MeasurementSpec::new(op.m, op.n, op.seed).map_err(|_| RejectCode::BadSpec)?;
         // Geometry is valid; any remaining construction failure is an
         // operator-parameter problem (dense with a nonzero param, sparse
         // density out of range, SRHT m over the padded width).
         if op.build().is_err() {
             return Err(RejectCode::BadOperator);
         }
+        let pad = IngestPad::new(&op, self.limits.max_nodes_per_epoch);
         Ok(Some(Epoch {
             op,
             phase: EpochPhase::Ingest,
-            duplicates: 0,
             topology: None,
             forwarded: false,
-            state: EpochState::Ingest(SketchAggregator::new(spec), None),
+            state: EpochState::Ingest(Arc::new(pad)),
         }))
     }
 
@@ -1143,7 +1141,7 @@ impl SessionStore {
         let mut out = Vec::new();
         for (&session, sess) in &self.sessions {
             for (&epoch, ep) in &sess.epochs {
-                let EpochState::Sealed { y, nodes } = &ep.state else { continue };
+                let EpochState::Sealed { y, nodes, .. } = &ep.state else { continue };
                 if ep.forwarded {
                     continue;
                 }
@@ -1205,35 +1203,16 @@ impl SessionStore {
         stats: &mut StoreStats,
     ) -> Result<(Message, Effect), RejectCode> {
         let (session, epoch) = conn.bound.ok_or(RejectCode::SketchBeforeOpen)?;
-        let ep = self.epoch_mut(session, epoch)?;
-        let EpochState::Ingest(agg, pad) = &mut ep.state else {
+        let EpochState::Ingest(pad) = &self.epoch_mut(session, epoch)?.state else {
             return Err(RejectCode::EpochSealed);
         };
-        if seed != ep.op.seed {
-            return Err(RejectCode::SeedMismatch);
-        }
-        // With a pad attached, the locked path defers to it for in-range
-        // nodes so first-wins arbitration has a single owner (the slot
-        // CAS). Out-of-range or paused attempts fall through to the direct
-        // join below — safe, because this caller holds the store lock and
-        // drains only ever run under it. Dispatch callers journal under
-        // that same lock, so an accepted claim's permit drops at once.
-        if let Some(pad) = pad {
-            if let Some(done) = pad.ingest(node, seed, payload).reply(session, epoch, stats) {
-                return Ok(done);
-            }
-        }
-        if agg.contains(node as usize) {
-            // Retransmits are idempotent: the first sketch for a node wins,
-            // mirroring the degraded path's (node, seed) dedup.
-            ep.duplicates += 1;
-            stats.add("serve.sketches_duplicate", 1);
-            return Ok((Message::Ack { of: TAG_SKETCH, info: 1 }, Effect::None));
-        }
-        let sketch = decode_sketch(payload, ep.op.m).ok_or(RejectCode::BadSketch)?;
-        agg.join(node as usize, sketch).map_err(|_| RejectCode::BadSketch)?;
-        stats.add("serve.sketches_accepted", 1);
-        Ok((Message::Ack { of: TAG_SKETCH, info: 0 }, Effect::Ingested { session, epoch }))
+        // The lock-free path's slot claim. Under the store lock the pad is
+        // neither paused (a snapshot pauses and resumes it under this lock)
+        // nor sealed (the seal swaps the state under it). Dispatch callers
+        // journal under that same lock, so an accepted claim's permit drops
+        // at once.
+        let outcome = pad.ingest(node, seed, payload);
+        outcome.reply(session, epoch, stats).ok_or(RejectCode::EpochSealed)
     }
 
     /// Seals an ingesting epoch: freezes its pad, then applies the
@@ -1246,17 +1225,15 @@ impl SessionStore {
         stats: &mut StoreStats,
     ) -> Result<(Message, Effect), RejectCode> {
         let ep = self.epoch_mut(session, epoch)?;
-        // Freeze the lock-free overlay first: close the pad, wait out
-        // in-flight claims, and fold everything it holds into the
-        // aggregator so the compacted measurement is the canonical sum
-        // over *all* accepted nodes.
-        ep.drain_pad(IngestPad::begin_seal);
-        let EpochState::Ingest(agg, _) = &mut ep.state else {
+        let EpochState::Ingest(pad) = &ep.state else {
             return Err(RejectCode::DuplicateSeal);
         };
-        let nodes = agg.node_count() as u64;
-        let y = agg.global_measurement();
-        let record = seal_record(session, epoch, &ep.op, nodes, ep.duplicates, y);
+        // Close the pad, wait out in-flight claims, and fold every sketch
+        // it holds, so the compacted measurement is the canonical sum over
+        // *all* accepted nodes.
+        let (nodes, y) = pad.seal();
+        let duplicates = pad.duplicates.load(Ordering::Relaxed);
+        let record = seal_record(session, epoch, &ep.op, nodes, duplicates, &y);
         let effect = self.apply(record)?;
         stats.add("serve.epochs_sealed", 1);
         Ok((Message::Ack { of: TAG_SEAL_EPOCH, info: nodes }, effect))
@@ -1270,7 +1247,7 @@ impl SessionStore {
         policy: &RecoveryPolicy,
     ) -> Result<RecoverJob, RejectCode> {
         let ep = self.epoch_mut(session, epoch)?;
-        let EpochState::Sealed { y, nodes } = &ep.state else {
+        let EpochState::Sealed { y, nodes, duplicates } = &ep.state else {
             return Err(RejectCode::NotSealed);
         };
         if *nodes == 0 {
@@ -1283,7 +1260,7 @@ impl SessionStore {
             op: ep.op,
             y: y.clone(),
             nodes: *nodes,
-            duplicates: ep.duplicates,
+            duplicates: *duplicates,
             config: policy.effective(ep.op.m, ep.op.seed, k),
         })
     }
@@ -1311,43 +1288,40 @@ impl SessionStore {
 
     // ---- lock-free ingest pads ----------------------------------------
 
-    /// The lock-free [`IngestPad`] of `(session, epoch)`, created on first
-    /// use. `None` once the epoch is sealed (or never existed) — the
-    /// caller's cue to fall back to [`SessionStore::dispatch`].
-    pub fn pad_for(&mut self, session: u64, epoch: u64) -> Option<Arc<IngestPad>> {
-        let max_nodes = self.limits.max_nodes_per_epoch;
-        let ep = self.sessions.get_mut(&session)?.epochs.get_mut(&epoch)?;
-        let EpochState::Ingest(agg, pad) = &mut ep.state else { return None };
-        let pad = pad.get_or_insert_with(|| Arc::new(IngestPad::new(agg, &ep.op, max_nodes)));
-        Some(Arc::clone(pad))
+    /// The [`IngestPad`] of `(session, epoch)` while it ingests, for the
+    /// lock-free path to cache. `None` once the epoch is sealed (or if it
+    /// never existed) — the caller's cue to fall back to
+    /// [`SessionStore::dispatch`].
+    pub fn pad_for(&self, session: u64, epoch: u64) -> Option<Arc<IngestPad>> {
+        match &self.sessions.get(&session)?.epochs.get(&epoch)?.state {
+            EpochState::Ingest(pad) => Some(Arc::clone(pad)),
+            EpochState::Sealed { .. } => None,
+        }
     }
 
-    /// Pauses every ingest pad, waits out in-flight claims, and folds pad
-    /// contents into the aggregators — after which [`snapshot_bytes`]
-    /// captures every acknowledged sketch. Call under the store's lock;
-    /// pair with [`resume_pads`] once the snapshot is on disk (bounced
-    /// lock-free claims retry through the locked path, which this same
-    /// lock is holding back in the meantime).
+    /// Every ingesting epoch's pad, ascending.
+    fn pads(&self) -> impl Iterator<Item = &IngestPad> {
+        self.sessions.values().flat_map(|s| s.epochs.values()).filter_map(|ep| match &ep.state {
+            EpochState::Ingest(pad) => Some(&**pad),
+            EpochState::Sealed { .. } => None,
+        })
+    }
+
+    /// Pauses every ingest pad and waits out in-flight claims — after
+    /// which [`snapshot_bytes`] captures every acknowledged sketch. Call
+    /// under the store's lock; pair with [`resume_pads`] once the snapshot
+    /// is on disk (bounced lock-free claims retry through the locked path,
+    /// which this same lock is holding back in the meantime).
     ///
     /// [`snapshot_bytes`]: SessionStore::snapshot_bytes
     /// [`resume_pads`]: SessionStore::resume_pads
-    pub fn pause_and_drain_pads(&mut self) {
-        for sess in self.sessions.values_mut() {
-            for ep in sess.epochs.values_mut() {
-                ep.drain_pad(IngestPad::pause);
-            }
-        }
+    pub fn pause_pads(&self) {
+        self.pads().for_each(IngestPad::pause);
     }
 
-    /// Reopens pads paused by [`SessionStore::pause_and_drain_pads`].
+    /// Reopens pads paused by [`SessionStore::pause_pads`].
     pub fn resume_pads(&self) {
-        for sess in self.sessions.values() {
-            for ep in sess.epochs.values() {
-                if let EpochState::Ingest(_, Some(pad)) = &ep.state {
-                    pad.resume();
-                }
-            }
-        }
+        self.pads().for_each(IngestPad::resume);
     }
 
     // ---- snapshot ------------------------------------------------------
@@ -1355,9 +1329,10 @@ impl SessionStore {
     /// Serializes the store as the compacted journal that rebuilds it: a
     /// `u64` record count, then the framed records whose replay rebuilds
     /// each epoch, epochs in ascending `(session, epoch)` order. The
-    /// inverse is [`SessionStore::from_snapshot_bytes`]. Ingest pads are
-    /// *not* serialized — fold them first via
-    /// [`SessionStore::pause_and_drain_pads`].
+    /// inverse is [`SessionStore::from_snapshot_bytes`]. An ingesting
+    /// epoch's members are read from its pad, so pause the pads first
+    /// ([`SessionStore::pause_pads`]) for a cut that holds every
+    /// acknowledged sketch.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let (mut out, mut count) = (vec![0u8; 8], 0u64);
         for (&session, sess) in &self.sessions {
@@ -1389,16 +1364,15 @@ impl Epoch {
             }
         }
         match &self.state {
-            EpochState::Ingest(agg, _) => {
-                for node in agg.node_ids() {
-                    let sketch = agg.node_sketch(node).expect("listed node");
+            EpochState::Ingest(pad) => {
+                for (node, sketch) in pad.members() {
                     let payload = EncodedSketch::F64(sketch.as_slice().to_vec());
                     let (node, seed) = (node as u32, self.op.seed);
                     emit(WalRecord::Ingest { session, epoch, node, seed, payload });
                 }
             }
-            EpochState::Sealed { y, nodes } => {
-                emit(seal_record(session, epoch, &self.op, *nodes, self.duplicates, y));
+            EpochState::Sealed { y, nodes, duplicates } => {
+                emit(seal_record(session, epoch, &self.op, *nodes, *duplicates, y));
                 if self.phase == EpochPhase::Recovered {
                     emit(WalRecord::RecoverDone { session, epoch });
                 }
@@ -1482,17 +1456,20 @@ impl WalRecord {
             }
             WalRecord::Ingest { node, seed, ref payload, .. } => {
                 let ep = store.epoch_mut(session, epoch).map_err(refused)?;
-                if seed != ep.op.seed {
-                    return Err(refused(RejectCode::SeedMismatch));
-                }
-                // A member's duplicate, or an ingest replayed after the
-                // (authoritative) seal that froze it: already counted.
-                if let EpochState::Ingest(agg, _) = &mut ep.state {
-                    if !agg.contains(node as usize) {
-                        let sketch = quantize::decode(payload);
-                        agg.join(node as usize, sketch)
-                            .map_err(|_| refused(RejectCode::BadSketch))?;
+                match &ep.state {
+                    // The live paths' slot claim; a member's duplicate is
+                    // already counted, so it stays out of the tally.
+                    EpochState::Ingest(pad) => {
+                        if let Some(code) = pad.claim(node, seed, payload, false).refusal() {
+                            return Err(refused(code));
+                        }
                     }
+                    EpochState::Sealed { .. } if seed != ep.op.seed => {
+                        return Err(refused(RejectCode::SeedMismatch));
+                    }
+                    // Replayed after the (authoritative) seal that froze
+                    // it: already counted.
+                    EpochState::Sealed { .. } => {}
                 }
             }
             WalRecord::Seal {
@@ -1512,8 +1489,7 @@ impl WalRecord {
                 open(m, n, seed, op_kind, op_param)?;
                 let ep = store.epoch_mut(session, epoch).map_err(refused)?;
                 let y = Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect());
-                ep.state = EpochState::Sealed { y, nodes };
-                ep.duplicates = duplicates;
+                ep.state = EpochState::Sealed { y, nodes, duplicates };
                 // A replayed `Recovered` phase survives a duplicated seal.
                 ep.phase = ep.phase.max(EpochPhase::Sealed);
             }
@@ -1554,11 +1530,10 @@ fn evict_recovered_epoch(sess: &mut Session, stats: &mut StoreStats) -> bool {
 }
 
 /// Decodes an ingested sketch payload, or `None` unless it is an
-/// `m`-length vector of finite values. Both live ingest paths (the
-/// lock-free pad and the store-locked join) run this one check before the
-/// slot claim, the join or the WAL append: a NaN or infinite entry — from
-/// an F64/F32 value or a Fixed16 `scale` — would otherwise be acked,
-/// journaled, and fail the epoch's recovery. Replay trusts the journal.
+/// `m`-length vector of finite values. The slot claim runs this one check
+/// on every ingest path, before the WAL append: a NaN or infinite entry —
+/// from an F64/F32 value or a Fixed16 `scale` — would otherwise be acked,
+/// journaled, and fail the epoch's recovery.
 fn decode_sketch(payload: &EncodedSketch, m: usize) -> Option<Vector> {
     let sketch = quantize::decode(payload);
     (sketch.len() == m && sketch.iter().all(|v| v.is_finite())).then_some(sketch)
@@ -1759,12 +1734,12 @@ mod tests {
 
     #[test]
     fn reject_codes_round_trip_their_wire_values() {
-        for v in 1..=20u16 {
+        for v in 1..=21u16 {
             let code = RejectCode::from_u16(v).expect("all codes defined");
             assert_eq!(code.as_u16(), v);
         }
         assert_eq!(RejectCode::from_u16(0), None);
-        assert_eq!(RejectCode::from_u16(21), None);
+        assert_eq!(RejectCode::from_u16(22), None);
     }
 
     /// The high-severity regression: an `OpenEpoch` with a hostile
@@ -2296,11 +2271,11 @@ mod tests {
         }
     }
 
-    /// Claims at both edges of a chunk and at the last lock-free id land
-    /// in the pad; the first id past it bounces to the locked path, which
-    /// still admits it.
+    /// Claims at both edges of a chunk and at the last legal id land in
+    /// the pad; the first id past the bound is a typed reject on the pad
+    /// and on the locked path alike, and the seal holds none of it.
     #[test]
-    fn pad_claims_at_chunk_edges_and_capacity_falls_back_to_the_lock() {
+    fn pad_claims_at_chunk_edges_and_past_capacity_are_typed_rejects() {
         let cap = 600;
         let (mut store, mut conn) = opened(1024, cap);
         let pad = store.pad_for(1, 0).expect("ingesting epoch");
@@ -2316,20 +2291,22 @@ mod tests {
             ));
         }
         let past = cap as u32;
-        assert!(matches!(pad.ingest(past, SEED, &irregular_payload(past)), PadIngest::Unavailable));
+        let outcome = pad.ingest(past, SEED, &irregular_payload(past));
+        assert!(matches!(outcome, PadIngest::NodeOutOfRange));
         let (reply, effect) = send(&mut store, &mut conn, &irregular_msg(past));
-        assert_eq!(reply, Message::Ack { of: TAG_SKETCH, info: 0 });
-        assert!(matches!(effect, Effect::Ingested { .. }));
+        assert_eq!(code_of(&reply), RejectCode::NodeOutOfRange);
+        assert!(matches!(effect, Effect::None));
         let (nodes, duplicates, y) = seal_bits(&mut store);
-        assert_eq!((nodes, duplicates), (5, 4));
-        assert_eq!(y, fold_bits(edges.into_iter().chain([past]).map(|n| (n, n))));
+        assert_eq!((nodes, duplicates), (4, 4));
+        assert_eq!(y, fold_bits(edges.map(|n| (n, n))));
     }
 
-    /// Members joined before the pad existed are pre-marked in chunks no
-    /// claim has touched: their retransmits are duplicates, and their
-    /// neighbours claim the pre-allocated chunk normally.
+    /// Members ingested on the store-locked path sit in the pad's slots:
+    /// their retransmits to the pad are duplicates, a pad member's
+    /// retransmit to the locked path is one too, and their neighbours claim
+    /// the same chunks normally.
     #[test]
-    fn pad_premarks_members_in_chunks_no_claim_touched() {
+    fn pad_members_from_the_locked_path_are_duplicates_on_the_pad() {
         let (mut store, mut conn) = opened(1024, 1 << 16);
         let members = [5u32, 300, 700];
         for node in members {
@@ -2345,8 +2322,10 @@ mod tests {
             ));
         }
         assert!(matches!(pad.ingest(301, SEED, &irregular_payload(301)), PadIngest::Accepted(_)));
+        let reply = send(&mut store, &mut conn, &irregular_msg(301)).0;
+        assert_eq!(reply, Message::Ack { of: TAG_SKETCH, info: 1 });
         let (nodes, duplicates, y) = seal_bits(&mut store);
-        assert_eq!((nodes, duplicates), (4, 3));
+        assert_eq!((nodes, duplicates), (4, 4));
         assert_eq!(y, fold_bits([5, 300, 301, 700].map(|n| (n, n))));
     }
 
@@ -2357,14 +2336,14 @@ mod tests {
         let (mut store, _) = opened(1024, 1 << 16);
         let pad = store.pad_for(1, 0).expect("ingesting epoch");
         assert!(matches!(pad.ingest(1, SEED, &irregular_payload(1)), PadIngest::Accepted(_)));
-        store.pause_and_drain_pads();
+        store.pause_pads();
         assert!(matches!(pad.ingest(600, SEED, &irregular_payload(600)), PadIngest::Unavailable));
         assert_eq!(pad.allocated_slots().count(), PAD_CHUNK);
         store.resume_pads();
         assert!(matches!(pad.ingest(600, SEED, &irregular_payload(600)), PadIngest::Accepted(_)));
         assert_eq!(pad.allocated_slots().count(), 2 * PAD_CHUNK);
 
-        store.pause_and_drain_pads();
+        store.pause_pads();
         let snapshot = store.snapshot_bytes();
         store.resume_pads();
         let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())
@@ -2437,8 +2416,8 @@ mod tests {
     #[test]
     fn non_finite_sketches_are_rejected_before_the_journal() {
         use crate::wal::WalRecord;
-        // Pad slots for nodes 0 and 1; node 3 takes the locked path.
-        let (mut store, mut conn) = opened(N, 2);
+        // Node ids 0..4 are legal; nodes 0 and 3 take the locked path.
+        let (mut store, mut conn) = opened(N, 4);
         let pad = store.pad_for(1, 0).expect("ingesting epoch");
         let mut f64s = irregular(9).into_vec();
         f64s[2] = f64::NAN;
@@ -2494,6 +2473,166 @@ mod tests {
         assert_eq!(got, want);
     }
 
+    /// Two ingesters with overlapping id sets (duplicates included) race a
+    /// thread that pauses the pad, snapshots and resumes it, then seals.
+    /// Every accepted claim is sealed exactly once with the winner's bits,
+    /// `Unavailable` is met only inside a pause or after the seal, and each
+    /// snapshot holds every claim accepted before its pause.
+    #[test]
+    fn pad_claims_racing_pause_and_seal_count_each_node_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Mutex;
+        use std::time::{Duration, Instant};
+        const SNAPSHOTS: usize = 4;
+        const IDS: usize = 1200;
+        // A bound on the run should a thread fail: nobody waits forever.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let (mut store, _) = opened(4096, 1 << 16);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        // Pause windows begun and ended, and whether the seal has begun.
+        let (begun, ended) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let sealing = AtomicBool::new(false);
+        // `(node, sketch id)` of every accepted claim, recorded under its
+        // permit (as the server journals), and the duplicate outcomes.
+        let accepted = Mutex::new(Vec::<(u32, u32)>::new());
+        let duplicates = AtomicU64::new(0);
+        let ingest = |ids: Vec<u32>, tag: u32| {
+            let payloads: Vec<(u32, EncodedSketch)> =
+                ids.into_iter().map(|n| (n, irregular_payload(n + tag))).collect();
+            while Instant::now() < deadline {
+                for (node, payload) in &payloads {
+                    let ended_before = ended.load(Ordering::SeqCst);
+                    match pad.ingest(*node, SEED, payload) {
+                        PadIngest::Accepted(_) => {
+                            accepted.lock().unwrap().push((*node, node + tag))
+                        }
+                        PadIngest::Duplicate => {
+                            duplicates.fetch_add(1, Ordering::Relaxed);
+                        }
+                        PadIngest::Unavailable if sealing.load(Ordering::SeqCst) => return,
+                        PadIngest::Unavailable => assert!(
+                            begun.load(Ordering::SeqCst) > ended_before,
+                            "node {node}: Unavailable outside a pause and before the seal"
+                        ),
+                        other => panic!("node {node}: unexpected outcome {other:?}"),
+                    }
+                }
+                std::thread::yield_now();
+            }
+        };
+        let (snapshots, sealed) = std::thread::scope(|s| {
+            s.spawn(|| ingest((0..IDS as u32 * 2 / 3).collect(), 0));
+            s.spawn(|| ingest((IDS as u32 / 3..IDS as u32).rev().collect(), 10_000));
+            let mut snapshots = Vec::new();
+            for k in 1..=SNAPSHOTS {
+                // Pause at k fifths of the first pass, so pauses land mid-ingest.
+                while accepted.lock().unwrap().len() < k * IDS / (SNAPSHOTS + 1)
+                    && Instant::now() < deadline
+                {
+                    std::thread::yield_now();
+                }
+                let before = accepted.lock().unwrap().clone();
+                begun.fetch_add(1, Ordering::SeqCst);
+                store.pause_pads();
+                let bytes = store.snapshot_bytes();
+                store.resume_pads();
+                ended.fetch_add(1, Ordering::SeqCst);
+                snapshots.push((before, bytes));
+            }
+            sealing.store(true, Ordering::SeqCst);
+            (snapshots, seal_bits(&mut store))
+        });
+        assert!(Instant::now() < deadline, "the race ran out of time");
+        let accepted = accepted.into_inner().unwrap();
+        let mut nodes: Vec<u32> = accepted.iter().map(|&(node, _)| node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        assert_eq!(nodes.len(), accepted.len(), "a node was accepted twice");
+        let (sealed_nodes, sealed_duplicates, y) = sealed;
+        assert_eq!(sealed_nodes, accepted.len() as u64);
+        assert_eq!(sealed_duplicates, duplicates.into_inner());
+        assert_eq!(y, fold_bits(accepted.iter().copied()));
+        for (k, (before, bytes)) in snapshots.into_iter().enumerate() {
+            let mut rebuilt = SessionStore::from_snapshot_bytes(&bytes, StoreLimits::default())
+                .expect("valid snapshot");
+            let pad = rebuilt.pad_for(1, 0).expect("ingesting epoch");
+            let before: std::collections::BTreeSet<(u32, u32)> = before.into_iter().collect();
+            for &(node, id) in &accepted {
+                let outcome = pad.ingest(node, SEED, &irregular_payload(id));
+                match outcome {
+                    PadIngest::Duplicate => {}
+                    PadIngest::Accepted(_) if !before.contains(&(node, id)) => {}
+                    other => {
+                        panic!("snapshot {k}, node {node} accepted before its pause: {other:?}")
+                    }
+                }
+            }
+            // Topped up with the claims accepted after its pause, the
+            // snapshot seals to the live bits: it held the winners' sketches.
+            assert_eq!(seal_bits(&mut rebuilt).2, y, "snapshot {k}");
+        }
+    }
+
+    /// Node ids are bounded per epoch: `max_nodes_per_epoch` and every id
+    /// past it are typed `NodeOutOfRange` rejects on the store-locked path
+    /// and on the lock-free pad, with nothing to journal; and a journal
+    /// holding such an ingest replays to that typed refusal, not a panic.
+    #[test]
+    fn node_ids_past_the_epoch_bound_are_typed_rejects() {
+        use crate::wal::{Durability, Wal, WalError};
+        let limits = StoreLimits::default();
+        let bound = limits.max_nodes_per_epoch as u32;
+        let hostile = [bound, bound + 1, 1_000_000, u32::MAX];
+        let (mut store, mut conn) = opened(N, limits.max_nodes_per_epoch);
+        let pad = store.pad_for(1, 0).expect("ingesting epoch");
+        for node in hostile {
+            let msg = irregular_msg(node);
+            let (reply, effect) = send(&mut store, &mut conn, &msg);
+            assert_eq!(code_of(&reply), RejectCode::NodeOutOfRange, "locked path, node {node}");
+            assert!(matches!(effect, Effect::None), "locked path, node {node}");
+            assert!(WalRecord::of_effect(&effect, &msg).is_none(), "locked path, node {node}");
+
+            let outcome = pad.ingest(node, SEED, &irregular_payload(node));
+            assert!(matches!(outcome, PadIngest::NodeOutOfRange), "pad, node {node}");
+            let (reply, effect) = outcome.reply(1, 0, &mut StoreStats::new()).expect("resolved");
+            assert_eq!(code_of(&reply), RejectCode::NodeOutOfRange, "pad, node {node}");
+            assert!(matches!(effect, Effect::None), "pad, node {node}");
+            assert!(WalRecord::of_effect(&effect, &msg).is_none(), "pad, node {node}");
+        }
+        assert_eq!(seal_bits(&mut store).0, 0, "no hostile id is a member");
+
+        let open = WalRecord::Open {
+            session: 1,
+            epoch: 0,
+            m: M,
+            n: N,
+            seed: SEED,
+            op_kind: 0,
+            op_param: 0,
+        };
+        for node in hostile {
+            let dir = std::env::temp_dir()
+                .join(format!("cso-session-node-bound-{}-{node}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let mut wal = Wal::open(&Durability::at(&dir)).expect("open journal");
+            let payload = irregular_payload(node);
+            let ingest = WalRecord::Ingest { session: 1, epoch: 0, node, seed: SEED, payload };
+            wal.append(&open, &mut StoreStats::new());
+            wal.append(&ingest, &mut StoreStats::new());
+            assert!(!wal.failed());
+            drop(wal);
+            let code = RejectCode::NodeOutOfRange;
+            let refused = ReplayError::Rejected { kind: ingest.kind(), session: 1, epoch: 0, code };
+            let recovered = SessionStore::recover_from(&dir, limits);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert!(
+                matches!(&recovered, Err(WalError::Replay(e)) if *e == refused),
+                "replay, node {node}: {:?}",
+                recovered.err()
+            );
+        }
+    }
+
     // ---- 1024-node seal ---------------------------------------------------
 
     const FAN_IN: u32 = 1024;
@@ -2530,7 +2669,7 @@ mod tests {
     fn seal_1024_nodes_after_a_mid_ingest_snapshot_matches_the_dyadic_fold() {
         let (mut store, _) = opened(4096, 1 << 16);
         ingest_arrivals(&mut store, 0..FAN_IN / 2);
-        store.pause_and_drain_pads();
+        store.pause_pads();
         let snapshot = store.snapshot_bytes();
         store.resume_pads();
         let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())

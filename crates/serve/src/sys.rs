@@ -73,14 +73,12 @@ impl EpollEvent {
     /// The readiness bitset (reads through the packed field).
     pub fn events(&self) -> u32 {
         // A packed field may be unaligned; copy it out by value.
-        let e = self.events;
-        e
+        self.events
     }
 
     /// The caller token (reads through the packed field).
     pub fn token(&self) -> u64 {
-        let d = self.data;
-        d
+        self.data
     }
 }
 

@@ -26,7 +26,7 @@ use cso_distributed::{Cluster, CsProtocol, RetryPolicy};
 use cso_serve::{run_cs_over_server, ServeRunConfig};
 use cso_workloads::{split, MajorityConfig, MajorityData, SliceStrategy};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -80,7 +80,7 @@ fn pick_port() -> u16 {
 /// Re-execs this test binary filtered down to [`child_server`], which
 /// spawns the durable server on `port` over `dir` and parks forever. When
 /// `crash` names a seeded point, the child aborts on its first hit.
-fn spawn_child(port: u16, dir: &PathBuf, crash: Option<&str>) -> Child {
+fn spawn_child(port: u16, dir: &Path, crash: Option<&str>) -> Child {
     spawn_child_with_flight(port, dir, crash, None)
 }
 
@@ -89,7 +89,7 @@ fn spawn_child(port: u16, dir: &PathBuf, crash: Option<&str>) -> Child {
 /// SIGKILL leaves a postmortem on disk.
 fn spawn_child_with_flight(
     port: u16,
-    dir: &PathBuf,
+    dir: &Path,
     crash: Option<&str>,
     flight: Option<&PathBuf>,
 ) -> Child {
@@ -246,7 +246,7 @@ fn child_relay() {
 /// `upstream`, journaling to `dir`.
 fn spawn_child_relay(
     port: u16,
-    dir: &PathBuf,
+    dir: &Path,
     upstream: SocketAddr,
     region: u32,
     leaves: u64,

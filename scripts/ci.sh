@@ -8,8 +8,10 @@
 #      plus the lazy degraded-collector fold and sliced CRC-32 oracles and
 #      the collector's one-entry-per-node listing
 #   5. a warnings-clean check over all targets, fault-injection included,
-#      no `fn *_traced` twin in cso-core, cso-distributed or cso-serve,
-#      and no session-store shard routing back in cso-serve
+#      a clippy-clean check over all targets, no `fn *_traced` twin in
+#      cso-core, cso-distributed or cso-serve, no session-store shard
+#      routing back in cso-serve, and no second member table beside an
+#      ingesting epoch's pad
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -57,8 +59,8 @@
 #  17. the seal-cost smoke: the serve benchmark's own self-tests must
 #      pass, and so must the lazy-fold property test (lazy aggregator vs
 #      an eager reference model, bit for bit), the chunked ingest-pad
-#      tests and the 1024-node seal bit-identity tests (live dispatch,
-#      snapshot round trip, WAL replay)
+#      tests, the per-epoch node-id bound tests and the 1024-node seal
+#      bit-identity tests (live dispatch, snapshot round trip, WAL replay)
 #
 # Any step failing fails the script.
 set -euo pipefail
@@ -83,6 +85,7 @@ cargo test -q -p cso-distributed --lib -- collector_sum_matches sliced_crc32 \
 
 echo "==> [5/17] warnings-clean (all targets, fault-injection on)"
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-injection
+cargo clippy --workspace --all-targets -- -D warnings
 # The recorder rides in OmpConfig::rec / CsProtocol::rec: no traced twins.
 if grep -rnE "fn [a-z_]+_traced\b" crates/core/src crates/distributed/src crates/serve/src; then
     echo "a *_traced twin is back; pass the recorder in the config instead"
@@ -91,6 +94,11 @@ fi
 # One session store behind one lock: no shard split, merge or routing.
 if grep -rnE "split_by_session|merged_snapshot_bytes|shard_index|shard_mask" crates/serve/src; then
     echo "session-store sharding is back; the server holds one store"
+    exit 1
+fi
+# An ingesting epoch is its pad: no aggregator map, drain or pre-marking.
+if grep -rnE "SketchAggregator|drain_into|SLOT_DRAINED|pause_and_drain_pads" crates/serve/src; then
+    echo "a second member table is back; an ingesting epoch's members live in its pad"
     exit 1
 fi
 
@@ -221,18 +229,21 @@ for artifact in results/tree_topology.csv BENCH_pr10.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
 done
 
-echo "==> [17/17] seal-cost smoke (benchmark self-tests + lazy fold + chunked pad + 1024-node seal)"
+echo "==> [17/17] seal-cost smoke (benchmark self-tests + lazy fold + chunked pad + node bound + 1024-node seal)"
 # The benchmark package is its own workspace; its tests check the metric
 # tables against BENCHMARK.json, the workload generators, and a toy-sized
 # run of every workload.
 # The lazy aggregator must match the eager (fold-on-every-join) model bit
-# for bit and error for error; the pad tests pin chunk edges, the
-# capacity fallback, pre-marked members, pause/resume across a fresh
-# chunk, racing first claims and the memory bound; the 1024-node tests
-# pin the sealed measurement to the flat dyadic fold on every path.
+# for bit and error for error; the pad tests pin chunk edges, first wins
+# across the locked and lock-free paths, pause/resume across a fresh
+# chunk, racing first claims, claims racing pause/snapshot and the seal,
+# and the memory bound; the node-id bound tests pin the typed
+# `NodeOutOfRange` on the locked path, the pad and replay; the 1024-node
+# tests pin the sealed measurement to the flat dyadic fold on every path.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 cargo test -q -p cso-distributed --lib lazy_fold
 cargo test -q -p cso-serve --lib pad_
+cargo test -q -p cso-serve --lib node_ids_
 cargo test -q -p cso-serve --lib seal_1024
 
 echo "ci: all green"
