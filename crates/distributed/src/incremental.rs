@@ -76,12 +76,6 @@ impl SketchAggregator {
         self.node_sketches.keys().copied().collect()
     }
 
-    /// The last full sketch `node` contributed, if it is a member — what a
-    /// durability layer persists to reconstruct an in-flight epoch.
-    pub fn node_sketch(&self, node: usize) -> Option<&Vector> {
-        self.node_sketches.get(&node)
-    }
-
     /// The current global measurement, folded now if membership changed
     /// since the last read.
     pub fn global_measurement(&mut self) -> &Vector {

@@ -1046,11 +1046,12 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
             reply
         }
         Dispatch::Recover(job) => {
-            // BOMP and the Φ0 materialization run outside every lock: a
-            // recovery must never stall ingest or any other session's
-            // control plane. It does occupy this worker, which is the
-            // same trade the thread-per-connection engine made per
-            // handler.
+            // BOMP, the Φ0 materialization of a recover that missed the
+            // operator cache and the freeing of the operator it displaced
+            // run outside every lock: a recovery must never stall ingest
+            // or any other session's control plane. It does occupy this
+            // worker, which is the same trade the thread-per-connection
+            // engine made per handler.
             let (session, epoch) = job.target();
             let recover_started = Instant::now();
             let (reply, summary) = job.run();

@@ -25,8 +25,8 @@
 use crate::frame::MAX_FRAME_BYTES;
 use crate::wal::{frame_record, ReplayError, WalRecord};
 use cso_core::{
-    bomp, bomp_with_op, BompConfig, MeasurementOperator, MeasurementSpec, OpDescriptor, OpKind,
-    SketchBackend,
+    bomp_with_matrix, bomp_with_op, BompConfig, MeasurementOperator, MeasurementSpec, OpDescriptor,
+    OpKind, SketchBackend,
 };
 use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
@@ -34,7 +34,7 @@ use cso_distributed::wire::{
 };
 use cso_distributed::{dyadic_fold, CsProtocol};
 use cso_exec::ExecConfig;
-use cso_linalg::Vector;
+use cso_linalg::{ColMatrix, LinalgError, Vector};
 use cso_obs::Recorder;
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
@@ -612,15 +612,19 @@ struct Session {
 /// Resource caps the store enforces at `OpenEpoch`. Every limit maps to a
 /// typed reject (`BadSpec` for a hostile geometry, `StoreFull` for
 /// capacity), never a panic or an unbounded allocation: recovery builds
-/// a dense `m × n` matrix, so an unvalidated client-supplied `n` would
-/// otherwise let a single frame abort the process.
+/// (and the store keeps) a dense `m × n` matrix, so an unvalidated
+/// client-supplied `n` would otherwise let a single frame abort the
+/// process.
 #[derive(Debug, Clone, Copy)]
 pub struct StoreLimits {
     /// Largest accepted ambient dimension `N` per epoch.
     pub max_n: u64,
-    /// Cap on the `m·n·8` bytes of `Φ0`. A dense recovery's peak is that
-    /// matrix plus the `m`-length bias column `φ0`: BOMP borrows `Φ0`
-    /// and never builds the bias-extended `Φ̃ = [φ0, Φ0]`.
+    /// Cap on the `m·n·8` bytes of a dense epoch's `Φ0`, and so on the
+    /// one shared operator the store keeps resident between recovers (the
+    /// last recovered descriptor's): it never exceeds what one recovery
+    /// may allocate. A dense recovery adds only the `m`-length bias
+    /// column `φ0`: BOMP borrows `Φ0` and never builds the bias-extended
+    /// `Φ̃ = [φ0, Φ0]`.
     pub max_matrix_bytes: u64,
     /// Live sessions the store holds before `OpenEpoch` of a new session
     /// is rejected (the lowest-id finished session is evicted to make
@@ -853,9 +857,10 @@ pub enum Effect {
 /// The outcome of dispatching one message against the store: either the
 /// reply frame itself (plus the state transition it applied, for the
 /// durability layer), or a [`RecoverJob`] the caller runs *outside* any
-/// store lock — BOMP plus the `Φ0` materialization are the only expensive
-/// operations in the protocol, and running them under the store mutex
-/// would stall every other connection for their duration.
+/// store lock — BOMP, and building a shared operator the store does not
+/// hold yet (materializing `Φ0`), are the only expensive operations in
+/// the protocol, and running them under the store mutex would stall
+/// every other connection for their duration.
 #[derive(Debug)]
 pub enum Dispatch {
     /// The reply to send back, and the journalable transition it applied.
@@ -866,14 +871,18 @@ pub enum Dispatch {
 }
 
 /// Everything a recovery needs, detached from the store: the operator
-/// descriptor, the canonical measurement (an `M`-length clone), and the
-/// resolved BOMP configuration.
+/// descriptor with its slot in the store's operator cache, the canonical
+/// measurement (an `M`-length clone), and the resolved BOMP
+/// configuration. A job whose lookup missed also carries the slot it
+/// displaced, so that operator is freed outside the store lock.
 #[derive(Debug)]
 pub struct RecoverJob {
     session: u64,
     epoch: u64,
     k: u32,
     op: OpDescriptor,
+    shared: OpSlot,
+    evicted: Option<OpSlot>,
     y: Vector,
     nodes: u64,
     duplicates: u64,
@@ -887,18 +896,25 @@ impl RecoverJob {
         (self.session, self.epoch)
     }
 
-    /// Runs the recovery. A dense-backend epoch runs the exact seed path,
-    /// [`cso_core::bomp()`]: it materializes `Φ0`, one dense `m × n`
-    /// matrix (plus the `m`-length bias column) that lives only as long
-    /// as the call, so the store never retains it. Matrix-free backends
-    /// rebuild the operator from the journaled descriptor and recover
-    /// without ever materializing. Both run the same BOMP body.
-    pub fn run(self) -> (Message, Option<RecoveredEpoch>) {
-        let result = match self.op.build() {
-            Ok(MeasurementOperator::Dense(spec)) => bomp(&spec, &self.y, &self.config),
-            Ok(op) => bomp_with_op(&op, &self.y, &self.config),
-            Err(e) => Err(e),
-        };
+    /// Runs the recovery against the epoch's shared operator, building it
+    /// into the job's cache slot first when no recover of the descriptor
+    /// has. A dense epoch's entry is the materialized `Φ0` — one `m × n`
+    /// matrix the store keeps resident until a recover of another
+    /// descriptor displaces it, bounded by
+    /// [`StoreLimits::max_matrix_bytes`] — recovered with
+    /// [`cso_core::bomp_with_matrix`], which is what [`cso_core::bomp()`]
+    /// runs on a fresh one, so the bits are unchanged. Matrix-free
+    /// backends keep the built operator (an SRHT's sampled rows and sign
+    /// words) and recover with [`cso_core::bomp_with_op`], never
+    /// materializing. Both run the same BOMP body.
+    pub fn run(mut self) -> (Message, Option<RecoveredEpoch>) {
+        // Free the displaced operator (if no other recover still holds
+        // it) before building this one, so the two never sit side by side.
+        drop(self.evicted.take());
+        let result = self.shared_op().and_then(|shared| match shared {
+            SharedOp::Matrix(phi0) => bomp_with_matrix(phi0, &self.y, &self.config),
+            SharedOp::Op(op) => bomp_with_op(op, &self.y, &self.config),
+        });
         let result = match result {
             Ok(r) => r,
             Err(_) => return (reject(RejectCode::Internal), None),
@@ -917,13 +933,63 @@ impl RecoverJob {
         };
         (Message::Report { epoch: self.epoch, mode: result.mode, outliers }, Some(summary))
     }
+
+    /// The job's shared operator, built into its slot on first use, outside
+    /// every lock: the same `spec.materialize()` that [`cso_core::bomp()`]
+    /// runs. A recover holding the same slot waits for that one build
+    /// instead of repeating it.
+    fn shared_op(&self) -> Result<&SharedOp, LinalgError> {
+        if let Some(shared) = self.shared.get() {
+            return Ok(shared);
+        }
+        let built = self.op.build()?;
+        Ok(self.shared.get_or_init(|| {
+            #[cfg(test)]
+            tests::BUILDS.with(|builds| builds.set(builds.get() + 1));
+            match built {
+                MeasurementOperator::Dense(spec) => SharedOp::Matrix(spec.materialize()),
+                op => SharedOp::Op(op),
+            }
+        }))
+    }
 }
+
+// ---- shared operators ---------------------------------------------------
+
+/// A recovery operator as the root keeps it between recovers: a fixed
+/// function of its [`OpDescriptor`], so state to keep, not work to redo.
+enum SharedOp {
+    /// The dense backend's materialized `Φ0`.
+    Matrix(ColMatrix),
+    /// A matrix-free backend, built once: an SRHT's sampled rows and its
+    /// lazily built sign words survive across recovers.
+    Op(MeasurementOperator),
+}
+
+impl fmt::Debug for SharedOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SharedOp::Matrix(phi0) => write!(f, "Matrix({}x{})", phi0.rows(), phi0.cols()),
+            SharedOp::Op(op) => write!(f, "Op({op:?})"),
+        }
+    }
+}
+
+/// The store's operator-cache entry: empty until the first recover that
+/// holds it fills it, outside the store lock.
+type OpSlot = Arc<OnceLock<SharedOp>>;
 
 /// All sessions the server currently holds.
 #[derive(Debug, Default)]
 pub struct SessionStore {
     sessions: BTreeMap<u64, Session>,
     limits: StoreLimits,
+    /// The shared operator of the last recovered descriptor, built outside
+    /// the lock by the recover that missed. One entry: every workload's
+    /// epochs share one descriptor, and a dense entry is at most
+    /// [`StoreLimits::max_matrix_bytes`]. Nothing here is journaled: a
+    /// restarted store starts empty, and its first recover builds again.
+    op_cache: Option<(OpDescriptor, OpSlot)>,
 }
 
 impl SessionStore {
@@ -934,7 +1000,7 @@ impl SessionStore {
 
     /// An empty store with the given resource caps.
     pub fn with_limits(limits: StoreLimits) -> Self {
-        SessionStore { sessions: BTreeMap::new(), limits }
+        SessionStore { limits, ..SessionStore::default() }
     }
 
     /// Number of live sessions.
@@ -978,7 +1044,7 @@ impl SessionStore {
             }
             Message::SealEpoch { session, epoch } => self.seal(session, epoch, stats),
             Message::RecoverEpoch { session, epoch, k } => {
-                match self.begin_recover(session, epoch, k, policy) {
+                match self.begin_recover(session, epoch, k, policy, stats) {
                     Ok(job) => return Dispatch::Recover(job),
                     Err(code) => Err(code),
                 }
@@ -1239,12 +1305,18 @@ impl SessionStore {
         Ok((Message::Ack { of: TAG_SEAL_EPOCH, info: nodes }, effect))
     }
 
+    /// Detaches a recovery of a sealed, non-empty epoch: clones its
+    /// measurement and hands the job its operator's cache slot
+    /// ([`SessionStore::op_slot`]). A measurement BOMP would refuse — a
+    /// fold can overflow finite sketches to infinity — is rejected first,
+    /// so it never touches the cache or allocates `Φ0`.
     fn begin_recover(
         &mut self,
         session: u64,
         epoch: u64,
         k: u32,
         policy: &RecoveryPolicy,
+        stats: &mut StoreStats,
     ) -> Result<RecoverJob, RejectCode> {
         let ep = self.epoch_mut(session, epoch)?;
         let EpochState::Sealed { y, nodes, duplicates } = &ep.state else {
@@ -1253,16 +1325,40 @@ impl SessionStore {
         if *nodes == 0 {
             return Err(RejectCode::EmptyEpoch);
         }
+        if y.len() != ep.op.m || !y.iter().all(|v| v.is_finite()) {
+            return Err(RejectCode::Internal);
+        }
+        let (op, y, nodes, duplicates) = (ep.op, y.clone(), *nodes, *duplicates);
+        let (shared, evicted) = self.op_slot(&op, stats);
         Ok(RecoverJob {
             session,
             epoch,
             k,
-            op: ep.op,
-            y: y.clone(),
-            nodes: *nodes,
-            duplicates: *duplicates,
-            config: policy.effective(ep.op.m, ep.op.seed, k),
+            op,
+            shared,
+            evicted,
+            y,
+            nodes,
+            duplicates,
+            config: policy.effective(op.m, op.seed, k),
         })
+    }
+
+    /// The cache slot of `op`, counting the lookup as a hit or a miss. A
+    /// miss swaps in an empty slot and hands back the one it displaced:
+    /// that may hold the last reference to a resident `Φ0`, so the caller
+    /// frees it after the store lock is released.
+    fn op_slot(&mut self, op: &OpDescriptor, stats: &mut StoreStats) -> (OpSlot, Option<OpSlot>) {
+        if let Some((cached, slot)) = &self.op_cache {
+            if cached == op {
+                stats.add("serve.op_cache_hits", 1);
+                return (Arc::clone(slot), None);
+            }
+        }
+        stats.add("serve.op_cache_misses", 1);
+        let slot = OpSlot::default();
+        let evicted = self.op_cache.replace((*op, Arc::clone(&slot)));
+        (slot, evicted.map(|(_, slot)| slot))
     }
 
     /// Marks `(session, epoch)` recovered after a [`RecoverJob`] succeeded,
@@ -1875,7 +1971,7 @@ mod tests {
     }
 
     /// End-to-end matrix-free lifecycle: nodes sketch through the epoch's
-    /// operator, and server-side recovery (which rebuilds the operator
+    /// operator, and server-side recovery (which builds the operator
     /// from the epoch's descriptor, never materializing `Φ0`) finds the
     /// planted outlier.
     #[test]
@@ -2271,6 +2367,30 @@ mod tests {
         }
     }
 
+    /// A report's mode and outlier bits.
+    type ReportBits = (u64, Vec<(u32, u64)>);
+
+    fn report_bits(reply: &Message) -> ReportBits {
+        let Message::Report { mode, outliers, .. } = reply else {
+            panic!("expected a report, got {reply:?}");
+        };
+        (mode.to_bits(), outliers.iter().map(|&(i, v)| (i, v.to_bits())).collect())
+    }
+
+    /// The report a fresh, uncached recovery of `y` under `op` gives:
+    /// `bomp(spec)` for the dense backend, `bomp_with_op(op.build())` for
+    /// the matrix-free ones.
+    fn fresh_report(op: &OpDescriptor, y: &Vector, k: u32) -> ReportBits {
+        let config = RecoveryPolicy::default().effective(op.m, op.seed, k);
+        let result = match op.build().expect("operator builds") {
+            MeasurementOperator::Dense(dense) => cso_core::bomp(&dense, y, &config),
+            built => bomp_with_op(&built, y, &config),
+        }
+        .expect("bomp");
+        let top = result.top_k(k as usize);
+        (result.mode.to_bits(), top.iter().map(|o| (o.index as u32, o.value.to_bits())).collect())
+    }
+
     /// Claims at both edges of a chunk and at the last legal id land in
     /// the pad; the first id past the bound is a typed reject on the pad
     /// and on the locked path alike, and the seal holds none of it.
@@ -2460,17 +2580,9 @@ mod tests {
         else {
             panic!("expected a recover job");
         };
-        let Message::Report { mode, outliers, .. } = job.run().0 else {
-            panic!("expected a report");
-        };
         let y = Vector::from_vec(y.iter().map(|&b| f64::from_bits(b)).collect());
-        let spec = MeasurementSpec::new(M as usize, N as usize, SEED).expect("spec");
-        let want = bomp(&spec, &y, &policy.effective(M as usize, SEED, k)).expect("bomp");
-        assert_eq!(mode.to_bits(), want.mode.to_bits());
-        let want: Vec<(u32, u64)> =
-            want.top_k(k as usize).iter().map(|o| (o.index as u32, o.value.to_bits())).collect();
-        let got: Vec<(u32, u64)> = outliers.iter().map(|&(i, v)| (i, v.to_bits())).collect();
-        assert_eq!(got, want);
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        assert_eq!(report_bits(&job.run().0), fresh_report(&op, &y, k));
     }
 
     /// Two ingesters with overlapping id sets (duplicates included) race a
@@ -2786,5 +2898,179 @@ mod tests {
         assert_eq!(seal_bits(&mut replayed), (FAN_IN as u64, 0, all_leaves()));
         assert_eq!(seal_bits(&mut live), (FAN_IN as u64, 0, all_leaves()));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    // ---- operator cache ------------------------------------------------
+
+    /// Opens `(session, epoch)` under `op` (`op.m == M`), ingests the
+    /// irregular sketches of nodes `0..nodes`, seals it, and returns its
+    /// measurement.
+    fn sealed_under(
+        store: &mut SessionStore,
+        (session, epoch): (u64, u64),
+        op: &OpDescriptor,
+        nodes: u32,
+    ) -> Vector {
+        let mut conn = ConnState::new();
+        let open = Message::OpenEpoch {
+            session,
+            epoch,
+            m: op.m as u32,
+            n: op.n as u64,
+            seed: op.seed,
+            op_kind: op.kind.code(),
+            op_param: op.param,
+        };
+        assert_eq!(send(store, &mut conn, &open).0, Message::Ack { of: TAG_OPEN_EPOCH, info: 0 });
+        for node in 0..nodes {
+            let sketch = Message::Sketch { node, seed: op.seed, payload: irregular_payload(node) };
+            assert_eq!(send(store, &mut conn, &sketch).0, Message::Ack { of: TAG_SKETCH, info: 0 });
+        }
+        match send(store, &mut conn, &Message::SealEpoch { session, epoch }).1 {
+            Effect::Record(WalRecord::Seal { y_bits, .. }) => {
+                Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect())
+            }
+            other => panic!("expected a seal effect, got {other:?}"),
+        }
+    }
+
+    /// Dispatches a recover of `(session, epoch)`, counting into `stats`.
+    fn recover_job(
+        store: &mut SessionStore,
+        (session, epoch): (u64, u64),
+        k: u32,
+        stats: &mut StoreStats,
+    ) -> RecoverJob {
+        let msg = Message::RecoverEpoch { session, epoch, k };
+        match store.dispatch(&mut ConnState::new(), &msg, &RecoveryPolicy::default(), stats) {
+            Dispatch::Recover(job) => job,
+            Dispatch::Reply(reply, _) => panic!("expected a recover job, got {reply:?}"),
+        }
+    }
+
+    thread_local! {
+        /// Shared operators this thread built into a cache slot.
+        pub(super) static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// `(hits, misses)` the buffered recordings count.
+    fn cache_counts(stats: &StoreStats) -> (u64, u64) {
+        let count = |name| stats.pending().iter().filter(|(n, _)| *n == name).map(|(_, v)| v).sum();
+        (count("serve.op_cache_hits"), count("serve.op_cache_misses"))
+    }
+
+    /// For every backend, a cold recover (which builds the shared
+    /// operator), a warm one of the same epoch and one of a second epoch
+    /// with the same descriptor all report the bits of a fresh, uncached
+    /// recovery; only the cold one misses.
+    #[test]
+    fn op_cache_reports_are_bit_identical_cold_warm_and_across_epochs() {
+        let (m, n) = (M as usize, N as usize);
+        for op in [
+            OpDescriptor::dense(m, n, SEED),
+            OpDescriptor::srht(m, n, SEED),
+            OpDescriptor::seeded_sparse(m, n, SEED, 4),
+        ] {
+            let mut store = SessionStore::new();
+            let first = sealed_under(&mut store, (1, 0), &op, 3);
+            let second = sealed_under(&mut store, (1, 1), &op, 5);
+            let mut stats = StoreStats::new();
+            for (epoch, y) in [(0, &first), (0, &first), (1, &second)] {
+                let job = recover_job(&mut store, (1, epoch), 2, &mut stats);
+                let reply = job.run().0;
+                assert_eq!(report_bits(&reply), fresh_report(&op, y, 2), "{op:?} epoch {epoch}");
+            }
+            assert_eq!(cache_counts(&stats), (2, 1), "{op:?}");
+        }
+    }
+
+    /// With room for exactly one `M × N` matrix, recovering two seeds in
+    /// turn displaces the other's `Φ0` every time: every recover misses,
+    /// every report keeps the fresh bits, and the displaced, built matrix
+    /// leaves the store inside the job, to be freed outside the lock.
+    #[test]
+    fn op_cache_alternating_seeds_rebuild_with_the_fresh_bits() {
+        let cap = 8 * u64::from(M) * N;
+        let mut store =
+            SessionStore::with_limits(StoreLimits { max_matrix_bytes: cap, ..Default::default() });
+        let ops = [SEED, SEED + 1].map(|seed| OpDescriptor::dense(M as usize, N as usize, seed));
+        let ys =
+            [(1, &ops[0]), (2, &ops[1])].map(|(s, op)| sealed_under(&mut store, (s, 0), op, 3));
+        let mut stats = StoreStats::new();
+        for round in 0..6 {
+            let i = round % 2;
+            let job = recover_job(&mut store, (i as u64 + 1, 0), 2, &mut stats);
+            let displaced = job.evicted.as_ref().is_some_and(|slot| slot.get().is_some());
+            assert_eq!(displaced, round > 0, "round {round}");
+            assert_eq!(report_bits(&job.run().0), fresh_report(&ops[i], &ys[i], 2));
+        }
+        assert_eq!(cache_counts(&stats), (0, 6));
+    }
+
+    /// Two threads recover two sealed epochs of one dense descriptor at
+    /// once: the second dispatch hits the slot the first inserted, the two
+    /// jobs share it, and `Φ0` is materialized once — the thread that
+    /// loses the race waits for the other's build — with the fresh bits
+    /// on both. `N` is large enough that the build outlasts the start
+    /// skew the barrier leaves.
+    #[test]
+    fn op_cache_concurrent_recovers_of_one_descriptor_materialize_once() {
+        let op = OpDescriptor::dense(M as usize, 1 << 17, SEED);
+        let mut store = SessionStore::new();
+        let ys =
+            [(0, 3), (1, 5)].map(|(epoch, nodes)| sealed_under(&mut store, (1, epoch), &op, nodes));
+        let mut stats = StoreStats::new();
+        let jobs = [0, 1].map(|epoch| recover_job(&mut store, (1, epoch), 2, &mut stats));
+        assert_eq!(cache_counts(&stats), (1, 1));
+        assert!(Arc::ptr_eq(&jobs[0].shared, &jobs[1].shared), "one slot per descriptor");
+        assert!(jobs[0].shared.get().is_none(), "nothing is built under the store lock");
+        let start = std::sync::Barrier::new(2);
+        let runs = std::thread::scope(|scope| {
+            let start = &start;
+            let runs = jobs.map(|job| {
+                scope.spawn(move || {
+                    start.wait();
+                    (job.run().0, BUILDS.with(|builds| builds.get()))
+                })
+            });
+            runs.map(|run| run.join().expect("recover thread"))
+        });
+        assert_eq!(runs.iter().map(|(_, builds)| builds).sum::<u64>(), 1, "one materialization");
+        for ((reply, _), y) in runs.iter().zip(&ys) {
+            assert_eq!(report_bits(reply), fresh_report(&op, y, 2));
+        }
+        assert!(store.op_cache.as_ref().is_some_and(|(_, slot)| slot.get().is_some()));
+    }
+
+    /// Finite sketches can fold to an infinite measurement. Its recover
+    /// keeps the typed `Internal` reject BOMP gives it, before the cache:
+    /// no lookup is counted, no slot is inserted, no `Φ0` is built, and
+    /// the epoch stays sealed.
+    #[test]
+    fn non_finite_fold_rejects_without_caching() {
+        let (mut store, mut conn) = opened(N, 4);
+        let huge = EncodedSketch::F64(vec![f64::MAX; M as usize]);
+        for node in 0..2 {
+            let msg = Message::Sketch { node, seed: SEED, payload: huge.clone() };
+            assert_eq!(
+                send(&mut store, &mut conn, &msg).0,
+                Message::Ack { of: TAG_SKETCH, info: 0 }
+            );
+        }
+        let (_, _, y) = seal_bits(&mut store);
+        assert!(y.iter().all(|&b| f64::from_bits(b) == f64::INFINITY), "the fold overflows");
+        let mut stats = StoreStats::new();
+        let recover = Message::RecoverEpoch { session: 1, epoch: 0, k: 1 };
+        let policy = RecoveryPolicy::default();
+        let Dispatch::Reply(reply, effect) =
+            store.dispatch(&mut conn, &recover, &policy, &mut stats)
+        else {
+            panic!("a non-finite measurement must not become a recover job");
+        };
+        assert_eq!(code_of(&reply), RejectCode::Internal);
+        assert!(matches!(effect, Effect::None));
+        assert_eq!(cache_counts(&stats), (0, 0));
+        assert!(store.op_cache.is_none());
+        assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Sealed));
     }
 }

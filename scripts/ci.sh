@@ -10,8 +10,9 @@
 #   5. a warnings-clean check over all targets, fault-injection included,
 #      a clippy-clean check over all targets, no `fn *_traced` twin in
 #      cso-core, cso-distributed or cso-serve, no session-store shard
-#      routing back in cso-serve, and no second member table beside an
-#      ingesting epoch's pad
+#      routing back in cso-serve, no second member table beside an
+#      ingesting epoch's pad, and no per-recover `bomp(&spec, ..)`
+#      materialization in cso-serve (the root keeps its operators)
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -48,8 +49,10 @@
 #      counts in an optimized build (radix-4/16, AVX2, every n up to
 #      2^20; SRHT transpose, op-path OMP/BOMP and spec-vs-matrix BOMP),
 #      the loopback e2e must be bit-identical under every
-#      wire-addressable backend, and the fast 3-backend sweep must run
-#      without touching the recorded artifacts
+#      wire-addressable backend, the root's operator cache must keep the
+#      bits of a fresh recovery (cold, warm, displaced, concurrent), and the
+#      fast 3-backend sweep must run without touching the recorded
+#      artifacts
 #  16. the relay-tier smoke: the two-level loopback e2e (flat-vs-tree
 #      bit-identity, whole-region drop degrading to subtree recovery,
 #      cross-DC byte accounting, typed manifest rejects) and the
@@ -99,6 +102,11 @@ fi
 # An ingesting epoch is its pad: no aggregator map, drain or pre-marking.
 if grep -rnE "SketchAggregator|drain_into|SLOT_DRAINED|pause_and_drain_pads" crates/serve/src; then
     echo "a second member table is back; an ingesting epoch's members live in its pad"
+    exit 1
+fi
+# The root keeps its operator: recovery runs on the cached Φ0 or operator.
+if grep -rnE "bomp\(&spec" crates/serve/src; then
+    echo "a per-recover Φ0 materialization is back; recover through the operator cache"
     exit 1
 fi
 
@@ -201,14 +209,17 @@ echo "==> [15/17] measurement-operator smoke (proptests + 3-backend sweep)"
 # touching the recorded full-scale artifacts (BENCH_pr9.json is
 # regenerated only by a full `figures -- recovery_ops` run). The NaN-atom
 # test pins the fused and reference kernels to one selection rule; the
-# non-finite tests pin the typed rejects of a NaN/Inf measurement in BOMP
-# and of a NaN/Inf sketch on both live ingest paths.
+# non-finite tests pin the typed rejects of a NaN/Inf measurement in BOMP,
+# of a NaN/Inf sketch on both live ingest paths and of an overflowed fold
+# before the operator cache; the op_cache tests pin the cached recovery to
+# a fresh one, bit for bit, on every backend.
 cargo test -q -p cso-core --test proptest_ops
 cargo test -q --release -p cso-linalg --lib fwht::
 cargo test -q --release -p cso-core --lib bit_identical
 cargo test -q --release -p cso-core --lib nan_atom
 cargo test -q -p cso-core --lib non_finite
 cargo test -q -p cso-serve --lib non_finite
+cargo test -q -p cso-serve --lib op_cache_
 cargo test -q -p cso-serve --test loopback loopback_run_is_bit_identical_for_every_operator_backend
 cargo run --release -q -p cso-bench --bin figures -- recovery_ops --fast
 
