@@ -16,6 +16,8 @@
 //! `Φ̃` is never built: every entry point wraps its `Φ0` — a materialized
 //! [`ColMatrix`] or a [`MeasurementOperator`] — in a borrowed view that
 //! adds only the `M`-length bias column, and one body runs OMP over it.
+//! A caller that recovers more than once on one operator keeps it as a
+//! [`ResidentOp`], which also keeps that bias column.
 
 use crate::measurement::MeasurementSpec;
 use crate::omp::{omp, resolve_exec, OmpConfig, OmpDictionary, OmpResult, StopReason};
@@ -24,6 +26,8 @@ use crate::sparse::SparseVector;
 use cso_exec::ExecConfig;
 use cso_linalg::{vector, ColMatrix, LinalgError, Vector};
 use cso_obs::{Recorder, Value};
+use std::fmt;
+use std::sync::OnceLock;
 
 /// Recovered outlier: a key index and its recovered aggregate value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,7 +138,7 @@ pub fn bomp_with_matrix(
     y: &Vector,
     config: &BompConfig,
 ) -> Result<BompResult, LinalgError> {
-    bomp_biased(phi0, |_| dense_bias(phi0), None, y, config)
+    bomp_biased(phi0, &OnceLock::new(), |_| dense_bias(phi0), None, y, config)
 }
 
 /// Runs BOMP against a measurement operator without materializing the
@@ -149,7 +153,65 @@ pub fn bomp_with_op(
     y: &Vector,
     config: &BompConfig,
 ) -> Result<BompResult, LinalgError> {
-    bomp_biased(op, |exec| op.bias_column(exec), Some(op.kind().label()), y, config)
+    let backend = Some(op.kind().label());
+    bomp_biased(op, &OnceLock::new(), |exec| op.bias_column(exec), backend, y, config)
+}
+
+/// The operator a recovery keeps: a fixed function of its
+/// [`OpDescriptor`](crate::OpDescriptor), so state to hold across
+/// sketches and recovers, not work to redo. The dense backend is kept as
+/// its materialized `Φ0`, built once here; a matrix-free backend is kept
+/// as built (an SRHT's sampled rows and sign words). The bias column `φ0`
+/// is computed by the first recover that gets past the measurement check,
+/// on that recover's executor, and reused by every later one.
+///
+/// [`ResidentOp::sketch`] and [`ResidentOp::recover`] are bit-identical to
+/// the one-shot paths: the matrix-vector product and [`bomp_with_matrix`]
+/// on a materialized `Φ0`, and `apply` and [`bomp_with_op`] otherwise,
+/// span and events included.
+#[derive(Clone)]
+pub struct ResidentOp {
+    op: MeasurementOperator,
+    /// The dense backend's materialized `Φ0`; `None` for matrix-free ones.
+    phi0: Option<ColMatrix>,
+    bias: OnceLock<Vec<f64>>,
+}
+
+impl ResidentOp {
+    /// Keeps `op`, materializing `Φ0` when it is the dense backend.
+    pub fn new(op: MeasurementOperator) -> Self {
+        let phi0 = match &op {
+            MeasurementOperator::Dense(spec) => Some(spec.materialize()),
+            _ => None,
+        };
+        ResidentOp { op, phi0, bias: OnceLock::new() }
+    }
+
+    /// The sketch `y = Φ0·x` of a dense slice.
+    pub fn sketch(&self, slice: &[f64]) -> Result<Vector, LinalgError> {
+        match &self.phi0 {
+            Some(phi0) => phi0.matvec(&Vector::from_vec(slice.to_vec())),
+            None => self.op.apply(slice),
+        }
+    }
+
+    /// Runs BOMP on the kept operator and bias column.
+    pub fn recover(&self, y: &Vector, config: &BompConfig) -> Result<BompResult, LinalgError> {
+        let (op, bias) = (&self.op, &self.bias);
+        match &self.phi0 {
+            Some(phi0) => bomp_biased(phi0, bias, |_| dense_bias(phi0), None, y, config),
+            None => {
+                let backend = Some(op.kind().label());
+                bomp_biased(op, bias, |exec| op.bias_column(exec), backend, y, config)
+            }
+        }
+    }
+}
+
+impl fmt::Debug for ResidentOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("ResidentOp").field(&self.op.descriptor()).finish()
+    }
 }
 
 /// Rejects an empty geometry, a measurement of the wrong length, and a
@@ -190,12 +252,12 @@ fn dense_bias(phi0: &ColMatrix) -> Vec<f64> {
 }
 
 /// The bias-extended dictionary `Φ̃ = [φ0, Φ0]` over a borrowed `Φ0`: atom
-/// 0 is the precomputed bias column, atoms `1..=N` are `inner`'s columns.
-/// Nothing beyond the `M`-length bias is stored — the correlation scan is
-/// one dot plus `inner`'s own scan.
+/// 0 is the borrowed bias column, atoms `1..=N` are `inner`'s columns.
+/// Nothing is stored — the correlation scan is one dot plus `inner`'s own
+/// scan.
 struct Biased<'a, D: OmpDictionary + ?Sized> {
     inner: &'a D,
-    bias: Vec<f64>,
+    bias: &'a [f64],
 }
 
 impl<D: OmpDictionary + ?Sized> OmpDictionary for Biased<'_, D> {
@@ -209,7 +271,7 @@ impl<D: OmpDictionary + ?Sized> OmpDictionary for Biased<'_, D> {
 
     fn column_into(&self, j: usize, out: &mut [f64]) {
         if j == 0 {
-            out.copy_from_slice(&self.bias);
+            out.copy_from_slice(self.bias);
         } else {
             self.inner.column_into(j - 1, out);
         }
@@ -222,18 +284,20 @@ impl<D: OmpDictionary + ?Sized> OmpDictionary for Biased<'_, D> {
         exec: &ExecConfig,
     ) -> Result<(), LinalgError> {
         let (head, tail) = out.split_at_mut(1);
-        head[0] = vector::dot(&self.bias, x);
+        head[0] = vector::dot(self.bias, x);
         self.inner.correlations_into(x, tail, exec)
     }
 }
 
-/// The one BOMP body: checks the measurement, computes the bias column
-/// with `bias` on the run's executor (the scans' worker budget), runs OMP
-/// over [`Biased`] and maps the result back to signal space. `backend`
-/// labels the `recover.bomp` span on the operator path.
+/// The one BOMP body: checks the measurement, fills the `bias` cell with
+/// `compute_bias` on the run's executor (the scans' worker budget) unless
+/// an earlier run did, runs OMP over [`Biased`] and maps the result back
+/// to signal space. `backend` labels the `recover.bomp` span on the
+/// operator path.
 fn bomp_biased<D: OmpDictionary + ?Sized>(
     inner: &D,
-    bias: impl FnOnce(&ExecConfig) -> Vec<f64>,
+    bias: &OnceLock<Vec<f64>>,
+    compute_bias: impl FnOnce(&ExecConfig) -> Vec<f64>,
     backend: Option<&str>,
     y: &Vector,
     config: &BompConfig,
@@ -241,7 +305,7 @@ fn bomp_biased<D: OmpDictionary + ?Sized>(
     let (m, n) = (inner.rows(), inner.cols());
     check_measurement(m, n, y)?;
     let exec = resolve_exec(&config.omp, m, n + 1);
-    let dict = Biased { inner, bias: bias(&exec) };
+    let dict = Biased { inner, bias: bias.get_or_init(|| compute_bias(&exec)) };
     let rec = &config.omp.rec;
     let mut omp_cfg = config.omp.clone();
     if config.track_mode || rec.is_enabled() {
@@ -732,6 +796,118 @@ mod tests {
     fn op_path_checks_dimensions() {
         let op = MeasurementOperator::srht(10, 20, 1).unwrap();
         assert!(bomp_with_op(&op, &Vector::zeros(9), &BompConfig::default()).is_err());
+    }
+
+    /// Every bit a recovery reports: mode, support, stop, outliers, traces.
+    type Fingerprint = (u64, bool, usize, StopReason, Vec<(usize, u64)>, Vec<u64>, Vec<u64>);
+
+    fn fingerprint(r: &BompResult) -> Fingerprint {
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+        let outliers = r.outliers.iter().map(|o| (o.index, o.value.to_bits())).collect();
+        let traces = (bits(&r.mode_trace), bits(&r.residual_trace));
+        (r.mode.to_bits(), r.bias_selected, r.iterations, r.stop, outliers, traces.0, traces.1)
+    }
+
+    /// One operator per backend over a biased signal, with its measurement.
+    fn resident_cases(m: usize, n: usize) -> Vec<(MeasurementOperator, Vec<f64>, Vector)> {
+        let mut x = vec![5000.0; n];
+        x[10] = 9000.0;
+        x[n - 1] = 100.0;
+        let ops = [
+            MeasurementOperator::dense(m, n, 5).unwrap(),
+            MeasurementOperator::srht(m, n, 5).unwrap(),
+            MeasurementOperator::seeded_sparse(m, n, 5, 8).unwrap(),
+        ];
+        ops.into_iter()
+            .map(|op| {
+                let y = op.apply(&x).unwrap();
+                (op, x.clone(), y)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resident_op_sketch_matches_the_one_shot_products() {
+        for (op, x, _) in resident_cases(40, 300) {
+            let resident = ResidentOp::new(op.clone());
+            let expect = match &op {
+                // `CsProtocol::sketch_slice`'s product on the materialized Φ0.
+                MeasurementOperator::Dense(spec) => {
+                    spec.materialize().matvec(&Vector::from_vec(x.clone())).unwrap()
+                }
+                _ => op.apply(&x).unwrap(),
+            };
+            let got = resident.sketch(&x).unwrap();
+            let bits = |v: &Vector| -> Vec<u64> { v.iter().map(|x| x.to_bits()).collect() };
+            assert_eq!(bits(&got), bits(&expect), "{:?}", op.kind());
+            assert!(resident.sketch(&x[1..]).is_err(), "{:?}", op.kind());
+        }
+    }
+
+    #[test]
+    fn resident_op_cold_and_warm_recovers_match_the_one_shot_paths() {
+        for (op, _, y) in resident_cases(40, 300) {
+            let resident = ResidentOp::new(op.clone());
+            let cfg = |rec: &Recorder| BompConfig {
+                omp: OmpConfig { rec: rec.clone(), ..BompConfig::for_k_outliers(2).omp },
+                track_mode: true,
+            };
+            let (rec_fresh, rec_cold, rec_warm) =
+                (Recorder::new(), Recorder::new(), Recorder::new());
+            let fresh = match &op {
+                MeasurementOperator::Dense(spec) => {
+                    bomp_with_matrix(&spec.materialize(), &y, &cfg(&rec_fresh))
+                }
+                _ => bomp_with_op(&op, &y, &cfg(&rec_fresh)),
+            }
+            .unwrap();
+            assert!(resident.bias.get().is_none(), "the first recover computes φ0");
+            let cold = resident.recover(&y, &cfg(&rec_cold)).unwrap();
+            assert!(resident.bias.get().is_some(), "{:?}", op.kind());
+            let warm = resident.recover(&y, &cfg(&rec_warm)).unwrap();
+            assert_eq!(fingerprint(&cold), fingerprint(&fresh), "{:?}", op.kind());
+            assert_eq!(fingerprint(&warm), fingerprint(&fresh), "{:?}", op.kind());
+            // Same span, backend label and events as the one-shot path.
+            let entries = |rec: &Recorder| -> Vec<String> {
+                rec.trace_snapshot().iter().map(|e| format!("{e:?}")).collect()
+            };
+            assert_eq!(entries(&rec_cold), entries(&rec_fresh), "{:?}", op.kind());
+            assert_eq!(entries(&rec_warm), entries(&rec_fresh), "{:?}", op.kind());
+        }
+    }
+
+    #[test]
+    fn resident_op_bias_is_the_same_whichever_worker_count_computes_it() {
+        for (op, _, y) in resident_cases(40, 3000) {
+            let run = |resident: &ResidentOp, workers: usize| {
+                let mut cfg = BompConfig { track_mode: true, ..BompConfig::for_k_outliers(2) };
+                cfg.omp.par_min_work = 0;
+                cfg.omp.exec = ExecConfig::with_workers(workers);
+                fingerprint(&resident.recover(&y, &cfg).unwrap())
+            };
+            let orders = [(1, 2), (2, 1)].map(|(first, second)| {
+                let resident = ResidentOp::new(op.clone());
+                let cold = run(&resident, first);
+                assert_eq!(run(&resident, second), cold, "{:?}, {first} then {second}", op.kind());
+                cold
+            });
+            assert_eq!(orders[0], orders[1], "{:?}", op.kind());
+        }
+    }
+
+    #[test]
+    fn resident_op_rejects_a_bad_measurement_before_computing_the_bias() {
+        for (op, _, y) in resident_cases(40, 300) {
+            let resident = ResidentOp::new(op);
+            let mut poisoned = y.clone();
+            poisoned[3] = f64::NAN;
+            let cfg = BompConfig::default();
+            let nan = resident.recover(&poisoned, &cfg);
+            assert!(matches!(nan, Err(LinalgError::InvalidParameter { name: "y", .. })), "{nan:?}");
+            let short = resident.recover(&Vector::zeros(39), &cfg);
+            assert!(matches!(short, Err(LinalgError::DimensionMismatch { .. })), "{short:?}");
+            assert!(resident.bias.get().is_none(), "{resident:?}");
+        }
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub mod sparse;
 
 pub use bomp::{
     bomp, bomp_with_matrix, bomp_with_op, omp_with_known_mode, BompConfig, BompResult,
-    RecoveredOutlier,
+    RecoveredOutlier, ResidentOp,
 };
 pub use bp::{basis_pursuit, BpConfig, BpResult};
 pub use cosamp::{cosamp, CosampConfig, CosampResult};

@@ -504,15 +504,6 @@ impl MeasurementOperator {
         }
     }
 
-    /// The dense spec when this is the dense backend (legacy fast paths —
-    /// materialized recovery — are dense-only).
-    pub fn as_dense(&self) -> Option<&MeasurementSpec> {
-        match self {
-            MeasurementOperator::Dense(spec) => Some(spec),
-            _ => None,
-        }
-    }
-
     fn shared_dims(&self) -> (usize, usize) {
         match self {
             MeasurementOperator::Dense(spec) => (spec.m, spec.n),

@@ -12,10 +12,7 @@ use crate::fault::FaultPlan;
 use crate::protocol::{OutlierProtocol, ProtocolRun};
 use crate::quantize::SketchEncoding;
 use crate::retry::RetryPolicy;
-use cso_core::{
-    bomp_with_matrix, bomp_with_op, BompConfig, BompResult, KeyValue, MeasurementOp,
-    MeasurementOperator, MeasurementSpec, OpKind, SketchBackend,
-};
+use cso_core::{BompConfig, KeyValue, ResidentOp, SketchBackend};
 use cso_exec::ExecConfig;
 use cso_linalg::{ColMatrix, LinalgError, Vector};
 use cso_obs::{Recorder, Value};
@@ -51,35 +48,6 @@ pub struct CsProtocol {
     /// threaded into the recovery as `recovery.omp.rec`, beside `exec`.
     /// The default [`Recorder::disabled`] records nothing.
     pub rec: Recorder,
-}
-
-/// How one run measures and recovers: the dense backend keeps the legacy
-/// materialized matrix (bit-identical to the seed repo), everything else
-/// goes through the matrix-free [`MeasurementOperator`].
-pub(crate) enum Engine {
-    Dense(ColMatrix),
-    Op(MeasurementOperator),
-}
-
-impl Engine {
-    pub(crate) fn sketch(&self, slice: &[f64]) -> Result<Vector, LinalgError> {
-        match self {
-            Engine::Dense(phi0) => CsProtocol::sketch_slice(phi0, slice),
-            Engine::Op(op) => op.apply(slice),
-        }
-    }
-
-    /// BOMP over this run's dictionary, traced into `recovery.omp.rec`.
-    pub(crate) fn recover(
-        &self,
-        y: &Vector,
-        recovery: &BompConfig,
-    ) -> Result<BompResult, LinalgError> {
-        match self {
-            Engine::Dense(phi0) => bomp_with_matrix(phi0, y, recovery),
-            Engine::Op(op) => bomp_with_op(op, y, recovery),
-        }
-    }
 }
 
 impl CsProtocol {
@@ -121,17 +89,13 @@ impl CsProtocol {
         self
     }
 
-    /// The measurement engine for an `n`-key run: dense materializes the
-    /// legacy Φ0 once (all parties regenerate the same matrix from the
-    /// seed — bit-identical to per-node regeneration, see tests); the
-    /// matrix-free backends validate and build the seeded operator.
-    pub(crate) fn engine(&self, n: usize) -> Result<Engine, LinalgError> {
-        match self.backend.kind {
-            OpKind::Dense if self.backend.param == 0 => {
-                Ok(Engine::Dense(MeasurementSpec::new(self.m, n, self.seed)?.materialize()))
-            }
-            _ => Ok(Engine::Op(self.backend.build(self.m, n, self.seed)?)),
-        }
+    /// The operator an `n`-key run measures and recovers with, kept for
+    /// the whole run: dense materializes Φ0 once (all parties regenerate
+    /// the same matrix from the seed — bit-identical to per-node
+    /// regeneration, see tests); the matrix-free backends validate and
+    /// build the seeded operator.
+    pub(crate) fn engine(&self, n: usize) -> Result<ResidentOp, LinalgError> {
+        Ok(ResidentOp::new(self.backend.build(self.m, n, self.seed)?))
     }
 
     /// Builds all node sketches (`y_l = Φ0·x_l`) on the configured
@@ -139,7 +103,7 @@ impl CsProtocol {
     /// `rec` when the build actually ran multi-worker.
     fn build_sketches(
         &self,
-        engine: &Engine,
+        engine: &ResidentOp,
         cluster: &Cluster,
         rec: &Recorder,
     ) -> Result<Vec<Vector>, LinalgError> {
@@ -182,8 +146,9 @@ impl CsProtocol {
         self.build_sketches(&engine, cluster, &Recorder::disabled())
     }
 
-    /// Node-side compression: `y_l = Φ0 · x_l`. Exposed so the MapReduce
-    /// layer can reuse it as the CS-Mapper body.
+    /// Node-side compression on a materialized matrix: `y_l = Φ0 · x_l`,
+    /// the product [`ResidentOp::sketch`] computes on a dense backend.
+    /// Kept public as an oracle for that path.
     pub fn sketch_slice(phi0: &ColMatrix, slice: &[f64]) -> Result<Vector, LinalgError> {
         phi0.matvec(&Vector::from_vec(slice.to_vec()))
     }
@@ -229,10 +194,9 @@ impl OutlierProtocol for CsProtocol {
     fn run(&self, cluster: &Cluster, k: usize) -> Result<ProtocolRun, LinalgError> {
         let rec = &self.rec;
         let n = cluster.n();
-        // All parties regenerate the same operator from the seed; the dense
-        // engine materializes Φ0 once here since the simulation shares an
-        // address space (bit-identical to per-node regeneration — see
-        // tests); the matrix-free engines never form a matrix at all.
+        // All parties regenerate the same operator from the seed; the
+        // simulation shares an address space, so it is built once here
+        // (bit-identical to per-node regeneration — see tests).
         let engine = self.engine(n)?;
 
         let _proto_span = rec.span_with(
@@ -283,6 +247,7 @@ impl OutlierProtocol for CsProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cso_core::MeasurementSpec;
     use cso_workloads::{split, MajorityConfig, MajorityData, SliceStrategy};
 
     fn majority_cluster(seed: u64) -> (Cluster, MajorityData) {

@@ -7,8 +7,8 @@
 //! reduce to adding or subtracting `M`-length vectors — no recomputation
 //! over historical data is ever needed.
 
-use cso_core::{bomp_with_matrix, BompConfig, BompResult, MeasurementSpec};
-use cso_linalg::{ColMatrix, LinalgError, Vector};
+use cso_core::{BompConfig, BompResult, MeasurementOperator, MeasurementSpec, ResidentOp};
+use cso_linalg::{LinalgError, Vector};
 use std::collections::BTreeMap;
 
 /// An aggregator that maintains the global sketch under streaming updates
@@ -46,14 +46,15 @@ pub struct SketchAggregator {
     /// Last full sketch received per node id (needed to retire a node),
     /// keyed in ascending order so resummation is deterministic.
     node_sketches: BTreeMap<usize, Vector>,
-    /// Lazily materialized `Φ0` for recovery.
-    phi0: Option<ColMatrix>,
+    /// The recovery operator, built (`Φ0` materialized) by the first
+    /// recover and kept, with its bias column, for every later one.
+    op: Option<ResidentOp>,
 }
 
 impl SketchAggregator {
     /// Creates an empty aggregator for the given measurement spec.
     pub fn new(spec: MeasurementSpec) -> Self {
-        SketchAggregator { spec, y: None, node_sketches: BTreeMap::new(), phi0: None }
+        SketchAggregator { spec, y: None, node_sketches: BTreeMap::new(), op: None }
     }
 
     /// The shared measurement spec.
@@ -138,8 +139,9 @@ impl SketchAggregator {
     /// Recovers mode and outliers from the current global sketch.
     pub fn recover(&mut self, config: &BompConfig) -> Result<BompResult, LinalgError> {
         self.folded();
-        let phi0 = self.phi0.get_or_insert_with(|| self.spec.materialize());
-        bomp_with_matrix(phi0, self.y.as_ref().expect("folded above"), config)
+        let dense = MeasurementOperator::Dense(self.spec);
+        let op = self.op.get_or_insert_with(|| ResidentOp::new(dense));
+        op.recover(self.y.as_ref().expect("folded above"), config)
     }
 
     fn check_len(&self, sketch: &Vector) -> Result<(), LinalgError> {
@@ -319,6 +321,7 @@ mod tests {
 #[cfg(test)]
 mod lazy_fold_tests {
     use super::*;
+    use cso_core::bomp_with_matrix;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

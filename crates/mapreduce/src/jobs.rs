@@ -6,7 +6,7 @@
 //! paper's mappers do this lookup against the broadcast `KeyList`).
 
 use crate::engine::{map_reduce_with_combiner_exec_traced, JobCounters};
-use cso_core::{bomp_with_matrix, BompConfig, KeyValue, MeasurementSpec};
+use cso_core::{bomp, BompConfig, KeyValue, MeasurementSpec};
 use cso_exec::ExecConfig;
 use cso_linalg::{LinalgError, Vector};
 use cso_obs::Value;
@@ -142,10 +142,9 @@ pub fn run_cs_job_exec(
     }
 
     // Reduce phase: recover with BOMP on the regenerated Φ0.
-    let phi0 = spec.materialize();
     let result = {
         let _recovery_span = rec.span("recovery");
-        bomp_with_matrix(&phi0, &y, recovery)?
+        bomp(&spec, &y, recovery)?
     };
     counters.publish(rec);
     let outliers =

@@ -24,17 +24,14 @@
 
 use crate::frame::MAX_FRAME_BYTES;
 use crate::wal::{frame_record, ReplayError, WalRecord};
-use cso_core::{
-    bomp_with_matrix, bomp_with_op, BompConfig, MeasurementOperator, MeasurementSpec, OpDescriptor,
-    OpKind, SketchBackend,
-};
+use cso_core::{BompConfig, MeasurementSpec, OpDescriptor, OpKind, ResidentOp, SketchBackend};
 use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
     Message, TAG_OPEN_EPOCH, TAG_RELAY_MANIFEST, TAG_SEAL_EPOCH, TAG_SKETCH,
 };
 use cso_distributed::{dyadic_fold, CsProtocol};
 use cso_exec::ExecConfig;
-use cso_linalg::{ColMatrix, LinalgError, Vector};
+use cso_linalg::{LinalgError, Vector};
 use cso_obs::Recorder;
 use std::cell::UnsafeCell;
 use std::collections::BTreeMap;
@@ -71,7 +68,9 @@ pub enum RejectCode {
     /// A recover arrived for an epoch with zero contributions.
     EmptyEpoch = 11,
     /// A sketch payload was malformed: the wrong length for the epoch's
-    /// `M`, or a NaN or infinite value.
+    /// `M`, or a NaN or infinite value. Also the answer to a recover whose
+    /// sealed measurement is not finite: the fold of the epoch's finite
+    /// sketches overflowed.
     BadSketch = 12,
     /// The epoch configuration itself was invalid (e.g. `M > N`).
     BadSpec = 13,
@@ -898,24 +897,18 @@ impl RecoverJob {
 
     /// Runs the recovery against the epoch's shared operator, building it
     /// into the job's cache slot first when no recover of the descriptor
-    /// has. A dense epoch's entry is the materialized `Φ0` — one `m × n`
-    /// matrix the store keeps resident until a recover of another
-    /// descriptor displaces it, bounded by
-    /// [`StoreLimits::max_matrix_bytes`] — recovered with
-    /// [`cso_core::bomp_with_matrix`], which is what [`cso_core::bomp()`]
-    /// runs on a fresh one, so the bits are unchanged. Matrix-free
-    /// backends keep the built operator (an SRHT's sampled rows and sign
-    /// words) and recover with [`cso_core::bomp_with_op`], never
-    /// materializing. Both run the same BOMP body.
+    /// has. The entry is a [`ResidentOp`]: a dense epoch's keeps the
+    /// materialized `Φ0` — one `m × n` matrix the store keeps resident
+    /// until a recover of another descriptor displaces it, bounded by
+    /// [`StoreLimits::max_matrix_bytes`] — and a matrix-free one the built
+    /// operator (an SRHT's sampled rows and sign words); either keeps the
+    /// bias column its first recover computed. The bits equal a fresh
+    /// [`cso_core::bomp()`] or [`cso_core::bomp_with_op`].
     pub fn run(mut self) -> (Message, Option<RecoveredEpoch>) {
         // Free the displaced operator (if no other recover still holds
         // it) before building this one, so the two never sit side by side.
         drop(self.evicted.take());
-        let result = self.shared_op().and_then(|shared| match shared {
-            SharedOp::Matrix(phi0) => bomp_with_matrix(phi0, &self.y, &self.config),
-            SharedOp::Op(op) => bomp_with_op(op, &self.y, &self.config),
-        });
-        let result = match result {
+        let result = match self.shared_op().and_then(|op| op.recover(&self.y, &self.config)) {
             Ok(r) => r,
             Err(_) => return (reject(RejectCode::Internal), None),
         };
@@ -935,10 +928,9 @@ impl RecoverJob {
     }
 
     /// The job's shared operator, built into its slot on first use, outside
-    /// every lock: the same `spec.materialize()` that [`cso_core::bomp()`]
-    /// runs. A recover holding the same slot waits for that one build
+    /// every lock. A recover holding the same slot waits for that one build
     /// instead of repeating it.
-    fn shared_op(&self) -> Result<&SharedOp, LinalgError> {
+    fn shared_op(&self) -> Result<&ResidentOp, LinalgError> {
         if let Some(shared) = self.shared.get() {
             return Ok(shared);
         }
@@ -946,38 +938,14 @@ impl RecoverJob {
         Ok(self.shared.get_or_init(|| {
             #[cfg(test)]
             tests::BUILDS.with(|builds| builds.set(builds.get() + 1));
-            match built {
-                MeasurementOperator::Dense(spec) => SharedOp::Matrix(spec.materialize()),
-                op => SharedOp::Op(op),
-            }
+            ResidentOp::new(built)
         }))
-    }
-}
-
-// ---- shared operators ---------------------------------------------------
-
-/// A recovery operator as the root keeps it between recovers: a fixed
-/// function of its [`OpDescriptor`], so state to keep, not work to redo.
-enum SharedOp {
-    /// The dense backend's materialized `Φ0`.
-    Matrix(ColMatrix),
-    /// A matrix-free backend, built once: an SRHT's sampled rows and its
-    /// lazily built sign words survive across recovers.
-    Op(MeasurementOperator),
-}
-
-impl fmt::Debug for SharedOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SharedOp::Matrix(phi0) => write!(f, "Matrix({}x{})", phi0.rows(), phi0.cols()),
-            SharedOp::Op(op) => write!(f, "Op({op:?})"),
-        }
     }
 }
 
 /// The store's operator-cache entry: empty until the first recover that
 /// holds it fills it, outside the store lock.
-type OpSlot = Arc<OnceLock<SharedOp>>;
+type OpSlot = Arc<OnceLock<ResidentOp>>;
 
 /// All sessions the server currently holds.
 #[derive(Debug, Default)]
@@ -1308,8 +1276,9 @@ impl SessionStore {
     /// Detaches a recovery of a sealed, non-empty epoch: clones its
     /// measurement and hands the job its operator's cache slot
     /// ([`SessionStore::op_slot`]). A measurement BOMP would refuse — a
-    /// fold can overflow finite sketches to infinity — is rejected first,
-    /// so it never touches the cache or allocates `Φ0`.
+    /// fold can overflow finite sketches to infinity — is the clients'
+    /// data at fault, so it is a `BadSketch` reject, answered before it
+    /// touches the cache or allocates `Φ0`.
     fn begin_recover(
         &mut self,
         session: u64,
@@ -1326,7 +1295,7 @@ impl SessionStore {
             return Err(RejectCode::EmptyEpoch);
         }
         if y.len() != ep.op.m || !y.iter().all(|v| v.is_finite()) {
-            return Err(RejectCode::Internal);
+            return Err(RejectCode::BadSketch);
         }
         let (op, y, nodes, duplicates) = (ep.op, y.clone(), *nodes, *duplicates);
         let (shared, evicted) = self.op_slot(&op, stats);
@@ -1643,6 +1612,7 @@ fn reject(code: RejectCode) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cso_core::{bomp_with_op, MeasurementOperator};
     use cso_distributed::quantize::SketchEncoding;
     use cso_linalg::Vector;
 
@@ -3043,7 +3013,8 @@ mod tests {
     }
 
     /// Finite sketches can fold to an infinite measurement. Its recover
-    /// keeps the typed `Internal` reject BOMP gives it, before the cache:
+    /// is a typed `BadSketch` reject (the clients' data, not the server),
+    /// answered before the cache:
     /// no lookup is counted, no slot is inserted, no `Φ0` is built, and
     /// the epoch stays sealed.
     #[test]
@@ -3067,7 +3038,7 @@ mod tests {
         else {
             panic!("a non-finite measurement must not become a recover job");
         };
-        assert_eq!(code_of(&reply), RejectCode::Internal);
+        assert_eq!(code_of(&reply), RejectCode::BadSketch);
         assert!(matches!(effect, Effect::None));
         assert_eq!(cache_counts(&stats), (0, 0));
         assert!(store.op_cache.is_none());

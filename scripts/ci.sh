@@ -11,8 +11,10 @@
 #      a clippy-clean check over all targets, no `fn *_traced` twin in
 #      cso-core, cso-distributed or cso-serve, no session-store shard
 #      routing back in cso-serve, no second member table beside an
-#      ingesting epoch's pad, and no per-recover `bomp(&spec, ..)`
-#      materialization in cso-serve (the root keeps its operators)
+#      ingesting epoch's pad, no per-recover `bomp(&spec, ..)`
+#      materialization in cso-serve (the root keeps its operators), and
+#      no `Engine`/`SharedOp` dense twin of cso-core's `ResidentOp` in
+#      cso-distributed or cso-serve
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -50,9 +52,12 @@
 #      2^20; SRHT transpose, op-path OMP/BOMP and spec-vs-matrix BOMP),
 #      the loopback e2e must be bit-identical under every
 #      wire-addressable backend, the root's operator cache must keep the
-#      bits of a fresh recovery (cold, warm, displaced, concurrent), and the
-#      fast 3-backend sweep must run without touching the recorded
-#      artifacts
+#      bits of a fresh recovery (cold, warm, displaced, concurrent),
+#      cso-core's `resident_op_*` tests must keep a kept operator's sketch
+#      and recoveries equal to the one-shot paths (cold, warm, either
+#      worker count first, a bad measurement leaving the bias column
+#      uncomputed), and the fast 3-backend sweep must run without touching
+#      the recorded artifacts
 #  16. the relay-tier smoke: the two-level loopback e2e (flat-vs-tree
 #      bit-identity, whole-region drop degrading to subtree recovery,
 #      cross-DC byte accounting, typed manifest rejects) and the
@@ -107,6 +112,11 @@ fi
 # The root keeps its operator: recovery runs on the cached Φ0 or operator.
 if grep -rnE "bomp\(&spec" crates/serve/src; then
     echo "a per-recover Φ0 materialization is back; recover through the operator cache"
+    exit 1
+fi
+# One recovery engine: cso-core's ResidentOp keeps Φ0 (or the operator) and φ0.
+if grep -rnE "enum (Engine|SharedOp)\b" crates/distributed/src crates/serve/src; then
+    echo "a dense/matrix-free recovery twin is back; keep the operator as a cso_core::ResidentOp"
     exit 1
 fi
 
@@ -212,7 +222,8 @@ echo "==> [15/17] measurement-operator smoke (proptests + 3-backend sweep)"
 # non-finite tests pin the typed rejects of a NaN/Inf measurement in BOMP,
 # of a NaN/Inf sketch on both live ingest paths and of an overflowed fold
 # before the operator cache; the op_cache tests pin the cached recovery to
-# a fresh one, bit for bit, on every backend.
+# a fresh one, bit for bit, on every backend, and the resident_op tests
+# pin cso-core's kept operator and bias column to the one-shot paths.
 cargo test -q -p cso-core --test proptest_ops
 cargo test -q --release -p cso-linalg --lib fwht::
 cargo test -q --release -p cso-core --lib bit_identical
@@ -220,6 +231,7 @@ cargo test -q --release -p cso-core --lib nan_atom
 cargo test -q -p cso-core --lib non_finite
 cargo test -q -p cso-serve --lib non_finite
 cargo test -q -p cso-serve --lib op_cache_
+cargo test -q -p cso-core --lib resident_op
 cargo test -q -p cso-serve --test loopback loopback_run_is_bit_identical_for_every_operator_backend
 cargo run --release -q -p cso-bench --bin figures -- recovery_ops --fast
 
