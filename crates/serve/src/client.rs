@@ -130,8 +130,6 @@ impl fmt::Display for ClientError {
     }
 }
 
-/// Collapses reset-class frame errors into [`ClientError::ConnectionLost`];
-/// everything else keeps its identity.
 /// Connect failures a server restart can produce — refused before the
 /// listener rebinds, reset/aborted while the old socket drains, timed out
 /// under SYN backlog pressure. All worth waiting out; anything else
@@ -146,12 +144,24 @@ fn connect_is_transient(kind: io::ErrorKind) -> bool {
     )
 }
 
+/// Collapses reset-class frame errors into [`ClientError::ConnectionLost`];
+/// everything else keeps its identity.
 fn conn_err(e: FrameError) -> ClientError {
     if e.is_connection_lost() {
         ClientError::ConnectionLost
     } else {
         ClientError::Frame(e)
     }
+}
+
+/// [`conn_err`] of a failed frame write: a write deadline (`WouldBlock` or
+/// `TimedOut`) is [`FrameError::TimedOut`], any other kind is its
+/// [`FrameError::Io`].
+fn write_err(e: io::Error) -> ClientError {
+    conn_err(match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::TimedOut,
+        kind => FrameError::Io(kind),
+    })
 }
 
 impl std::error::Error for ClientError {}
@@ -364,12 +374,8 @@ impl ServeClient {
             .as_ref()
             .zip(span.as_ref())
             .map(|(t, (guard, _))| TraceContext { trace_id: t.trace_id, span_id: guard.id() });
-        self.bytes_sent += write_frame_ctx(&mut self.stream, msg, ctx.as_ref()).map_err(|e| {
-            conn_err(match e.kind() {
-                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::TimedOut,
-                kind => FrameError::Io(kind),
-            })
-        })? as u64;
+        self.bytes_sent +=
+            write_frame_ctx(&mut self.stream, msg, ctx.as_ref()).map_err(write_err)? as u64;
         let (reply, bytes) = read_frame(&mut self.stream).map_err(conn_err)?;
         self.bytes_received += bytes as u64;
         if let (Some(t), Some((_, started))) = (&self.telemetry, &span) {
@@ -555,12 +561,7 @@ impl MetricsPoller {
         let retry = self.retry;
         for attempt in 1..=retry.max_attempts {
             let round_trip = (|| -> Result<Message, ClientError> {
-                write_frame(&mut self.stream, &Message::Introspect).map_err(|e| {
-                    conn_err(match e.kind() {
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => FrameError::TimedOut,
-                        kind => FrameError::Io(kind),
-                    })
-                })?;
+                write_frame(&mut self.stream, &Message::Introspect).map_err(write_err)?;
                 read_frame(&mut self.stream).map(|(m, _)| m).map_err(conn_err)
             })();
             match round_trip {

@@ -38,7 +38,11 @@
 //!
 //! One journal writer (one WAL behind one lock) records every transition.
 //! Lock order: the store lock, then the journal lock; the hot path takes
-//! only the journal lock, so journal order is application order. A
+//! only the journal lock, so journal order is application order. Every
+//! store-locked transition (dispatch, `finish_recover`, `complete_forward`)
+//! runs through one helper, `Shared::commit`: it journals the applied
+//! record before the store guard drops, and flushes [`StoreStats`] and
+//! runs the journal's follow-ups only after. A
 //! snapshot locks the store, pauses the pads (waiting out in-flight
 //! claims, whose permits are held across their journal appends),
 //! serializes the store, and only then writes the snapshot — so a
@@ -230,33 +234,48 @@ struct Shared {
 }
 
 impl Shared {
-    /// Publishes the occupancy gauges' sources. Call with the store guard
-    /// still held (the values are consistent with the transition just
-    /// applied).
-    fn publish_occupancy(&self, store: &SessionStore) {
-        self.sessions.store(store.session_count() as u64, Ordering::Relaxed);
-        self.epochs.store(store.epoch_count() as u64, Ordering::Relaxed);
+    /// The journal record of a dispatched message's effect, if it has one.
+    /// The record is only built with durability on.
+    fn record_of(&self, effect: &Effect, msg: &Message) -> Option<WalRecord> {
+        self.wal.as_ref().and_then(|_| WalRecord::of_effect(effect, msg))
     }
 
-    /// Journals a dispatched message's effect: [`Shared::append`] of its
-    /// record, if it has one. The record is only built with durability on.
-    fn journal(&self, effect: &Effect, msg: &Message, stats: &mut StoreStats) -> (bool, bool) {
-        match self.wal.as_ref().and_then(|_| WalRecord::of_effect(effect, msg)) {
-            Some(record) => self.append(&record, stats),
-            None => (false, false),
-        }
+    /// Runs one store-locked transition: `transition` mutates the store
+    /// and names the record to journal. Its two rules live here alone: the
+    /// record is appended under the store lock, so journal order is
+    /// application order (and a snapshot never sees a transition without
+    /// its record); and the stats flush, and [`Shared::after_journal`]
+    /// runs, only after the guard drops. The occupancy gauges' sources are
+    /// published under the guard, consistent with the transition.
+    fn commit<T>(
+        &self,
+        lane: Option<usize>,
+        transition: impl FnOnce(&mut SessionStore, &mut StoreStats) -> (T, Option<WalRecord>),
+    ) -> T {
+        let mut stats = StoreStats::new();
+        let (out, journaled) = {
+            let mut store = lock_unpoisoned(&self.store);
+            let (out, record) = transition(&mut store, &mut stats);
+            let journaled = self.append(record.as_ref(), &mut stats);
+            self.sessions.store(store.session_count() as u64, Ordering::Relaxed);
+            self.epochs.store(store.epoch_count() as u64, Ordering::Relaxed);
+            (out, journaled)
+        };
+        stats.flush(&self.rec);
+        self.after_journal(lane, journaled);
+        out
     }
 
-    /// Appends `record` to the journal. Safe to call with or without the
-    /// store lock held (it takes only the journal lock, which is ordered
-    /// after the store lock); a no-op without durability. Returns
+    /// Appends `record`, if any, to the journal. Safe to call with or
+    /// without the store lock held (it takes only the journal lock, which
+    /// is ordered after the store lock); a no-op without durability. Returns
     /// `(latched, snapshot_due)`: `latched` when this append flipped the
     /// WAL into its failed state (the caller dumps the flight recorder
     /// after releasing its locks), `snapshot_due` when the caller should
     /// run [`Shared::snapshot_all`] — **after** releasing the store lock,
     /// because the snapshot takes it.
-    fn append(&self, record: &WalRecord, stats: &mut StoreStats) -> (bool, bool) {
-        let Some(wal) = &self.wal else { return (false, false) };
+    fn append(&self, record: Option<&WalRecord>, stats: &mut StoreStats) -> (bool, bool) {
+        let (Some(wal), Some(record)) = (&self.wal, record) else { return (false, false) };
         let mut wal = lock_unpoisoned(wal);
         let was_failed = wal.failed();
         wal.append(record, stats);
@@ -363,8 +382,7 @@ impl ServerHandle {
     /// exactly the pushes that were never acked. Deterministic order:
     /// ascending `(session, epoch)`.
     pub fn sealed_unforwarded(&self) -> Vec<PendingForward> {
-        let sh = &self.shared;
-        lock_unpoisoned(&sh.store).sealed_unforwarded()
+        lock_unpoisoned(&self.shared.store).sealed_unforwarded()
     }
 
     /// Records that an epoch's pre-sum was acked upstream: marks the
@@ -373,21 +391,10 @@ impl ServerHandle {
     /// epoch is unknown or already marked — the idempotent no-op a
     /// duplicated ack resolves to.
     pub fn complete_forward(&self, session: u64, epoch: u64) -> bool {
-        let sh = &self.shared;
-        let mut stats = StoreStats::new();
-        let journaled = {
-            let mut store = lock_unpoisoned(&sh.store);
-            let Effect::Record(record) = store.mark_forwarded(session, epoch) else {
-                return false;
-            };
-            // Journal lock nests inside the store lock, so the mark and
-            // its record are atomic with respect to the snapshot
-            // choreography.
-            sh.append(&record, &mut stats)
-        };
-        stats.flush(&sh.rec);
-        sh.after_journal(None, journaled);
-        true
+        self.shared.commit(None, |store, _| match store.mark_forwarded(session, epoch) {
+            Effect::Record(record) => (true, Some(record)),
+            _ => (false, None),
+        })
     }
 
     /// Stops accepting, drains workers, and joins all threads.
@@ -972,7 +979,7 @@ fn handle_frame(
                     if matches!(effect, Effect::Ingested { .. }) {
                         stats.add("serve.shard_lockfree_ingests", 1);
                     }
-                    let journaled = sh.journal(&effect, msg, &mut stats);
+                    let journaled = sh.append(sh.record_of(&effect, msg).as_ref(), &mut stats);
                     drop(outcome);
                     stats.flush(&sh.rec);
                     sh.after_journal(Some(lane), journaled);
@@ -1006,33 +1013,25 @@ fn handle_frame(
     conn.out.extend_from_slice(&encode_frame(&reply));
 }
 
-/// The store-locked dispatch path: dispatch under the store lock, journal
-/// before the ack leaves the process, and run any recovery outside every
-/// lock.
+/// The store-locked dispatch path: dispatch through [`Shared::commit`],
+/// which journals before the ack leaves the process, and run any recovery
+/// outside every lock.
 fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Message {
-    let mut stats = StoreStats::new();
-    stats.add("serve.shard_locked_dispatches", 1);
-    let (dispatched, journaled) = {
-        let mut store = lock_unpoisoned(&sh.store);
-        let d = store.dispatch(&mut conn.state, msg, &sh.config.policy, &mut stats);
-        // Journal before the ack leaves the process; the journal lock
-        // nests inside the store lock, so journal order is application
-        // order.
-        let journaled = match &d {
-            Dispatch::Reply(_, effect) => sh.journal(effect, msg, &mut stats),
-            Dispatch::Recover(_) => (false, false),
-        };
-        sh.publish_occupancy(&store);
+    let dispatched = sh.commit(Some(lane), |store, stats| {
+        stats.add("serve.shard_locked_dispatches", 1);
+        let d = store.dispatch(&mut conn.state, msg, &sh.config.policy, stats);
         // Refresh the fast-path pad after binding-shaped messages: a
         // successful open/attach binds the connection, and a sketch that
         // fell through here may have raced a seal, a pause or an eviction.
         if matches!(msg, Message::OpenEpoch { .. } | Message::Sketch { .. }) {
             conn.pad = conn.state.bound().and_then(|(s, e)| Some((s, e, store.pad_for(s, e)?)));
         }
-        (d, journaled)
-    };
-    stats.flush(&sh.rec);
-    sh.after_journal(Some(lane), journaled);
+        let record = match &d {
+            Dispatch::Reply(_, effect) => sh.record_of(effect, msg),
+            Dispatch::Recover(_) => None,
+        };
+        (d, record)
+    });
     match dispatched {
         Dispatch::Reply(reply, effect) => {
             // A journaled seal is a flight waypoint: the WAL append (and
@@ -1059,16 +1058,12 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
                 .histogram_record("serve.recover_ns", recover_started.elapsed().as_nanos() as u64);
             if let Some(ep) = &summary {
                 crash_point("mid-recover");
-                let mut stats = StoreStats::new();
-                let journaled = {
-                    let mut store = lock_unpoisoned(&sh.store);
-                    let effect = store.finish_recover(session, epoch, &mut stats);
-                    let j = sh.journal(&effect, msg, &mut stats);
-                    sh.publish_occupancy(&store);
-                    j
-                };
-                stats.flush(&sh.rec);
-                sh.after_journal(Some(lane), journaled);
+                sh.commit(Some(lane), |store, stats| {
+                    match store.finish_recover(session, epoch, stats) {
+                        Effect::Record(record) => ((), Some(record)),
+                        _ => ((), None),
+                    }
+                });
                 sh.flight.record(
                     lane,
                     FK_RECOVERED,
@@ -1115,7 +1110,7 @@ mod tests {
     /// `StoreStats` and flush after the guard drops. The state-machine
     /// and WAL layers enforce this structurally (their signatures cannot
     /// reach a `Recorder`); this test pins the same rule for the lock
-    /// scopes spelled out in `slow_path` and `snapshot_all`.
+    /// scopes spelled out in `Shared::commit` and `snapshot_all`.
     #[test]
     fn no_recorder_calls_inside_shard_lock_sections() {
         let src = include_str!("server.rs");

@@ -23,7 +23,7 @@
 //! recovery.
 
 use crate::frame::MAX_FRAME_BYTES;
-use crate::wal::{frame_record, ReplayError, WalRecord};
+use crate::wal::{frame_record, WalRecord};
 use cso_core::{BompConfig, MeasurementSpec, OpDescriptor, OpKind, ResidentOp, SketchBackend};
 use cso_distributed::quantize::{self, EncodedSketch};
 use cso_distributed::wire::{
@@ -228,7 +228,6 @@ struct Epoch {
     /// from it, so a replayed epoch recovers with the exact operator its
     /// sketches used.
     op: OpDescriptor,
-    phase: EpochPhase,
     /// Subtree manifests, when this epoch is fed by a relay tier.
     topology: Option<EpochTopology>,
     /// True once a relay journaled the upstream ack of this epoch's
@@ -239,21 +238,21 @@ struct Epoch {
     state: EpochState,
 }
 
-/// The storage backing an epoch. While ingesting, the epoch *is* its
-/// [`IngestPad`]: the one member table that every ingest path claims
-/// slots in — the lock-free fast path, the store-locked dispatch path and
-/// journal replay. Sealing **compacts**: membership is frozen at seal, so
-/// the per-node sketches (the `O(L·M)` bulk of an epoch) are folded and
-/// dropped, and only the canonical `M`-length measurement recovery needs
-/// is retained. A long-running server therefore holds `O(M)` per finished
-/// epoch, not `O(L·M)`.
+/// The storage backing an epoch, and its phase. While ingesting, the epoch
+/// *is* its [`IngestPad`]: the one member table that every ingest path
+/// claims slots in — the lock-free fast path, the store-locked dispatch
+/// path and journal replay. Sealing **compacts**: membership is frozen at
+/// seal, so the per-node sketches (the `O(L·M)` bulk of an epoch) are
+/// folded and dropped, and only the canonical `M`-length measurement
+/// recovery needs is retained. A long-running server therefore holds
+/// `O(M)` per finished epoch, not `O(L·M)`.
 #[derive(Debug)]
 enum EpochState {
     /// Accepting sketches (phase `Ingest`).
     Ingest(Arc<IngestPad>),
-    /// Sealed or recovered: the canonical measurement of `nodes` members,
-    /// and the duplicate sketches ingest ignored.
-    Sealed { y: Vector, nodes: u64, duplicates: u64 },
+    /// Sealed, or recovered once marked: the canonical measurement of
+    /// `nodes` members, and the duplicate sketches ingest ignored.
+    Sealed { y: Vector, nodes: u64, duplicates: u64, recovered: bool },
 }
 
 impl Epoch {
@@ -287,6 +286,14 @@ impl Epoch {
         match &self.state {
             EpochState::Ingest(pad) => pad.accepted.load(Ordering::Relaxed),
             EpochState::Sealed { nodes, .. } => *nodes,
+        }
+    }
+
+    fn phase(&self) -> EpochPhase {
+        match self.state {
+            EpochState::Ingest(_) => EpochPhase::Ingest,
+            EpochState::Sealed { recovered: false, .. } => EpochPhase::Sealed,
+            EpochState::Sealed { recovered: true, .. } => EpochPhase::Recovered,
         }
     }
 }
@@ -847,9 +854,9 @@ pub enum Effect {
         epoch: u64,
     },
     /// Any other durable transition, as the journal record that the store
-    /// applied through [`WalRecord::replay`]: a fresh open (attaching is
-    /// free), a seal, a completed recovery, a new relay manifest, or an
-    /// upstream-acked forward.
+    /// applied through its one mutation body, `SessionStore::apply`: a
+    /// fresh open (attaching is free), a seal, a completed recovery, a new
+    /// relay manifest, or an upstream-acked forward.
     Record(WalRecord),
 }
 
@@ -983,7 +990,7 @@ impl SessionStore {
 
     /// The phase of `(session, epoch)`, if it exists.
     pub fn epoch_phase(&self, session: u64, epoch: u64) -> Option<EpochPhase> {
-        self.sessions.get(&session)?.epochs.get(&epoch).map(|e| e.phase)
+        self.sessions.get(&session)?.epochs.get(&epoch).map(Epoch::phase)
     }
 
     /// Applies one client message. Cheap messages produce their reply
@@ -1003,10 +1010,10 @@ impl SessionStore {
         stats: &mut StoreStats,
     ) -> Dispatch {
         let applied = match *msg {
-            Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param } => self
-                .limits
-                .descriptor(m, n, seed, op_kind, op_param)
-                .and_then(|op| self.open(conn, session, epoch, op, stats)),
+            Message::OpenEpoch { session, epoch, m, n, seed, op_kind, op_param } => {
+                let record = WalRecord::Open { session, epoch, m, n, seed, op_kind, op_param };
+                self.open(conn, session, epoch, record, stats)
+            }
             Message::Sketch { node, seed, ref payload } => {
                 self.ingest(conn, node, seed, payload, stats)
             }
@@ -1056,87 +1063,198 @@ impl SessionStore {
         out
     }
 
-    /// Applies a live transition's journal record through the one mutation
-    /// body, [`WalRecord::replay`], and hands the record back as the
-    /// effect to journal. A refusal is the reject code the replay met.
-    fn apply(&mut self, record: WalRecord) -> Result<Effect, RejectCode> {
-        record.replay(self).map_err(|e| match e {
-            ReplayError::Rejected { code, .. } => code,
-            _ => RejectCode::Internal,
-        })?;
+    /// Applies one journal record: the one mutation body of every durable
+    /// transition, live (open, seal, manifest, recover-done, forward-done)
+    /// or replayed through [`WalRecord::replay`]. It is **idempotent**: a
+    /// duplicated record is a no-op. A duplicate ingest skips the
+    /// non-durable `duplicates` tally, and a `Seal` carries the canonical
+    /// measurement, so it never depends on ingest records surviving a torn
+    /// tail. A record the live path would refuse is that path's reject.
+    ///
+    /// `Open` and `Seal` name the epoch's operator. Precedence: a `Seal`
+    /// whose measurement is not `M` long is `BadSketch`, then
+    /// [`StoreLimits::descriptor`]'s rejects, then `SpecMismatch` against
+    /// an existing epoch or, for a missing one, `BadSpec`/`BadOperator`
+    /// from building its operator — after which the record inserts it in
+    /// its first state: ingesting for an `Open`, sealed for a `Seal` whose
+    /// `Open` was compacted or torn away. A fresh open builds its operator
+    /// once; an attach builds none. The live open's admission policy
+    /// ([`SessionStore::admit`]) is not part of the body: every journaled
+    /// epoch was admitted when it was written, under caps that may since
+    /// have been lowered. So a recovered epoch the live store had evicted
+    /// may come back; the next open that needs room evicts it again.
+    pub(crate) fn apply(&mut self, record: &WalRecord) -> Result<(), RejectCode> {
+        let Some((session, epoch)) = record.target() else { return Ok(()) };
+        if matches!(*record, WalRecord::Seal { m, ref y_bits, .. } if y_bits.len() != m as usize) {
+            return Err(RejectCode::BadSketch);
+        }
+        let named = match *record {
+            WalRecord::Open { m, n, seed, op_kind, op_param, .. }
+            | WalRecord::Seal { m, n, seed, op_kind, op_param, .. } => {
+                Some(self.limits.descriptor(m, n, seed, op_kind, op_param)?)
+            }
+            _ => None,
+        };
+        let sealed = match *record {
+            WalRecord::Seal { nodes, duplicates, ref y_bits, .. } => {
+                let y = Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect());
+                Some(EpochState::Sealed { y, nodes, duplicates, recovered: false })
+            }
+            _ => None,
+        };
+        let ep = match self.epoch_mut(session, epoch) {
+            Ok(ep) => ep,
+            Err(code) => {
+                let Some(op) = named else {
+                    // A recover-done or forward-done of an epoch evicted
+                    // before a snapshot is a no-op.
+                    return match record {
+                        WalRecord::RecoverDone { .. } | WalRecord::ForwardDone { .. } => Ok(()),
+                        _ => Err(code),
+                    };
+                };
+                MeasurementSpec::new(op.m, op.n, op.seed).map_err(|_| RejectCode::BadSpec)?;
+                // Any other construction failure is an operator-parameter
+                // problem (dense with a nonzero param, sparse density out
+                // of range, SRHT m over the padded width).
+                op.build().map_err(|_| RejectCode::BadOperator)?;
+                let cap = self.limits.max_nodes_per_epoch;
+                let pad = || EpochState::Ingest(Arc::new(IngestPad::new(&op, cap)));
+                let first = Epoch {
+                    state: sealed.unwrap_or_else(pad),
+                    op,
+                    topology: None,
+                    forwarded: false,
+                };
+                self.sessions.entry(session).or_default().epochs.insert(epoch, first);
+                return Ok(());
+            }
+        };
+        if let Some(op) = named {
+            // Re-opening is how additional connections attach to the same
+            // epoch — legal only when they agree on geometry, seed and
+            // operator; sketches made under different operators must never
+            // be summed.
+            if ep.op != op {
+                return Err(RejectCode::SpecMismatch);
+            }
+            // A seal compacts the epoch; a replayed recovered mark survives
+            // a duplicated seal.
+            if let Some(EpochState::Sealed { y, nodes, duplicates, .. }) = sealed {
+                let recovered = ep.phase() == EpochPhase::Recovered;
+                ep.state = EpochState::Sealed { y, nodes, duplicates, recovered };
+            }
+            return Ok(());
+        }
+        match *record {
+            WalRecord::Ingest { node, seed, ref payload, .. } => match &ep.state {
+                // The live paths' slot claim; a member's duplicate is
+                // already counted, so it stays out of the tally.
+                EpochState::Ingest(pad) => {
+                    if let Some(code) = pad.claim(node, seed, payload, false).refusal() {
+                        return Err(code);
+                    }
+                }
+                EpochState::Sealed { .. } if seed != ep.op.seed => {
+                    return Err(RejectCode::SeedMismatch);
+                }
+                // Replayed after the (authoritative) seal that froze it:
+                // already counted.
+                EpochState::Sealed { .. } => {}
+            },
+            // Against a still-ingesting epoch (a torn-reordered duplicate)
+            // a recover-done is a no-op.
+            WalRecord::RecoverDone { .. } => {
+                if let EpochState::Sealed { recovered, .. } = &mut ep.state {
+                    *recovered = true;
+                }
+            }
+            WalRecord::ForwardDone { .. } => ep.forwarded = true,
+            // After the seal the topology is frozen: a duplicate is a no-op.
+            WalRecord::Manifest { region, leaf_lo, leaf_hi, fan_in, .. } => {
+                if let EpochState::Ingest(_) = ep.state {
+                    ep.declare_region(region, (leaf_lo, leaf_hi), fan_in)?;
+                }
+            }
+            // Applied above, as the records that name the epoch's operator
+            // (the clean-shutdown marker names no epoch).
+            WalRecord::Open { .. } | WalRecord::Seal { .. } | WalRecord::CleanShutdown => {}
+        }
+        Ok(())
+    }
+
+    /// Applies a live transition's record through [`SessionStore::apply`]
+    /// and hands it back as the effect to journal.
+    fn applied(&mut self, record: WalRecord) -> Result<Effect, RejectCode> {
+        self.apply(&record)?;
         Ok(Effect::Record(record))
     }
 
-    /// Opens (or attaches to) an epoch: [`SessionStore::check_open`]'s
-    /// validation, then the admission policy — the session and epoch caps,
-    /// evicting finished work to make room — that only live opens meet.
+    /// Opens (or attaches to) an epoch: the mutation body validates its
+    /// `Open` record and inserts a fresh epoch, which then meets the
+    /// admission policy only live opens meet ([`SessionStore::admit`]).
     fn open(
         &mut self,
         conn: &mut ConnState,
         session: u64,
         epoch: u64,
-        op: OpDescriptor,
+        record: WalRecord,
         stats: &mut StoreStats,
     ) -> Result<(Message, Effect), RejectCode> {
-        let Some(fresh) = self.check_open(session, epoch, op)? else {
-            let nodes = self.epoch_mut(session, epoch)?.node_count();
-            conn.bound = Some((session, epoch));
-            return Ok((Message::Ack { of: TAG_OPEN_EPOCH, info: nodes }, Effect::None));
+        let attached = self.epoch_mut(session, epoch).map(|ep| ep.node_count()).ok();
+        let new_session = !self.sessions.contains_key(&session);
+        self.apply(&record)?;
+        let (info, effect) = match attached {
+            Some(nodes) => (nodes, Effect::None),
+            None => {
+                self.admit(session, epoch, new_session, stats)?;
+                stats.add("serve.epochs_opened", 1);
+                (0, Effect::Record(record))
+            }
         };
-        if !self.sessions.contains_key(&session)
-            && self.sessions.len() >= self.limits.max_sessions
-            && !self.evict_finished_session(stats)
-        {
-            return Err(RejectCode::StoreFull);
-        }
-        let limit = self.limits.max_epochs_per_session;
-        let entry = self.sessions.entry(session).or_default();
-        if entry.epochs.len() >= limit && !evict_recovered_epoch(entry, stats) {
-            return Err(RejectCode::StoreFull);
-        }
-        entry.epochs.insert(epoch, fresh);
         conn.bound = Some((session, epoch));
-        stats.add("serve.epochs_opened", 1);
-        let record = open_record(session, epoch, &op);
-        Ok((Message::Ack { of: TAG_OPEN_EPOCH, info: 0 }, Effect::Record(record)))
+        Ok((Message::Ack { of: TAG_OPEN_EPOCH, info }, effect))
     }
 
-    /// `open`'s validation of a [`StoreLimits::descriptor`] without its
-    /// admission policy: rejects an operator that disagrees with an
-    /// existing `(session, epoch)`, or that its geometry cannot build.
-    /// Returns the new ingesting epoch with its empty pad, or `None` when
-    /// the epoch exists with this operator.
-    fn check_open(
-        &self,
+    /// The admission policy for the fresh epoch an open just inserted:
+    /// past the epoch cap the session's lowest-id recovered epoch is
+    /// evicted, and past the session cap (when the open created the
+    /// session) the lowest-id session whose epochs are all recovered. With
+    /// no such victim the insert is undone and the open is `StoreFull`.
+    /// Mid-flight work is never evicted, and a refused open evicts
+    /// nothing: a new session's one epoch is past the epoch cap only at a
+    /// cap of zero, where nothing is evictable.
+    fn admit(
+        &mut self,
         session: u64,
         epoch: u64,
-        op: OpDescriptor,
-    ) -> Result<Option<Epoch>, RejectCode> {
-        if let Some(existing) = self.sessions.get(&session).and_then(|s| s.epochs.get(&epoch)) {
-            // Re-opening is how additional connections attach to the same
-            // epoch — legal only when they agree on geometry, seed and
-            // operator.
-            return if existing.op == op { Ok(None) } else { Err(RejectCode::SpecMismatch) };
+        new_session: bool,
+        stats: &mut StoreStats,
+    ) -> Result<(), RejectCode> {
+        let recovered = |e: &Epoch| e.phase() == EpochPhase::Recovered;
+        let sess = self.sessions.entry(session).or_default();
+        if sess.epochs.len() > self.limits.max_epochs_per_session {
+            let victim = sess.epochs.iter().find(|(_, e)| recovered(e)).map(|(id, _)| *id);
+            sess.epochs.remove(&victim.unwrap_or(epoch));
+            if victim.is_none() {
+                return Err(RejectCode::StoreFull);
+            }
+            stats.add("serve.epochs_evicted", 1);
         }
-        MeasurementSpec::new(op.m, op.n, op.seed).map_err(|_| RejectCode::BadSpec)?;
-        // Geometry is valid; any remaining construction failure is an
-        // operator-parameter problem (dense with a nonzero param, sparse
-        // density out of range, SRHT m over the padded width).
-        if op.build().is_err() {
-            return Err(RejectCode::BadOperator);
+        if new_session && self.sessions.len() > self.limits.max_sessions {
+            let finished = |s: &Session| s.epochs.values().all(recovered);
+            let victim = self.sessions.iter().find(|(_, s)| finished(s)).map(|(id, _)| *id);
+            self.sessions.remove(&victim.unwrap_or(session));
+            if victim.is_none() {
+                return Err(RejectCode::StoreFull);
+            }
+            stats.add("serve.sessions_evicted", 1);
         }
-        let pad = IngestPad::new(&op, self.limits.max_nodes_per_epoch);
-        Ok(Some(Epoch {
-            op,
-            phase: EpochPhase::Ingest,
-            topology: None,
-            forwarded: false,
-            state: EpochState::Ingest(Arc::new(pad)),
-        }))
+        Ok(())
     }
 
     /// Applies a relay's subtree declaration: its `Manifest` record goes
-    /// through the replay body, which validates it (see
+    /// through the mutation body, which validates it (see
     /// [`Epoch::declare_region`]). A sealed epoch's topology is frozen.
     /// Re-declaring an identical region acks without an effect (relay
     /// resume after reconnect).
@@ -1147,13 +1265,13 @@ impl SessionStore {
         record: WalRecord,
         stats: &mut StoreStats,
     ) -> Result<(Message, Effect), RejectCode> {
-        if self.epoch_mut(session, epoch)?.phase != EpochPhase::Ingest {
+        if let EpochState::Sealed { .. } = self.epoch_mut(session, epoch)?.state {
             return Err(RejectCode::EpochSealed);
         }
         let declared =
             |store: &Self| store.topology_of(session, epoch).map_or(0, |t| t.regions.len() as u64);
         let before = declared(self);
-        let effect = self.apply(record)?;
+        let effect = self.applied(record)?;
         let info = declared(self);
         if info == before {
             // Identical re-declaration: the relay resumed.
@@ -1186,13 +1304,13 @@ impl SessionStore {
     }
 
     /// Marks `(session, epoch)`'s pre-sum as acked upstream through the
-    /// replay body, returning the `ForwardDone` record to journal.
+    /// mutation body, returning the `ForwardDone` record to journal.
     /// [`Effect::None`] (nothing to journal) when the epoch is unknown or
     /// already marked: the no-op a duplicated ack resolves to.
     pub fn mark_forwarded(&mut self, session: u64, epoch: u64) -> Effect {
         match self.epoch_mut(session, epoch) {
             Ok(ep) if !ep.forwarded => {
-                self.apply(WalRecord::ForwardDone { session, epoch }).unwrap_or(Effect::None)
+                self.applied(WalRecord::ForwardDone { session, epoch }).unwrap_or(Effect::None)
             }
             _ => Effect::None,
         }
@@ -1207,25 +1325,7 @@ impl SessionStore {
         let Some(ep) = sess.epochs.get(&epoch) else {
             return reject(RejectCode::UnknownEpoch);
         };
-        Message::Status { epoch, phase: ep.phase.as_u8(), nodes: ep.node_count() }
-    }
-
-    /// Evicts the lowest-id session whose epochs are all recovered (or
-    /// that is empty). Sessions mid-flight are never touched.
-    fn evict_finished_session(&mut self, stats: &mut StoreStats) -> bool {
-        let id = self
-            .sessions
-            .iter()
-            .find(|(_, s)| s.epochs.values().all(|e| e.phase == EpochPhase::Recovered))
-            .map(|(id, _)| *id);
-        match id {
-            Some(id) => {
-                self.sessions.remove(&id);
-                stats.add("serve.sessions_evicted", 1);
-                true
-            }
-            None => false,
-        }
+        Message::Status { epoch, phase: ep.phase().as_u8(), nodes: ep.node_count() }
     }
 
     fn ingest(
@@ -1250,7 +1350,7 @@ impl SessionStore {
     }
 
     /// Seals an ingesting epoch: freezes its pad, then applies the
-    /// self-contained seal record through the replay body, which compacts
+    /// self-contained seal record through the mutation body, which compacts
     /// the epoch to its canonical measurement.
     fn seal(
         &mut self,
@@ -1268,7 +1368,7 @@ impl SessionStore {
         let (nodes, y) = pad.seal();
         let duplicates = pad.duplicates.load(Ordering::Relaxed);
         let record = seal_record(session, epoch, &ep.op, nodes, duplicates, &y);
-        let effect = self.apply(record)?;
+        let effect = self.applied(record)?;
         stats.add("serve.epochs_sealed", 1);
         Ok((Message::Ack { of: TAG_SEAL_EPOCH, info: nodes }, effect))
     }
@@ -1288,7 +1388,7 @@ impl SessionStore {
         stats: &mut StoreStats,
     ) -> Result<RecoverJob, RejectCode> {
         let ep = self.epoch_mut(session, epoch)?;
-        let EpochState::Sealed { y, nodes, duplicates } = &ep.state else {
+        let EpochState::Sealed { y, nodes, duplicates, .. } = &ep.state else {
             return Err(RejectCode::NotSealed);
         };
         if *nodes == 0 {
@@ -1331,7 +1431,7 @@ impl SessionStore {
     }
 
     /// Marks `(session, epoch)` recovered after a [`RecoverJob`] succeeded,
-    /// through the replay body, returning the `RecoverDone` record to
+    /// through the mutation body, returning the `RecoverDone` record to
     /// journal. A no-op ([`Effect::None`]) when the epoch has been evicted
     /// in the meantime; repeatable (recover is repeatable).
     pub fn finish_recover(&mut self, session: u64, epoch: u64, stats: &mut StoreStats) -> Effect {
@@ -1339,7 +1439,7 @@ impl SessionStore {
             return Effect::None;
         }
         stats.add("serve.epochs_recovered", 1);
-        self.apply(WalRecord::RecoverDone { session, epoch }).unwrap_or(Effect::None)
+        self.applied(WalRecord::RecoverDone { session, epoch }).unwrap_or(Effect::None)
     }
 
     fn epoch_mut(&mut self, session: u64, epoch: u64) -> Result<&mut Epoch, RejectCode> {
@@ -1436,9 +1536,9 @@ impl Epoch {
                     emit(WalRecord::Ingest { session, epoch, node, seed, payload });
                 }
             }
-            EpochState::Sealed { y, nodes, duplicates } => {
+            EpochState::Sealed { y, nodes, duplicates, recovered } => {
                 emit(seal_record(session, epoch, &self.op, *nodes, *duplicates, y));
-                if self.phase == EpochPhase::Recovered {
+                if *recovered {
                     emit(WalRecord::RecoverDone { session, epoch });
                 }
             }
@@ -1479,121 +1579,6 @@ fn seal_record(
     }
 }
 
-// ---- journal replay ------------------------------------------------------
-//
-// Replay routes journal records back through the same typed state machine
-// the live path uses, with two deliberate differences that make replay
-// **idempotent** (a duplicated record is a no-op, never an error or a
-// divergence): duplicate ingest replays skip the `duplicates` statistic
-// (which is restored from the seal record and otherwise documented as
-// non-durable), and a seal replay is self-contained — the record carries
-// the canonical measurement, so it never depends on the per-node ingest
-// records surviving a torn tail.
-
-impl WalRecord {
-    /// Applies the record to a store: the one mutation body behind journal
-    /// recovery, snapshot loading, test mirrors, and the live seal,
-    /// recover-done and forward-done transitions. `Open` and `Manifest`
-    /// run the live validators, and so does a `Seal` (it re-validates its
-    /// epoch, or creates it when the open was compacted or torn away).
-    /// Duplicated records are no-ops; a record the live path would refuse
-    /// is a [`ReplayError::Rejected`] carrying that path's reject code.
-    ///
-    /// `open`'s admission policy — the session and epoch caps and the
-    /// evictions that make room under them — is not replayed: every
-    /// journaled epoch was admitted when it was written, under caps that
-    /// may since have been lowered. A recovered epoch the live store had
-    /// evicted may therefore come back; the next open that needs room
-    /// evicts it again.
-    pub fn replay(&self, store: &mut SessionStore) -> Result<(), ReplayError> {
-        let Some((session, epoch)) = self.target() else { return Ok(()) };
-        let refused = |code| ReplayError::Rejected { kind: self.kind(), session, epoch, code };
-        let mut open = |m, n, seed, op_kind, op_param| {
-            let op = store.limits.descriptor(m, n, seed, op_kind, op_param).map_err(refused)?;
-            if let Some(fresh) = store.check_open(session, epoch, op).map_err(refused)? {
-                store.sessions.entry(session).or_default().epochs.insert(epoch, fresh);
-            }
-            Ok::<_, ReplayError>(())
-        };
-        match *self {
-            WalRecord::Open { m, n, seed, op_kind, op_param, .. } => {
-                open(m, n, seed, op_kind, op_param)?;
-            }
-            WalRecord::Ingest { node, seed, ref payload, .. } => {
-                let ep = store.epoch_mut(session, epoch).map_err(refused)?;
-                match &ep.state {
-                    // The live paths' slot claim; a member's duplicate is
-                    // already counted, so it stays out of the tally.
-                    EpochState::Ingest(pad) => {
-                        if let Some(code) = pad.claim(node, seed, payload, false).refusal() {
-                            return Err(refused(code));
-                        }
-                    }
-                    EpochState::Sealed { .. } if seed != ep.op.seed => {
-                        return Err(refused(RejectCode::SeedMismatch));
-                    }
-                    // Replayed after the (authoritative) seal that froze
-                    // it: already counted.
-                    EpochState::Sealed { .. } => {}
-                }
-            }
-            WalRecord::Seal {
-                seed,
-                m,
-                n,
-                nodes,
-                duplicates,
-                op_kind,
-                op_param,
-                ref y_bits,
-                ..
-            } => {
-                if y_bits.len() != m as usize {
-                    return Err(refused(RejectCode::BadSketch));
-                }
-                open(m, n, seed, op_kind, op_param)?;
-                let ep = store.epoch_mut(session, epoch).map_err(refused)?;
-                let y = Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect());
-                ep.state = EpochState::Sealed { y, nodes, duplicates };
-                // A replayed `Recovered` phase survives a duplicated seal.
-                ep.phase = ep.phase.max(EpochPhase::Sealed);
-            }
-            WalRecord::RecoverDone { .. } => match store.epoch_mut(session, epoch) {
-                Ok(ep) if ep.phase != EpochPhase::Ingest => ep.phase = EpochPhase::Recovered,
-                _ => {} // absent (evicted before a snapshot), or a torn-reordered duplicate
-            },
-            WalRecord::ForwardDone { .. } => {
-                if let Ok(ep) = store.epoch_mut(session, epoch) {
-                    ep.forwarded = true;
-                }
-            }
-            WalRecord::Manifest { region, leaf_lo, leaf_hi, fan_in, .. } => {
-                let ep = store.epoch_mut(session, epoch).map_err(refused)?;
-                // After the seal the topology is frozen: a duplicate is a no-op.
-                if ep.phase == EpochPhase::Ingest {
-                    ep.declare_region(region, (leaf_lo, leaf_hi), fan_in).map_err(refused)?;
-                }
-            }
-            WalRecord::CleanShutdown => {}
-        }
-        Ok(())
-    }
-}
-
-/// Evicts the lowest-id recovered epoch of `sess` to make room for a new
-/// one. Ingesting and sealed-but-unrecovered epochs are never touched.
-fn evict_recovered_epoch(sess: &mut Session, stats: &mut StoreStats) -> bool {
-    let id = sess.epochs.iter().find(|(_, e)| e.phase == EpochPhase::Recovered).map(|(id, _)| *id);
-    match id {
-        Some(id) => {
-            sess.epochs.remove(&id);
-            stats.add("serve.epochs_evicted", 1);
-            true
-        }
-        None => false,
-    }
-}
-
 /// Decodes an ingested sketch payload, or `None` unless it is an
 /// `m`-length vector of finite values. The slot claim runs this one check
 /// on every ingest path, before the WAL append: a NaN or infinite entry —
@@ -1612,6 +1597,7 @@ fn reject(code: RejectCode) -> Message {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wal::ReplayError;
     use cso_core::{bomp_with_op, MeasurementOperator};
     use cso_distributed::quantize::SketchEncoding;
     use cso_linalg::Vector;
@@ -2074,6 +2060,73 @@ mod tests {
         ));
         assert_eq!(fx.send(&s3), Message::Ack { of: TAG_OPEN_EPOCH, info: 0 });
         assert_eq!(fx.store.epoch_phase(2, 0), None, "finished session was evicted");
+    }
+
+    /// Open precedence at a full store: both caps are reached, and a
+    /// recovered epoch and a finished session could be evicted. An open
+    /// with a bad geometry or operator answers its own code, not
+    /// `StoreFull`, and evicts nothing and journals nothing, whether it
+    /// names a new epoch of a full session (the epoch cap) or a new session
+    /// (the session cap); a valid open then makes room and lands.
+    #[test]
+    fn a_refused_open_at_a_full_store_evicts_nothing() {
+        let limits =
+            StoreLimits { max_sessions: 2, max_epochs_per_session: 2, ..Default::default() };
+        let mut store = SessionStore::with_limits(limits);
+        let (policy, rec) = (RecoveryPolicy::default(), Recorder::disabled());
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        // Session 1: epoch 0 recovered, epoch 1 ingesting. Session 2: its
+        // one epoch recovered.
+        for (session, epoch) in [(1, 0), (2, 0)] {
+            sealed_under(&mut store, (session, epoch), &op, 2);
+            let recover = Message::RecoverEpoch { session, epoch, k: 1 };
+            let reply = store.handle(&mut ConnState::new(), &recover, &policy, &rec).0;
+            assert!(matches!(reply, Message::Report { .. }), "got {reply:?}");
+        }
+        let open = |session, epoch, n, op_kind, op_param| Message::OpenEpoch {
+            session,
+            epoch,
+            m: M,
+            n,
+            seed: SEED,
+            op_kind,
+            op_param,
+        };
+        let reply = send(&mut store, &mut ConnState::new(), &open(1, 1, N, 0, 0)).0;
+        assert_eq!(reply, Message::Ack { of: TAG_OPEN_EPOCH, info: 0 });
+        let refused = [
+            (u64::from(M) - 1, 0, 0, RejectCode::BadSpec), // m > n
+            (N, 9, 0, RejectCode::BadOperator),            // unknown kind
+            (N, 2, u64::from(M) + 1, RejectCode::BadOperator), // sparse s = M + 1
+        ];
+        let dispatch = |store: &mut SessionStore, msg: &Message| {
+            let mut stats = StoreStats::new();
+            match store.dispatch(&mut ConnState::new(), msg, &policy, &mut stats) {
+                Dispatch::Reply(reply, effect) => (reply, effect, stats),
+                Dispatch::Recover(_) => panic!("an open is no recover"),
+            }
+        };
+        for (session, epoch) in [(1, 2), (3, 0)] {
+            for (n, op_kind, op_param, code) in refused {
+                let (reply, effect, stats) =
+                    dispatch(&mut store, &open(session, epoch, n, op_kind, op_param));
+                let at = format!("({session}, {epoch}) n={n} kind={op_kind} param={op_param}");
+                assert_eq!(code_of(&reply), code, "{at}");
+                assert!(matches!(effect, Effect::None), "{at}");
+                assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Recovered), "{at}");
+                assert_eq!(store.epoch_phase(2, 0), Some(EpochPhase::Recovered), "{at}");
+                assert_eq!(store.epoch_phase(session, epoch), None, "{at}");
+                let evicted = stats.pending().iter().filter(|(name, _)| name.ends_with("_evicted"));
+                assert_eq!(evicted.count(), 0, "{at}");
+            }
+        }
+        let (reply, effect, stats) = dispatch(&mut store, &open(3, 0, N, 0, 0));
+        assert_eq!(reply, Message::Ack { of: TAG_OPEN_EPOCH, info: 0 });
+        assert!(matches!(effect, Effect::Record(WalRecord::Open { session: 3, .. })));
+        assert!(stats.pending().contains(&("serve.sessions_evicted", 1)));
+        assert_eq!(store.epoch_phase(2, 0), None, "the finished session made room");
+        assert_eq!(store.epoch_phase(3, 0), Some(EpochPhase::Ingest));
+        assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Recovered));
     }
 
     /// Sealing compacts the epoch to its canonical measurement; attach,

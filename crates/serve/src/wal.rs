@@ -53,7 +53,8 @@
 //! silent no-op, which is what makes replay idempotent.
 //!
 //! Segments and snapshots share one record codec and framing, and every
-//! record, from either, is applied by the one [`WalRecord::replay`] body.
+//! record, from either, is applied by [`WalRecord::replay`] through the
+//! store's one mutation body, the body every live transition goes through.
 
 use crate::session::{Effect, RejectCode, SessionStore, StoreLimits, StoreStats};
 use cso_distributed::quantize::EncodedSketch;
@@ -309,10 +310,11 @@ impl From<WireError> for ReplayError {
     }
 }
 
-/// One journaled state transition, applied by [`WalRecord::replay`] on the
-/// live path and on replay alike; [`WalRecord::CleanShutdown`] is the
-/// marker [`crate::server::ServerHandle::shutdown`] appends after a
-/// graceful drain, distinguishing it from a crash at the next startup.
+/// One journaled state transition, applied by `SessionStore::apply` on
+/// the live path and, through [`WalRecord::replay`], on replay alike;
+/// [`WalRecord::CleanShutdown`] is the marker
+/// [`crate::server::ServerHandle::shutdown`] appends after a graceful
+/// drain, distinguishing it from a crash at the next startup.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A fresh epoch was created (kind 1; body is the v2-encoded
@@ -427,6 +429,16 @@ impl WalRecord {
             (Effect::Record(record), _) => Some(record.clone()),
             _ => None,
         }
+    }
+
+    /// Applies the record to a store through its one mutation body
+    /// (`SessionStore::apply`). Duplicated records are no-ops; a record the
+    /// live path would refuse is a [`ReplayError::Rejected`] with its code.
+    pub fn replay(&self, store: &mut SessionStore) -> Result<(), ReplayError> {
+        store.apply(self).map_err(|code| {
+            let (session, epoch) = self.target().unwrap_or_default();
+            ReplayError::Rejected { kind: self.kind(), session, epoch, code }
+        })
     }
 }
 

@@ -12,9 +12,11 @@
 #      cso-core, cso-distributed or cso-serve, no session-store shard
 #      routing back in cso-serve, no second member table beside an
 #      ingesting epoch's pad, no per-recover `bomp(&spec, ..)`
-#      materialization in cso-serve (the root keeps its operators), and
-#      no `Engine`/`SharedOp` dense twin of cso-core's `ResidentOp` in
-#      cso-distributed or cso-serve
+#      materialization in cso-serve (the root keeps its operators), no
+#      `Engine`/`SharedOp` dense twin of cso-core's `ResidentOp` in
+#      cso-distributed or cso-serve, and no `check_open` validator beside
+#      the store's one mutation body nor a stored `phase` beside the
+#      epoch state that implies it in cso-serve's session.rs
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -30,8 +32,8 @@
 #      compacted journals replayed by one body; hostile snapshots and
 #      lone seals are typed errors; duplicates reset alike on every
 #      restart path; a store filled to its caps reloads whole under
-#      lowered caps; each unreadable segment header is its typed
-#      SegmentFault)
+#      lowered caps; a refused open at a full store evicts nothing; each
+#      unreadable segment header is its typed SegmentFault)
 #      and the snapshot decoder fuzz (bit flips, hostile record lengths,
 #      a wrong record count, a seal whose m disagrees with its body: all
 #      typed errors) must pass, and the fsync-policy sweep must run and
@@ -119,6 +121,12 @@ if grep -rnE "enum (Engine|SharedOp)\b" crates/distributed/src crates/serve/src;
     echo "a dense/matrix-free recovery twin is back; keep the operator as a cso_core::ResidentOp"
     exit 1
 fi
+# One mutation body: the live open applies its record through it, and an
+# epoch's phase is read off its state.
+if grep -nE "fn check_open\b|^\s+phase: EpochPhase," crates/serve/src/session.rs; then
+    echo "a second open validator or a stored phase is back; apply through SessionStore::apply"
+    exit 1
+fi
 
 echo "==> [6/17] rustdoc warnings-clean"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
@@ -167,7 +175,7 @@ echo "==> [12/17] durability smoke (kill-9 crash harness + WAL fuzz + fsync swee
 cargo test -q -p cso-serve --test crash
 cargo test -q -p cso-serve --test proptest_wal
 cargo test -q -p cso-serve --test proptest_snapshot
-cargo test -q -p cso-serve --lib -- snapshot replay
+cargo test -q -p cso-serve --lib -- snapshot replay a_refused_open_at_a_full_store
 cargo test -q -p cso-serve --lib -- bad_segment_reasons_are_typed
 cargo run --release -q -p cso-bench --bin figures -- serve_durable
 for artifact in results/serve_durable.csv BENCH_pr6.json; do
