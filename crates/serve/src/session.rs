@@ -461,6 +461,8 @@ impl IngestPad {
     /// An empty pad for an epoch measured by `op`, taking node ids
     /// `0..capacity`. No chunk is allocated until a claim lands in it.
     fn new(op: &OpDescriptor, capacity: usize) -> IngestPad {
+        #[cfg(test)]
+        tests::PADS.with(|pads| pads.set(pads.get() + 1));
         IngestPad {
             seed: op.seed,
             m: op.m,
@@ -1517,11 +1519,15 @@ impl Epoch {
     /// Emits, in replay order, the records whose replay rebuilds this
     /// epoch: `Open`, each `Manifest`, then an `Ingest` per member while
     /// ingesting or the self-contained `Seal` (plus `RecoverDone` once
-    /// recovered) after, and `ForwardDone` once acked upstream. An
-    /// ingesting epoch's `duplicates` tally is not carried: as on journal
-    /// replay, it restarts at zero.
+    /// recovered) after, and `ForwardDone` once acked upstream. A sealed
+    /// epoch without manifests needs no `Open`: its `Seal` inserts it
+    /// whole, with no ingest pad. An ingesting epoch's `duplicates` tally
+    /// is not carried: as on journal replay, it restarts at zero.
     fn compacted(&self, session: u64, epoch: u64, emit: &mut impl FnMut(WalRecord)) {
-        emit(open_record(session, epoch, &self.op));
+        // Manifests apply only before the seal, so they keep the `Open`.
+        if matches!(self.state, EpochState::Ingest(_)) || self.topology.is_some() {
+            emit(open_record(session, epoch, &self.op));
+        }
         if let Some(topo) = &self.topology {
             for (&region, &(leaf_lo, leaf_hi)) in &topo.regions {
                 let fan_in = topo.fan_in;
@@ -2237,6 +2243,73 @@ mod tests {
                 SessionStore::from_snapshot_bytes(&bytes[..cut], StoreLimits::default()).is_err()
             );
         }
+    }
+
+    /// A sealed epoch without manifests compacts to its lone `Seal`: a
+    /// store holding sealed, recovered, forwarded, manifest-carrying and
+    /// ingesting epochs reloads from its snapshot equal to the live store,
+    /// building a pad only for the epochs whose `Open` the snapshot keeps.
+    #[test]
+    fn snapshot_restores_sealed_epochs_without_a_pad() {
+        let mut fx = Fixture::new();
+        for epoch in 0..4u64 {
+            let open = Message::OpenEpoch {
+                session: 1,
+                epoch,
+                m: M,
+                n: N,
+                seed: SEED,
+                op_kind: 0,
+                op_param: 0,
+            };
+            fx.send(&open);
+            for node in [0, 1, 0] {
+                fx.send(&sketch_msg(node + 2 * epoch as u32, SEED)); // one duplicate
+            }
+        }
+        // Epoch 0: recovered. Epoch 1: sealed and forwarded. Epoch 2:
+        // sealed with a relay manifest. Epoch 3: ingesting.
+        let manifest = Message::RelayManifest {
+            session: 1,
+            epoch: 2,
+            region: 0,
+            leaf_lo: 0,
+            leaf_hi: 2,
+            fan_in: 2,
+        };
+        assert!(matches!(fx.send(&manifest), Message::Ack { .. }));
+        for epoch in 0..3 {
+            fx.send(&Message::SealEpoch { session: 1, epoch });
+        }
+        fx.send(&Message::RecoverEpoch { session: 1, epoch: 0, k: 1 });
+        fx.store.apply(&WalRecord::ForwardDone { session: 1, epoch: 1 }).unwrap();
+
+        let marks = |store: &SessionStore| -> Vec<_> {
+            let epochs = &store.sessions[&1].epochs;
+            let marks = epochs.iter().map(|(&epoch, ep)| {
+                let sealed = match ep.state {
+                    EpochState::Sealed { nodes, duplicates, recovered, .. } => {
+                        Some((nodes, duplicates, recovered))
+                    }
+                    EpochState::Ingest(_) => None,
+                };
+                let regions = ep.topology.as_ref().map(|t| t.regions.clone());
+                (epoch, ep.op, ep.phase(), ep.node_count(), sealed, regions, ep.forwarded)
+            });
+            marks.collect()
+        };
+        let live = marks(&fx.store);
+        assert_eq!(live[0].4, Some((2, 1, true)));
+        assert_eq!(live[1].4, Some((2, 1, false)));
+        assert!(live[1].6 && live[2].5.is_some());
+
+        let bytes = fx.store.snapshot_bytes();
+        PADS.with(|pads| pads.set(0));
+        let rebuilt = SessionStore::from_snapshot_bytes(&bytes, StoreLimits::default())
+            .expect("valid snapshot");
+        assert_eq!(PADS.with(|pads| pads.get()), 2, "pads only for epochs 2 and 3");
+        assert_eq!(marks(&rebuilt), live);
+        assert_eq!(rebuilt.snapshot_bytes(), bytes);
     }
 
     /// Replayed records are idempotent: applying the same transition twice
@@ -2974,6 +3047,8 @@ mod tests {
     thread_local! {
         /// Shared operators this thread built into a cache slot.
         pub(super) static BUILDS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        /// Ingest pads this thread built.
+        pub(super) static PADS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
     /// `(hits, misses)` the buffered recordings count.

@@ -87,11 +87,12 @@ cargo test -q --workspace
 
 echo "==> [4/17] fault-injection sweeps"
 cargo test -q -p cso-distributed --features fault-injection
-# The lazily folded degraded collector and the sliced CRC-32, each
-# against its reference (a fresh fold per offer; the byte-at-a-time loop),
-# and the collector listing a node offered under two seeds once.
+# The lazily folded degraded collector and the CRC-32 (as dispatched, and
+# its folding kernel and sliced loop each called directly), each against
+# its reference (a fresh fold per offer; the byte-at-a-time loop), and the
+# collector listing a node offered under two seeds once.
 cargo test -q -p cso-distributed --lib -- collector_sum_matches sliced_crc32 \
-    collector_lists_a_two_seed_node_once
+    folded_and_sliced_crc32 collector_lists_a_two_seed_node_once
 
 echo "==> [5/17] warnings-clean (all targets, fault-injection on)"
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-injection
