@@ -23,7 +23,7 @@ use crate::measurement::MeasurementSpec;
 use crate::omp::{omp, resolve_exec, OmpConfig, OmpDictionary, OmpResult, StopReason};
 use crate::ops::{MeasurementOp, MeasurementOperator};
 use crate::sparse::SparseVector;
-use cso_exec::ExecConfig;
+use cso_exec::{ExecConfig, ExecStats};
 use cso_linalg::{vector, ColMatrix, LinalgError, Vector};
 use cso_obs::{Recorder, Value};
 use std::fmt;
@@ -254,7 +254,7 @@ fn dense_bias(phi0: &ColMatrix) -> Vec<f64> {
 /// The bias-extended dictionary `Φ̃ = [φ0, Φ0]` over a borrowed `Φ0`: atom
 /// 0 is the borrowed bias column, atoms `1..=N` are `inner`'s columns.
 /// Nothing is stored — the correlation scan is one dot plus `inner`'s own
-/// scan.
+/// scan, still one pool section.
 struct Biased<'a, D: OmpDictionary + ?Sized> {
     inner: &'a D,
     bias: &'a [f64],
@@ -277,15 +277,28 @@ impl<D: OmpDictionary + ?Sized> OmpDictionary for Biased<'_, D> {
         }
     }
 
-    fn correlations_into(
+    /// The inner dictionary's scan over atoms `1..=N`, its blocks shifted
+    /// one atom right, behind a one-atom block 0: the bias dot, visited
+    /// on the caller.
+    fn scan<R: Send>(
         &self,
         x: &[f64],
-        out: &mut [f64],
+        corr: &mut [f64],
+        work: &mut Vec<f64>,
         exec: &ExecConfig,
-    ) -> Result<(), LinalgError> {
-        let (head, tail) = out.split_at_mut(1);
-        head[0] = vector::dot(self.bias, x);
-        self.inner.correlations_into(x, tail, exec)
+        visit: impl Fn(usize, &[f64], &mut [f64]) -> R + Sync,
+    ) -> Result<(Vec<R>, ExecStats), LinalgError> {
+        let Some((head, tail)) = corr.split_first_mut() else {
+            return Err(LinalgError::DimensionMismatch {
+                op: "scan",
+                expected: (self.rows(), self.cols()),
+                actual: (x.len(), 0),
+            });
+        };
+        let (mut picks, stats) =
+            self.inner.scan(x, tail, work, exec, |first, t, block| visit(first + 1, t, block))?;
+        picks.insert(0, visit(0, &[vector::dot(self.bias, x)], std::slice::from_mut(head)));
+        Ok((picks, stats))
     }
 }
 
@@ -765,6 +778,29 @@ mod tests {
                 assert_eq!(run(workers), seq, "{:?}, workers = {workers}", op.kind());
             }
         }
+    }
+
+    #[test]
+    fn exec_stats_record_one_section_per_refresh() {
+        // Atom 0, the bias dot, is visited on the caller; the N = 3000
+        // atoms behind it are 6 block tasks, one section per pick: the
+        // first scans y, every later one shifts by the last direction.
+        let (spec, y, _) = biased_instance(40, 3000, 5000.0, &[(10, 9000.0), (2999, 100.0)], 5);
+        let phi0 = spec.materialize();
+        let rec = Recorder::new();
+        let mut cfg = BompConfig::with_max_iterations(7);
+        cfg.omp.residual_tolerance = 0.0;
+        cfg.omp.stall_guard = false;
+        cfg.omp.par_min_work = 0;
+        cfg.omp.exec = ExecConfig::with_workers(2);
+        cfg.omp.rec = rec.clone();
+        let r = bomp_with_matrix(&phi0, &y, &cfg).unwrap();
+        assert_eq!(r.iterations, 7);
+        let tasks = 7 * 3000usize.div_ceil(crate::omp::COL_BLOCK);
+        let snap = rec.metrics_snapshot();
+        assert_eq!(snap.counter("exec.tasks"), Some(tasks as u64));
+        assert_eq!(snap.gauge("exec.workers"), Some(2.0));
+        assert_eq!(rec.events_named("exec.task").len(), tasks);
     }
 
     #[test]

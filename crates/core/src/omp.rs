@@ -18,7 +18,8 @@
 //!
 //! The loop runs over any [`OmpDictionary`]: a materialized [`ColMatrix`]
 //! (its scan is the blocked [`cso_linalg::gemv`] kernel), a matrix-free
-//! [`MeasurementOperator`], or BOMP's bias-extended wrapper of either.
+//! [`MeasurementOperator`](crate::MeasurementOperator), or BOMP's
+//! bias-extended wrapper of either.
 //! Two kernels implement it (selected by [`OmpConfig::kernel`]):
 //!
 //! - [`OmpKernel::Fused`] (default) maintains the residual and the full
@@ -26,29 +27,34 @@
 //!   `j` the new orthonormal direction `q` satisfies `r' = r − (qᵀr)·q`
 //!   (one dot + one axpy, since `r ⊥ span(q₀..q_{k−1})`), and the
 //!   correlations follow as `c' = c − (qᵀr)·Φᵀq` — one
-//!   [`OmpDictionary::correlations_into`] pass followed by a blocked
-//!   shift+argmax sweep, instead of re-projecting `y` through the QR and
-//!   re-scanning every column against `r`.
+//!   [`OmpDictionary::scan`] of `q` whose block tasks shift their slice
+//!   of `c` and pick their block's winner as they go, instead of
+//!   re-projecting `y` through the QR and re-scanning every column
+//!   against `r`.
 //! - [`OmpKernel::Reference`] is the textbook loop (full `qr.residual`
 //!   re-projection and a fresh `Φᵀr` scan per iteration), kept as the
 //!   oracle the fused path is tested against.
 //!
-//! Every scan and the fused refresh split over the [`cso_exec`] pool in
-//! ranges that are independent of the worker count, and selection is the
-//! serial left-to-right argmax with a lowest-index tie-break, so results
-//! are bit-identical at any worker count. See DESIGN.md §9.
+//! Every pick is one pool section over column blocks: each block task
+//! computes its columns' products, folds them into its slice of `c` and
+//! returns the block winner, and the winners fold in ascending order. A
+//! product is a function of its column alone and the fold reproduces the
+//! serial left-to-right argmax with its lowest-index tie-break, so results
+//! are bit-identical at any block size and worker count. See DESIGN.md §9.
 
-use crate::ops::{MeasurementOp, MeasurementOperator};
 use crate::sparse::SparseVector;
-use cso_exec::ExecConfig;
+use cso_exec::{ExecConfig, ExecStats};
 use cso_linalg::{gemv, vector, ColMatrix, IncrementalQr, LinalgError, Vector};
 use cso_obs::{Recorder, Value};
 
-/// Fixed column-block width for the dense scan and the fused
-/// refresh+argmax sweep. Blocks are the unit of parallel scheduling and
-/// are independent of the worker count — the determinism contract
-/// (DESIGN.md §9).
-pub const COL_BLOCK: usize = 2048;
+/// Columns per task of the dense and seeded-sparse scans. Small enough
+/// that two workers split the paper's `N = 10,400` dictionary to within
+/// one block (about 5 %), large enough to amortize the dispatch; a
+/// multiple of the gemv kernel's column group. Only the schedule depends
+/// on it, never a bit (DESIGN.md §9).
+pub const COL_BLOCK: usize = 512;
+
+const _: () = assert!(COL_BLOCK.is_multiple_of(gemv::COLS_PER_GROUP));
 
 /// Default for [`OmpConfig::par_min_work`]: dictionaries below ~2M
 /// elements are scanned inline, where pool dispatch would cost more than
@@ -216,7 +222,8 @@ struct RunOutcome {
 }
 
 /// Runs OMP against a dictionary: a materialized [`ColMatrix`], a
-/// matrix-free [`MeasurementOperator`], or any other [`OmpDictionary`].
+/// matrix-free [`MeasurementOperator`](crate::MeasurementOperator), or any
+/// other [`OmpDictionary`].
 ///
 /// `dict` is `M × D` (for BOMP, `D = N + 1` with the bias column first);
 /// `y` has length `M`. Errors on a dimension mismatch or an empty
@@ -298,9 +305,9 @@ fn finish_run(
 }
 
 /// A dictionary the OMP kernels can scan. Implementations provide exactly
-/// the two products the loop needs (a full transpose scan and
-/// single-column reads); everything else — QR, residual recurrence, stall
-/// guard, tracing — is the one loop in this module.
+/// the two products the loop needs (a blocked transpose scan and
+/// single-column reads); everything else — QR, residual recurrence,
+/// selection, stall guard, tracing — is the one loop in this module.
 pub trait OmpDictionary {
     /// Measurement dimension (length of every atom).
     fn rows(&self) -> usize;
@@ -308,38 +315,42 @@ pub trait OmpDictionary {
     fn cols(&self) -> usize;
     /// Writes atom `j` into `out` (length [`OmpDictionary::rows`]).
     fn column_into(&self, j: usize, out: &mut [f64]);
-    /// The correlation scan `out = Dᵀ·x` (`x.len() == rows`,
-    /// `out.len() == cols`), split over `exec`. Every output bit must be
-    /// independent of the worker count.
-    fn correlations_into(
+    /// The correlation scan `Dᵀ·x` (`x.len() == rows`,
+    /// `corr.len() == cols`) as one pool section on `exec` over column
+    /// blocks of the dictionary's choosing. Each task computes its block's
+    /// products `t[i] = ⟨φ_{first+i}, x⟩` into task-local scratch and
+    /// returns `visit(first, t, &mut corr[first..first + t.len()])`; the
+    /// results come back in block order with the section's stats. A
+    /// matrix-free backend may transform `x` first, into `work`: scratch
+    /// the caller keeps across the scans of one run. Every product's bits
+    /// must depend on its column and `x` alone, never on the split.
+    fn scan<R: Send>(
         &self,
         x: &[f64],
-        out: &mut [f64],
+        corr: &mut [f64],
+        work: &mut Vec<f64>,
         exec: &ExecConfig,
-    ) -> Result<(), LinalgError>;
+        visit: impl Fn(usize, &[f64], &mut [f64]) -> R + Sync,
+    ) -> Result<(Vec<R>, ExecStats), LinalgError>;
 }
 
-impl OmpDictionary for MeasurementOperator {
-    fn rows(&self) -> usize {
-        self.m()
-    }
-
-    fn cols(&self) -> usize {
-        self.n()
-    }
-
-    fn column_into(&self, j: usize, out: &mut [f64]) {
-        MeasurementOp::column_into(self, j, out);
-    }
-
-    fn correlations_into(
-        &self,
-        x: &[f64],
-        out: &mut [f64],
-        exec: &ExecConfig,
-    ) -> Result<(), LinalgError> {
-        self.apply_transpose_into(x, out, exec)
-    }
+/// One pool section over the [`COL_BLOCK`]-column blocks of `corr`: each
+/// task fills its block's products with `products(first, t)` on a stack
+/// scratch and returns `visit(first, t, block)`. The scan of every
+/// dictionary that computes products column by column.
+pub(crate) fn scan_col_blocks<R: Send>(
+    corr: &mut [f64],
+    exec: &ExecConfig,
+    products: impl Fn(usize, &mut [f64]) + Sync,
+    visit: impl Fn(usize, &[f64], &mut [f64]) -> R + Sync,
+) -> (Vec<R>, ExecStats) {
+    cso_exec::par_map_chunks_mut(exec, corr, COL_BLOCK, |b, block| {
+        let first = b * COL_BLOCK;
+        let mut t = [0.0; COL_BLOCK];
+        let t = &mut t[..block.len()];
+        products(first, t);
+        visit(first, t, block)
+    })
 }
 
 impl OmpDictionary for ColMatrix {
@@ -355,26 +366,72 @@ impl OmpDictionary for ColMatrix {
         out.copy_from_slice(self.col(j));
     }
 
-    fn correlations_into(
+    fn scan<R: Send>(
         &self,
         x: &[f64],
-        out: &mut [f64],
+        corr: &mut [f64],
+        _work: &mut Vec<f64>,
         exec: &ExecConfig,
-    ) -> Result<(), LinalgError> {
+        visit: impl Fn(usize, &[f64], &mut [f64]) -> R + Sync,
+    ) -> Result<(Vec<R>, ExecStats), LinalgError> {
         let rows = ColMatrix::rows(self);
-        if x.len() != rows || out.len() != ColMatrix::cols(self) {
+        if x.len() != rows || corr.len() != ColMatrix::cols(self) {
             return Err(LinalgError::DimensionMismatch {
-                op: "correlations_into",
+                op: "scan",
                 expected: (rows, ColMatrix::cols(self)),
-                actual: (x.len(), out.len()),
+                actual: (x.len(), corr.len()),
             });
         }
         let data = self.as_col_major();
-        cso_exec::par_map_chunks_mut(exec, out, COL_BLOCK, |b, chunk| {
-            let start = b * COL_BLOCK * rows;
-            gemv::gemv_transpose_into(&data[start..start + chunk.len() * rows], rows, x, chunk);
-        });
-        Ok(())
+        let products = |first: usize, t: &mut [f64]| {
+            gemv::gemv_transpose_into(&data[first * rows..(first + t.len()) * rows], rows, x, t);
+        };
+        Ok(scan_col_blocks(corr, exec, products, visit))
+    }
+}
+
+/// The fused kernel's selection state: `corr[j]` tracks `⟨φ_j, r⟩`,
+/// `selected` flags the support, and `work` is the dictionary's scan
+/// scratch, kept across the scans of one run.
+struct Picker {
+    corr: Vec<f64>,
+    selected: Vec<bool>,
+    work: Vec<f64>,
+}
+
+impl Picker {
+    fn new(d: usize) -> Self {
+        Picker { corr: vec![0.0; d], selected: vec![false; d], work: Vec::new() }
+    }
+
+    /// Refreshes every correlation with one scan of `x` — `update(c, t)`
+    /// folds column `j`'s product `t = ⟨φ_j, x⟩` into `corr[j]` — and
+    /// returns the argmax of `|c|` over unselected columns, lowest index
+    /// winning ties: exactly the serial left-to-right scan. The scan is one
+    /// pool section whose block tasks update and pick as they go (its
+    /// `exec.*` stats go to `rec`); the block winners fold in ascending
+    /// order. That equals the serial scan unless a NaN sits among the
+    /// correlations (a NaN incumbent loses to the next column, so the
+    /// result depends on where scans start); then the updated vector is
+    /// scanned serially instead.
+    fn refresh<D: OmpDictionary + ?Sized>(
+        &mut self,
+        dict: &D,
+        x: &[f64],
+        update: impl Fn(f64, f64) -> f64 + Sync,
+        exec: &ExecConfig,
+        rec: &Recorder,
+    ) -> Result<Option<(usize, f64)>, LinalgError> {
+        let selected = &self.selected;
+        let (partials, stats) =
+            dict.scan(x, &mut self.corr, &mut self.work, exec, |first, t, block| {
+                update_and_select(block, t, &update, first, selected)
+            })?;
+        stats.record(rec);
+        if partials.iter().any(|&(_, nan)| nan) {
+            return Ok(argmax_unselected(&self.corr, selected, 0));
+        }
+        Ok(fold_block_winners(partials.into_iter().map(|(best, _)| best)))
     }
 }
 
@@ -383,9 +440,9 @@ impl OmpDictionary for ColMatrix {
 /// Invariants at the top of each iteration:
 /// - `residual = y − proj(y, span(support))` (maintained by axpy),
 /// - `corr[j] = ⟨φ_j, residual⟩` **after** the pending refresh is applied —
-///   the refresh for the last selected direction is deferred (`pending`)
-///   and applied by the next argmax sweep, so a run that stops never pays
-///   a final `Dᵀq` pass.
+///   every refresh is deferred to the scan of the next pick (the first one
+///   scans `y`, each later one shifts by the last direction), so a run
+///   that stops never pays a scan it does not select from.
 fn run_fused<D: OmpDictionary + ?Sized>(
     dict: &D,
     y: &Vector,
@@ -397,22 +454,20 @@ fn run_fused<D: OmpDictionary + ?Sized>(
     let y_norm = y.norm2();
     let abs_tol = config.residual_tolerance * y_norm;
 
-    let mut corr = vec![0.0f64; d];
-    dict.correlations_into(y.as_slice(), &mut corr, exec)?;
-
+    let mut picker = Picker::new(d);
     let mut qr = IncrementalQr::new(rows);
-    let mut selected = vec![false; d];
     let mut support: Vec<usize> = Vec::new();
     let mut trace: Vec<IterationRecord> = Vec::new();
     let mut residual = y.clone();
     let mut norm = y_norm;
     let mut prev_norm = y_norm;
-    // Deferred correlation refresh: `Some(α)` means `corr` still reflects
-    // the residual *before* the last selection and must be shifted by
-    // `−α·Dᵀq_last` (fused into the next argmax sweep) before use.
+    // Deferred correlation refresh: `None` before the first pick, when
+    // `corr` is still unscanned; `Some(α)` after, when `corr` reflects the
+    // residual *before* the last selection and must be shifted by
+    // `−α·Dᵀq_last`.
     let mut pending: Option<f64> = None;
-    let mut qt_phi = vec![0.0f64; d];
     let mut col = vec![0.0f64; rows];
+    let rec = &config.rec;
 
     let stop = loop {
         if support.len() >= config.max_iterations {
@@ -424,13 +479,12 @@ fn run_fused<D: OmpDictionary + ?Sized>(
         if support.len() == d {
             break StopReason::DictionaryExhausted;
         }
-        let best = match pending.take() {
+        let best = match pending {
+            None => picker.refresh(dict, y.as_slice(), |_, t| t, exec, rec)?,
             Some(alpha) => {
                 let q = qr.q_col(qr.ncols() - 1);
-                dict.correlations_into(q, &mut qt_phi, exec)?;
-                shift_and_select_all(&mut corr, &qt_phi, alpha, &selected, exec, &config.rec)
+                picker.refresh(dict, q, move |c, t| c - alpha * t, exec, rec)?
             }
-            None => argmax_unselected(&corr, &selected, 0),
         };
         let (j, _) = best.expect("unselected column exists");
         dict.column_into(j, &mut col);
@@ -439,7 +493,7 @@ fn run_fused<D: OmpDictionary + ?Sized>(
             Err(LinalgError::RankDeficient { .. }) => break StopReason::RankExhausted,
             Err(e) => return Err(e),
         }
-        selected[j] = true;
+        picker.selected[j] = true;
         support.push(j);
         // r ⊥ span(q₀..q_{k−1}) already, so the new projection removes
         // only the q_k component: r' = r − (q_kᵀr)·q_k.
@@ -479,7 +533,9 @@ fn run_reference<D: OmpDictionary + ?Sized>(
     let mut norm = y_norm;
     let mut prev_norm = y_norm;
     let mut corr = vec![0.0f64; d];
+    let mut work = Vec::new();
     let mut col = vec![0.0f64; rows];
+    let copy = |_, t: &[f64], block: &mut [f64]| block.copy_from_slice(t);
 
     let stop = loop {
         if support.len() >= config.max_iterations {
@@ -491,7 +547,8 @@ fn run_reference<D: OmpDictionary + ?Sized>(
         if support.len() == d {
             break StopReason::DictionaryExhausted;
         }
-        dict.correlations_into(residual.as_slice(), &mut corr, exec)?;
+        let (_, stats) = dict.scan(residual.as_slice(), &mut corr, &mut work, exec, copy)?;
+        stats.record(&config.rec);
         let best = argmax_unselected(&corr, &selected, 0);
         let (j, _) = best.expect("unselected column exists");
         dict.column_into(j, &mut col);
@@ -546,59 +603,33 @@ fn record_iteration(
     Ok(config.stall_guard && norm >= prev_norm * (1.0 - config.min_relative_decrease))
 }
 
-/// Shifts every correlation by `−α·shifts` and returns the argmax of `|c|`
-/// over unselected columns, lowest index winning ties: exactly the serial
-/// left-to-right scan. The work runs over fixed [`COL_BLOCK`] blocks on
-/// `exec` and the block winners fold in ascending order, which equals the
-/// serial scan unless a NaN sits among the correlations (a NaN incumbent
-/// loses to the next column, so the result depends on where scans start);
-/// then the shifted vector is scanned serially instead.
-fn shift_and_select_all(
-    corr: &mut [f64],
-    shifts: &[f64],
-    alpha: f64,
-    selected: &[bool],
-    exec: &ExecConfig,
-    rec: &Recorder,
-) -> Option<(usize, f64)> {
-    let (partials, stats) = cso_exec::par_map_chunks_mut(exec, corr, COL_BLOCK, |b, chunk| {
-        let start = b * COL_BLOCK;
-        shift_and_select(chunk, &shifts[start..start + chunk.len()], alpha, start, selected)
-    });
-    stats.record(rec);
-    if partials.iter().any(|&(_, nan)| nan) {
-        return argmax_unselected(corr, selected, 0);
-    }
-    fold_block_winners(partials.into_iter().map(|(best, _)| best).collect())
-}
-
-/// Shifts one block of correlations (`chunk`, first column `start`) by
-/// `−α·shifts` and returns the block's argmax of `|c|` over unselected
-/// columns, lowest index winning ties — the result of
-/// [`argmax_unselected`] on the shifted block, in two passes that
-/// vectorize: the shift fused with a lane-wise peak of `|c|` (selected
+/// Folds one block's products `t` into its correlations (`block`, first
+/// column `first`) with `update` and returns the block's argmax of `|c|`
+/// over unselected columns, lowest index winning ties — the result of
+/// [`argmax_unselected`] on the updated block, in two passes that
+/// vectorize: the update fused with a lane-wise peak of `|c|` (selected
 /// columns count as −1), then the first column reaching the peak. A NaN
 /// makes "the peak" ill-defined, so a block holding one falls back to the
 /// serial scan itself, and reports it (the `bool`).
-fn shift_and_select(
-    chunk: &mut [f64],
-    shifts: &[f64],
-    alpha: f64,
-    start: usize,
+fn update_and_select(
+    block: &mut [f64],
+    t: &[f64],
+    update: &impl Fn(f64, f64) -> f64,
+    first: usize,
     selected: &[bool],
 ) -> (Option<(usize, f64)>, bool) {
     const LANES: usize = 8;
-    let sel = &selected[start..start + chunk.len()];
+    let sel = &selected[first..first + block.len()];
     let mut peak = [-1.0f64; LANES];
     let mut nan = false;
     let mut step = |c: &mut f64, t: f64, s: bool, peak: &mut f64| {
-        *c -= alpha * t;
+        *c = update(*c, t);
         let a = if s { -1.0 } else { c.abs() };
         nan |= a.is_nan();
         *peak = if a > *peak { a } else { *peak };
     };
-    let mut cs = chunk.chunks_exact_mut(LANES);
-    let mut ts = shifts.chunks_exact(LANES);
+    let mut cs = block.chunks_exact_mut(LANES);
+    let mut ts = t.chunks_exact(LANES);
     let mut ss = sel.chunks_exact(LANES);
     for ((c4, t4), s4) in (&mut cs).zip(&mut ts).zip(&mut ss) {
         for l in 0..LANES {
@@ -609,16 +640,18 @@ fn shift_and_select(
         step(c, t, s, &mut peak[0]);
     }
     if nan {
-        return (argmax_unselected(chunk, sel, start), true);
+        return (argmax_unselected(block, sel, first), true);
     }
     let peak = peak.into_iter().fold(-1.0, |m, a| if a > m { a } else { m });
-    let off = chunk.iter().zip(sel).position(|(c, &s)| !s && c.abs() == peak);
-    (off.map(|off| (start + off, peak)), false)
+    let off = block.iter().zip(sel).position(|(c, &s)| !s && c.abs() == peak);
+    (off.map(|off| (first + off, peak)), false)
 }
 
 /// Folds per-block winners (ascending block order) with the lowest-index
 /// tie-break — identical to a serial left-to-right scan.
-fn fold_block_winners(partials: Vec<Option<(usize, f64)>>) -> Option<(usize, f64)> {
+fn fold_block_winners(
+    partials: impl IntoIterator<Item = Option<(usize, f64)>>,
+) -> Option<(usize, f64)> {
     partials.into_iter().flatten().fold(None, |acc, (j, c)| match acc {
         Some((_, b)) if b >= c => acc,
         _ => Some((j, c)),
@@ -627,9 +660,9 @@ fn fold_block_winners(partials: Vec<Option<(usize, f64)>>) -> Option<(usize, f64
 
 /// Serial argmax of `|corr[j]|` over unselected columns (`selected[j]`
 /// flags `corr[j]`, whose column index is `start + j`), lowest index wins
-/// ties. The selection rule of both kernels: the reference kernel and the
-/// first fused iteration call it directly, and the blocked sweep of
-/// [`shift_and_select_all`] reproduces it.
+/// ties. The selection rule of both kernels: the reference kernel calls
+/// it directly, and every blocked pick of [`Picker::refresh`] reproduces
+/// it.
 fn argmax_unselected(corr: &[f64], selected: &[bool], start: usize) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for (j, c) in corr.iter().enumerate() {
@@ -649,6 +682,7 @@ fn argmax_unselected(corr: &[f64], selected: &[bool], start: usize) -> Option<(u
 mod tests {
     use super::*;
     use crate::measurement::MeasurementSpec;
+    use crate::ops::{MeasurementOp, MeasurementOperator};
 
     /// Builds a random Gaussian dictionary and a sparse ground truth.
     fn sparse_instance(
@@ -875,10 +909,10 @@ mod tests {
     fn block_select_is_bit_identical_to_serial_argmax() {
         // Ties (first index wins), selected columns, blocks that are all
         // selected, a NaN block (serial fallback), signed zeros, partial
-        // lanes at the block tail.
+        // lanes at the block tail; a shift and an assignment.
         let n = 37;
         let base: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64 - 5.0) * 0.5).collect();
-        let shifts: Vec<f64> = (0..n).map(|i| ((i * 3 % 5) as f64 - 2.0) * 0.25).collect();
+        let products: Vec<f64> = (0..n).map(|i| ((i * 3 % 5) as f64 - 2.0) * 0.25).collect();
         let mut cases: Vec<(Vec<f64>, Vec<bool>)> = vec![
             (base.clone(), vec![false; n]),
             (base.clone(), (0..n).map(|i| i % 3 == 0).collect()),
@@ -891,20 +925,27 @@ mod tests {
         cases.push((with_nan.clone(), vec![false; n]));
         with_nan[n - 1] = f64::NAN;
         cases.push((with_nan, vec![false; n]));
+        let assign = |_: f64, t: f64| t;
         for (corr, selected) in cases {
             for alpha in [0.0, 1.0, -2.0] {
+                let shift = move |c: f64, t: f64| c - alpha * t;
                 let mut want = corr.clone();
-                for (c, t) in want.iter_mut().zip(&shifts) {
+                for (c, t) in want.iter_mut().zip(&products) {
                     *c -= alpha * *t;
                 }
                 let expect = argmax_unselected(&want, &selected, 0);
                 let mut got = corr.clone();
-                let (pick, _) = shift_and_select(&mut got, &shifts, alpha, 0, &selected);
+                let (pick, _) = update_and_select(&mut got, &products, &shift, 0, &selected);
                 let key = |p: Option<(usize, f64)>| p.map(|(j, a)| (j, a.to_bits()));
                 assert_eq!(key(pick), key(expect), "alpha = {alpha}, selected = {selected:?}");
                 let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "shifted correlations differ");
             }
+            let mut got = corr.clone();
+            let (pick, _) = update_and_select(&mut got, &products, &assign, 0, &selected);
+            let expect = argmax_unselected(&products, &selected, 0);
+            assert_eq!(pick.map(|(j, a)| (j, a.to_bits())), expect.map(|(j, a)| (j, a.to_bits())));
+            assert_eq!(got, products);
         }
     }
 
@@ -912,9 +953,11 @@ mod tests {
     fn split_select_is_bit_identical_to_serial_scan_with_nans() {
         // A NaN incumbent loses to the next column, so per-block winners
         // fold differently from one serial scan: [5.0 | NaN, 1.0] picks
-        // 1.0 serially but 5.0 by block. The split path must match serial.
+        // 1.0 serially but 5.0 by block. The split pick must match serial.
+        // One row whose entries are the products: Φᵀ·[1] is that row.
         let d = 3 * COL_BLOCK + 17;
-        let shifts: Vec<f64> = (0..d).map(|i| ((i * 13 % 7) as f64 - 3.0) * 1e-3).collect();
+        let row: Vec<f64> = (0..d).map(|i| ((i * 13 % 7) as f64 - 3.0) * 1e-3).collect();
+        let phi = ColMatrix::from_col_major(1, d, row.clone()).unwrap();
         let mut base: Vec<f64> = (0..d).map(|i| ((i * 7919 % 1009) as f64) * 1e-3).collect();
         base[COL_BLOCK - 1] = 50.0;
         let mut nan_at_block_start = base.clone();
@@ -924,16 +967,21 @@ mod tests {
         let selected: Vec<bool> = (0..d).map(|i| i % 5 == 0).collect();
         for corr in [base, nan_at_block_start, nan_at_end] {
             let mut want = corr.clone();
-            for (c, t) in want.iter_mut().zip(&shifts) {
-                *c -= 0.5 * *t;
+            for (c, t) in want.iter_mut().zip(&row) {
+                *c -= 0.5 * vector::dot(&[*t], &[1.0]);
             }
             let expect = argmax_unselected(&want, &selected, 0).map(|(j, a)| (j, a.to_bits()));
             for workers in [1, 2, 8] {
-                let mut got = corr.clone();
+                let mut picker = Picker::new(d);
+                picker.corr.copy_from_slice(&corr);
+                picker.selected.copy_from_slice(&selected);
                 let exec = ExecConfig::with_workers(workers);
-                let rec = Recorder::disabled();
-                let pick = shift_and_select_all(&mut got, &shifts, 0.5, &selected, &exec, &rec);
-                assert_eq!(pick.map(|(j, a)| (j, a.to_bits())), expect, "workers = {workers}");
+                let shift = |c: f64, t: f64| c - 0.5 * t;
+                let pick = picker.refresh(&phi, &[1.0], shift, &exec, &Recorder::disabled());
+                let pick = pick.unwrap().map(|(j, a)| (j, a.to_bits()));
+                assert_eq!(pick, expect, "workers = {workers}");
+                let same = picker.corr.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                assert!(same, "workers = {workers}: shifted correlations differ");
             }
         }
     }
@@ -991,13 +1039,21 @@ mod tests {
     #[test]
     fn colmatrix_implements_op_dictionary() {
         // The dense scan is the blocked gemv over the whole matrix, split
-        // over COL_BLOCK blocks, and column reads are plain copies.
+        // over COL_BLOCK blocks and visited block by block in order, and
+        // column reads are plain copies.
         let (phi, y, _) = sparse_instance(30, 2 * COL_BLOCK + 90, &[(5, 4.0), (70, -2.0)], 41);
         let want = phi.gemv_transpose(&y).unwrap();
         for workers in [1, 2] {
             let mut got = vec![0.0; phi.cols()];
             let exec = ExecConfig::with_workers(workers);
-            OmpDictionary::correlations_into(&phi, y.as_slice(), &mut got, &exec).unwrap();
+            let copy = |first: usize, t: &[f64], block: &mut [f64]| {
+                block.copy_from_slice(t);
+                (first, t.len())
+            };
+            let mut work = Vec::new();
+            let (blocks, stats) = phi.scan(y.as_slice(), &mut got, &mut work, &exec, copy).unwrap();
+            assert_eq!(blocks, [(0, COL_BLOCK), (COL_BLOCK, COL_BLOCK), (2 * COL_BLOCK, 90)]);
+            assert_eq!(stats.tasks(), 3);
             assert!(got.iter().zip(want.iter()).all(|(a, b)| a.to_bits() == b.to_bits()));
         }
         let mut col = vec![0.0; phi.rows()];
@@ -1005,7 +1061,8 @@ mod tests {
         assert_eq!(col, phi.col(70));
         let mut short = vec![0.0; phi.cols() - 1];
         let exec = ExecConfig::sequential();
-        assert!(OmpDictionary::correlations_into(&phi, y.as_slice(), &mut short, &exec).is_err());
+        let scan = phi.scan(y.as_slice(), &mut short, &mut Vec::new(), &exec, |_, _, _| ());
+        assert!(scan.is_err());
     }
 
     #[test]

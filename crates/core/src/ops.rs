@@ -19,9 +19,11 @@
 //! building an operator to validate a descriptor stays `O(M)`.)
 //!
 //! The transpose scan takes the recovery executor: every backend splits it
-//! over disjoint output ranges (the SRHT also splits its FWHT, see
-//! [`cso_linalg::fwht`]), and no float depends on the split, so the scan
-//! is bit-identical at any worker count.
+//! into one pool section over disjoint column blocks (the SRHT runs its
+//! split FWHT first, see [`cso_linalg::fwht`]), and no float depends on
+//! the split, so the scan is bit-identical at any worker count. OMP hands
+//! each block's products to its shift-and-select in the same task
+//! ([`OmpDictionary::scan`](crate::OmpDictionary::scan)).
 //!
 //! Every backend is rebuilt bit-identically from a 3-word wire descriptor
 //! (`kind`, `param`, plus the `m/n/seed` geometry the epoch already
@@ -29,8 +31,8 @@
 //! descriptor, so WAL replay reconstructs the same operator.
 
 use crate::measurement::MeasurementSpec;
-use crate::omp::COL_BLOCK;
-use cso_exec::ExecConfig;
+use crate::omp::{self, scan_col_blocks};
+use cso_exec::{ExecConfig, ExecStats};
 use cso_linalg::fwht::{fwht_across, fwht_block, hadamard_sign, next_pow2, CACHE_BLOCK};
 use cso_linalg::random::{derive_seed, stream_rng};
 use cso_linalg::{LinalgError, Vector};
@@ -579,63 +581,8 @@ impl MeasurementOp for MeasurementOperator {
         out: &mut [f64],
         exec: &ExecConfig,
     ) -> Result<(), LinalgError> {
-        self.check_transpose_lens(x.len(), out.len())?;
-        match self {
-            MeasurementOperator::Dense(spec) => {
-                cso_exec::par_map_chunks_mut(exec, out, COL_BLOCK, |b, chunk| {
-                    spec.correlations_block_into(b * COL_BLOCK, x, chunk);
-                });
-            }
-            MeasurementOperator::Srht(op) => {
-                // Φᵀx = (1/√M)·D·H·Rᵀx: scatter into the sampled rows
-                // (distinct by construction), FWHT (H is symmetric),
-                // sign-flip, truncate the padding. Each row group is
-                // zeroed and scattered right before its narrow pass.
-                // Without padding all three run in `out` itself.
-                let scale = op.scale();
-                let scatter = |first: usize, rows: &mut [f64]| {
-                    rows.fill(0.0);
-                    let span = first..first + rows.len();
-                    for (&r, &xi) in op.rows.iter().zip(x) {
-                        if span.contains(&r) {
-                            rows[r - first] = scale * xi;
-                        }
-                    }
-                };
-                let mut scratch = Vec::new();
-                let padded = if op.np == op.n {
-                    fwht_split(out, exec, scatter);
-                    None
-                } else {
-                    scratch.resize(op.np, 0.0);
-                    fwht_split(&mut scratch, exec, scatter);
-                    Some(&scratch[..op.n])
-                };
-                let words = op.sign_words(exec);
-                cso_exec::par_map_chunks_mut(exec, out, SCAN_TASK, |b, chunk| {
-                    let first = b * SCAN_TASK;
-                    if let Some(src) = padded {
-                        chunk.copy_from_slice(&src[first..first + chunk.len()]);
-                    }
-                    for (piece, &word) in chunk.chunks_mut(64).zip(&words[first / 64..]) {
-                        for (bit, v) in piece.iter_mut().enumerate() {
-                            *v *= signed_one(word >> bit & 1);
-                        }
-                    }
-                });
-            }
-            MeasurementOperator::SeededSparse(op) => {
-                cso_exec::par_map_chunks_mut(exec, out, COL_BLOCK, |b, chunk| {
-                    for (off, slot) in chunk.iter_mut().enumerate() {
-                        let mut acc = 0.0;
-                        op.for_each_nonzero(b * COL_BLOCK + off, |row, value| {
-                            acc += value * x[row]
-                        });
-                        *slot = acc;
-                    }
-                });
-            }
-        }
+        let copy = |_, t: &[f64], block: &mut [f64]| block.copy_from_slice(t);
+        omp::OmpDictionary::scan(self, x, out, &mut Vec::new(), exec, copy)?;
         Ok(())
     }
 
@@ -719,11 +666,90 @@ impl MeasurementOp for MeasurementOperator {
     }
 }
 
+/// Every backend is a dictionary the OMP kernels scan matrix-free.
+impl omp::OmpDictionary for MeasurementOperator {
+    fn rows(&self) -> usize {
+        self.m()
+    }
+
+    fn cols(&self) -> usize {
+        self.n()
+    }
+
+    fn column_into(&self, j: usize, out: &mut [f64]) {
+        MeasurementOp::column_into(self, j, out);
+    }
+
+    /// The dense and seeded-sparse backends compute products column by
+    /// column over [`COL_BLOCK`](crate::omp::COL_BLOCK) blocks; the SRHT
+    /// transforms `x` into `work` first and sign-flips `2^14` columns per
+    /// task. [`MeasurementOp::apply_transpose_into`] is this scan with a
+    /// visit that copies.
+    fn scan<R: Send>(
+        &self,
+        x: &[f64],
+        out: &mut [f64],
+        work: &mut Vec<f64>,
+        exec: &ExecConfig,
+        visit: impl Fn(usize, &[f64], &mut [f64]) -> R + Sync,
+    ) -> Result<(Vec<R>, ExecStats), LinalgError> {
+        self.check_transpose_lens(x.len(), out.len())?;
+        Ok(match self {
+            MeasurementOperator::Dense(spec) => {
+                let products = |first, t: &mut [f64]| spec.correlations_block_into(first, x, t);
+                scan_col_blocks(out, exec, products, visit)
+            }
+            MeasurementOperator::Srht(op) => {
+                // Φᵀx = (1/√M)·D·H·Rᵀx: scatter into the sampled rows
+                // (distinct by construction) and FWHT (H is symmetric) in
+                // `work`, each row group zeroed and scattered right before
+                // its narrow pass; then each task sign-flips its block of
+                // the first N entries (the rest is padding) in place.
+                let scale = op.scale();
+                let scatter = |first: usize, rows: &mut [f64]| {
+                    rows.fill(0.0);
+                    let span = first..first + rows.len();
+                    for (&r, &xi) in op.rows.iter().zip(x) {
+                        if span.contains(&r) {
+                            rows[r - first] = scale * xi;
+                        }
+                    }
+                };
+                work.resize(op.np, 0.0);
+                fwht_split(&mut work[..op.np], exec, scatter);
+                let words = op.sign_words(exec);
+                let mut blocks: Vec<(&mut [f64], &mut [f64])> =
+                    out.chunks_mut(SCAN_TASK).zip(work[..op.n].chunks_mut(SCAN_TASK)).collect();
+                cso_exec::par_map_chunks_mut(exec, &mut blocks, 1, |b, pair| {
+                    let (block, t) = &mut pair[0];
+                    let first = b * SCAN_TASK;
+                    for (piece, &word) in t.chunks_mut(64).zip(&words[first / 64..]) {
+                        for (bit, v) in piece.iter_mut().enumerate() {
+                            *v *= signed_one(word >> bit & 1);
+                        }
+                    }
+                    visit(first, t, block)
+                })
+            }
+            MeasurementOperator::SeededSparse(op) => {
+                let products = |first: usize, t: &mut [f64]| {
+                    for (off, slot) in t.iter_mut().enumerate() {
+                        let mut acc = 0.0;
+                        op.for_each_nonzero(first + off, |row, value| acc += value * x[row]);
+                        *slot = acc;
+                    }
+                };
+                scan_col_blocks(out, exec, products, visit)
+            }
+        })
+    }
+}
+
 /// Columns per task of the SRHT's memory-bound sign passes: large enough
 /// to amortize dispatch, small enough to balance two to eight workers at
 /// `N = 2^20`. A multiple of 64, so each task owns whole sign words. The
 /// dense and seeded-sparse scans spend far more per column and split into
-/// [`COL_BLOCK`] columns per task.
+/// [`COL_BLOCK`](crate::omp::COL_BLOCK) columns per task.
 const SCAN_TASK: usize = 1 << 14;
 
 /// Rows of the FWHT narrow pass handed to one task.

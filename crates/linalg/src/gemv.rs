@@ -24,8 +24,9 @@ use crate::vector::{self, Vector};
 
 /// Columns per register-blocked group in the transpose kernel. Eight f64
 /// accumulators fit the 16 AVX `ymm` registers with room for the `x` quad
-/// and one column load.
-const COLS_PER_GROUP: usize = 8;
+/// and one column load. A column block whose width is a multiple of it
+/// runs the blocked path throughout, with no scalar tail.
+pub const COLS_PER_GROUP: usize = 8;
 
 /// Columns fused per pass in the forward (`A·x`) kernel: the output column
 /// is read and written once per 4 input columns instead of once per column.

@@ -296,6 +296,16 @@ impl Epoch {
             EpochState::Sealed { recovered: true, .. } => EpochPhase::Recovered,
         }
     }
+
+    /// Whether this store is done with the epoch, so admission may evict
+    /// it: recovered, or sealed with its pre-sum acked upstream — where a
+    /// relay's epochs end, since a relay never recovers.
+    fn finished(&self) -> bool {
+        match self.state {
+            EpochState::Ingest(_) => false,
+            EpochState::Sealed { recovered, .. } => recovered || self.forwarded,
+        }
+    }
 }
 
 // ---- lock-free ingest pad ---------------------------------------------
@@ -1219,13 +1229,16 @@ impl SessionStore {
     }
 
     /// The admission policy for the fresh epoch an open just inserted:
-    /// past the epoch cap the session's lowest-id recovered epoch is
+    /// past the epoch cap the session's lowest-id finished epoch is
     /// evicted, and past the session cap (when the open created the
-    /// session) the lowest-id session whose epochs are all recovered. With
-    /// no such victim the insert is undone and the open is `StoreFull`.
-    /// Mid-flight work is never evicted, and a refused open evicts
-    /// nothing: a new session's one epoch is past the epoch cap only at a
-    /// cap of zero, where nothing is evictable.
+    /// session) the lowest-id session whose epochs are all finished. An
+    /// epoch is finished once recovered or, on a relay, once sealed and
+    /// forwarded ([`Epoch::finished`]). With no such victim the insert is
+    /// undone and the open is `StoreFull`. Mid-flight work — an ingesting
+    /// epoch, or a sealed one not yet recovered or forwarded — is never
+    /// evicted, and a refused open evicts nothing: a new session's one
+    /// epoch is past the epoch cap only at a cap of zero, where nothing is
+    /// evictable.
     fn admit(
         &mut self,
         session: u64,
@@ -1233,10 +1246,9 @@ impl SessionStore {
         new_session: bool,
         stats: &mut StoreStats,
     ) -> Result<(), RejectCode> {
-        let recovered = |e: &Epoch| e.phase() == EpochPhase::Recovered;
         let sess = self.sessions.entry(session).or_default();
         if sess.epochs.len() > self.limits.max_epochs_per_session {
-            let victim = sess.epochs.iter().find(|(_, e)| recovered(e)).map(|(id, _)| *id);
+            let victim = sess.epochs.iter().find(|(_, e)| e.finished()).map(|(id, _)| *id);
             sess.epochs.remove(&victim.unwrap_or(epoch));
             if victim.is_none() {
                 return Err(RejectCode::StoreFull);
@@ -1244,7 +1256,7 @@ impl SessionStore {
             stats.add("serve.epochs_evicted", 1);
         }
         if new_session && self.sessions.len() > self.limits.max_sessions {
-            let finished = |s: &Session| s.epochs.values().all(recovered);
+            let finished = |s: &Session| s.epochs.values().all(Epoch::finished);
             let victim = self.sessions.iter().find(|(_, s)| finished(s)).map(|(id, _)| *id);
             self.sessions.remove(&victim.unwrap_or(session));
             if victim.is_none() {
@@ -2133,6 +2145,57 @@ mod tests {
         assert_eq!(store.epoch_phase(2, 0), None, "the finished session made room");
         assert_eq!(store.epoch_phase(3, 0), Some(EpochPhase::Ingest));
         assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Recovered));
+    }
+
+    #[test]
+    fn a_relay_evicts_its_forwarded_epochs_and_sessions() {
+        // A relay never recovers: its epochs end sealed and forwarded.
+        let limits =
+            StoreLimits { max_sessions: 2, max_epochs_per_session: 2, ..Default::default() };
+        let mut store = SessionStore::with_limits(limits);
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        let open = |session, epoch| Message::OpenEpoch {
+            session,
+            epoch,
+            m: M,
+            n: N,
+            seed: SEED,
+            op_kind: 0,
+            op_param: 0,
+        };
+        let ack = Message::Ack { of: TAG_OPEN_EPOCH, info: 0 };
+        for epoch in 0..2 {
+            sealed_under(&mut store, (1, epoch), &op, 2);
+        }
+        // Sealed but not yet forwarded is mid-flight: never evicted.
+        let reply = send(&mut store, &mut ConnState::new(), &open(1, 2)).0;
+        assert_eq!(code_of(&reply), RejectCode::StoreFull);
+        for epoch in 0..2 {
+            assert_eq!(store.epoch_phase(1, epoch), Some(EpochPhase::Sealed));
+        }
+        // Once forwarded, epoch 1 makes room; the unforwarded epoch 0
+        // stays, lower id or not.
+        assert!(matches!(store.mark_forwarded(1, 1), Effect::Record(_)));
+        assert_eq!(send(&mut store, &mut ConnState::new(), &open(1, 2)).0, ack);
+        assert_eq!(store.epoch_phase(1, 1), None, "the forwarded epoch was evicted");
+        assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Sealed));
+        // Session 2's one epoch is sealed, unforwarded: a third session
+        // finds no finished session to evict (session 1 still ingests).
+        sealed_under(&mut store, (2, 0), &op, 2);
+        let reply = send(&mut store, &mut ConnState::new(), &open(3, 0)).0;
+        assert_eq!(code_of(&reply), RejectCode::StoreFull);
+        assert_eq!(store.epoch_phase(2, 0), Some(EpochPhase::Sealed));
+        assert_eq!(store.epoch_phase(3, 0), None);
+        // Once every epoch of session 2 is forwarded, it is finished.
+        assert!(matches!(store.mark_forwarded(2, 0), Effect::Record(_)));
+        let mut stats = StoreStats::new();
+        let policy = RecoveryPolicy::default();
+        let opened = store.dispatch(&mut ConnState::new(), &open(3, 0), &policy, &mut stats);
+        assert!(matches!(opened, Dispatch::Reply(ref reply, _) if *reply == ack));
+        assert!(stats.pending().contains(&("serve.sessions_evicted", 1)));
+        assert_eq!(store.epoch_phase(2, 0), None, "the forwarded session was evicted");
+        assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Sealed));
+        assert_eq!(store.epoch_phase(3, 0), Some(EpochPhase::Ingest));
     }
 
     /// Sealing compacts the epoch to its canonical measurement; attach,

@@ -16,7 +16,9 @@
 #      `Engine`/`SharedOp` dense twin of cso-core's `ResidentOp` in
 #      cso-distributed or cso-serve, and no `check_open` validator beside
 #      the store's one mutation body nor a stored `phase` beside the
-#      epoch state that implies it in cso-serve's session.rs
+#      epoch state that implies it in cso-serve's session.rs, and no
+#      second OMP refresh pass (`shift_and_select_all`, a `qt_phi`
+#      buffer) beside the one-section scan in cso-core's omp.rs
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
 #   8. the observability smoke: obs_report must emit a RunReport that
@@ -58,12 +60,16 @@
 #      cso-core's `resident_op_*` tests must keep a kept operator's sketch
 #      and recoveries equal to the one-shot paths (cold, warm, either
 #      worker count first, a bad measurement leaving the bias column
-#      uncomputed), and the fast 3-backend sweep must run without touching
-#      the recorded artifacts
+#      uncomputed), the dense recovery must keep its golden bits at the
+#      paper_clicklog geometry and record one exec section per refresh in
+#      an optimized build, and the fast 3-backend sweep must run without
+#      touching the recorded artifacts
 #  16. the relay-tier smoke: the two-level loopback e2e (flat-vs-tree
 #      bit-identity, whole-region drop degrading to subtree recovery,
-#      cross-DC byte accounting, typed manifest rejects) and the
-#      relay kill-9 resume must pass, the topology fold proptests must
+#      cross-DC byte accounting, typed manifest rejects), the relay
+#      kill-9 resume and the relay admission test (sealed, forwarded
+#      epochs and sessions evictable, unforwarded ones never) must pass,
+#      the topology fold proptests must
 #      hold, and the tree_topology sweep must run and write a valid
 #      BENCH_pr10.json
 #  17. the seal-cost smoke: the serve benchmark's own self-tests must
@@ -126,6 +132,11 @@ fi
 # epoch's phase is read off its state.
 if grep -nE "fn check_open\b|^\s+phase: EpochPhase," crates/serve/src/session.rs; then
     echo "a second open validator or a stored phase is back; apply through SessionStore::apply"
+    exit 1
+fi
+# One pool section per OMP pick: block tasks scan, update and select.
+if grep -nE "shift_and_select_all|qt_phi" crates/core/src/omp.rs; then
+    echo "a second refresh pass is back; update and select inside OmpDictionary::scan"
     exit 1
 fi
 
@@ -233,6 +244,10 @@ echo "==> [15/17] measurement-operator smoke (proptests + 3-backend sweep)"
 # before the operator cache; the op_cache tests pin the cached recovery to
 # a fresh one, bit for bit, on every backend, and the resident_op tests
 # pin cso-core's kept operator and bias column to the one-shot paths.
+# The golden-bits test pins a dense recovery at the paper_clicklog
+# geometry (D = 10,401, bias first) to bits computed under the old
+# 2048-column schedule, at 1, 2 and 8 workers; the exec-stats test
+# checks a traced 2-worker BOMP records one scan section per refresh.
 cargo test -q -p cso-core --test proptest_ops
 cargo test -q --release -p cso-linalg --lib fwht::
 cargo test -q --release -p cso-core --lib bit_identical
@@ -241,6 +256,8 @@ cargo test -q -p cso-core --lib non_finite
 cargo test -q -p cso-serve --lib non_finite
 cargo test -q -p cso-serve --lib op_cache_
 cargo test -q -p cso-core --lib resident_op
+cargo test -q --release -p cso-core --test golden_bits
+cargo test -q --release -p cso-core --lib exec_stats_record_one_section_per_refresh
 cargo test -q -p cso-serve --test loopback loopback_run_is_bit_identical_for_every_operator_backend
 cargo run --release -q -p cso-bench --bin figures -- recovery_ops --fast
 
@@ -255,6 +272,7 @@ echo "==> [16/17] relay-tier smoke (two-level e2e + kill-9 resume + topology pro
 # reruns flat-vs-tree across fan-ins and regenerates BENCH_pr10.json.
 cargo test -q -p cso-serve --test relay
 cargo test -q -p cso-serve --test crash relay_kill9_mid_forward_resumes_without_double_count
+cargo test -q -p cso-serve --lib a_relay_evicts_its_forwarded_epochs_and_sessions
 cargo test -q -p cso-distributed --test proptest_topology
 cargo run --release -q -p cso-bench --bin figures -- tree_topology
 for artifact in results/tree_topology.csv BENCH_pr10.json; do
