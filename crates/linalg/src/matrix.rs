@@ -103,11 +103,6 @@ impl ColMatrix {
         &mut self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Copies column `j` into a [`Vector`].
-    pub fn col_vector(&self, j: usize) -> Vector {
-        Vector::from_vec(self.col(j).to_vec())
-    }
-
     /// Matrix-vector product `A · x`.
     pub fn matvec(&self, x: &Vector) -> Result<Vector> {
         if x.len() != self.cols {

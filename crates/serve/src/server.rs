@@ -234,29 +234,33 @@ struct Shared {
 }
 
 impl Shared {
-    /// The journal record of a dispatched message's effect, if it has one.
-    /// The record is only built with durability on.
-    fn record_of(&self, effect: &Effect, msg: &Message) -> Option<WalRecord> {
-        self.wal.as_ref().and_then(|_| WalRecord::of_effect(effect, msg))
+    /// The journal records of a dispatched message's effect, in
+    /// application order. They are only built with durability on.
+    fn records_of(&self, effect: &Effect, msg: &Message) -> Vec<WalRecord> {
+        match (&self.wal, effect) {
+            (None, _) => Vec::new(),
+            (Some(_), Effect::Records(records)) => records.clone(),
+            (Some(_), _) => WalRecord::of_effect(effect, msg).into_iter().collect(),
+        }
     }
 
     /// Runs one store-locked transition: `transition` mutates the store
-    /// and names the record to journal. Its two rules live here alone: the
-    /// record is appended under the store lock, so journal order is
+    /// and names the records to journal. Its two rules live here alone:
+    /// the records are appended under the store lock, so journal order is
     /// application order (and a snapshot never sees a transition without
-    /// its record); and the stats flush, and [`Shared::after_journal`]
+    /// its records); and the stats flush, and [`Shared::after_journal`]
     /// runs, only after the guard drops. The occupancy gauges' sources are
     /// published under the guard, consistent with the transition.
     fn commit<T>(
         &self,
         lane: Option<usize>,
-        transition: impl FnOnce(&mut SessionStore, &mut StoreStats) -> (T, Option<WalRecord>),
+        transition: impl FnOnce(&mut SessionStore, &mut StoreStats) -> (T, Vec<WalRecord>),
     ) -> T {
         let mut stats = StoreStats::new();
         let (out, journaled) = {
             let mut store = lock_unpoisoned(&self.store);
-            let (out, record) = transition(&mut store, &mut stats);
-            let journaled = self.append(record.as_ref(), &mut stats);
+            let (out, records) = transition(&mut store, &mut stats);
+            let journaled = self.append(&records, &mut stats);
             self.sessions.store(store.session_count() as u64, Ordering::Relaxed);
             self.epochs.store(store.epoch_count() as u64, Ordering::Relaxed);
             (out, journaled)
@@ -266,19 +270,19 @@ impl Shared {
         out
     }
 
-    /// Appends `record`, if any, to the journal. Safe to call with or
+    /// Appends `records`, in order, to the journal. Safe to call with or
     /// without the store lock held (it takes only the journal lock, which
-    /// is ordered after the store lock); a no-op without durability. Returns
-    /// `(latched, snapshot_due)`: `latched` when this append flipped the
-    /// WAL into its failed state (the caller dumps the flight recorder
-    /// after releasing its locks), `snapshot_due` when the caller should
-    /// run [`Shared::snapshot_all`] — **after** releasing the store lock,
-    /// because the snapshot takes it.
-    fn append(&self, record: Option<&WalRecord>, stats: &mut StoreStats) -> (bool, bool) {
-        let (Some(wal), Some(record)) = (&self.wal, record) else { return (false, false) };
+    /// is ordered after the store lock); a no-op without durability or
+    /// records. Returns `(latched, snapshot_due)`: `latched` when this
+    /// append flipped the WAL into its failed state (the caller dumps the
+    /// flight recorder after releasing its locks), `snapshot_due` when the
+    /// caller should run [`Shared::snapshot_all`] — **after** releasing
+    /// the store lock, because the snapshot takes it.
+    fn append(&self, records: &[WalRecord], stats: &mut StoreStats) -> (bool, bool) {
+        let (Some(wal), false) = (&self.wal, records.is_empty()) else { return (false, false) };
         let mut wal = lock_unpoisoned(wal);
         let was_failed = wal.failed();
-        wal.append(record, stats);
+        records.iter().for_each(|record| wal.append(record, stats));
         (!was_failed && wal.failed(), wal.should_snapshot())
     }
 
@@ -392,8 +396,8 @@ impl ServerHandle {
     /// duplicated ack resolves to.
     pub fn complete_forward(&self, session: u64, epoch: u64) -> bool {
         self.shared.commit(None, |store, _| match store.mark_forwarded(session, epoch) {
-            Effect::Record(record) => (true, Some(record)),
-            _ => (false, None),
+            Effect::Records(records) => (true, records),
+            _ => (false, Vec::new()),
         })
     }
 
@@ -979,7 +983,7 @@ fn handle_frame(
                     if matches!(effect, Effect::Ingested { .. }) {
                         stats.add("serve.shard_lockfree_ingests", 1);
                     }
-                    let journaled = sh.append(sh.record_of(&effect, msg).as_ref(), &mut stats);
+                    let journaled = sh.append(&sh.records_of(&effect, msg), &mut stats);
                     drop(outcome);
                     stats.flush(&sh.rec);
                     sh.after_journal(Some(lane), journaled);
@@ -1026,11 +1030,11 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
         if matches!(msg, Message::OpenEpoch { .. } | Message::Sketch { .. }) {
             conn.pad = conn.state.bound().and_then(|(s, e)| Some((s, e, store.pad_for(s, e)?)));
         }
-        let record = match &d {
-            Dispatch::Reply(_, effect) => sh.record_of(effect, msg),
-            Dispatch::Recover(_) => None,
+        let records = match &d {
+            Dispatch::Reply(_, effect) => sh.records_of(effect, msg),
+            Dispatch::Recover(_) => Vec::new(),
         };
-        (d, record)
+        (d, records)
     });
     match dispatched {
         Dispatch::Reply(reply, effect) => {
@@ -1038,9 +1042,11 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
             // its fsync, per policy) happened above, so dumping here
             // keeps flight.jsonl always at-or-behind what replay
             // reconstructs — even through SIGKILL.
-            if let Effect::Record(WalRecord::Seal { session, epoch, nodes, .. }) = &effect {
-                sh.flight.record(lane, FK_SEALED, &[*session, *epoch, *nodes]);
-                sh.dump_flight();
+            if let Effect::Records(records) = &effect {
+                if let [WalRecord::Seal { session, epoch, nodes, .. }] = &records[..] {
+                    sh.flight.record(lane, FK_SEALED, &[*session, *epoch, *nodes]);
+                    sh.dump_flight();
+                }
             }
             reply
         }
@@ -1060,8 +1066,8 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
                 crash_point("mid-recover");
                 sh.commit(Some(lane), |store, stats| {
                     match store.finish_recover(session, epoch, stats) {
-                        Effect::Record(record) => ((), Some(record)),
-                        _ => ((), None),
+                        Effect::Records(records) => ((), records),
+                        _ => ((), Vec::new()),
                     }
                 });
                 sh.flight.record(

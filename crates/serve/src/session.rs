@@ -213,13 +213,6 @@ pub struct EpochTopology {
     pub regions: BTreeMap<u32, (u64, u64)>,
 }
 
-impl EpochTopology {
-    /// Total leaves covered by the declared regions.
-    pub fn covered_leaves(&self) -> u64 {
-        self.regions.values().map(|(lo, hi)| hi - lo).sum()
-    }
-}
-
 /// One aggregation window of a session.
 #[derive(Debug)]
 struct Epoch {
@@ -647,10 +640,10 @@ pub struct StoreLimits {
     /// Live sessions the store holds before `OpenEpoch` of a new session
     /// is rejected (the lowest-id finished session is evicted to make
     /// room first). Server-wide: one store holds every session. Gates
-    /// live opens only; replay restores every journaled session.
+    /// live opens; replay reproduces the evictions they journaled.
     pub max_sessions: usize,
-    /// Live epochs per session before a new epoch is rejected (recovered
-    /// epochs are evicted to make room first). Gates live opens only.
+    /// Live epochs per session before a new epoch is rejected (finished
+    /// epochs are evicted to make room first), gating as `max_sessions`.
     pub max_epochs_per_session: usize,
     /// Node ids `0..max_nodes_per_epoch` are legal in an epoch; any other
     /// id is a typed `NodeOutOfRange` reject on every ingest path, replay
@@ -865,11 +858,12 @@ pub enum Effect {
         /// Epoch number.
         epoch: u64,
     },
-    /// Any other durable transition, as the journal record that the store
-    /// applied through its one mutation body, `SessionStore::apply`: a
-    /// fresh open (attaching is free), a seal, a completed recovery, a new
-    /// relay manifest, or an upstream-acked forward.
-    Record(WalRecord),
+    /// Any other durable transition, as the journal records that the
+    /// store applied through its one mutation body, `SessionStore::apply`,
+    /// in application order: a fresh open (attaching is free) with an
+    /// `Evict` per epoch its admission evicted, a seal, a completed
+    /// recovery, a new relay manifest, or an upstream-acked forward.
+    Records(Vec<WalRecord>),
 }
 
 /// The outcome of dispatching one message against the store: either the
@@ -1090,11 +1084,9 @@ impl SessionStore {
     /// from building its operator — after which the record inserts it in
     /// its first state: ingesting for an `Open`, sealed for a `Seal` whose
     /// `Open` was compacted or torn away. A fresh open builds its operator
-    /// once; an attach builds none. The live open's admission policy
-    /// ([`SessionStore::admit`]) is not part of the body: every journaled
-    /// epoch was admitted when it was written, under caps that may since
-    /// have been lowered. So a recovered epoch the live store had evicted
-    /// may come back; the next open that needs room evicts it again.
+    /// once; an attach builds none. An `Evict` removes its epoch, and the
+    /// session with its last epoch. This is the only code that inserts
+    /// into or removes from the store's sessions and epochs.
     pub(crate) fn apply(&mut self, record: &WalRecord) -> Result<(), RejectCode> {
         let Some((session, epoch)) = record.target() else { return Ok(()) };
         if matches!(*record, WalRecord::Seal { m, ref y_bits, .. } if y_bits.len() != m as usize) {
@@ -1118,11 +1110,11 @@ impl SessionStore {
             Ok(ep) => ep,
             Err(code) => {
                 let Some(op) = named else {
-                    // A recover-done or forward-done of an epoch evicted
-                    // before a snapshot is a no-op.
+                    // A recover-done, forward-done or evict of an epoch
+                    // gone (evicted before a snapshot or already) is a no-op.
                     return match record {
-                        WalRecord::RecoverDone { .. } | WalRecord::ForwardDone { .. } => Ok(()),
-                        _ => Err(code),
+                        WalRecord::Ingest { .. } | WalRecord::Manifest { .. } => Err(code),
+                        _ => Ok(()),
                     };
                 };
                 MeasurementSpec::new(op.m, op.n, op.seed).map_err(|_| RejectCode::BadSpec)?;
@@ -1182,6 +1174,13 @@ impl SessionStore {
                 }
             }
             WalRecord::ForwardDone { .. } => ep.forwarded = true,
+            WalRecord::Evict { .. } => {
+                let epochs = &mut self.sessions.get_mut(&session).expect("a live session").epochs;
+                epochs.remove(&epoch);
+                if epochs.is_empty() {
+                    self.sessions.remove(&session);
+                }
+            }
             // After the seal the topology is frozen: a duplicate is a no-op.
             WalRecord::Manifest { region, leaf_lo, leaf_hi, fan_in, .. } => {
                 if let EpochState::Ingest(_) = ep.state {
@@ -1199,7 +1198,7 @@ impl SessionStore {
     /// and hands it back as the effect to journal.
     fn applied(&mut self, record: WalRecord) -> Result<Effect, RejectCode> {
         self.apply(&record)?;
-        Ok(Effect::Record(record))
+        Ok(Effect::Records(vec![record]))
     }
 
     /// Opens (or attaches to) an epoch: the mutation body validates its
@@ -1219,9 +1218,9 @@ impl SessionStore {
         let (info, effect) = match attached {
             Some(nodes) => (nodes, Effect::None),
             None => {
-                self.admit(session, epoch, new_session, stats)?;
+                let evicted = self.admit(session, epoch, new_session, stats)?;
                 stats.add("serve.epochs_opened", 1);
-                (0, Effect::Record(record))
+                (0, Effect::Records(std::iter::once(record).chain(evicted).collect()))
             }
         };
         conn.bound = Some((session, epoch));
@@ -1231,40 +1230,43 @@ impl SessionStore {
     /// The admission policy for the fresh epoch an open just inserted:
     /// past the epoch cap the session's lowest-id finished epoch is
     /// evicted, and past the session cap (when the open created the
-    /// session) the lowest-id session whose epochs are all finished. An
-    /// epoch is finished once recovered or, on a relay, once sealed and
-    /// forwarded ([`Epoch::finished`]). With no such victim the insert is
-    /// undone and the open is `StoreFull`. Mid-flight work — an ingesting
-    /// epoch, or a sealed one not yet recovered or forwarded — is never
-    /// evicted, and a refused open evicts nothing: a new session's one
-    /// epoch is past the epoch cap only at a cap of zero, where nothing is
-    /// evictable.
+    /// session) every epoch of the lowest-id session whose epochs are all
+    /// finished. An epoch is finished once recovered or, on a relay, once
+    /// sealed and forwarded ([`Epoch::finished`]). Each eviction is an
+    /// `Evict` record applied through the mutation body, returned for the
+    /// open to journal. With no such victim the open is `StoreFull`, and
+    /// the unjournaled `Evict` of the fresh epoch undoes the insert.
+    /// Mid-flight work — an ingesting epoch, or a sealed one not yet
+    /// recovered or forwarded — is never evicted, and a refused open
+    /// evicts nothing: a new session's one epoch is past the epoch cap only
+    /// at a cap of zero, where nothing is evictable.
     fn admit(
         &mut self,
         session: u64,
         epoch: u64,
         new_session: bool,
         stats: &mut StoreStats,
-    ) -> Result<(), RejectCode> {
-        let sess = self.sessions.entry(session).or_default();
-        if sess.epochs.len() > self.limits.max_epochs_per_session {
-            let victim = sess.epochs.iter().find(|(_, e)| e.finished()).map(|(id, _)| *id);
-            sess.epochs.remove(&victim.unwrap_or(epoch));
-            if victim.is_none() {
-                return Err(RejectCode::StoreFull);
-            }
-            stats.add("serve.epochs_evicted", 1);
-        }
-        if new_session && self.sessions.len() > self.limits.max_sessions {
+    ) -> Result<Vec<WalRecord>, RejectCode> {
+        let evict = |session, epoch| WalRecord::Evict { session, epoch };
+        let sess = &self.sessions[&session];
+        let (counter, victims) = if sess.epochs.len() > self.limits.max_epochs_per_session {
+            let victim = sess.epochs.iter().find(|(_, e)| e.finished());
+            ("serve.epochs_evicted", victim.map(|(&id, _)| vec![evict(session, id)]))
+        } else if new_session && self.sessions.len() > self.limits.max_sessions {
             let finished = |s: &Session| s.epochs.values().all(Epoch::finished);
-            let victim = self.sessions.iter().find(|(_, s)| finished(s)).map(|(id, _)| *id);
-            self.sessions.remove(&victim.unwrap_or(session));
-            if victim.is_none() {
-                return Err(RejectCode::StoreFull);
-            }
-            stats.add("serve.sessions_evicted", 1);
-        }
-        Ok(())
+            let victim = self.sessions.iter().find(|(_, s)| finished(s));
+            let victims = victim.map(|(&id, s)| s.epochs.keys().map(|&e| evict(id, e)).collect());
+            ("serve.sessions_evicted", victims)
+        } else {
+            return Ok(Vec::new());
+        };
+        let Some(victims) = victims else {
+            self.apply(&evict(session, epoch))?;
+            return Err(RejectCode::StoreFull);
+        };
+        victims.iter().try_for_each(|record| self.apply(record))?;
+        stats.add(counter, 1);
+        Ok(victims)
     }
 
     /// Applies a relay's subtree declaration: its `Manifest` record goes
@@ -2140,7 +2142,9 @@ mod tests {
         }
         let (reply, effect, stats) = dispatch(&mut store, &open(3, 0, N, 0, 0));
         assert_eq!(reply, Message::Ack { of: TAG_OPEN_EPOCH, info: 0 });
-        assert!(matches!(effect, Effect::Record(WalRecord::Open { session: 3, .. })));
+        let Effect::Records(journaled) = effect else { panic!("{effect:?} journals nothing") };
+        assert!(matches!(journaled[..], [WalRecord::Open { session: 3, epoch: 0, .. }, _]));
+        assert_eq!(journaled[1], WalRecord::Evict { session: 2, epoch: 0 });
         assert!(stats.pending().contains(&("serve.sessions_evicted", 1)));
         assert_eq!(store.epoch_phase(2, 0), None, "the finished session made room");
         assert_eq!(store.epoch_phase(3, 0), Some(EpochPhase::Ingest));
@@ -2175,7 +2179,7 @@ mod tests {
         }
         // Once forwarded, epoch 1 makes room; the unforwarded epoch 0
         // stays, lower id or not.
-        assert!(matches!(store.mark_forwarded(1, 1), Effect::Record(_)));
+        assert!(matches!(store.mark_forwarded(1, 1), Effect::Records(_)));
         assert_eq!(send(&mut store, &mut ConnState::new(), &open(1, 2)).0, ack);
         assert_eq!(store.epoch_phase(1, 1), None, "the forwarded epoch was evicted");
         assert_eq!(store.epoch_phase(1, 0), Some(EpochPhase::Sealed));
@@ -2187,7 +2191,7 @@ mod tests {
         assert_eq!(store.epoch_phase(2, 0), Some(EpochPhase::Sealed));
         assert_eq!(store.epoch_phase(3, 0), None);
         // Once every epoch of session 2 is forwarded, it is finished.
-        assert!(matches!(store.mark_forwarded(2, 0), Effect::Record(_)));
+        assert!(matches!(store.mark_forwarded(2, 0), Effect::Records(_)));
         let mut stats = StoreStats::new();
         let policy = RecoveryPolicy::default();
         let opened = store.dispatch(&mut ConnState::new(), &open(3, 0), &policy, &mut stats);
@@ -2518,10 +2522,8 @@ mod tests {
     /// and measurement bits.
     fn seal_bits(store: &mut SessionStore) -> (u64, u64, Vec<u64>) {
         let seal = Message::SealEpoch { session: 1, epoch: 0 };
-        match send(store, &mut ConnState::new(), &seal).1 {
-            Effect::Record(WalRecord::Seal { nodes, duplicates, y_bits, .. }) => {
-                (nodes, duplicates, y_bits)
-            }
+        match WalRecord::of_effect(&send(store, &mut ConnState::new(), &seal).1, &seal) {
+            Some(WalRecord::Seal { nodes, duplicates, y_bits, .. }) => (nodes, duplicates, y_bits),
             other => panic!("expected a seal effect, got {other:?}"),
         }
     }
@@ -3031,6 +3033,197 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The open of `(session, epoch)` under `op`.
+    fn open_under((session, epoch): (u64, u64), op: &OpDescriptor) -> Message {
+        let (m, n, seed) = (op.m as u32, op.n as u64, op.seed);
+        Message::OpenEpoch {
+            session,
+            epoch,
+            m,
+            n,
+            seed,
+            op_kind: op.kind.code(),
+            op_param: op.param,
+        }
+    }
+
+    /// A live store journaling every effect's records, as the server does,
+    /// into a journal that never snapshots and one that snapshots when
+    /// asked.
+    struct Journaled {
+        live: SessionStore,
+        conn: ConnState,
+        base: std::path::PathBuf,
+        wals: Vec<(std::path::PathBuf, crate::wal::Wal)>,
+    }
+
+    impl Journaled {
+        fn new(tag: &str, limits: StoreLimits) -> Self {
+            use crate::wal::{Durability, Wal};
+            let base =
+                std::env::temp_dir().join(format!("cso-session-{tag}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&base);
+            let wals = ["journal", "snapshotted"].map(|name| {
+                let dir = base.join(name);
+                let wal = Wal::open(&Durability::at(&dir)).expect("open journal");
+                (dir, wal)
+            });
+            let live = SessionStore::with_limits(limits);
+            Journaled { live, conn: ConnState::new(), base, wals: wals.into() }
+        }
+
+        /// Journals `effect`'s records, as the server does.
+        fn journal(&mut self, effect: Effect, msg: &Message) {
+            let records = match effect {
+                Effect::Records(records) => records,
+                other => WalRecord::of_effect(&other, msg).into_iter().collect(),
+            };
+            for (_, wal) in &mut self.wals {
+                records.iter().for_each(|record| wal.append(record, &mut StoreStats::new()));
+            }
+        }
+
+        /// Dispatches `msg` on the harness's connection, running a recovery
+        /// inline, and journals the records the store applied.
+        fn send(&mut self, msg: &Message) -> Message {
+            let (policy, mut stats) = (RecoveryPolicy::default(), StoreStats::new());
+            let (reply, effect) = match self.live.dispatch(&mut self.conn, msg, &policy, &mut stats)
+            {
+                Dispatch::Reply(reply, effect) => (reply, effect),
+                Dispatch::Recover(job) => {
+                    let (session, epoch) = job.target();
+                    let (reply, summary) = job.run();
+                    assert!(summary.is_some(), "recover of ({session}, {epoch}): {reply:?}");
+                    (reply, self.live.finish_recover(session, epoch, &mut stats))
+                }
+            };
+            self.journal(effect, msg);
+            reply
+        }
+
+        /// Opens `at` under `op`, ingests nodes 0 and 1, seals, then
+        /// recovers it — or, as a relay does, marks it forwarded.
+        fn finish(&mut self, at: (u64, u64), op: &OpDescriptor, forward: bool) {
+            assert!(matches!(self.send(&open_under(at, op)), Message::Ack { .. }));
+            for node in 0..2 {
+                let sketch =
+                    Message::Sketch { node, seed: op.seed, payload: irregular_payload(node) };
+                assert_eq!(self.send(&sketch), Message::Ack { of: TAG_SKETCH, info: 0 });
+            }
+            let (session, epoch) = at;
+            self.send(&Message::SealEpoch { session, epoch });
+            if forward {
+                let effect = self.live.mark_forwarded(session, epoch);
+                self.journal(effect, &Message::Introspect);
+            } else {
+                let reply = self.send(&Message::RecoverEpoch { session, epoch, k: 1 });
+                assert!(matches!(reply, Message::Report { .. }), "got {reply:?}");
+            }
+        }
+
+        /// Snapshots the live store into the snapshotting journal.
+        fn snapshot(&mut self) {
+            self.wals[1].1.snapshot(&self.live.snapshot_bytes(), &mut StoreStats::new());
+        }
+
+        /// Restarts from the live store's snapshot and from each journal,
+        /// asserting that every restart rebuilds the live store, and
+        /// returns the store the plain journal rebuilt.
+        fn restarted(self) -> SessionStore {
+            let (live, limits) = (self.live.snapshot_bytes(), self.live.limits);
+            let restored = SessionStore::from_snapshot_bytes(&live, limits).expect("restore");
+            assert!(restored.snapshot_bytes() == live, "the snapshot restore differs");
+            let mut replayed = Vec::new();
+            for (dir, wal) in self.wals {
+                assert!(!wal.failed());
+                drop(wal);
+                let (store, _) = SessionStore::recover_from(&dir, limits)
+                    .unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+                assert!(store.snapshot_bytes() == live, "{} replay differs", dir.display());
+                replayed.push(store);
+            }
+            let _ = std::fs::remove_dir_all(&self.base);
+            replayed.swap_remove(0)
+        }
+    }
+
+    /// Finishes `(1, 0)` and then `second`, whose open evicts it under
+    /// `limits`; reuses `(1, 0)` under `reuse` — which evicts `second` —
+    /// and acks node 5's sketch into it. Every restart is the live store:
+    /// `(1, 0)` ingests node 5's sketch alone and `second` is gone.
+    fn reuse_an_evicted_id(
+        tag: &str,
+        limits: StoreLimits,
+        second: (u64, u64),
+        reuse: &OpDescriptor,
+        forward: bool,
+    ) {
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        let mut journaled = Journaled::new(tag, limits);
+        journaled.finish((1, 0), &op, forward);
+        journaled.snapshot();
+        journaled.finish(second, &op, forward);
+        assert_eq!(journaled.live.epoch_phase(1, 0), None, "{tag}: the open evicted (1, 0)");
+        let ack = Message::Ack { of: TAG_OPEN_EPOCH, info: 0 };
+        assert_eq!(journaled.send(&open_under((1, 0), reuse)), ack, "{tag}");
+        let sketch = Message::Sketch { node: 5, seed: reuse.seed, payload: irregular_payload(5) };
+        assert_eq!(journaled.send(&sketch), Message::Ack { of: TAG_SKETCH, info: 0 }, "{tag}");
+
+        let mut restarted = journaled.restarted();
+        assert_eq!(restarted.epoch_phase(1, 0), Some(EpochPhase::Ingest), "{tag}");
+        assert_eq!(restarted.epoch_phase(second.0, second.1), None, "{tag}");
+        assert_eq!(seal_bits(&mut restarted), (1, 0, fold_bits([(5, 5)])), "{tag}");
+    }
+
+    #[test]
+    fn evicted_id_reuse_under_the_same_operator_restarts_as_live() {
+        let limits = StoreLimits { max_epochs_per_session: 1, ..StoreLimits::default() };
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        reuse_an_evicted_id("reuse-same-op", limits, (1, 1), &op, false);
+    }
+
+    #[test]
+    fn evicted_id_reuse_under_another_operator_restarts_as_live() {
+        let limits = StoreLimits { max_epochs_per_session: 1, ..StoreLimits::default() };
+        let other = OpDescriptor::dense(M as usize, N as usize, SEED + 1);
+        reuse_an_evicted_id("reuse-other-op", limits, (1, 1), &other, false);
+    }
+
+    #[test]
+    fn evicted_id_reuse_after_a_session_cap_eviction_restarts_as_live() {
+        let limits = StoreLimits { max_sessions: 1, ..StoreLimits::default() };
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        reuse_an_evicted_id("reuse-session-cap", limits, (2, 0), &op, false);
+    }
+
+    /// A relay's sealed, forwarded epochs are evicted alike.
+    #[test]
+    fn evicted_id_reuse_of_a_forwarded_relay_epoch_restarts_as_live() {
+        let limits = StoreLimits { max_epochs_per_session: 1, ..StoreLimits::default() };
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        reuse_an_evicted_id("reuse-relay", limits, (1, 1), &op, true);
+    }
+
+    /// A refused open undoes its insert whole: opens of new sessions at an
+    /// epoch cap of zero leave no session behind, and journal nothing.
+    #[test]
+    fn refused_opens_of_new_sessions_leave_no_session_behind() {
+        let limits = StoreLimits { max_epochs_per_session: 0, ..StoreLimits::default() };
+        let op = OpDescriptor::dense(M as usize, N as usize, SEED);
+        let mut store = SessionStore::with_limits(limits);
+        for session in 1..=3 {
+            let (reply, effect) =
+                send(&mut store, &mut ConnState::new(), &open_under((session, 0), &op));
+            assert_eq!(code_of(&reply), RejectCode::StoreFull);
+            assert!(matches!(effect, Effect::None));
+        }
+        assert_eq!((store.session_count(), store.epoch_count()), (0, 0));
+        let bytes = store.snapshot_bytes();
+        let restored = SessionStore::from_snapshot_bytes(&bytes, limits).expect("restore");
+        assert_eq!(restored.session_count(), store.session_count());
+        assert!(restored.snapshot_bytes() == bytes);
+    }
+
     #[test]
     fn seal_1024_nodes_after_wal_replay_matches_the_dyadic_fold() {
         use crate::wal::{Durability, Wal, WalRecord};
@@ -3071,22 +3264,15 @@ mod tests {
         nodes: u32,
     ) -> Vector {
         let mut conn = ConnState::new();
-        let open = Message::OpenEpoch {
-            session,
-            epoch,
-            m: op.m as u32,
-            n: op.n as u64,
-            seed: op.seed,
-            op_kind: op.kind.code(),
-            op_param: op.param,
-        };
+        let open = open_under((session, epoch), op);
         assert_eq!(send(store, &mut conn, &open).0, Message::Ack { of: TAG_OPEN_EPOCH, info: 0 });
         for node in 0..nodes {
             let sketch = Message::Sketch { node, seed: op.seed, payload: irregular_payload(node) };
             assert_eq!(send(store, &mut conn, &sketch).0, Message::Ack { of: TAG_SKETCH, info: 0 });
         }
-        match send(store, &mut conn, &Message::SealEpoch { session, epoch }).1 {
-            Effect::Record(WalRecord::Seal { y_bits, .. }) => {
+        let seal = Message::SealEpoch { session, epoch };
+        match WalRecord::of_effect(&send(store, &mut conn, &seal).1, &seal) {
+            Some(WalRecord::Seal { y_bits, .. }) => {
                 Vector::from_vec(y_bits.iter().map(|&b| f64::from_bits(b)).collect())
             }
             other => panic!("expected a seal effect, got {other:?}"),

@@ -184,12 +184,6 @@ impl EventFd {
         let mut buf = [0u8; 8];
         let _ = (&self.file).read(&mut buf);
     }
-
-    /// A second handle to the same eventfd (for the cross-thread writer
-    /// side while the worker owns the reader side).
-    pub fn try_clone(&self) -> io::Result<EventFd> {
-        Ok(EventFd { file: self.file.try_clone()? })
-    }
 }
 
 #[cfg(test)]

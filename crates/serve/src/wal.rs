@@ -75,9 +75,14 @@ pub const SNAPSHOT_MAGIC: &[u8; 8] = b"CSOSNAP1";
 /// measurement-operator descriptor (`op_kind`, `op_param`) to open and
 /// seal records. Version 3 added the relay tier: manifest (kind 7) and
 /// forward-done (kind 6) records. Version 4 made the snapshot body a
-/// compacted record stream. Older journals are refused, never
+/// compacted record stream. Version 5 added the evict record (kind 8), so
+/// admission's evictions replay; a version 4 file is a version 5 one
+/// without them and still reads. Older journals are refused, never
 /// half-replayed.
-pub const WAL_VERSION: u32 = 4;
+pub const WAL_VERSION: u32 = 5;
+
+/// The oldest format version this build reads.
+const OLDEST_READ_VERSION: u32 = 4;
 
 /// Hard cap on one record's encoded length — a flipped length prefix must
 /// never drive an allocation. Generous: the largest legitimate record is a
@@ -413,20 +418,28 @@ pub enum WalRecord {
         /// Declared tree fan-in (power of two; uniform across regions).
         fan_in: u64,
     },
+    /// Admission evicted a finished epoch (kind 8) to make room for the
+    /// `Open` before it; the session goes with its last epoch.
+    Evict {
+        /// Session id.
+        session: u64,
+        /// Epoch number.
+        epoch: u64,
+    },
 }
 
 impl WalRecord {
-    /// Builds the journal record for a dispatched message's [`Effect`],
-    /// or `None` for effect-free messages. `msg` is the original request —
-    /// an ingest effect journals its sketch payload verbatim from there;
-    /// every other effect already is its record.
+    /// Builds the journal record for a dispatched message's [`Effect`]
+    /// when it is one record, or `None` for effect-free messages (and an
+    /// evicting open's several records). `msg` is the original request —
+    /// an ingest effect journals its sketch payload verbatim from there.
     pub fn of_effect(effect: &Effect, msg: &Message) -> Option<WalRecord> {
         match (effect, msg) {
             (Effect::Ingested { session, epoch }, Message::Sketch { node, seed, payload }) => {
                 let (session, epoch, node, seed) = (*session, *epoch, *node, *seed);
                 Some(WalRecord::Ingest { session, epoch, node, seed, payload: payload.clone() })
             }
-            (Effect::Record(record), _) => Some(record.clone()),
+            (Effect::Records(records), _) if records.len() == 1 => records.first().cloned(),
             _ => None,
         }
     }
@@ -449,6 +462,7 @@ const KIND_RECOVER_DONE: u8 = 4;
 const KIND_CLEAN_SHUTDOWN: u8 = 5;
 const KIND_FORWARD_DONE: u8 = 6;
 const KIND_MANIFEST: u8 = 7;
+const KIND_EVICT: u8 = 8;
 
 impl WalRecord {
     /// The record's kind byte, the first byte of its encoding.
@@ -461,6 +475,7 @@ impl WalRecord {
             WalRecord::CleanShutdown => KIND_CLEAN_SHUTDOWN,
             WalRecord::ForwardDone { .. } => KIND_FORWARD_DONE,
             WalRecord::Manifest { .. } => KIND_MANIFEST,
+            WalRecord::Evict { .. } => KIND_EVICT,
         }
     }
 
@@ -473,6 +488,7 @@ impl WalRecord {
             | WalRecord::Seal { session, epoch, .. }
             | WalRecord::RecoverDone { session, epoch }
             | WalRecord::ForwardDone { session, epoch }
+            | WalRecord::Evict { session, epoch }
             | WalRecord::Manifest { session, epoch, .. } => Some((session, epoch)),
             WalRecord::CleanShutdown => None,
         }
@@ -518,7 +534,8 @@ impl WalRecord {
                 y_bits.iter().for_each(|&bits| w.u64(bits));
             }
             WalRecord::RecoverDone { session, epoch }
-            | WalRecord::ForwardDone { session, epoch } => {
+            | WalRecord::ForwardDone { session, epoch }
+            | WalRecord::Evict { session, epoch } => {
                 w.u64(session);
                 w.u64(epoch);
             }
@@ -588,6 +605,7 @@ impl WalRecord {
             KIND_RECOVER_DONE => WalRecord::RecoverDone { session: r.u64()?, epoch: r.u64()? },
             KIND_CLEAN_SHUTDOWN => WalRecord::CleanShutdown,
             KIND_FORWARD_DONE => WalRecord::ForwardDone { session: r.u64()?, epoch: r.u64()? },
+            KIND_EVICT => WalRecord::Evict { session: r.u64()?, epoch: r.u64()? },
             KIND_MANIFEST => match wire::decode(r.rest())? {
                 Message::RelayManifest { session, epoch, region, leaf_lo, leaf_hi, fan_in } => {
                     WalRecord::Manifest { session, epoch, region, leaf_lo, leaf_hi, fan_in }
@@ -983,7 +1001,7 @@ fn replay_segment(
         return Err(WalError::BadSegment { path: path.to_path_buf(), reason });
     }
     let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
-    if version != WAL_VERSION {
+    if !(OLDEST_READ_VERSION..=WAL_VERSION).contains(&version) {
         let reason = SegmentFault::Version { found: version };
         return Err(WalError::BadSegment { path: path.to_path_buf(), reason });
     }
@@ -1020,7 +1038,7 @@ fn read_snapshot(path: &Path, limits: StoreLimits) -> Result<SessionStore, Repla
     if magic != u64::from_le_bytes(*SNAPSHOT_MAGIC) {
         return bad("snapshot magic", magic);
     }
-    if version != WAL_VERSION {
+    if !(OLDEST_READ_VERSION..=WAL_VERSION).contains(&version) {
         return bad("snapshot version", u64::from(version));
     }
     // The header's length and whole-body CRC catch a cut at a record
@@ -1200,7 +1218,7 @@ mod tests {
 
     #[test]
     fn records_round_trip() {
-        for r in sample_records() {
+        for r in sample_records().into_iter().chain([WalRecord::Evict { session: 1, epoch: 0 }]) {
             let enc = r.encode();
             assert_eq!(WalRecord::decode(&enc).expect("decodes"), r);
             // Truncations decode to typed errors, never panics.

@@ -6,17 +6,19 @@
 //!   bit-identically (`snapshot_bytes` equality);
 //! - replay is idempotent — duplicating any record subset changes nothing;
 //! - *arbitrary* record interleavings (seals without opens, recovers
-//!   before seals, ingest after seal) replay to a deterministic store or a
-//!   typed error, never a panic;
+//!   before seals, ingest after seal, evictions of any epoch) replay to a
+//!   deterministic store or a typed error, never a panic;
 //! - a tail truncated at **every** byte offset and a tail with a flipped
 //!   bit yield either a successful prefix recovery or a typed
 //!   [`WalError`] — never a panic, never silently wrong bytes beyond the
 //!   flip;
 //! - a wrong-version or wrong-magic segment is a typed
-//!   [`WalError::BadSegment`].
+//!   [`WalError::BadSegment`], while a version 4 segment or snapshot (the
+//!   current format without evict records) still replays.
 
 use cso_distributed::quantize::{self, SketchEncoding};
 use cso_linalg::Vector;
+use cso_serve::wal::WAL_VERSION;
 use cso_serve::{Durability, SessionStore, StoreLimits, StoreStats, WalError, WalRecord};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -78,6 +80,7 @@ fn arb_record() -> impl Strategy<Value = WalRecord> {
             }
         }),
         ids().prop_map(|(session, epoch)| WalRecord::RecoverDone { session, epoch }),
+        ids().prop_map(|(session, epoch)| WalRecord::Evict { session, epoch }),
         Just(WalRecord::CleanShutdown),
     ]
 }
@@ -296,4 +299,37 @@ fn foreign_segments_are_typed_errors() {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A version 4 segment, and a version 4 snapshot, replay under this
+/// build: the current format is version 4 plus the evict record.
+#[test]
+fn version_4_segments_and_snapshots_replay() {
+    assert_eq!(WAL_VERSION, 5);
+    let records = well_ordered(&[0, 1, 2]);
+    let expected = mirror(&records).expect("well-ordered replay succeeds").snapshot_bytes();
+    let as_version_4 = |path: &std::path::Path| {
+        let mut bytes = std::fs::read(path).expect("read");
+        bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+        std::fs::write(path, &bytes).expect("rewrite");
+    };
+
+    let dir = journal(&records, "v4-segment");
+    as_version_4(&dir.join("wal-00000000.log"));
+    let (rebuilt, report) =
+        SessionStore::recover_from(&dir, StoreLimits::default()).expect("a v4 segment replays");
+    assert_eq!(report.replayed_records, records.len() as u64);
+    assert!(rebuilt.snapshot_bytes() == expected);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = temp_dir("v4-snapshot");
+    let mut wal = cso_serve::Wal::open(&Durability::at(&dir)).expect("wal open");
+    wal.snapshot(&expected, &mut StoreStats::new());
+    drop(wal);
+    as_version_4(&dir.join("snapshot-00000001.bin"));
+    let (rebuilt, report) =
+        SessionStore::recover_from(&dir, StoreLimits::default()).expect("a v4 snapshot loads");
+    assert!(report.snapshot_loaded);
+    assert!(rebuilt.snapshot_bytes() == expected);
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -272,17 +272,6 @@ impl ClickLogData {
         self.slices.len()
     }
 
-    /// The slice of data center `dc` as sparse `(key index, value)` pairs
-    /// (drops entries that are exactly zero).
-    pub fn sparse_slice(&self, dc: usize) -> Vec<(usize, f64)> {
-        self.slices[dc]
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v != 0.0)
-            .map(|(i, &v)| (i, v))
-            .collect()
-    }
-
     /// The true k-outliers of the aggregate (deviation from the planted
     /// mode).
     pub fn true_k_outliers(&self, k: usize) -> Vec<cso_core::KeyValue> {

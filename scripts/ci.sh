@@ -16,8 +16,10 @@
 #      `Engine`/`SharedOp` dense twin of cso-core's `ResidentOp` in
 #      cso-distributed or cso-serve, and no `check_open` validator beside
 #      the store's one mutation body nor a stored `phase` beside the
-#      epoch state that implies it in cso-serve's session.rs, and no
-#      second OMP refresh pass (`shift_and_select_all`, a `qt_phi`
+#      epoch state that implies it in cso-serve's session.rs, no insert
+#      into or removal from the store's session and epoch maps outside
+#      `SessionStore::apply` (admission evicts through `Evict` records),
+#      and no second OMP refresh pass (`shift_and_select_all`, a `qt_phi`
 #      buffer) beside the one-section scan in cso-core's omp.rs
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
 #   7. a fast smoke of the fault sweep bench path
@@ -35,7 +37,11 @@
 #      lone seals are typed errors; duplicates reset alike on every
 #      restart path; a store filled to its caps reloads whole under
 #      lowered caps; a refused open at a full store evicts nothing; each
-#      unreadable segment header is its typed SegmentFault)
+#      unreadable segment header is its typed SegmentFault; a version 4
+#      segment or snapshot still replays; admission's evictions are
+#      journaled, so a reused evicted id restarts as the live store and
+#      a refused open leaves no empty session; a random live store under
+#      small caps restarts from its journal byte for byte)
 #      and the snapshot decoder fuzz (bit flips, hostile record lengths,
 #      a wrong record count, a seal whose m disagrees with its body: all
 #      typed errors) must pass, and the fsync-policy sweep must run and
@@ -134,6 +140,16 @@ if grep -nE "fn check_open\b|^\s+phase: EpochPhase," crates/serve/src/session.rs
     echo "a second open validator or a stored phase is back; apply through SessionStore::apply"
     exit 1
 fi
+# One mutation path: outside SessionStore::apply (and the test module),
+# nothing inserts into or removes from the store's session and epoch maps.
+if awk '/^#\[cfg\(test\)\]/ { exit }
+        /^    pub\(crate\) fn apply\(/ { inside = 1 }
+        !inside { print FILENAME ":" FNR ": " $0 }
+        inside && /^    }$/ { inside = 0 }' crates/serve/src/session.rs \
+    | grep -E "\b(sessions|epochs)\s*\.\s*(insert|remove|entry)\("; then
+    echo "a second store mutation path is back; evict through SessionStore::apply"
+    exit 1
+fi
 # One pool section per OMP pick: block tasks scan, update and select.
 if grep -nE "shift_and_select_all|qt_phi" crates/core/src/omp.rs; then
     echo "a second refresh pass is back; update and select inside OmpDictionary::scan"
@@ -183,12 +199,16 @@ echo "==> [12/17] durability smoke (kill-9 crash harness + WAL fuzz + fsync swee
 # injection point (and at arbitrary times) and requires the resumed run
 # to be bit-identical to a never-crashed one; the WAL fuzz truncates and
 # bit-flips journal tails at every offset expecting only typed outcomes;
-# the snapshot fuzz damages a live store's snapshot the same way.
+# the snapshot fuzz damages a live store's snapshot the same way; the
+# admission proptest restarts random live stores under small caps from
+# their journals, and the evicted-id tests pin the same for id reuse.
 cargo test -q -p cso-serve --test crash
 cargo test -q -p cso-serve --test proptest_wal
 cargo test -q -p cso-serve --test proptest_snapshot
+cargo test -q -p cso-serve --test proptest_admission
 cargo test -q -p cso-serve --lib -- snapshot replay a_refused_open_at_a_full_store
 cargo test -q -p cso-serve --lib -- bad_segment_reasons_are_typed
+cargo test -q -p cso-serve --lib -- evicted_id_reuse refused_opens_of_new_sessions
 cargo run --release -q -p cso-bench --bin figures -- serve_durable
 for artifact in results/serve_durable.csv BENCH_pr6.json; do
     test -s "$artifact" || { echo "missing $artifact"; exit 1; }
