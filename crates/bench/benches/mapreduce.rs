@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use cso_core::BompConfig;
-use cso_mapreduce::{run_cs_job, run_topk_job, Record};
+use cso_mapreduce::{run_cs_job, run_topk_job, ExecConfig, Record};
 use cso_workloads::{PowerLawConfig, PowerLawData};
 
 fn splits(n: usize, tasks: usize) -> Vec<Vec<Record>> {
@@ -31,8 +31,16 @@ fn bench_jobs(c: &mut Criterion) {
         });
         g.bench_with_input(BenchmarkId::new("cs_job_m200", n), &n, |b, _| {
             b.iter(|| {
-                run_cs_job(black_box(&sp), n, 200, 3, 5, &BompConfig::with_max_iterations(25))
-                    .unwrap()
+                run_cs_job(
+                    &ExecConfig::sequential(),
+                    black_box(&sp),
+                    n,
+                    200,
+                    3,
+                    5,
+                    &BompConfig::with_max_iterations(25),
+                )
+                .unwrap()
             })
         });
     }
@@ -41,12 +49,16 @@ fn bench_jobs(c: &mut Criterion) {
 
 fn bench_engine_overhead(c: &mut Criterion) {
     use cso_mapreduce::map_reduce;
+    use cso_obs::Recorder;
     let splits: Vec<Vec<u32>> = (0..8).map(|t| (t * 1000..(t + 1) * 1000).collect()).collect();
     c.bench_function("engine_shuffle_8x1000", |b| {
         b.iter(|| {
             map_reduce(
+                &ExecConfig::sequential(),
+                &Recorder::disabled(),
                 black_box(&splits),
                 |x, em| em.emit(x % 97, 1u64),
+                |_, vs| vs,
                 12,
                 |k, vs| vec![(*k, vs.len())],
             )

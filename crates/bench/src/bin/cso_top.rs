@@ -28,6 +28,7 @@
 //! polled counter is monotone, then verifies the final totals and the
 //! flight-recorder dump left by graceful shutdown.
 
+use cso_core::SketchBackend;
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::{Cluster, CsProtocol, RetryPolicy};
 use cso_obs::{json, Histogram, MetricsSnapshot};
@@ -202,9 +203,17 @@ fn run_self_test(interval: Duration) {
         let sketches = proto.node_sketches(&cluster).expect("sketches");
         let retry = RetryPolicy::default();
         for epoch in 0..epochs {
-            let (mut client, _) =
-                ServeClient::open(addr, &retry, 1, epoch, m as u32, n as u64, proto.seed)
-                    .expect("open epoch");
+            let (mut client, _) = ServeClient::open_with_backend(
+                addr,
+                &retry,
+                1,
+                epoch,
+                m as u32,
+                n as u64,
+                proto.seed,
+                SketchBackend::dense(),
+            )
+            .expect("open epoch");
             for (node, sketch) in sketches.iter().enumerate() {
                 client.send_sketch(node as u32, sketch, SketchEncoding::F64).expect("sketch");
             }
@@ -293,8 +302,17 @@ fn run_relay_leg(interval: Duration) {
     // One region epoch: ingest the region's leaves at their absolute ids
     // and seal, which arms the forwarder.
     let retry = RetryPolicy::default();
-    let (mut leaf, _) =
-        ServeClient::open(relay.addr(), &retry, 7, 0, m as u32, n, 99).expect("open via relay");
+    let (mut leaf, _) = ServeClient::open_with_backend(
+        relay.addr(),
+        &retry,
+        7,
+        0,
+        m as u32,
+        n,
+        99,
+        SketchBackend::dense(),
+    )
+    .expect("open via relay");
     for l in 0..fan_in {
         let sketch = Vector::from_vec((0..m).map(|i| l as f64 + 0.25 * i as f64).collect());
         leaf.send_sketch(l as u32, &sketch, SketchEncoding::F64).expect("leaf sketch");

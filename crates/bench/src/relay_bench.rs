@@ -22,6 +22,7 @@
 //! to `BENCH_pr10.json` (validated with [`cso_obs::json::validate`]).
 
 use crate::common::{Opts, Table};
+use cso_core::SketchBackend;
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::{Cluster, CsProtocol, RetryPolicy, TopologySpec};
 use cso_obs::json;
@@ -69,8 +70,17 @@ fn cluster(leaves: usize, n: usize) -> Cluster {
 
 fn open(addr: SocketAddr, m: u32, n: u64) -> ServeClient {
     let retry = RetryPolicy { max_attempts: 100, ..RetryPolicy::default() };
-    let (client, _) =
-        ServeClient::open(addr, &retry, SESSION, EPOCH, m, n, SEED).expect("open epoch");
+    let (client, _) = ServeClient::open_with_backend(
+        addr,
+        &retry,
+        SESSION,
+        EPOCH,
+        m,
+        n,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .expect("open epoch");
     client
 }
 

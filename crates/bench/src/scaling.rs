@@ -1,6 +1,6 @@
 //! Scaling sweep for the parallel execution engine (PR 3).
 //!
-//! Runs the executed CS job (`run_cs_job_exec`) — the pipeline whose map
+//! Runs the executed CS job (`run_cs_job`) — the pipeline whose map
 //! side the work-stealing pool parallelizes — at increasing worker counts
 //! and reports, per count:
 //!
@@ -21,7 +21,7 @@
 use crate::common::{Opts, Table};
 use cso_core::BompConfig;
 use cso_exec::{ExecConfig, MAX_WORKERS};
-use cso_mapreduce::{run_cs_job_exec, Record};
+use cso_mapreduce::{run_cs_job, Record};
 use cso_obs::{json, EntryKind, Recorder};
 use std::time::Instant;
 
@@ -75,7 +75,7 @@ fn measure_exec(
     let rec = Recorder::new();
     let mut recovery = BompConfig::for_k_outliers(k);
     recovery.omp.rec = rec.clone();
-    run_cs_job_exec(exec, splits, n, m, 42, k, &recovery).expect("scaling workload must run");
+    run_cs_job(exec, splits, n, m, 42, k, &recovery).expect("scaling workload must run");
     let snap = rec.metrics_snapshot();
     let tasks = snap.counter("exec.tasks").unwrap_or(0);
     let steals = snap.counter("exec.steals").unwrap_or(0);
@@ -111,7 +111,7 @@ fn measure_wall(
         .map(|_| {
             let t = Instant::now();
             std::hint::black_box(
-                run_cs_job_exec(exec, splits, n, m, 42, k, &BompConfig::for_k_outliers(k))
+                run_cs_job(exec, splits, n, m, 42, k, &BompConfig::for_k_outliers(k))
                     .expect("scaling workload must run"),
             );
             t.elapsed().as_nanos() as f64

@@ -25,6 +25,7 @@
 //! (`results/serve_durable.csv`, `BENCH_pr6.json`).
 
 use crate::common::{Opts, Table};
+use cso_core::SketchBackend;
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::{Cluster, CsProtocol, RetryPolicy};
 use cso_obs::json;
@@ -72,9 +73,17 @@ fn run_ingest(
         let mut handles = Vec::with_capacity(connections);
         for c in 0..connections {
             handles.push(scope.spawn(move || {
-                let (mut client, _) =
-                    ServeClient::open(addr, &retry, 1, epoch, m, n as u64, proto.seed)
-                        .expect("open epoch");
+                let (mut client, _) = ServeClient::open_with_backend(
+                    addr,
+                    &retry,
+                    1,
+                    epoch,
+                    m,
+                    n as u64,
+                    proto.seed,
+                    SketchBackend::dense(),
+                )
+                .expect("open epoch");
                 let mut rtts = Vec::new();
                 for (node, sketch) in sketches.iter().enumerate().skip(c).step_by(connections) {
                     let t = Instant::now();
@@ -92,8 +101,17 @@ fn run_ingest(
 
     // Untimed: complete the lifecycle so the epoch is recovered, not
     // abandoned.
-    let (mut control, _) =
-        ServeClient::open(addr, &retry, 1, epoch, m, n as u64, proto.seed).expect("control");
+    let (mut control, _) = ServeClient::open_with_backend(
+        addr,
+        &retry,
+        1,
+        epoch,
+        m,
+        n as u64,
+        proto.seed,
+        SketchBackend::dense(),
+    )
+    .expect("control");
     assert_eq!(control.seal().expect("seal"), sketches.len() as u64);
     control.recover(k).expect("recover");
 
@@ -573,9 +591,17 @@ fn run_ingest_remote(
         let mut handles = Vec::with_capacity(connections);
         for c in 0..connections {
             handles.push(scope.spawn(move || {
-                let (mut client, _) =
-                    ServeClient::open(addr, &retry, 1, epoch, m, n as u64, proto.seed)
-                        .expect("open epoch");
+                let (mut client, _) = ServeClient::open_with_backend(
+                    addr,
+                    &retry,
+                    1,
+                    epoch,
+                    m,
+                    n as u64,
+                    proto.seed,
+                    SketchBackend::dense(),
+                )
+                .expect("open epoch");
                 let mut rtts = Vec::new();
                 for (node, sketch) in sketches.iter().enumerate().skip(c).step_by(connections) {
                     let t = Instant::now();
@@ -592,8 +618,17 @@ fn run_ingest_remote(
     });
     let wall_ns = started.elapsed().as_nanos() as f64;
 
-    let (mut control, _) =
-        ServeClient::open(addr, &retry, 1, epoch, m, n as u64, proto.seed).expect("control");
+    let (mut control, _) = ServeClient::open_with_backend(
+        addr,
+        &retry,
+        1,
+        epoch,
+        m,
+        n as u64,
+        proto.seed,
+        SketchBackend::dense(),
+    )
+    .expect("control");
     assert_eq!(control.seal().expect("seal"), sketches.len() as u64);
     control.recover(k).expect("recover");
 
@@ -714,7 +749,7 @@ pub fn serve_sharded(opts: &Opts) {
                 for (node, sketch) in sketches.iter().enumerate().skip(c).step_by(overload_conns) {
                     // Open per stripe chunk so admission churns: each
                     // client repeatedly competes for one of the 3 seats.
-                    let (mut client, _) = ServeClient::open(
+                    let (mut client, _) = ServeClient::open_with_backend(
                         addr,
                         patient,
                         1,
@@ -722,6 +757,7 @@ pub fn serve_sharded(opts: &Opts) {
                         proto.m as u32,
                         n as u64,
                         proto.seed,
+                        SketchBackend::dense(),
                     )
                     .expect("open under overload (patient retry)");
                     let t = Instant::now();
@@ -748,9 +784,17 @@ pub fn serve_sharded(opts: &Opts) {
         "overload: every sketch accepted exactly once despite Busy churn"
     );
     // Liveness after the storm: the same server completes the lifecycle.
-    let (mut control, _) =
-        ServeClient::open(over_server.addr(), &patient, 1, 0, proto.m as u32, n as u64, proto.seed)
-            .expect("control after overload");
+    let (mut control, _) = ServeClient::open_with_backend(
+        over_server.addr(),
+        &patient,
+        1,
+        0,
+        proto.m as u32,
+        n as u64,
+        proto.seed,
+        SketchBackend::dense(),
+    )
+    .expect("control after overload");
     assert_eq!(control.seal().expect("seal after overload"), nodes as u64);
     control.recover(k as u32).expect("recover after overload");
     drop(control);

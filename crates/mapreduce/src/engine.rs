@@ -16,9 +16,8 @@
 //! floating-point reductions (`values.iter().sum()`) bit-reproducible,
 //! and the parallel engine preserves it exactly: map+combine tasks run on
 //! worker threads, but their outputs are merged **sequentially in task
-//! order** ([`map_reduce_exec`] and friends), so parallel output is
-//! bit-identical to the sequential reference (tested, and proptested at
-//! the protocol level).
+//! order** ([`map_reduce`]), so parallel output is bit-identical to the
+//! sequential run (tested, and proptested at the protocol level).
 
 use cso_exec::ExecConfig;
 use cso_obs::{Recorder, Value};
@@ -82,8 +81,8 @@ struct MapTaskOutput<K, V> {
 /// per key. Pure per-split — safe to run on any thread.
 fn run_map_task<I, K, V>(
     split: &[I],
-    mapper: &mut impl FnMut(&I, &mut Emitter<K, V>),
-    combiner: &mut impl FnMut(&K, Vec<V>) -> Vec<V>,
+    mapper: &impl Fn(&I, &mut Emitter<K, V>),
+    combiner: &impl Fn(&K, Vec<V>) -> Vec<V>,
     pair_bytes: u64,
 ) -> MapTaskOutput<K, V>
 where
@@ -143,8 +142,15 @@ where
 
 /// Runs a complete map-shuffle-reduce pass.
 ///
+/// - `exec` — the workers the map+combine tasks run on
+///   ([`ExecConfig::sequential`] runs them inline, in task order);
+/// - `rec` — the recorder the job's trace goes to;
 /// - `splits` — one `Vec` of records per map task;
 /// - `mapper` — called once per record with an [`Emitter`];
+/// - `combiner` — Hadoop's map-side combiner: receives one task's values
+///   for a key and returns the (usually single-element) values actually
+///   shipped, so shuffle counters reflect the combined output (`|_, vs| vs`
+///   ships every pair);
 /// - `pair_bytes` — serialized size of one intermediate pair (for the
 ///   shuffle counter);
 /// - `reducer` — called once per distinct key with all its values (sorted
@@ -152,82 +158,6 @@ where
 ///   output is deterministic).
 ///
 /// Returns the reducer outputs concatenated in key order plus counters.
-pub fn map_reduce<I, K, V, O>(
-    splits: &[Vec<I>],
-    mapper: impl FnMut(&I, &mut Emitter<K, V>),
-    pair_bytes: u64,
-    reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
-) -> (Vec<O>, JobCounters)
-where
-    K: Ord,
-{
-    map_reduce_with_combiner(splits, mapper, no_combiner, pair_bytes, reducer)
-}
-
-/// As [`map_reduce`], running map+combine tasks on `exec`'s worker threads
-/// (see [`map_reduce_with_combiner_exec_traced`] for the determinism
-/// guarantee).
-pub fn map_reduce_exec<I, K, V, O>(
-    exec: &ExecConfig,
-    splits: &[Vec<I>],
-    mapper: impl Fn(&I, &mut Emitter<K, V>) + Sync,
-    pair_bytes: u64,
-    reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
-) -> (Vec<O>, JobCounters)
-where
-    I: Sync,
-    K: Ord + Send,
-    V: Send,
-{
-    map_reduce_with_combiner_exec_traced(
-        exec,
-        splits,
-        mapper,
-        no_combiner,
-        pair_bytes,
-        reducer,
-        &Recorder::disabled(),
-    )
-}
-
-/// The identity combiner used by [`map_reduce`] and [`map_reduce_exec`].
-fn no_combiner<K, V>(_key: &K, values: Vec<V>) -> Vec<V> {
-    values
-}
-
-/// As [`map_reduce`], with a map-side **combiner** applied to each task's
-/// output before the shuffle — Hadoop's standard optimization for
-/// aggregations. The combiner receives one task's values for a key and
-/// returns the (usually single-element) values actually shipped; shuffle
-/// counters reflect the combined output.
-///
-/// This is the sequential reference implementation: map tasks run inline
-/// in task order. The parallel engine
-/// ([`map_reduce_with_combiner_exec_traced`]) shares the per-task body and
-/// the ordered merge with this function, differing only in where tasks
-/// execute.
-pub fn map_reduce_with_combiner<I, K, V, O>(
-    splits: &[Vec<I>],
-    mut mapper: impl FnMut(&I, &mut Emitter<K, V>),
-    mut combiner: impl FnMut(&K, Vec<V>) -> Vec<V>,
-    pair_bytes: u64,
-    reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
-) -> (Vec<O>, JobCounters)
-where
-    K: Ord,
-{
-    let mut counters = JobCounters { map_tasks: splits.len() as u64, ..Default::default() };
-    let rec = Recorder::disabled();
-    let outputs: Vec<MapTaskOutput<K, V>> = splits
-        .iter()
-        .map(|split| run_map_task(split, &mut mapper, &mut combiner, pair_bytes))
-        .collect();
-    let groups = merge_task_outputs(outputs, &mut counters, &rec);
-    reduce_groups(groups, reducer, &mut counters, &rec)
-}
-
-/// As [`map_reduce_with_combiner`], running the map+combine tasks on
-/// `exec`'s workers and recording the job into `rec`.
 ///
 /// The trace is one `mr.job` span containing `mr.map` (map + combine +
 /// shuffle accounting, with one `mr.task` event per split carrying its
@@ -238,19 +168,19 @@ where
 ///
 /// **Determinism:** worker threads only produce per-task map outputs; the
 /// merge into shuffle groups happens on the calling thread, sequentially,
-/// in task order — the same merge the sequential reference performs.
-/// Output, counters, and the recorded `mr.*` trace are therefore
-/// bit-identical for any worker count (tested). With `exec.workers > 1`
-/// and an enabled recorder, the section additionally records `exec.*`
-/// spans and metrics inside `mr.map` (see `cso_exec::ExecStats::record`).
-pub fn map_reduce_with_combiner_exec_traced<I, K, V, O>(
+/// in task order. Output, counters, and the recorded `mr.*` trace are
+/// therefore bit-identical for any worker count (tested). With
+/// `exec.workers > 1` and an enabled recorder, the section additionally
+/// records `exec.*` spans and metrics inside `mr.map` (see
+/// `cso_exec::ExecStats::record`).
+pub fn map_reduce<I, K, V, O>(
     exec: &ExecConfig,
+    rec: &Recorder,
     splits: &[Vec<I>],
     mapper: impl Fn(&I, &mut Emitter<K, V>) + Sync,
     combiner: impl Fn(&K, Vec<V>) -> Vec<V> + Sync,
     pair_bytes: u64,
     reducer: impl FnMut(&K, Vec<V>) -> Vec<O>,
-    rec: &Recorder,
 ) -> (Vec<O>, JobCounters)
 where
     I: Sync,
@@ -263,12 +193,7 @@ where
     let groups = {
         let _map_span = rec.span("mr.map");
         let (outputs, stats) = cso_exec::par_map(exec, splits, |_, split| {
-            run_map_task(
-                split,
-                &mut |i, em| mapper(i, em),
-                &mut |k, vs| combiner(k, vs),
-                pair_bytes,
-            )
+            run_map_task(split, &mapper, &combiner, pair_bytes)
         });
         stats.record(rec);
         merge_task_outputs(outputs, &mut counters, rec)
@@ -306,8 +231,11 @@ mod tests {
     fn word_count_smoke_test() {
         let splits = vec![vec!["a", "b", "a"], vec!["b", "c"]];
         let (out, counters) = map_reduce(
+            &ExecConfig::sequential(),
+            &Recorder::disabled(),
             &splits,
             |w, em| em.emit(w.to_string(), 1u64),
+            |_, vs| vs,
             16,
             |k, vs| vec![(k.clone(), vs.iter().sum::<u64>())],
         );
@@ -322,15 +250,30 @@ mod tests {
     #[test]
     fn reducer_sees_sorted_keys() {
         let splits = vec![vec![3u32, 1, 2]];
-        let (out, _) = map_reduce(&splits, |x, em| em.emit(*x, ()), 4, |k, _| vec![*k]);
+        let (out, _) = map_reduce(
+            &ExecConfig::sequential(),
+            &Recorder::disabled(),
+            &splits,
+            |x, em| em.emit(*x, ()),
+            |_, vs| vs,
+            4,
+            |k, _| vec![*k],
+        );
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     fn empty_input_is_fine() {
         let splits: Vec<Vec<u8>> = vec![vec![], vec![]];
-        let (out, counters) =
-            map_reduce(&splits, |_, em: &mut Emitter<u8, u8>| em.emit(0, 0), 1, |_, _| vec![0u8]);
+        let (out, counters) = map_reduce(
+            &ExecConfig::sequential(),
+            &Recorder::disabled(),
+            &splits,
+            |_, em: &mut Emitter<u8, u8>| em.emit(0, 0),
+            |_, vs| vs,
+            1,
+            |_, _| vec![0u8],
+        );
         assert!(out.is_empty());
         assert_eq!(counters.map_input_records, 0);
         assert_eq!(counters.reduce_groups, 0);
@@ -341,7 +284,9 @@ mod tests {
     fn combiner_shrinks_shuffle_but_not_result() {
         let splits = vec![vec![("a", 1u64); 100], vec![("a", 1u64); 50]];
         let run = |combine: bool| {
-            map_reduce_with_combiner(
+            map_reduce(
+                &ExecConfig::sequential(),
+                &Recorder::disabled(),
                 &splits,
                 |&(w, c), em| em.emit(w, c),
                 move |_k, vs: Vec<u64>| {
@@ -371,12 +316,15 @@ mod tests {
     fn mapper_may_emit_multiple_pairs_per_record() {
         let splits = vec![vec![2u32]];
         let (out, counters) = map_reduce(
+            &ExecConfig::sequential(),
+            &Recorder::disabled(),
             &splits,
             |x, em| {
                 for i in 0..*x {
                     em.emit(i, 1u32);
                 }
             },
+            |_, vs| vs,
             8,
             |k, vs| vec![(*k, vs.len())],
         );
@@ -392,7 +340,15 @@ mod tests {
         // Every task emits the same key; values are tagged (task, seq).
         let splits: Vec<Vec<(u32, u32)>> =
             (0..5u32).map(|t| (0..4u32).map(|s| (t, s)).collect()).collect();
-        let (out, _) = map_reduce(&splits, |&(t, s), em| em.emit("k", (t, s)), 8, |_, vs| vec![vs]);
+        let (out, _) = map_reduce(
+            &ExecConfig::sequential(),
+            &Recorder::disabled(),
+            &splits,
+            |&(t, s), em| em.emit("k", (t, s)),
+            |_, vs| vs,
+            8,
+            |_, vs| vec![vs],
+        );
         let expect: Vec<(u32, u32)> =
             (0..5u32).flat_map(|t| (0..4u32).map(move |s| (t, s))).collect();
         assert_eq!(out, vec![expect.clone()]);
@@ -400,10 +356,12 @@ mod tests {
         // The parallel engine preserves the contract for every worker
         // count, including ones that force stealing.
         for workers in [1, 2, 3, 8] {
-            let (par, _) = map_reduce_exec(
+            let (par, _) = map_reduce(
                 &ExecConfig::with_workers(workers),
+                &Recorder::disabled(),
                 &splits,
                 |&(t, s), em| em.emit("k", (t, s)),
+                |_, vs| vs,
                 8,
                 |_, vs| vec![vs],
             );
@@ -426,18 +384,23 @@ mod tests {
             .collect();
         let run_seq = || {
             map_reduce(
+                &ExecConfig::sequential(),
+                &Recorder::disabled(),
                 &splits,
                 |&(k, v), em| em.emit(k, v),
+                |_, vs| vs,
                 8,
                 |k, vs| vec![(*k, vs.iter().sum::<f64>())],
             )
         };
         let (seq, seq_counters) = run_seq();
         for workers in [1, 2, 4, 8] {
-            let (par, par_counters) = map_reduce_exec(
+            let (par, par_counters) = map_reduce(
                 &ExecConfig::with_workers(workers),
+                &Recorder::disabled(),
                 &splits,
                 |&(k, v), em| em.emit(k, v),
+                |_, vs| vs,
                 8,
                 |k, vs| vec![(*k, vs.iter().sum::<f64>())],
             );
@@ -457,14 +420,14 @@ mod tests {
         let splits: Vec<Vec<u32>> = (0..6).map(|t| vec![t, t + 1, t + 2]).collect();
         let run = |workers: usize| {
             let rec = Recorder::new();
-            let (out, counters) = map_reduce_with_combiner_exec_traced(
+            let (out, counters) = map_reduce(
                 &ExecConfig::with_workers(workers),
+                &rec,
                 &splits,
                 |x, em| em.emit(*x % 4, u64::from(*x)),
                 |_, vs| vec![vs.iter().sum()],
                 8,
                 |k, vs| vec![(*k, vs.iter().sum::<u64>())],
-                &rec,
             );
             (out, counters, rec)
         };

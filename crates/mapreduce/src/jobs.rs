@@ -5,11 +5,11 @@
 //! `(key index, score)` with indices from the global key dictionary (the
 //! paper's mappers do this lookup against the broadcast `KeyList`).
 
-use crate::engine::{map_reduce_with_combiner_exec_traced, JobCounters};
+use crate::engine::{map_reduce, JobCounters};
 use cso_core::{bomp, BompConfig, KeyValue, MeasurementSpec};
 use cso_exec::ExecConfig;
 use cso_linalg::{LinalgError, Vector};
-use cso_obs::Value;
+use cso_obs::{Recorder, Value};
 
 /// One raw input record: a resolved key index and a signed score.
 pub type Record = (usize, f64);
@@ -34,7 +34,9 @@ pub struct TopKJobOutput {
     pub counters: JobCounters,
 }
 
-/// Runs the CS job (Algorithm 3 mapper + Algorithm 4 reducer).
+/// Runs the CS job (Algorithm 3 mapper + Algorithm 4 reducer), with the
+/// per-split sketch construction and the engine's map tasks on `exec`'s
+/// worker threads.
 ///
 /// Each map task partially aggregates its split against the key list,
 /// compresses the partial vector with the seed-shared `Φ0`, and emits
@@ -47,27 +49,14 @@ pub struct TopKJobOutput {
 /// and `recovery` (BOMP with its per-iteration events). The finished
 /// [`JobCounters`] are published into the `mr.*` counters, so the
 /// recorder's metrics agree with [`CsJobOutput::counters`] exactly.
-pub fn run_cs_job(
-    splits: &[Vec<Record>],
-    n: usize,
-    m: usize,
-    seed: u64,
-    k: usize,
-    recovery: &BompConfig,
-) -> Result<CsJobOutput, LinalgError> {
-    run_cs_job_exec(&ExecConfig::sequential(), splits, n, m, seed, k, recovery)
-}
-
-/// As [`run_cs_job`], running the per-split sketch construction and the
-/// engine's map tasks on `exec`'s worker threads.
 ///
-/// Output is **bit-identical** to the sequential reference for any worker
-/// count: per-split sketches are computed in isolation and merged in split
-/// order, and the engine's shuffle preserves its value-ordering contract
-/// (see [`crate::engine`]). With `exec.workers > 1` and an enabled
-/// recorder, `exec.*` spans and metrics appear inside `sketch.build` and
-/// `mr.map`; sequential traces are unchanged.
-pub fn run_cs_job_exec(
+/// Output is **bit-identical** for any worker count: per-split sketches
+/// are computed in isolation and merged in split order, and the engine's
+/// shuffle preserves its value-ordering contract (see [`crate::engine`]).
+/// With `exec.workers > 1` and an enabled recorder, `exec.*` spans and
+/// metrics appear inside `sketch.build` and `mr.map`; sequential traces
+/// are unchanged.
+pub fn run_cs_job(
     exec: &ExecConfig,
     splits: &[Vec<Record>],
     n: usize,
@@ -126,14 +115,14 @@ pub fn run_cs_job_exec(
     };
 
     // Shuffle + reduce: sum each measurement row across tasks.
-    let (rows, mut counters) = map_reduce_with_combiner_exec_traced(
+    let (rows, mut counters) = map_reduce(
         exec,
+        rec,
         &sketches,
         |pair: &(usize, f64), em| em.emit(pair.0, pair.1),
         |_row, values| values,
         8,
         |row, values| vec![(*row, values.iter().sum::<f64>())],
-        rec,
     );
     counters.map_input_records = input_records;
     let mut y = Vector::zeros(m);
@@ -169,7 +158,9 @@ pub fn run_topk_job(
             });
         }
     }
-    let (sums, counters) = crate::engine::map_reduce_with_combiner(
+    let (sums, counters) = map_reduce(
+        &ExecConfig::sequential(),
+        &Recorder::disabled(),
         splits,
         |&(key, score): &Record, em| em.emit(key, score),
         |_key, values| vec![values.iter().sum::<f64>()],
@@ -186,7 +177,6 @@ pub fn run_topk_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cso_obs::Recorder;
 
     /// Splits with a known aggregate: mode 0, outliers at keys 7 and 31.
     fn fixture(n: usize) -> (Vec<Vec<Record>>, Vec<f64>) {
@@ -221,7 +211,9 @@ mod tests {
     #[test]
     fn cs_job_recovers_same_outliers() {
         let (splits, _) = fixture(64);
-        let out = run_cs_job(&splits, 64, 40, 9, 3, &BompConfig::default()).unwrap();
+        let out =
+            run_cs_job(&ExecConfig::sequential(), &splits, 64, 40, 9, 3, &BompConfig::default())
+                .unwrap();
         let idx: Vec<usize> = out.outliers.iter().map(|o| o.index).collect();
         assert_eq!(idx[0], 7, "largest deviation first");
         assert!(idx.contains(&31));
@@ -237,7 +229,9 @@ mod tests {
         // The job's assembled measurement must equal measuring the global
         // aggregate directly (linearity through the MapReduce pipeline).
         let (splits, global) = fixture(64);
-        let out = run_cs_job(&splits, 64, 48, 5, 2, &BompConfig::default()).unwrap();
+        let out =
+            run_cs_job(&ExecConfig::sequential(), &splits, 64, 48, 5, 2, &BompConfig::default())
+                .unwrap();
         let spec = MeasurementSpec::new(48, 64, 5).unwrap();
         let y = spec.measure_dense(&global).unwrap();
         let direct = cso_core::bomp(&spec, &y, &BompConfig::default()).unwrap();
@@ -248,11 +242,13 @@ mod tests {
     #[test]
     fn traced_cs_job_matches_untraced_and_publishes_counters() {
         let (splits, _) = fixture(64);
-        let plain = run_cs_job(&splits, 64, 40, 9, 3, &BompConfig::default()).unwrap();
+        let plain =
+            run_cs_job(&ExecConfig::sequential(), &splits, 64, 40, 9, 3, &BompConfig::default())
+                .unwrap();
         let rec = Recorder::new();
         let mut config = BompConfig::default();
         config.omp.rec = rec.clone();
-        let traced = run_cs_job(&splits, 64, 40, 9, 3, &config).unwrap();
+        let traced = run_cs_job(&ExecConfig::sequential(), &splits, 64, 40, 9, 3, &config).unwrap();
         assert_eq!(plain.outliers, traced.outliers);
         assert_eq!(plain.counters, traced.counters);
         assert!((plain.mode - traced.mode).abs() < 1e-12);
@@ -293,10 +289,19 @@ mod tests {
     fn jobs_reject_out_of_range_keys() {
         let splits = vec![vec![(99usize, 1.0)]];
         assert!(run_topk_job(&splits, 10, 1).is_err());
-        assert!(run_cs_job(&splits, 10, 5, 1, 1, &BompConfig::default()).is_err());
+        assert!(run_cs_job(
+            &ExecConfig::sequential(),
+            &splits,
+            10,
+            5,
+            1,
+            1,
+            &BompConfig::default()
+        )
+        .is_err());
         // The parallel job rejects them too, for every worker count.
         for workers in [1, 2, 8] {
-            assert!(run_cs_job_exec(
+            assert!(run_cs_job(
                 &ExecConfig::with_workers(workers),
                 &splits,
                 10,
@@ -320,9 +325,11 @@ mod tests {
                 (0..40).map(|i| ((t * 13 + i * 7) % n, ((t + 1) * (i + 3)) as f64 * 0.25)).collect()
             })
             .collect();
-        let seq = run_cs_job(&splits, n, 48, 11, 4, &BompConfig::default()).unwrap();
+        let seq =
+            run_cs_job(&ExecConfig::sequential(), &splits, n, 48, 11, 4, &BompConfig::default())
+                .unwrap();
         for workers in [1, 2, 8] {
-            let par = run_cs_job_exec(
+            let par = run_cs_job(
                 &ExecConfig::with_workers(workers),
                 &splits,
                 n,
@@ -351,7 +358,9 @@ mod tests {
             let split: Vec<Record> = (0..n).map(|i| (i, (t + i) as f64)).collect();
             splits.push(split);
         }
-        let cs = run_cs_job(&splits, n, 32, 3, 5, &BompConfig::default()).unwrap();
+        let cs =
+            run_cs_job(&ExecConfig::sequential(), &splits, n, 32, 3, 5, &BompConfig::default())
+                .unwrap();
         let tk = run_topk_job(&splits, n, 5).unwrap();
         assert!(cs.counters.shuffle_bytes < tk.counters.shuffle_bytes / 10);
     }

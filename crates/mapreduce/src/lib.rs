@@ -20,10 +20,7 @@ pub mod model;
 pub mod profile;
 
 pub use cso_exec::ExecConfig;
-pub use engine::{
-    map_reduce, map_reduce_exec, map_reduce_with_combiner, map_reduce_with_combiner_exec_traced,
-    Emitter, JobCounters,
-};
-pub use jobs::{run_cs_job, run_cs_job_exec, run_topk_job, CsJobOutput, Record, TopKJobOutput};
+pub use engine::{map_reduce, Emitter, JobCounters};
+pub use jobs::{run_cs_job, run_topk_job, CsJobOutput, Record, TopKJobOutput};
 pub use model::{cs_bomp, traditional_topk, JobEstimate, WorkloadShape};
 pub use profile::ClusterProfile;

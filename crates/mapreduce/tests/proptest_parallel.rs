@@ -3,7 +3,8 @@
 //! the sequential reference at every worker count (DESIGN.md §8).
 
 use cso_exec::ExecConfig;
-use cso_mapreduce::{map_reduce, map_reduce_exec, run_cs_job, run_cs_job_exec};
+use cso_mapreduce::{map_reduce, run_cs_job};
+use cso_obs::Recorder;
 use proptest::prelude::*;
 
 /// Worker counts exercised against the sequential reference.
@@ -24,9 +25,9 @@ proptest! {
         let splits: Vec<Vec<(usize, f64)>> =
             records.chunks(records.len().div_ceil(tasks)).map(<[_]>::to_vec).collect();
         let cfg = cso_core::BompConfig::default();
-        let reference = run_cs_job(&splits, 64, m, seed, 3, &cfg).unwrap();
+        let reference = run_cs_job(&ExecConfig::sequential(), &splits, 64, m, seed, 3, &cfg).unwrap();
         for workers in WORKER_COUNTS {
-            let run = run_cs_job_exec(
+            let run = run_cs_job(
                 &ExecConfig::with_workers(workers),
                 &splits,
                 64,
@@ -57,16 +58,21 @@ proptest! {
         ),
     ) {
         let (reference, ref_counters) = map_reduce(
+            &ExecConfig::sequential(),
+            &Recorder::disabled(),
             &splits,
             |&(k, v): &(usize, f64), em| em.emit(k, v),
+            |_, vs| vs,
             8,
             |k, vs| vec![(*k, vs.iter().sum::<f64>())],
         );
         for workers in WORKER_COUNTS {
-            let (out, counters) = map_reduce_exec(
+            let (out, counters) = map_reduce(
                 &ExecConfig::with_workers(workers),
+                &Recorder::disabled(),
                 &splits,
                 |&(k, v): &(usize, f64), em| em.emit(k, v),
+                |_, vs| vs,
                 8,
                 |k, vs| vec![(*k, vs.iter().sum::<f64>())],
             );

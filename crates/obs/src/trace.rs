@@ -14,8 +14,10 @@
 //! a wall clock, so traces are bit-identical across runs and machines.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 
 /// A dynamically-typed field value attached to a span or event.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,8 +119,17 @@ pub struct TraceEntry {
 struct TraceBuf {
     entries: Vec<TraceEntry>,
     next_id: u64,
-    /// Stack of open span ids (innermost last).
-    stack: Vec<u64>,
+    /// Each thread's stack of open span ids (innermost last), so spans
+    /// open at once on two threads never parent each other. A thread's
+    /// entry goes when its last span closes.
+    stacks: HashMap<ThreadId, Vec<u64>>,
+}
+
+impl TraceBuf {
+    /// The innermost span open on `thread`.
+    fn top(&self, thread: ThreadId) -> Option<u64> {
+        self.stacks.get(&thread).and_then(|s| s.last().copied())
+    }
 }
 
 #[derive(Debug)]
@@ -197,14 +208,15 @@ impl Recorder {
     /// Opens a span with fields attached to its start record.
     pub fn span_with(&self, name: &'static str, fields: &[(&'static str, Value)]) -> SpanGuard {
         let Some(inner) = &self.inner else {
-            return SpanGuard { rec: Recorder::disabled(), id: 0 };
+            return SpanGuard { rec: Recorder::disabled(), id: 0, name, thread: None };
         };
+        let thread = thread::current().id();
         let tick = inner.tick.load(Ordering::Relaxed);
         let mut buf = inner.trace.lock().expect("trace lock");
         buf.next_id += 1;
         let id = buf.next_id;
-        let parent = buf.stack.last().copied();
-        buf.stack.push(id);
+        let parent = buf.top(thread);
+        buf.stacks.entry(thread).or_default().push(id);
         buf.entries.push(TraceEntry {
             kind: EntryKind::SpanStart,
             id,
@@ -213,17 +225,17 @@ impl Recorder {
             tick,
             fields: fields.to_vec(),
         });
-        SpanGuard { rec: self.clone(), id }
+        SpanGuard { rec: self.clone(), id, name, thread: Some(thread) }
     }
 
-    /// Records a point event inside the current span.
+    /// Records a point event inside the calling thread's current span.
     pub fn event(&self, name: &'static str, fields: &[(&'static str, Value)]) {
         let Some(inner) = &self.inner else { return };
         let tick = inner.tick.load(Ordering::Relaxed);
         let mut buf = inner.trace.lock().expect("trace lock");
         buf.next_id += 1;
         let id = buf.next_id;
-        let parent = buf.stack.last().copied();
+        let parent = buf.top(thread::current().id());
         buf.entries.push(TraceEntry {
             kind: EntryKind::Event,
             id,
@@ -234,15 +246,21 @@ impl Recorder {
         });
     }
 
-    fn close_span(&self, id: u64, name: &'static str) {
+    /// Closes span `id`, opened on `thread` (the guard may be dropped on
+    /// another one).
+    fn close_span(&self, id: u64, name: &'static str, thread: ThreadId) {
         let Some(inner) = &self.inner else { return };
         let tick = inner.tick.load(Ordering::Relaxed);
         let mut buf = inner.trace.lock().expect("trace lock");
         // Tolerate out-of-order guard drops: remove the id wherever it is.
-        if let Some(pos) = buf.stack.iter().rposition(|&s| s == id) {
-            buf.stack.remove(pos);
+        let stack = buf.stacks.entry(thread).or_default();
+        if let Some(pos) = stack.iter().rposition(|&s| s == id) {
+            stack.remove(pos);
         }
-        let parent = buf.stack.last().copied();
+        let parent = stack.last().copied();
+        if parent.is_none() {
+            buf.stacks.remove(&thread);
+        }
         buf.entries.push(TraceEntry {
             kind: EntryKind::SpanEnd,
             id,
@@ -302,6 +320,9 @@ impl Recorder {
 pub struct SpanGuard {
     rec: Recorder,
     id: u64,
+    name: &'static str,
+    /// The thread whose stack holds the span (`None` when disabled).
+    thread: Option<ThreadId>,
 }
 
 impl SpanGuard {
@@ -313,19 +334,8 @@ impl SpanGuard {
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if self.id != 0 {
-            // The start entry holds the name; the end entry re-reads it
-            // from the buffer to avoid storing it twice in the guard.
-            let name = self
-                .rec
-                .inner
-                .as_ref()
-                .and_then(|i| {
-                    let buf = i.trace.lock().expect("trace lock");
-                    buf.entries.iter().find(|e| e.id == self.id).map(|e| e.name)
-                })
-                .unwrap_or("");
-            self.rec.close_span(self.id, name);
+        if let Some(thread) = self.thread {
+            self.rec.close_span(self.id, self.name, thread);
         }
     }
 }
@@ -448,6 +458,65 @@ mod tests {
         other.counter_add("shared", 2);
         assert_eq!(rec.events_named("from-clone").len(), 1);
         assert_eq!(rec.metrics_snapshot().counter("shared"), Some(2));
+    }
+
+    /// Two threads each hold a span open at once: every start, end and
+    /// event names the span open on its own thread as its parent, and a
+    /// guard dropped on another thread still closes its own span.
+    #[test]
+    fn each_thread_parents_its_own_spans() {
+        let rec = Recorder::new();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for (outer, ev, inner, deep) in
+                [("a", "a.ev", "a.inner", "a.deep"), ("b", "b.ev", "b.inner", "b.deep")]
+            {
+                let (rec, barrier) = (&rec, &barrier);
+                scope.spawn(move || {
+                    let _outer = rec.span(outer);
+                    barrier.wait(); // both outer spans are open
+                    rec.event(ev, &[]);
+                    let inner = rec.span(inner);
+                    barrier.wait(); // both inner spans are open
+                    rec.event(deep, &[]);
+                    drop(inner);
+                    barrier.wait();
+                });
+            }
+        });
+        let t = rec.trace_snapshot();
+        let name_of = |id: Option<u64>| {
+            id.map(|id| {
+                t.iter().find(|e| e.id == id && e.kind == EntryKind::SpanStart).unwrap().name
+            })
+        };
+        for e in &t {
+            let want = match e.name {
+                "a" | "b" => None,
+                "a.ev" | "a.inner" => Some("a"),
+                "b.ev" | "b.inner" => Some("b"),
+                "a.deep" => Some("a.inner"),
+                "b.deep" => Some("b.inner"),
+                other => panic!("unexpected entry {other}"),
+            };
+            let want = if e.kind == EntryKind::SpanEnd && e.name.ends_with(".inner") {
+                Some(&e.name[..1]) // an end names what stays open
+            } else {
+                want
+            };
+            assert_eq!(name_of(e.parent), want, "{:?} {}", e.kind, e.name);
+        }
+        assert_eq!(t.len(), 2 * 6);
+
+        // A guard moved to another thread and dropped there closes its
+        // span on the thread that opened it.
+        let rec = Recorder::new();
+        let moved = rec.span("moved");
+        std::thread::spawn(move || drop(moved)).join().unwrap();
+        let _after = rec.span("after");
+        let t = rec.trace_snapshot();
+        assert_eq!((t[1].kind, t[1].name, t[1].parent), (EntryKind::SpanEnd, "moved", None));
+        assert_eq!((t[2].name, t[2].parent), ("after", None));
     }
 
     #[test]

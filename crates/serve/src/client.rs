@@ -5,8 +5,8 @@
 //! Every connection starts with an `OpenEpoch` — that frame doubles as
 //! the admission probe: a server under backpressure answers it (or the
 //! raw accept) with `Reject { Busy, retry_after_ms }` and closes, and
-//! [`ServeClient::open`] reconnects after waiting out the larger of the
-//! server's hint and its own exponential backoff (reusing
+//! [`ServeClient::open_with_backend`] reconnects after waiting out the
+//! larger of the server's hint and its own exponential backoff (reusing
 //! [`RetryPolicy`], one virtual tick ≈ one millisecond). All other
 //! rejects are surfaced as typed [`ClientError::Rejected`] values.
 //!
@@ -16,6 +16,7 @@
 //! recover — against a live server:
 //!
 //! ```
+//! use cso_core::SketchBackend;
 //! use cso_distributed::quantize::SketchEncoding;
 //! use cso_distributed::{Cluster, CsProtocol, RetryPolicy};
 //! use cso_serve::{spawn, ServeClient, ServerConfig};
@@ -28,9 +29,12 @@
 //! let proto = CsProtocol::new(3, 42);
 //! let sketches = proto.node_sketches(&cluster).unwrap();
 //!
-//! // Open epoch 0 of session 7 (a second open would attach instead).
+//! // Open epoch 0 of session 7 under the dense operator (a second open
+//! // would attach instead).
+//! let (m, dense) = (proto.m as u32, SketchBackend::dense());
 //! let (mut client, nodes_already) =
-//!     ServeClient::open(server.addr(), &retry, 7, 0, proto.m as u32, 3, proto.seed).unwrap();
+//!     ServeClient::open_with_backend(server.addr(), &retry, 7, 0, m, 3, proto.seed, dense)
+//!         .unwrap();
 //! assert_eq!(nodes_already, 0);
 //!
 //! // Ingest node 0's sketch, seal the epoch, recover the top outlier.
@@ -62,7 +66,7 @@
 //! server.shutdown();
 //! ```
 
-use crate::frame::{read_frame, write_frame, write_frame_ctx, FrameError, TraceContext};
+use crate::frame::{read_frame, write_frame, FrameError, TraceContext};
 use crate::session::{EpochPhase, RejectCode};
 use cso_core::SketchBackend;
 use cso_distributed::quantize::{self, SketchEncoding};
@@ -202,27 +206,15 @@ pub struct ServeClient {
 impl ServeClient {
     /// Connects and opens (or attaches to) `(session, epoch)` with the
     /// given measurement configuration, retrying `Busy` admission rejects,
-    /// refused connects (a server mid-restart), and reset races with
-    /// backoff. Returns the bound client and the number of nodes already
-    /// in the epoch (0 for a fresh one).
-    #[allow(clippy::too_many_arguments)]
-    pub fn open(
-        addr: SocketAddr,
-        retry: &RetryPolicy,
-        session: u64,
-        epoch: u64,
-        m: u32,
-        n: u64,
-        seed: u64,
-    ) -> Result<(Self, u64), ClientError> {
-        Self::open_with_backend(addr, retry, session, epoch, m, n, seed, SketchBackend::dense())
-    }
-
-    /// As [`ServeClient::open`], but declaring a matrix-free measurement
-    /// operator for the epoch. Every node attaching to the epoch must
-    /// declare the same backend — the server rejects a disagreeing open
-    /// with `SpecMismatch`, because sketches made with different operators
-    /// must never be summed.
+    /// transient connect failures (a server mid-restart), and reset races
+    /// with backoff. Returns the bound client and the number of nodes
+    /// already in the epoch (0 for a fresh one).
+    ///
+    /// `backend` is the epoch's measurement operator
+    /// ([`SketchBackend::dense`] for the paper's Gaussian `Φ0`). Every node
+    /// attaching to the epoch must declare the same backend — the server
+    /// rejects a disagreeing open with `SpecMismatch`, because sketches
+    /// made with different operators must never be summed.
     #[allow(clippy::too_many_arguments)]
     pub fn open_with_backend(
         addr: SocketAddr,
@@ -357,9 +349,6 @@ impl ServeClient {
     /// `client.request_ns` and `client.slow_requests` (requests at or
     /// above `slow_request`, which also emit a `client.slow_request`
     /// event) are recorded.
-    ///
-    /// The recorder's span stack is process-wide: give concurrently used
-    /// clients separate recorders, or spans will interleave.
     pub fn enable_telemetry(&mut self, rec: &Recorder, trace_id: u64, slow_request: Duration) {
         self.telemetry = Some(ClientTelemetry { rec: rec.clone(), trace_id, slow_request });
     }
@@ -375,8 +364,8 @@ impl ServeClient {
             .zip(span.as_ref())
             .map(|(t, (guard, _))| TraceContext { trace_id: t.trace_id, span_id: guard.id() });
         self.bytes_sent +=
-            write_frame_ctx(&mut self.stream, msg, ctx.as_ref()).map_err(write_err)? as u64;
-        let (reply, bytes) = read_frame(&mut self.stream).map_err(conn_err)?;
+            write_frame(&mut self.stream, msg, ctx.as_ref()).map_err(write_err)? as u64;
+        let (reply, bytes, _) = read_frame(&mut self.stream).map_err(conn_err)?;
         self.bytes_received += bytes as u64;
         if let (Some(t), Some((_, started))) = (&self.telemetry, &span) {
             let elapsed = started.elapsed();
@@ -548,7 +537,7 @@ pub struct MetricsPoller {
 }
 
 impl MetricsPoller {
-    /// Dials the server, waiting out connection-refused races (a server
+    /// Dials the server, waiting out transient connect failures (a server
     /// mid-restart) with the policy's backoff.
     pub fn connect(addr: SocketAddr, retry: &RetryPolicy) -> Result<Self, ClientError> {
         Ok(MetricsPoller { stream: dial(addr, retry)?, addr, retry: *retry })
@@ -561,8 +550,8 @@ impl MetricsPoller {
         let retry = self.retry;
         for attempt in 1..=retry.max_attempts {
             let round_trip = (|| -> Result<Message, ClientError> {
-                write_frame(&mut self.stream, &Message::Introspect).map_err(write_err)?;
-                read_frame(&mut self.stream).map(|(m, _)| m).map_err(conn_err)
+                write_frame(&mut self.stream, &Message::Introspect, None).map_err(write_err)?;
+                read_frame(&mut self.stream).map(|(m, ..)| m).map_err(conn_err)
             })();
             match round_trip {
                 Ok(Message::MetricsReply { snapshot }) => return Ok(snapshot),
@@ -587,7 +576,7 @@ impl MetricsPoller {
     }
 }
 
-/// Dials `addr`, retrying connection-refused with backoff.
+/// Dials `addr`, retrying [`connect_is_transient`] failures with backoff.
 fn dial(addr: SocketAddr, retry: &RetryPolicy) -> Result<TcpStream, ClientError> {
     for attempt in 1..=retry.max_attempts {
         match TcpStream::connect(addr) {
@@ -595,9 +584,7 @@ fn dial(addr: SocketAddr, retry: &RetryPolicy) -> Result<TcpStream, ClientError>
                 let _ = s.set_nodelay(true);
                 return Ok(s);
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::ConnectionRefused && attempt < retry.max_attempts =>
-            {
+            Err(e) if connect_is_transient(e.kind()) && attempt < retry.max_attempts => {
                 backoff_sleep(retry, 0, attempt, 0);
             }
             Err(e) => return Err(ClientError::Connect(e.kind())),

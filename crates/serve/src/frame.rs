@@ -199,9 +199,7 @@ fn parse_extensions(body: &[u8]) -> Result<(Option<TraceContext>, &[u8]), FrameE
 /// Reads exactly one length-prefixed frame — plain or extended — and
 /// decodes it. Returns the message, the total bytes consumed (prefix
 /// included), and the trace context if the peer attached one.
-pub fn read_frame_ctx(
-    r: &mut impl Read,
-) -> Result<(Message, usize, Option<TraceContext>), FrameError> {
+pub fn read_frame(r: &mut impl Read) -> Result<AssembledFrame, FrameError> {
     // First byte by hand so a clean close (EOF at a boundary) is
     // distinguishable from a prefix cut short.
     let mut prefix = [0u8; LEN_PREFIX_BYTES];
@@ -222,18 +220,11 @@ pub fn read_frame_ctx(
     Ok((msg, LEN_PREFIX_BYTES + declared, ctx))
 }
 
-/// Reads exactly one length-prefixed frame and decodes it, dropping any
-/// trace context. Returns the message and the total bytes consumed
-/// (prefix included).
-pub fn read_frame(r: &mut impl Read) -> Result<(Message, usize), FrameError> {
-    read_frame_ctx(r).map(|(msg, n, _)| (msg, n))
-}
-
 /// Encodes `msg` — with `ctx` attached as a trace-context extension when
 /// given — and writes it behind its length prefix. Returns the total
-/// bytes written (prefix included). Without a context the output is
-/// byte-identical to [`write_frame`].
-pub fn write_frame_ctx(
+/// bytes written (prefix included). Without a context the output is the
+/// plain, unextended frame.
+pub fn write_frame(
     w: &mut impl Write,
     msg: &Message,
     ctx: Option<&TraceContext>,
@@ -262,29 +253,24 @@ pub fn write_frame_ctx(
     Ok(LEN_PREFIX_BYTES + ext.len() + body.len())
 }
 
-/// Encodes `msg` and writes it behind its length prefix. Returns the total
-/// bytes written (prefix included).
-pub fn write_frame(w: &mut impl Write, msg: &Message) -> io::Result<usize> {
-    write_frame_ctx(w, msg, None)
-}
-
 /// Encodes `msg` behind its length prefix into a fresh byte vector — the
 /// buffer-building twin of [`write_frame`], used by the nonblocking server
 /// where replies are queued and flushed as the socket accepts them.
 pub fn encode_frame(msg: &Message) -> Vec<u8> {
     let mut buf = Vec::new();
-    write_frame(&mut buf, msg).expect("writing to a Vec cannot fail");
+    write_frame(&mut buf, msg, None).expect("writing to a Vec cannot fail");
     buf
 }
 
-/// One frame successfully reassembled by a [`FrameAssembler`]: the decoded
-/// message, the total bytes it occupied on the wire (prefix included), and
-/// the trace context if the peer attached one.
+/// One frame successfully read by [`read_frame`] or reassembled by a
+/// [`FrameAssembler`]: the decoded message, the total bytes it occupied on
+/// the wire (prefix included), and the trace context if the peer attached
+/// one.
 pub type AssembledFrame = (Message, usize, Option<TraceContext>);
 
 /// Incremental frame reassembly for nonblocking sockets.
 ///
-/// Where [`read_frame_ctx`] *pulls* bytes from a blocking reader, an epoll
+/// Where [`read_frame`] *pulls* bytes from a blocking reader, an epoll
 /// loop is handed bytes whenever the kernel has them — possibly one byte
 /// at a time, possibly three frames at once. `FrameAssembler` is the
 /// per-connection state machine between the two worlds: [`push`] feeds it
@@ -383,9 +369,9 @@ mod tests {
     #[test]
     fn frame_round_trip() {
         let mut buf = Vec::new();
-        let written = write_frame(&mut buf, &msg()).unwrap();
+        let written = write_frame(&mut buf, &msg(), None).unwrap();
         assert_eq!(written, buf.len());
-        let (back, consumed) = read_frame(&mut Cursor::new(&buf)).unwrap();
+        let (back, consumed, _) = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, msg());
         assert_eq!(consumed, written);
     }
@@ -407,7 +393,7 @@ mod tests {
             Message::Report { epoch: 0, mode: 1.5, outliers: vec![(2, 9.0)] },
         ];
         for m in &msgs {
-            write_frame(&mut buf, m).unwrap();
+            write_frame(&mut buf, m, None).unwrap();
         }
         let mut cur = Cursor::new(&buf);
         for m in &msgs {
@@ -419,7 +405,7 @@ mod tests {
     #[test]
     fn eof_at_boundary_is_closed_mid_frame_is_truncated() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &msg()).unwrap();
+        write_frame(&mut buf, &msg(), None).unwrap();
         assert_eq!(read_frame(&mut Cursor::new(&[] as &[u8])).unwrap_err(), FrameError::Closed);
         for cut in [1, LEN_PREFIX_BYTES - 1, LEN_PREFIX_BYTES, buf.len() - 1] {
             assert_eq!(
@@ -443,7 +429,7 @@ mod tests {
     #[test]
     fn corrupt_body_is_a_wire_error() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &msg()).unwrap();
+        write_frame(&mut buf, &msg(), None).unwrap();
         let last = buf.len() - 1;
         buf[last] ^= 0x40;
         assert!(matches!(
@@ -456,9 +442,9 @@ mod tests {
     fn trace_context_round_trips() {
         let ctx = TraceContext { trace_id: 0xDEAD_BEEF, span_id: 42 };
         let mut buf = Vec::new();
-        let written = write_frame_ctx(&mut buf, &msg(), Some(&ctx)).unwrap();
+        let written = write_frame(&mut buf, &msg(), Some(&ctx)).unwrap();
         assert_eq!(written, buf.len());
-        let (back, consumed, got) = read_frame_ctx(&mut Cursor::new(&buf)).unwrap();
+        let (back, consumed, got) = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, msg());
         assert_eq!(consumed, written);
         assert_eq!(got, Some(ctx));
@@ -466,13 +452,15 @@ mod tests {
 
     #[test]
     fn unextended_frames_are_byte_identical_to_the_old_format() {
+        // The old format, built by hand: length prefix, then the wire frame.
+        let body = wire::encode(&msg());
+        let mut old = (body.len() as u32).to_le_bytes().to_vec();
+        old.extend_from_slice(&body);
         let mut plain = Vec::new();
-        let mut via_ctx = Vec::new();
-        write_frame(&mut plain, &msg()).unwrap();
-        write_frame_ctx(&mut via_ctx, &msg(), None).unwrap();
-        assert_eq!(plain, via_ctx);
+        write_frame(&mut plain, &msg(), None).unwrap();
+        assert_eq!(plain, old);
         // And the plain reader sees no context on old-format frames.
-        assert_eq!(read_frame_ctx(&mut Cursor::new(&plain)).unwrap().2, None);
+        assert_eq!(read_frame(&mut Cursor::new(&plain)).unwrap().2, None);
     }
 
     #[test]
@@ -482,7 +470,7 @@ mod tests {
         // peer drops the connection with a typed error, never a desync.
         let ctx = TraceContext { trace_id: 1, span_id: 2 };
         let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, &msg(), Some(&ctx)).unwrap();
+        write_frame(&mut buf, &msg(), Some(&ctx)).unwrap();
         let raw = u32::from_le_bytes(buf[..4].try_into().unwrap());
         assert!(raw > MAX_FRAME_BYTES);
     }
@@ -521,7 +509,7 @@ mod tests {
         payload.extend_from_slice(&body);
         buf.extend_from_slice(&(FLAG_EXTENDED | payload.len() as u32).to_le_bytes());
         buf.extend_from_slice(&payload);
-        let (back, _, ctx) = read_frame_ctx(&mut Cursor::new(&buf)).unwrap();
+        let (back, _, ctx) = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, msg());
         assert_eq!(ctx, Some(TraceContext { trace_id: 7, span_id: 8 }));
     }
@@ -535,7 +523,7 @@ mod tests {
         payload.extend_from_slice(&body);
         let mut buf = (FLAG_EXTENDED | payload.len() as u32).to_le_bytes().to_vec();
         buf.extend_from_slice(&payload);
-        let (back, _, ctx) = read_frame_ctx(&mut Cursor::new(&buf)).unwrap();
+        let (back, _, ctx) = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, msg());
         assert_eq!(ctx, None);
     }
@@ -550,19 +538,19 @@ mod tests {
         payload.extend_from_slice(&body);
         let mut buf = (FLAG_EXTENDED | payload.len() as u32).to_le_bytes().to_vec();
         buf.extend_from_slice(&payload);
-        assert_eq!(read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err(), FrameError::BadExtension);
+        assert_eq!(read_frame(&mut Cursor::new(&buf)).unwrap_err(), FrameError::BadExtension);
         // A block length overrunning the whole body is equally typed.
         let mut buf = (FLAG_EXTENDED | 1).to_le_bytes().to_vec();
         buf.push(200);
-        assert_eq!(read_frame_ctx(&mut Cursor::new(&buf)).unwrap_err(), FrameError::BadExtension);
+        assert_eq!(read_frame(&mut Cursor::new(&buf)).unwrap_err(), FrameError::BadExtension);
     }
 
     #[test]
     fn assembler_reassembles_byte_by_byte() {
         let mut buf = Vec::new();
         let ctx = TraceContext { trace_id: 5, span_id: 6 };
-        write_frame_ctx(&mut buf, &msg(), Some(&ctx)).unwrap();
-        write_frame(&mut buf, &Message::Ack { of: 4, info: 1 }).unwrap();
+        write_frame(&mut buf, &msg(), Some(&ctx)).unwrap();
+        write_frame(&mut buf, &Message::Ack { of: 4, info: 1 }, None).unwrap();
 
         let mut asm = FrameAssembler::new();
         let mut out = Vec::new();
@@ -583,7 +571,7 @@ mod tests {
     #[test]
     fn assembler_consumes_corrupt_frames_and_stays_synchronized() {
         let mut good = Vec::new();
-        write_frame(&mut good, &msg()).unwrap();
+        write_frame(&mut good, &msg(), None).unwrap();
         let mut bad = good.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x10;
@@ -600,7 +588,7 @@ mod tests {
     #[test]
     fn assembler_mid_frame_eof_is_truncated_and_oversize_is_typed() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &msg()).unwrap();
+        write_frame(&mut buf, &msg(), None).unwrap();
         let mut asm = FrameAssembler::new();
         asm.push(&buf[..buf.len() - 1]);
         assert_eq!(asm.next_frame().unwrap(), None);

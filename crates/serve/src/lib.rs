@@ -59,8 +59,8 @@ pub use client::{
     run_cs_over_server, ClientError, MetricsPoller, ServeClient, ServeRun, ServeRunConfig,
 };
 pub use frame::{
-    encode_frame, read_frame, read_frame_ctx, write_frame, write_frame_ctx, AssembledFrame,
-    FrameAssembler, FrameError, TraceContext, EXT_TRACE_CONTEXT, LEN_PREFIX_BYTES, MAX_FRAME_BYTES,
+    encode_frame, read_frame, write_frame, AssembledFrame, FrameAssembler, FrameError,
+    TraceContext, EXT_TRACE_CONTEXT, LEN_PREFIX_BYTES, MAX_FRAME_BYTES,
 };
 pub use relay::{spawn_relay, RelayConfig, RelayHandle};
 pub use server::{spawn, ServerConfig, ServerHandle, TelemetryConfig};

@@ -81,13 +81,14 @@ pub struct RelayConfig {
     pub topology: TopologySpec,
     /// Backoff policy for upstream opens/pushes.
     pub retry: RetryPolicy,
-    /// How often the forwarder re-scans for sealed-unforwarded epochs.
-    pub poll_interval: Duration,
 }
+
+/// How often the forwarder re-scans for sealed-unforwarded epochs.
+const POLL_INTERVAL: Duration = Duration::from_millis(5);
 
 impl RelayConfig {
     /// A relay for `region` of `topology`, reporting to `upstream`, with
-    /// default server/retry settings and a 5 ms forwarder poll.
+    /// default server/retry settings.
     pub fn new(upstream: SocketAddr, region: u32, topology: TopologySpec) -> Self {
         RelayConfig {
             server: ServerConfig::default(),
@@ -95,7 +96,6 @@ impl RelayConfig {
             region,
             topology,
             retry: RetryPolicy::default(),
-            poll_interval: Duration::from_millis(5),
         }
     }
 }
@@ -204,7 +204,7 @@ fn forwarder_loop(server: &ServerHandle, stop: &AtomicBool, cfg: &RelayConfig) {
                 }
             }
         }
-        std::thread::sleep(cfg.poll_interval);
+        std::thread::sleep(POLL_INTERVAL);
     }
 }
 
@@ -264,11 +264,8 @@ fn forward_one(
     // restarted relay re-opens, redeclares (acked), and pushes fresh.
     crash_point("mid-forward");
     match up.send_sketch(cfg.region, &pending.y, SketchEncoding::F64) {
-        Ok(was_duplicate) => {
-            if was_duplicate {
-                rec.counter_add("relay.forward_duplicates", 1);
-            }
-        }
+        Ok(true) => rec.counter_add("relay.forward_duplicates", 1),
+        Ok(false) => {}
         // Membership already froze upstream (the root sealed without us,
         // or our pre-crash push landed and the root moved on). Retrying
         // can never succeed — record the race and retire the epoch so the

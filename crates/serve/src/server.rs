@@ -430,6 +430,7 @@ impl ServerHandle {
                 let _ = write_frame(
                     &mut s,
                     &Message::Reject { code: RejectCode::ShuttingDown.as_u16(), retry_after_ms: 0 },
+                    None,
                 );
             }
         }
@@ -706,6 +707,7 @@ impl Worker {
                         code: RejectCode::Busy.as_u16(),
                         retry_after_ms: sh.config.retry_after_ms,
                     },
+                    None,
                 );
                 continue;
             }
@@ -925,6 +927,7 @@ impl Worker {
                             code: RejectCode::ShuttingDown.as_u16(),
                             retry_after_ms: 0,
                         },
+                        None,
                     );
                 }
             }
@@ -937,6 +940,7 @@ impl Worker {
             let _ = write_frame(
                 &mut s,
                 &Message::Reject { code: RejectCode::ShuttingDown.as_u16(), retry_after_ms: 0 },
+                None,
             );
         }
         drop(inbox);

@@ -263,7 +263,10 @@ impl std::fmt::Display for SegmentFault {
             SegmentFault::Short { len } => write!(f, "{len} bytes is shorter than the header"),
             SegmentFault::BadMagic => write!(f, "bad magic"),
             SegmentFault::Version { found } => {
-                write!(f, "version {found} (this build reads {WAL_VERSION})")
+                write!(
+                    f,
+                    "version {found} (this build reads {OLDEST_READ_VERSION} to {WAL_VERSION})"
+                )
             }
         }
     }
@@ -1484,7 +1487,10 @@ mod tests {
             (
                 foreign,
                 SegmentFault::Version { found: WAL_VERSION + 7 },
-                format!("version {} (this build reads {WAL_VERSION})", WAL_VERSION + 7),
+                format!(
+                    "version {} (this build reads {OLDEST_READ_VERSION} to {WAL_VERSION})",
+                    WAL_VERSION + 7
+                ),
             ),
         ];
         for (bytes, want, text) in cases {

@@ -324,9 +324,18 @@ fn relay_kill9_mid_forward_resumes_without_double_count() {
         wait_listening(child_addr);
 
         let open = |addr: SocketAddr| {
-            cso_serve::ServeClient::open(addr, &patient(), 5, 0, M as u32, n, SEED)
-                .map(|(c, _)| c)
-                .expect("open")
+            cso_serve::ServeClient::open_with_backend(
+                addr,
+                &patient(),
+                5,
+                0,
+                M as u32,
+                n,
+                SEED,
+                cso_core::SketchBackend::dense(),
+            )
+            .map(|(c, _)| c)
+            .expect("open")
         };
         // Region 0's leaves ingest and seal normally.
         let mut c0 = open(relay0.addr());

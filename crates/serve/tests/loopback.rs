@@ -1,7 +1,7 @@
 //! End-to-end tests against a live loopback server: bit-identity with the
 //! in-process protocol paths, backpressure, and socket fault injection.
 
-use cso_core::BompConfig;
+use cso_core::{BompConfig, SketchBackend};
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::wire::{self, Message};
 use cso_distributed::{Cluster, CsProtocol, RetryPolicy};
@@ -98,7 +98,6 @@ fn loopback_run_is_bit_identical_to_run_over_wire() {
 /// `Φ0`.
 #[test]
 fn loopback_run_is_bit_identical_for_every_operator_backend() {
-    use cso_core::SketchBackend;
     let (cluster, data) = majority_cluster();
     let server = spawn(ServerConfig::default()).unwrap();
 
@@ -149,19 +148,31 @@ fn busy_rejection_carries_retry_hint_and_retry_succeeds() {
     let retry = RetryPolicy::no_retry();
 
     // Occupy the only handler, then fill the queue with a raw connection.
-    let (holder, _) = ServeClient::open(addr, &retry, 1, 0, 16, 64, SEED).unwrap();
+    let (holder, _) =
+        ServeClient::open_with_backend(addr, &retry, 1, 0, 16, 64, SEED, SketchBackend::dense())
+            .unwrap();
     let filler = TcpStream::connect(addr).unwrap();
     std::thread::sleep(Duration::from_millis(30)); // let the acceptor queue it
 
     // The next arrival must be turned away with the configured hint.
     let mut turned_away = TcpStream::connect(addr).unwrap();
-    let (reply, _) = read_frame(&mut turned_away).unwrap();
+    let (reply, _, _) = read_frame(&mut turned_away).unwrap();
     assert_eq!(reply, Message::Reject { code: RejectCode::Busy.as_u16(), retry_after_ms: 25 });
 
     // A patient client keeps retrying and succeeds once the holder leaves.
     let patient = std::thread::spawn(move || {
         let patient_retry = RetryPolicy::default().with_max_attempts(40);
-        ServeClient::open(addr, &patient_retry, 2, 0, 16, 64, SEED).map(|(_, info)| info)
+        ServeClient::open_with_backend(
+            addr,
+            &patient_retry,
+            2,
+            0,
+            16,
+            64,
+            SEED,
+            SketchBackend::dense(),
+        )
+        .map(|(_, info)| info)
     });
     std::thread::sleep(Duration::from_millis(60));
     drop(holder);
@@ -186,7 +197,7 @@ fn corrupt_frame_is_rejected_without_dropping_the_connection() {
     body[mid] ^= 0x10;
     stream.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
     stream.write_all(&body).unwrap();
-    let (reply, _) = read_frame(&mut stream).unwrap();
+    let (reply, _, _) = read_frame(&mut stream).unwrap();
     assert_eq!(
         reply,
         Message::Reject { code: RejectCode::CorruptFrame.as_u16(), retry_after_ms: 0 }
@@ -204,9 +215,10 @@ fn corrupt_frame_is_rejected_without_dropping_the_connection() {
             op_kind: 0,
             op_param: 0,
         },
+        None,
     )
     .unwrap();
-    let (reply, _) = read_frame(&mut stream).unwrap();
+    let (reply, _, _) = read_frame(&mut stream).unwrap();
     assert!(matches!(reply, Message::Ack { .. }), "got {reply:?}");
 
     let metrics = server.recorder().metrics_snapshot();
@@ -229,7 +241,17 @@ fn epoch_survives_killed_and_straggling_connections() {
     let n = cluster.n() as u64;
 
     // Healthy connection ships nodes 0 and 1.
-    let (mut healthy, _) = ServeClient::open(addr, &retry, 1, 0, M as u32, n, SEED).unwrap();
+    let (mut healthy, _) = ServeClient::open_with_backend(
+        addr,
+        &retry,
+        1,
+        0,
+        M as u32,
+        n,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
     healthy.send_sketch(0, &sketches[0], SketchEncoding::F64).unwrap();
     healthy.send_sketch(1, &sketches[1], SketchEncoding::F64).unwrap();
 
@@ -247,6 +269,7 @@ fn epoch_survives_killed_and_straggling_connections() {
             op_kind: 0,
             op_param: 0,
         },
+        None,
     )
     .unwrap();
     let _ = read_frame(&mut killed).unwrap();
@@ -257,14 +280,34 @@ fn epoch_survives_killed_and_straggling_connections() {
     // Node 3's connection opens and then stalls past the read deadline
     // (so does `healthy`, idle since its last sketch — ingested sketches
     // live in the epoch, not the connection).
-    let (straggler, _) = ServeClient::open(addr, &retry, 1, 0, M as u32, n, SEED).unwrap();
+    let (straggler, _) = ServeClient::open_with_backend(
+        addr,
+        &retry,
+        1,
+        0,
+        M as u32,
+        n,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
     std::thread::sleep(Duration::from_millis(300));
     drop(straggler);
     drop(healthy);
 
     // A fresh control connection seals and recovers: only the two
     // surviving sketches count.
-    let (mut control, already) = ServeClient::open(addr, &retry, 1, 0, M as u32, n, SEED).unwrap();
+    let (mut control, already) = ServeClient::open_with_backend(
+        addr,
+        &retry,
+        1,
+        0,
+        M as u32,
+        n,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
     assert_eq!(already, 2, "the epoch kept the sketches of dropped connections");
     let sealed = control.seal().unwrap();
     assert_eq!(sealed, 2, "only the surviving subset is aggregated");
@@ -316,9 +359,10 @@ fn hostile_open_is_rejected_and_the_server_survives() {
                 op_kind: 0,
                 op_param: 0,
             },
+            None,
         )
         .unwrap();
-        let (reply, _) = read_frame(&mut hostile).unwrap();
+        let (reply, _, _) = read_frame(&mut hostile).unwrap();
         assert_eq!(
             reply,
             Message::Reject { code: RejectCode::BadSpec.as_u16(), retry_after_ms: 0 },
@@ -338,6 +382,7 @@ fn hostile_open_is_rejected_and_the_server_survives() {
             op_kind: 0,
             op_param: 0,
         },
+        None,
     )
     .unwrap();
     assert!(matches!(read_frame(&mut hostile).unwrap().0, Message::Ack { .. }));
@@ -366,10 +411,19 @@ fn mismatched_ack_tag_is_an_unexpected_reply() {
         // Swallow the OpenEpoch and reply with an Ack echoing the wrong
         // request tag.
         let _ = read_frame(&mut sock).unwrap();
-        write_frame(&mut sock, &Message::Ack { of: wire::TAG_SKETCH, info: 0 }).unwrap();
+        write_frame(&mut sock, &Message::Ack { of: wire::TAG_SKETCH, info: 0 }, None).unwrap();
     });
 
-    let err = match ServeClient::open(addr, &RetryPolicy::no_retry(), 1, 0, 16, 64, SEED) {
+    let err = match ServeClient::open_with_backend(
+        addr,
+        &RetryPolicy::no_retry(),
+        1,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    ) {
         Ok(_) => panic!("a mismatched ack must not be accepted"),
         Err(e) => e,
     };
@@ -393,13 +447,22 @@ fn out_of_range_phase_in_status_is_a_malformed_reply() {
     let fake = std::thread::spawn(move || {
         let (mut sock, _) = listener.accept().unwrap();
         let _ = read_frame(&mut sock).unwrap(); // OpenEpoch
-        write_frame(&mut sock, &Message::Ack { of: wire::TAG_OPEN_EPOCH, info: 0 }).unwrap();
+        write_frame(&mut sock, &Message::Ack { of: wire::TAG_OPEN_EPOCH, info: 0 }, None).unwrap();
         let _ = read_frame(&mut sock).unwrap(); // EpochStatus
-        write_frame(&mut sock, &Message::Status { epoch: 0, phase: 9, nodes: 0 }).unwrap();
+        write_frame(&mut sock, &Message::Status { epoch: 0, phase: 9, nodes: 0 }, None).unwrap();
     });
 
-    let (mut client, _) =
-        ServeClient::open(addr, &RetryPolicy::no_retry(), 1, 0, 16, 64, SEED).unwrap();
+    let (mut client, _) = ServeClient::open_with_backend(
+        addr,
+        &RetryPolicy::no_retry(),
+        1,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
     let err = client.status().expect_err("phase 9 must not decode");
     assert!(
         matches!(err, ClientError::MalformedReply { field: "epoch phase", value: 9 }),
@@ -435,8 +498,17 @@ fn clean_restart_replays_the_journal_bit_identically() {
                 let sketches = &sketches;
                 let retry = &retry;
                 scope.spawn(move || {
-                    let (mut client, _) =
-                        ServeClient::open(addr, retry, 1, epoch, M as u32, n, SEED).unwrap();
+                    let (mut client, _) = ServeClient::open_with_backend(
+                        addr,
+                        retry,
+                        1,
+                        epoch,
+                        M as u32,
+                        n,
+                        SEED,
+                        SketchBackend::dense(),
+                    )
+                    .unwrap();
                     for (node, sketch) in sketches.iter().enumerate().skip(c).step_by(connections) {
                         client.send_sketch(node as u32, sketch, SketchEncoding::F64).unwrap();
                     }
@@ -460,8 +532,17 @@ fn clean_restart_replays_the_journal_bit_identically() {
     assert_eq!(metrics.counter("serve.wal_torn_tails"), None);
 
     for epoch in 0..3u64 {
-        let (mut control, already) =
-            ServeClient::open(server.addr(), &retry, 1, epoch, M as u32, n, SEED).unwrap();
+        let (mut control, already) = ServeClient::open_with_backend(
+            server.addr(),
+            &retry,
+            1,
+            epoch,
+            M as u32,
+            n,
+            SEED,
+            SketchBackend::dense(),
+        )
+        .unwrap();
         assert_eq!(already, l, "epoch {epoch}: replay lost ingested nodes");
         assert_eq!(control.seal().unwrap(), l, "epoch {epoch}");
         let (mode, outliers) = control.recover(K as u32).unwrap();
@@ -491,8 +572,17 @@ fn shutdown_rejects_queued_connections_with_a_typed_frame() {
     let rec = server.recorder().clone();
 
     // Occupy the only handler, then park two connections in the queue.
-    let (holder, _) =
-        ServeClient::open(addr, &RetryPolicy::no_retry(), 1, 0, 16, 64, SEED).unwrap();
+    let (holder, _) = ServeClient::open_with_backend(
+        addr,
+        &RetryPolicy::no_retry(),
+        1,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
     let mut queued: Vec<TcpStream> = (0..2).map(|_| TcpStream::connect(addr).unwrap()).collect();
     std::thread::sleep(Duration::from_millis(50)); // let the acceptor queue them
 
@@ -501,7 +591,7 @@ fn shutdown_rejects_queued_connections_with_a_typed_frame() {
     server.shutdown();
     drop(holder);
     for (i, s) in queued.iter_mut().enumerate() {
-        let (reply, _) = read_frame(s).unwrap();
+        let (reply, _, _) = read_frame(s).unwrap();
         assert_eq!(
             reply,
             Message::Reject { code: RejectCode::ShuttingDown.as_u16(), retry_after_ms: 0 },
@@ -550,7 +640,7 @@ fn open_times_out_on_a_wedged_server_and_retries() {
         // it on its own, not be rescued by a close.
         let (mut live, _) = listener.accept().unwrap();
         let _ = read_frame(&mut live).unwrap();
-        write_frame(&mut live, &Message::Ack { of: wire::TAG_OPEN_EPOCH, info: 5 }).unwrap();
+        write_frame(&mut live, &Message::Ack { of: wire::TAG_OPEN_EPOCH, info: 5 }, None).unwrap();
         drop(wedged);
     });
 
@@ -561,7 +651,9 @@ fn open_times_out_on_a_wedged_server_and_retries() {
         timeout_ticks: 80,
         ..RetryPolicy::default()
     };
-    let (client, info) = ServeClient::open(addr, &retry, 9, 0, 16, 64, SEED).unwrap();
+    let (client, info) =
+        ServeClient::open_with_backend(addr, &retry, 9, 0, 16, 64, SEED, SketchBackend::dense())
+            .unwrap();
     assert_eq!(info, 5, "the answered retry's ack must be the one returned");
     drop(client);
     fake.join().unwrap();
@@ -586,6 +678,7 @@ fn open_exhaustion_does_not_sleep_after_the_final_attempt() {
             write_frame(
                 &mut sock,
                 &Message::Reject { code: RejectCode::Busy.as_u16(), retry_after_ms: HINT_MS },
+                None,
             )
             .unwrap();
         }
@@ -598,7 +691,16 @@ fn open_exhaustion_does_not_sleep_after_the_final_attempt() {
         ..RetryPolicy::default()
     };
     let started = Instant::now();
-    let err = match ServeClient::open(addr, &retry, 9, 0, 16, 64, SEED) {
+    let err = match ServeClient::open_with_backend(
+        addr,
+        &retry,
+        9,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    ) {
         Ok(_) => panic!("two Busy rejects through two attempts must exhaust"),
         Err(e) => e,
     };
@@ -623,9 +725,38 @@ fn session_cap_is_server_wide() {
     let limits = StoreLimits { max_sessions: 2, ..StoreLimits::default() };
     let server = spawn(ServerConfig { limits, ..ServerConfig::default() }).unwrap();
     let retry = RetryPolicy::no_retry();
-    let _first = ServeClient::open(server.addr(), &retry, 1, 0, 16, 64, SEED).unwrap();
-    let _second = ServeClient::open(server.addr(), &retry, 2, 0, 16, 64, SEED).unwrap();
-    match ServeClient::open(server.addr(), &retry, 3, 0, 16, 64, SEED) {
+    let _first = ServeClient::open_with_backend(
+        server.addr(),
+        &retry,
+        1,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
+    let _second = ServeClient::open_with_backend(
+        server.addr(),
+        &retry,
+        2,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .unwrap();
+    match ServeClient::open_with_backend(
+        server.addr(),
+        &retry,
+        3,
+        0,
+        16,
+        64,
+        SEED,
+        SketchBackend::dense(),
+    ) {
         Err(ClientError::Rejected(RejectCode::StoreFull)) => {}
         Err(e) => panic!("third session: expected StoreFull, got {e:?}"),
         Ok(_) => panic!("third session admitted past a two-session cap"),
@@ -697,8 +828,17 @@ fn concurrent_sessions_match_run_over_wire_across_snapshots_and_restart() {
     assert!(server.recovery_report().is_some_and(|r| r.snapshot_loaded));
     let retry = RetryPolicy::default();
     for s in 0..SESSIONS {
-        let (mut control, nodes) =
-            ServeClient::open(server.addr(), &retry, s, 0, M as u32, 400, SEED).unwrap();
+        let (mut control, nodes) = ServeClient::open_with_backend(
+            server.addr(),
+            &retry,
+            s,
+            0,
+            M as u32,
+            400,
+            SEED,
+            SketchBackend::dense(),
+        )
+        .unwrap();
         assert_eq!(nodes, 16, "session {s}: restart lost sealed nodes");
         let (mode, outliers) = control.recover(K as u32).unwrap();
         assert_bits(s, mode, &outliers, "after restart");

@@ -12,7 +12,7 @@
 
 use cso_distributed::wire::Message;
 use cso_serve::{
-    write_frame_ctx, AssembledFrame, FrameAssembler, FrameError, TraceContext, LEN_PREFIX_BYTES,
+    write_frame, AssembledFrame, FrameAssembler, FrameError, TraceContext, LEN_PREFIX_BYTES,
 };
 use proptest::prelude::*;
 
@@ -51,7 +51,7 @@ fn encode_stream(frames: &[(Message, Option<TraceContext>)]) -> (Vec<u8>, Vec<us
     let mut bytes = Vec::new();
     let mut boundaries = Vec::new();
     for (msg, ctx) in frames {
-        write_frame_ctx(&mut bytes, msg, ctx.as_ref()).unwrap();
+        write_frame(&mut bytes, msg, ctx.as_ref()).unwrap();
         boundaries.push(bytes.len());
     }
     (bytes, boundaries)

@@ -9,8 +9,7 @@
 
 use cso_distributed::wire::{self, Message};
 use cso_serve::{
-    read_frame, read_frame_ctx, write_frame, write_frame_ctx, FrameError, TraceContext,
-    EXT_TRACE_CONTEXT, LEN_PREFIX_BYTES,
+    read_frame, write_frame, FrameError, TraceContext, EXT_TRACE_CONTEXT, LEN_PREFIX_BYTES,
 };
 use proptest::prelude::*;
 use std::io::Cursor;
@@ -54,24 +53,25 @@ proptest! {
     ) {
         let mut buf = Vec::new();
         for (msg, ctx) in &frames {
-            write_frame_ctx(&mut buf, msg, ctx.as_ref()).unwrap();
+            write_frame(&mut buf, msg, ctx.as_ref()).unwrap();
         }
         let mut cur = Cursor::new(&buf);
         for (msg, ctx) in &frames {
-            let (back, _, got) = read_frame_ctx(&mut cur).unwrap();
+            let (back, _, got) = read_frame(&mut cur).unwrap();
             prop_assert_eq!(&back, msg);
             prop_assert_eq!(&got, ctx);
         }
-        prop_assert_eq!(read_frame_ctx(&mut cur).unwrap_err(), FrameError::Closed);
+        prop_assert_eq!(read_frame(&mut cur).unwrap_err(), FrameError::Closed);
 
         // Interop both ways on the plain subset: frames written by the old
         // writer parse under the new reader with no context, and frames the
         // new writer emits without a context parse under the old reader.
         let (msg, _) = &frames[0];
-        let mut old = Vec::new();
-        write_frame(&mut old, msg).unwrap();
+        let body = wire::encode(msg);
+        let mut old = (body.len() as u32).to_le_bytes().to_vec();
+        old.extend_from_slice(&body);
         let mut new = Vec::new();
-        write_frame_ctx(&mut new, msg, None).unwrap();
+        write_frame(&mut new, msg, None).unwrap();
         prop_assert_eq!(&old, &new);
         prop_assert_eq!(&read_frame(&mut Cursor::new(&new)).unwrap().0, msg);
     }
@@ -88,9 +88,9 @@ proptest! {
     ) {
         let ctx = TraceContext { trace_id, span_id };
         let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, &msg, Some(&ctx)).unwrap();
+        write_frame(&mut buf, &msg, Some(&ctx)).unwrap();
         let cut = ((buf.len() - 1) as f64 * cut_fraction) as usize;
-        let err = read_frame_ctx(&mut Cursor::new(&buf[..cut])).unwrap_err();
+        let err = read_frame(&mut Cursor::new(&buf[..cut])).unwrap_err();
         if cut == 0 {
             prop_assert_eq!(err, FrameError::Closed);
         } else {
@@ -111,10 +111,10 @@ proptest! {
     ) {
         let ctx = TraceContext { trace_id, span_id };
         let mut buf = Vec::new();
-        write_frame_ctx(&mut buf, &msg, Some(&ctx)).unwrap();
+        write_frame(&mut buf, &msg, Some(&ctx)).unwrap();
         let bit = (pick % (buf.len() as u64 * 8)) as usize;
         buf[bit / 8] ^= 1 << (bit % 8);
-        match read_frame_ctx(&mut Cursor::new(&buf)) {
+        match read_frame(&mut Cursor::new(&buf)) {
             Ok((back, _, _)) => prop_assert_eq!(back, msg),
             Err(
                 FrameError::Truncated
@@ -162,7 +162,7 @@ proptest! {
         buf.push(ext.len() as u8);
         buf.extend_from_slice(&ext);
         buf.extend_from_slice(&body);
-        let (back, consumed, got) = read_frame_ctx(&mut Cursor::new(&buf)).unwrap();
+        let (back, consumed, got) = read_frame(&mut Cursor::new(&buf)).unwrap();
         prop_assert_eq!(back, msg);
         prop_assert_eq!(consumed, LEN_PREFIX_BYTES + total as usize);
         let want = ctx_last.then_some(TraceContext { trace_id, span_id });

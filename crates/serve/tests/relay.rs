@@ -17,6 +17,7 @@
 //!   count shrinks by exactly the fan-in factor, its ingest bytes by
 //!   nearly that.
 
+use cso_core::SketchBackend;
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::{Cluster, CsProtocol, RetryPolicy, TopologySpec};
 use cso_serve::{
@@ -64,8 +65,17 @@ fn retry() -> RetryPolicy {
 
 /// Opens a client bound to the shared `(SESSION, EPOCH)` epoch.
 fn open(addr: SocketAddr, n: u64) -> ServeClient {
-    let (client, _) =
-        ServeClient::open(addr, &retry(), SESSION, EPOCH, M as u32, n, SEED).expect("open");
+    let (client, _) = ServeClient::open_with_backend(
+        addr,
+        &retry(),
+        SESSION,
+        EPOCH,
+        M as u32,
+        n,
+        SEED,
+        SketchBackend::dense(),
+    )
+    .expect("open");
     client
 }
 

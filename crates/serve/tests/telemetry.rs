@@ -8,6 +8,7 @@
 //! and a graceful shutdown leaves a parseable `flight.jsonl` ending with
 //! the shutdown marker.
 
+use cso_core::SketchBackend;
 use cso_distributed::quantize::SketchEncoding;
 use cso_distributed::{Cluster, CsProtocol, RetryPolicy};
 use cso_obs::{json, MetricsSnapshot, Recorder};
@@ -174,7 +175,7 @@ fn slow_requests_carry_client_trace_context_into_the_flight_recorder() {
     const TRACE_ID: u64 = 0xC0FFEE;
     let rec = Recorder::new();
     let retry = RetryPolicy::default();
-    let (mut client, _) = ServeClient::open(
+    let (mut client, _) = ServeClient::open_with_backend(
         server.addr(),
         &retry,
         1,
@@ -182,6 +183,7 @@ fn slow_requests_carry_client_trace_context_into_the_flight_recorder() {
         proto.m as u32,
         cluster.n() as u64,
         proto.seed,
+        SketchBackend::dense(),
     )
     .unwrap();
     client.enable_telemetry(&rec, TRACE_ID, Duration::ZERO);

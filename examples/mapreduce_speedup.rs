@@ -13,7 +13,8 @@
 
 use cs_outlier::core::BompConfig;
 use cs_outlier::mapreduce::{
-    cs_bomp, run_cs_job, run_topk_job, traditional_topk, ClusterProfile, Record, WorkloadShape,
+    cs_bomp, run_cs_job, run_topk_job, traditional_topk, ClusterProfile, ExecConfig, Record,
+    WorkloadShape,
 };
 use cs_outlier::workloads::{PowerLawConfig, PowerLawData};
 
@@ -39,7 +40,16 @@ fn main() {
         .collect();
 
     let m = 320;
-    let cs = run_cs_job(&splits, n, m, 1234, k, &BompConfig::for_k_outliers(k)).expect("cs job");
+    let cs = run_cs_job(
+        &ExecConfig::sequential(),
+        &splits,
+        n,
+        m,
+        1234,
+        k,
+        &BompConfig::for_k_outliers(k),
+    )
+    .expect("cs job");
     let tk = run_topk_job(&splits, n, k).expect("topk job");
 
     println!("executed on {} splits × {} keys:", splits.len(), n);

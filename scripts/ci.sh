@@ -9,7 +9,11 @@
 #      the collector's one-entry-per-node listing
 #   5. a warnings-clean check over all targets, fault-injection included,
 #      a clippy-clean check over all targets, no `fn *_traced` twin in
-#      cso-core, cso-distributed or cso-serve, no session-store shard
+#      any crate, no executor, trace-context or backend twin of the
+#      mapreduce engine and CS job, the frame codec or the client open
+#      (`map_reduce_exec`, `map_reduce_with_combiner*`, `run_cs_job_exec`,
+#      `read_frame_ctx`, `write_frame_ctx`, `ServeClient::open`), no
+#      session-store shard
 #      routing back in cso-serve, no second member table beside an
 #      ingesting epoch's pad, no per-recover `bomp(&spec, ..)`
 #      materialization in cso-serve (the root keeps its operators), no
@@ -109,9 +113,18 @@ cargo test -q -p cso-distributed --lib -- collector_sum_matches sliced_crc32 \
 echo "==> [5/17] warnings-clean (all targets, fault-injection on)"
 RUSTFLAGS="-D warnings" cargo check --workspace --all-targets --features fault-injection
 cargo clippy --workspace --all-targets -- -D warnings
-# The recorder rides in OmpConfig::rec / CsProtocol::rec: no traced twins.
-if grep -rnE "fn [a-z_]+_traced\b" crates/core/src crates/distributed/src crates/serve/src; then
+# The recorder rides in OmpConfig::rec / CsProtocol::rec or is an
+# argument: no traced twins in any crate.
+if grep -rnE "fn [a-z_]+_traced\b" crates/*/src; then
     echo "a *_traced twin is back; pass the recorder in the config instead"
+    exit 1
+fi
+# One entry point per operation: the executor, recorder, trace context and
+# backend are arguments of map_reduce, run_cs_job, read_frame/write_frame
+# and ServeClient::open_with_backend, not defaults of a forwarding twin.
+if grep -rnE "fn (map_reduce_exec|map_reduce_with_combiner|run_cs_job_exec|read_frame_ctx|write_frame_ctx)\b" crates/*/src \
+    || grep -nE "pub fn open\(" crates/serve/src/client.rs; then
+    echo "a forwarding twin is back; pass the executor, recorder, context or backend instead"
     exit 1
 fi
 # One session store behind one lock: no shard split, merge or routing.

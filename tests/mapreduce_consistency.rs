@@ -4,7 +4,7 @@
 
 use cs_outlier::core::BompConfig;
 use cs_outlier::distributed::{Cluster, CsProtocol, OutlierProtocol};
-use cs_outlier::mapreduce::{run_cs_job, run_topk_job, Record};
+use cs_outlier::mapreduce::{run_cs_job, run_topk_job, ExecConfig, Record};
 use cs_outlier::query::{run, ProtocolChoice, QueryOptions};
 use cs_outlier::workloads::{ClickLogConfig, ClickLogData};
 
@@ -31,7 +31,7 @@ fn mapreduce_cs_job_matches_direct_protocol() {
     let m = 260;
     let recovery = BompConfig::with_max_iterations(120);
 
-    let job = run_cs_job(&splits, data.n(), m, 5, k, &recovery).unwrap();
+    let job = run_cs_job(&ExecConfig::sequential(), &splits, data.n(), m, 5, k, &recovery).unwrap();
 
     let cluster = Cluster::new(data.slices.clone()).unwrap();
     let direct = CsProtocol::new(m, 5).with_recovery(recovery).run(&cluster, k).unwrap();
@@ -61,8 +61,16 @@ fn cs_job_recovers_planted_outliers_from_raw_events() {
     let data = workload();
     let splits = event_splits(&data);
     let k = 6;
-    let job =
-        run_cs_job(&splits, data.n(), 260, 41, k, &BompConfig::with_max_iterations(130)).unwrap();
+    let job = run_cs_job(
+        &ExecConfig::sequential(),
+        &splits,
+        data.n(),
+        260,
+        41,
+        k,
+        &BompConfig::with_max_iterations(130),
+    )
+    .unwrap();
     let truth = data.true_k_outliers(k);
     let truth_keys: std::collections::HashSet<usize> = truth.iter().map(|o| o.index).collect();
     let hit = job.outliers.iter().filter(|o| truth_keys.contains(&o.index)).count();
