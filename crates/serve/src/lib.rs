@@ -70,5 +70,6 @@ pub use session::{
     StoreLimits, StoreStats,
 };
 pub use wal::{
-    Durability, FsyncPolicy, RecoveryReport, ReplayError, SegmentFault, Wal, WalError, WalRecord,
+    Durability, FsyncPolicy, RecoveryReport, ReplayError, SegmentFault, SnapshotCut, Wal, WalError,
+    WalRecord,
 };

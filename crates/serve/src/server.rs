@@ -42,11 +42,12 @@
 //! store-locked transition (dispatch, `finish_recover`, `complete_forward`)
 //! runs through one helper, `Shared::commit`: it journals the applied
 //! record before the store guard drops, and flushes [`StoreStats`] and
-//! runs the journal's follow-ups only after. A
-//! snapshot locks the store, pauses the pads (waiting out in-flight
-//! claims, whose permits are held across their journal appends),
-//! serializes the store, and only then writes the snapshot — so a
-//! snapshot can never miss an acknowledged sketch.
+//! runs the journal's follow-ups only after. A snapshot cuts at a
+//! journal rotation: under the store lock it rotates the journal and
+//! serializes the store, pads open; it writes the file after the lock
+//! drops. A claim turns READY before its journal append, so a sketch
+//! journaled before the rotation is in the snapshot, and one straddling
+//! it replays as a duplicate.
 //!
 //! Fault containment per connection (see [`crate::frame`]):
 //!
@@ -286,26 +287,23 @@ impl Shared {
         (!was_failed && wal.failed(), wal.should_snapshot())
     }
 
-    /// The consistent-cut snapshot choreography: lock the store, pause
-    /// every ingest pad (waiting out in-flight lock-free claims, whose
-    /// permits span their journal appends — so a quiesced pad means every
-    /// accepted sketch is both in its slot and journaled), serialize the
-    /// store, write the snapshot under the journal lock, then resume the
-    /// pads. Callers must not hold the store lock. `should_snapshot` is
-    /// re-checked under the journal lock so concurrent workers cannot
-    /// double-snapshot.
+    /// The snapshot choreography (the cut argument is in the module docs):
+    /// under one store guard, so no store-locked transition lands between
+    /// them, rotate the journal and serialize the store; write the file
+    /// after the guard drops. Callers must not hold the store lock.
+    /// `should_snapshot` is re-checked under the journal lock so concurrent
+    /// workers cannot double-snapshot.
     fn snapshot_all(&self, stats: &mut StoreStats) {
         let Some(wal) = &self.wal else { return };
-        let store = lock_unpoisoned(&self.store);
-        store.pause_pads();
-        let bytes = store.snapshot_bytes();
-        {
-            let mut wal = lock_unpoisoned(wal);
-            if wal.should_snapshot() {
-                wal.snapshot(&bytes, stats);
-            }
-        }
-        store.resume_pads();
+        let (cut, bytes) = {
+            let store = lock_unpoisoned(&self.store);
+            let mut journal = lock_unpoisoned(wal);
+            let cut = journal.should_snapshot().then(|| journal.cut_snapshot(stats)).flatten();
+            let Some(cut) = cut else { return };
+            drop(journal);
+            (cut, store.snapshot_bytes())
+        };
+        cut.persist(&bytes, stats);
     }
 
     /// What follows a journal append, once the store lock is released:
@@ -974,8 +972,8 @@ fn handle_frame(
         // The lock-free fast path: a sketch for the epoch this connection
         // is bound to, with a live ingest pad. Claim a slot (CAS), write
         // the payload, journal **while holding the pad permit** (so a
-        // seal/snapshot quiesce cannot observe the sketch folded but not
-        // journaled), ack. No store lock anywhere.
+        // seal's quiesce cannot fold the sketch before it is journaled),
+        // ack. No store lock anywhere.
         if let Message::Sketch { node, seed, payload } = msg {
             let cached = conn.pad.as_ref().and_then(|(s, e, p)| {
                 (conn.state.bound() == Some((*s, *e))).then(|| (*s, *e, Arc::clone(p)))
@@ -993,8 +991,8 @@ fn handle_frame(
                     sh.after_journal(Some(lane), journaled);
                     break 'reply reply;
                 }
-                // Pad sealed or paused: the store-locked path resolves it
-                // (and re-caches).
+                // Pad sealed: the store-locked path resolves it (and
+                // re-caches).
                 conn.pad = None;
             }
         }
@@ -1030,7 +1028,7 @@ fn slow_path(sh: &Shared, lane: usize, conn: &mut Conn, msg: &Message) -> Messag
         let d = store.dispatch(&mut conn.state, msg, &sh.config.policy, stats);
         // Refresh the fast-path pad after binding-shaped messages: a
         // successful open/attach binds the connection, and a sketch that
-        // fell through here may have raced a seal, a pause or an eviction.
+        // fell through here may have raced a seal or an eviction.
         if matches!(msg, Message::OpenEpoch { .. } | Message::Sketch { .. }) {
             conn.pad = conn.state.bound().and_then(|(s, e)| Some((s, e, store.pad_for(s, e)?)));
         }
@@ -1120,7 +1118,10 @@ mod tests {
     /// `StoreStats` and flush after the guard drops. The state-machine
     /// and WAL layers enforce this structurally (their signatures cannot
     /// reach a `Recorder`); this test pins the same rule for the lock
-    /// scopes spelled out in `Shared::commit` and `snapshot_all`.
+    /// scopes spelled out in `Shared::commit` and `snapshot_all`. The
+    /// snapshot's write step (`SnapshotCut::persist`: the file's write,
+    /// fsync, rename, directory fsync and prune) must likewise run after
+    /// the store guard drops.
     #[test]
     fn no_recorder_calls_inside_shard_lock_sections() {
         let src = include_str!("server.rs");
@@ -1129,7 +1130,7 @@ mod tests {
         // until its enclosing block closes (depth drops below the level
         // the lock line started at).
         let mut guard_scopes: Vec<i64> = Vec::new();
-        let mut sections = 0usize;
+        let (mut sections, mut persists) = (0usize, 0usize);
         for (i, line) in src.lines().enumerate() {
             // Scan only the product code: the test's own body quotes the
             // marker strings.
@@ -1146,6 +1147,7 @@ mod tests {
                 continue;
             }
             guard_scopes.retain(|&s| depth >= s);
+            persists += usize::from(line.contains(".persist("));
             if !guard_scopes.is_empty() {
                 assert!(
                     !line.contains("sh.rec.") && !line.contains("self.rec."),
@@ -1153,8 +1155,15 @@ mod tests {
                     i + 1,
                     line.trim()
                 );
+                assert!(
+                    !line.contains(".persist("),
+                    "server.rs:{}: snapshot write inside a shard-lock section: {}",
+                    i + 1,
+                    line.trim()
+                );
             }
         }
         assert!(sections >= 2, "expected to find the shard-lock sections, found {sections}");
+        assert_eq!(persists, 1, "expected to find the snapshot's one write step");
     }
 }

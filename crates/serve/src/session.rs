@@ -327,7 +327,8 @@ struct PadSlot {
 // the snapshot — load the state with Acquire and run only through the one
 // `SessionStore` that owns the pad: the seal through `&mut SessionStore`,
 // the snapshot through `&SessionStore`, so a read never overlaps the take.
-// In the server that store sits behind the store lock.
+// In the server that store sits behind the store lock. The snapshot reads
+// while claims run: they write only cells they won, never a READY one.
 unsafe impl Sync for PadSlot {}
 
 /// One ingesting epoch's member table, claimed lock-free.
@@ -350,21 +351,19 @@ unsafe impl Sync for PadSlot {}
 /// 256 ids of the range (256 cells at the default bound); the seal and
 /// the snapshot walk only allocated chunks.
 ///
-/// Two flags coordinate with the store-locked control plane, both via the
-/// `active` permit counter ([`PadPermit`] is held across the caller's WAL
-/// append, so a quiesced pad implies every accepted sketch is journaled):
-///
-/// - **sealed**: set at seal; the sealer waits for in-flight permits to
-///   drop, then folds. Later claims bounce with [`PadIngest::Unavailable`].
-/// - **paused**: set around snapshots for the same quiescence guarantee,
-///   then cleared — bounced claims retry through the locked slow path,
-///   which blocks on the store lock until the snapshot completes.
+/// One flag coordinates with the store-locked seal through the `active`
+/// permit counter: **sealed** is set at seal, the sealer waits for
+/// in-flight permits to drop, then folds, and later claims bounce with
+/// [`PadIngest::Unavailable`]. [`PadPermit`] is held across the caller's
+/// WAL append, so a quiesced pad implies every accepted sketch is
+/// journaled, ahead of the seal record. A snapshot needs no barrier: a
+/// claim turns READY before its journal append, which is all the
+/// journal-rotation cut relies on (`SessionStore::snapshot_bytes`).
 #[derive(Debug)]
 pub struct IngestPad {
     seed: u64,
     m: usize,
     sealed: AtomicBool,
-    paused: AtomicBool,
     active: AtomicU64,
     /// Sketches deposited: the epoch's member count.
     accepted: AtomicU64,
@@ -388,7 +387,7 @@ impl fmt::Debug for PadSlot {
 pub enum PadIngest<'a> {
     /// The sketch was deposited. Hold the permit until the WAL append for
     /// this sketch completes (or immediately drop it when not journaling):
-    /// seal and snapshot quiescence wait on it.
+    /// the seal's quiescence waits on it.
     Accepted(PadPermit<'a>),
     /// The node already contributed.
     Duplicate,
@@ -399,15 +398,15 @@ pub enum PadIngest<'a> {
     /// The payload does not decode to an `M`-length sketch of finite
     /// values.
     BadSketch,
-    /// The pad is sealed, or paused for a snapshot. The lock-free caller
-    /// retries on the store-locked path, which resolves it.
+    /// The pad is sealed. The lock-free caller retries on the store-locked
+    /// path, which resolves it.
     Unavailable,
 }
 
 impl PadIngest<'_> {
     /// The typed reject of a refused sketch; `None` for an accepted or
     /// duplicate one. [`PadIngest::Unavailable`] answers as the sealed
-    /// epoch it usually is: the store-locked path never meets a paused pad.
+    /// epoch it is.
     fn refusal(&self) -> Option<RejectCode> {
         match self {
             PadIngest::Accepted(_) | PadIngest::Duplicate => None,
@@ -444,7 +443,7 @@ impl PadIngest<'_> {
     }
 }
 
-/// RAII guard keeping an [`IngestPad`]'s seal/snapshot barrier open; see
+/// RAII guard keeping an [`IngestPad`]'s seal barrier open; see
 /// [`PadIngest::Accepted`].
 #[derive(Debug)]
 pub struct PadPermit<'a> {
@@ -470,7 +469,6 @@ impl IngestPad {
             seed: op.seed,
             m: op.m,
             sealed: AtomicBool::new(false),
-            paused: AtomicBool::new(false),
             active: AtomicU64::new(0),
             accepted: AtomicU64::new(0),
             duplicates: AtomicU64::new(0),
@@ -515,15 +513,15 @@ impl IngestPad {
     /// The one slot claim behind every ingest path; `tally` counts a
     /// duplicate into the epoch's `duplicates` (replay does not).
     fn claim(&self, node: u32, seed: u64, payload: &EncodedSketch, tally: bool) -> PadIngest<'_> {
-        // Raise the permit before checking the barrier flags (Dekker-style
-        // with the sealer/snapshotter, both sides SeqCst): either we see
-        // the flag and bounce, or the barrier's quiescence wait sees us.
+        // Raise the permit before checking the barrier flag (Dekker-style
+        // with the sealer, both sides SeqCst): either we see the flag and
+        // bounce, or the sealer's quiescence wait sees us.
         self.active.fetch_add(1, Ordering::SeqCst);
         let permit = PadPermit { pad: self };
         // Barrier check precedes the range and seed checks: a sealed epoch
         // must answer `EpochSealed` (via the store-locked path) to every
         // sketch, matching the store's reject precedence.
-        if self.sealed.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
+        if self.sealed.load(Ordering::SeqCst) {
             return PadIngest::Unavailable;
         }
         if node as usize >= self.capacity {
@@ -564,34 +562,19 @@ impl IngestPad {
         }
     }
 
-    /// Raises `flag` and spins until every in-flight permit has dropped —
-    /// after which every accepted sketch is READY *and* its caller's WAL
-    /// append has completed.
-    fn quiesce(&self, flag: &AtomicBool) {
-        flag.store(true, Ordering::SeqCst);
+    /// Permanently closes the pad, waits out in-flight claims — after
+    /// which every accepted sketch is READY *and* its caller's WAL append
+    /// has completed — and moves every READY sketch out of its slot: a
+    /// pad still cached after the seal holds none. Returns the member
+    /// count and their canonical measurement: the dyadic fold in
+    /// ascending id order, the function the in-process aggregator runs,
+    /// so the bits match it. Callers hold the owning store exclusively
+    /// (`&mut SessionStore`).
+    fn seal(&self) -> (u64, Vector) {
+        self.sealed.store(true, Ordering::SeqCst);
         while self.active.load(Ordering::SeqCst) != 0 {
             std::hint::spin_loop();
         }
-    }
-
-    /// Pauses the pad for a snapshot; [`resume`](IngestPad::resume)
-    /// reopens it.
-    fn pause(&self) {
-        self.quiesce(&self.paused);
-    }
-
-    fn resume(&self) {
-        self.paused.store(false, Ordering::SeqCst);
-    }
-
-    /// Permanently closes the pad, waits out in-flight claims, and moves
-    /// every READY sketch out of its slot — a pad still cached after the
-    /// seal holds none. Returns the member count and their canonical
-    /// measurement: the dyadic fold in ascending id order, the function
-    /// the in-process aggregator runs, so the bits match it. Callers hold
-    /// the owning store exclusively (`&mut SessionStore`).
-    fn seal(&self) -> (u64, Vector) {
-        self.quiesce(&self.sealed);
         let members: Vec<(usize, Vector)> = self
             .ready_slots()
             // Safety: the pad is sealed and quiesced, and the caller holds
@@ -603,8 +586,8 @@ impl IngestPad {
     }
 
     /// The READY sketches with their node ids, ascending — read in place
-    /// for a snapshot. Callers reach the pad through its owning store, and
-    /// the server pauses it first so the members are a consistent cut.
+    /// for a snapshot while claims may still run. Callers reach the pad
+    /// through its owning store.
     fn members(&self) -> impl Iterator<Item = (usize, &Vector)> {
         // Safety: a READY cell is written again only by the seal's take,
         // which needs the owning store exclusively (see the `Sync`
@@ -1357,10 +1340,9 @@ impl SessionStore {
             return Err(RejectCode::EpochSealed);
         };
         // The lock-free path's slot claim. Under the store lock the pad is
-        // neither paused (a snapshot pauses and resumes it under this lock)
-        // nor sealed (the seal swaps the state under it). Dispatch callers
-        // journal under that same lock, so an accepted claim's permit drops
-        // at once.
+        // not sealed (the seal swaps the state under it), so it never
+        // answers `Unavailable` here. Dispatch callers journal under that
+        // same lock, so an accepted claim's permit drops at once.
         let outcome = pad.ingest(node, seed, payload);
         outcome.reply(session, epoch, stats).ok_or(RejectCode::EpochSealed)
     }
@@ -1480,40 +1462,17 @@ impl SessionStore {
         }
     }
 
-    /// Every ingesting epoch's pad, ascending.
-    fn pads(&self) -> impl Iterator<Item = &IngestPad> {
-        self.sessions.values().flat_map(|s| s.epochs.values()).filter_map(|ep| match &ep.state {
-            EpochState::Ingest(pad) => Some(&**pad),
-            EpochState::Sealed { .. } => None,
-        })
-    }
-
-    /// Pauses every ingest pad and waits out in-flight claims — after
-    /// which [`snapshot_bytes`] captures every acknowledged sketch. Call
-    /// under the store's lock; pair with [`resume_pads`] once the snapshot
-    /// is on disk (bounced lock-free claims retry through the locked path,
-    /// which this same lock is holding back in the meantime).
-    ///
-    /// [`snapshot_bytes`]: SessionStore::snapshot_bytes
-    /// [`resume_pads`]: SessionStore::resume_pads
-    pub fn pause_pads(&self) {
-        self.pads().for_each(IngestPad::pause);
-    }
-
-    /// Reopens pads paused by [`SessionStore::pause_pads`].
-    pub fn resume_pads(&self) {
-        self.pads().for_each(IngestPad::resume);
-    }
-
     // ---- snapshot ------------------------------------------------------
 
     /// Serializes the store as the compacted journal that rebuilds it: a
     /// `u64` record count, then the framed records whose replay rebuilds
     /// each epoch, epochs in ascending `(session, epoch)` order. The
     /// inverse is [`SessionStore::from_snapshot_bytes`]. An ingesting
-    /// epoch's members are read from its pad, so pause the pads first
-    /// ([`SessionStore::pause_pads`]) for a cut that holds every
-    /// acknowledged sketch.
+    /// epoch's members are read from its pad while claims may still run;
+    /// serialized right after a journal rotation
+    /// ([`Wal::cut_snapshot`](crate::wal::Wal::cut_snapshot)) under the
+    /// same store guard, it holds every sketch journaled before the
+    /// rotation, and a claim journaled after it replays as a duplicate.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
         let (mut out, mut count) = (vec![0u8; 8], 0u64);
         for (&session, sess) in &self.sessions {
@@ -2610,29 +2569,31 @@ mod tests {
         assert_eq!(y, fold_bits([5, 300, 301, 700].map(|n| (n, n))));
     }
 
-    /// A chunk first allocated after a snapshot drain is drained by the
-    /// next one; a claim bounced by the pause allocates nothing.
+    /// A snapshot leaves the pad open; a chunk first allocated after one
+    /// snapshot is in the next one; a claim bounced by the seal allocates
+    /// nothing.
     #[test]
-    fn pad_pause_drain_resume_across_a_chunk_allocated_mid_epoch() {
+    fn pad_snapshot_holds_a_chunk_allocated_mid_epoch() {
         let (mut store, _) = opened(1024, 1 << 16);
         let pad = store.pad_for(1, 0).expect("ingesting epoch");
         assert!(matches!(pad.ingest(1, SEED, &irregular_payload(1)), PadIngest::Accepted(_)));
-        store.pause_pads();
-        assert!(matches!(pad.ingest(600, SEED, &irregular_payload(600)), PadIngest::Unavailable));
+        let first = store.snapshot_bytes();
         assert_eq!(pad.allocated_slots().count(), PAD_CHUNK);
-        store.resume_pads();
         assert!(matches!(pad.ingest(600, SEED, &irregular_payload(600)), PadIngest::Accepted(_)));
         assert_eq!(pad.allocated_slots().count(), 2 * PAD_CHUNK);
 
-        store.pause_pads();
-        let snapshot = store.snapshot_bytes();
-        store.resume_pads();
-        let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())
-            .expect("valid snapshot");
-        assert_eq!(seal_bits(&mut rebuilt), (2, 0, fold_bits([(1, 1), (600, 600)])));
+        let second = store.snapshot_bytes();
+        for (snapshot, members) in [(first, vec![1]), (second, vec![1, 600])] {
+            let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())
+                .expect("valid snapshot");
+            let sealed = (members.len() as u64, 0, fold_bits(members.iter().map(|&n| (n, n))));
+            assert_eq!(seal_bits(&mut rebuilt), sealed);
+        }
 
         assert!(matches!(pad.ingest(601, SEED, &irregular_payload(601)), PadIngest::Accepted(_)));
         assert_eq!(seal_bits(&mut store), (3, 0, fold_bits([1, 600, 601].map(|n| (n, n)))));
+        assert!(matches!(pad.ingest(900, SEED, &irregular_payload(900)), PadIngest::Unavailable));
+        assert_eq!(pad.allocated_slots().count(), 2 * PAD_CHUNK);
     }
 
     /// Two threads racing the first claim of a fresh chunk: exactly one
@@ -2747,13 +2708,12 @@ mod tests {
     }
 
     /// Two ingesters with overlapping id sets (duplicates included) race a
-    /// thread that pauses the pad, snapshots and resumes it, then seals.
-    /// Every accepted claim is sealed exactly once with the winner's bits,
-    /// `Unavailable` is met only inside a pause or after the seal, and each
-    /// snapshot holds every claim accepted before its pause.
+    /// thread that snapshots the open pad, then seals. Every accepted
+    /// claim is sealed exactly once with the winner's bits, `Unavailable`
+    /// is met only after the seal began, and each snapshot holds every
+    /// claim accepted before its serialization began.
     #[test]
-    fn pad_claims_racing_pause_and_seal_count_each_node_once() {
-        use std::sync::atomic::AtomicUsize;
+    fn pad_claims_racing_snapshots_and_seal_count_each_node_once() {
         use std::sync::Mutex;
         use std::time::{Duration, Instant};
         const SNAPSHOTS: usize = 4;
@@ -2762,8 +2722,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(20);
         let (mut store, _) = opened(4096, 1 << 16);
         let pad = store.pad_for(1, 0).expect("ingesting epoch");
-        // Pause windows begun and ended, and whether the seal has begun.
-        let (begun, ended) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        // Whether the seal has begun.
         let sealing = AtomicBool::new(false);
         // `(node, sketch id)` of every accepted claim, recorded under its
         // permit (as the server journals), and the duplicate outcomes.
@@ -2774,7 +2733,6 @@ mod tests {
                 ids.into_iter().map(|n| (n, irregular_payload(n + tag))).collect();
             while Instant::now() < deadline {
                 for (node, payload) in &payloads {
-                    let ended_before = ended.load(Ordering::SeqCst);
                     match pad.ingest(*node, SEED, payload) {
                         PadIngest::Accepted(_) => {
                             accepted.lock().unwrap().push((*node, node + tag))
@@ -2782,11 +2740,13 @@ mod tests {
                         PadIngest::Duplicate => {
                             duplicates.fetch_add(1, Ordering::Relaxed);
                         }
-                        PadIngest::Unavailable if sealing.load(Ordering::SeqCst) => return,
-                        PadIngest::Unavailable => assert!(
-                            begun.load(Ordering::SeqCst) > ended_before,
-                            "node {node}: Unavailable outside a pause and before the seal"
-                        ),
+                        PadIngest::Unavailable => {
+                            assert!(
+                                sealing.load(Ordering::SeqCst),
+                                "node {node}: Unavailable before the seal began"
+                            );
+                            return;
+                        }
                         other => panic!("node {node}: unexpected outcome {other:?}"),
                     }
                 }
@@ -2798,19 +2758,15 @@ mod tests {
             s.spawn(|| ingest((IDS as u32 / 3..IDS as u32).rev().collect(), 10_000));
             let mut snapshots = Vec::new();
             for k in 1..=SNAPSHOTS {
-                // Pause at k fifths of the first pass, so pauses land mid-ingest.
+                // Snapshot at k fifths of the first pass, so snapshots land
+                // mid-ingest.
                 while accepted.lock().unwrap().len() < k * IDS / (SNAPSHOTS + 1)
                     && Instant::now() < deadline
                 {
                     std::thread::yield_now();
                 }
                 let before = accepted.lock().unwrap().clone();
-                begun.fetch_add(1, Ordering::SeqCst);
-                store.pause_pads();
-                let bytes = store.snapshot_bytes();
-                store.resume_pads();
-                ended.fetch_add(1, Ordering::SeqCst);
-                snapshots.push((before, bytes));
+                snapshots.push((before, store.snapshot_bytes()));
             }
             sealing.store(true, Ordering::SeqCst);
             (snapshots, seal_bits(&mut store))
@@ -2836,12 +2792,12 @@ mod tests {
                     PadIngest::Duplicate => {}
                     PadIngest::Accepted(_) if !before.contains(&(node, id)) => {}
                     other => {
-                        panic!("snapshot {k}, node {node} accepted before its pause: {other:?}")
+                        panic!("snapshot {k}, node {node} accepted before it: {other:?}")
                     }
                 }
             }
-            // Topped up with the claims accepted after its pause, the
-            // snapshot seals to the live bits: it held the winners' sketches.
+            // Topped up with the claims it missed, the snapshot seals to
+            // the live bits: it held only the winners' sketches.
             assert_eq!(seal_bits(&mut rebuilt).2, y, "snapshot {k}");
         }
     }
@@ -2942,9 +2898,7 @@ mod tests {
     fn seal_1024_nodes_after_a_mid_ingest_snapshot_matches_the_dyadic_fold() {
         let (mut store, _) = opened(4096, 1 << 16);
         ingest_arrivals(&mut store, 0..FAN_IN / 2);
-        store.pause_pads();
         let snapshot = store.snapshot_bytes();
-        store.resume_pads();
         let mut rebuilt = SessionStore::from_snapshot_bytes(&snapshot, StoreLimits::default())
             .expect("valid snapshot");
         ingest_arrivals(&mut rebuilt, FAN_IN / 2..FAN_IN);
@@ -2972,7 +2926,9 @@ mod tests {
                 }
             }
             if via_snapshot {
-                wal.snapshot(&live.snapshot_bytes(), &mut stats);
+                wal.cut_snapshot(&mut stats)
+                    .expect("cut")
+                    .persist(&live.snapshot_bytes(), &mut stats);
             }
             assert!(!wal.failed());
             drop(wal);
@@ -2984,6 +2940,56 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
         assert_eq!(sealed[0], sealed[1], "journal vs snapshot restart");
         assert_eq!(sealed[0], (1, 0, fold_bits([(5, 5)])));
+    }
+
+    /// The snapshot cut is the journal rotation: a claim accepted before
+    /// the cut but journaled after it — its permit held across the
+    /// rotation and the serialization — is in the snapshot and in segment
+    /// `S` both. Snapshot plus tail restores it as a member exactly once,
+    /// and the seal gives the live seal's bits.
+    #[test]
+    fn snapshot_cut_counts_a_claim_straddling_the_rotation_once() {
+        use crate::wal::{Durability, Wal};
+        let dir = std::env::temp_dir().join(format!("cso-session-cut-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open journal");
+        let mut stats = StoreStats::new();
+        let (mut live, mut conn) = (SessionStore::new(), ConnState::new());
+        let journal = |wal: &mut Wal, effect: &Effect, msg: &Message| {
+            let record = WalRecord::of_effect(effect, msg).expect("journaled");
+            wal.append(&record, &mut StoreStats::new());
+        };
+        for msg in [open_over(N), irregular_msg(1)] {
+            let (_, effect) = send(&mut live, &mut conn, &msg);
+            journal(&mut wal, &effect, &msg);
+        }
+        let pad = live.pad_for(1, 0).expect("ingesting epoch");
+        let straddler = irregular_msg(2);
+        let claim = pad.ingest(2, SEED, &irregular_payload(2));
+        let (_, effect) = claim.reply(1, 0, &mut stats).expect("accepted");
+        assert!(matches!(claim, PadIngest::Accepted(_)));
+        let cut = wal.cut_snapshot(&mut stats).expect("cut");
+        let bytes = live.snapshot_bytes();
+        journal(&mut wal, &effect, &straddler);
+        drop(claim);
+        cut.persist(&bytes, &mut stats);
+        let late = irregular_msg(3);
+        let (_, effect) = send(&mut live, &mut conn, &late);
+        journal(&mut wal, &effect, &late);
+        assert!(!wal.failed());
+        drop(wal);
+
+        let mut snapshot = SessionStore::from_snapshot_bytes(&bytes, StoreLimits::default())
+            .expect("valid snapshot");
+        assert_eq!(seal_bits(&mut snapshot).0, 2, "the snapshot holds nodes 1 and 2");
+        let (mut restarted, report) =
+            SessionStore::recover_from(&dir, StoreLimits::default()).expect("recover");
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(report.snapshot_loaded);
+        assert_eq!(report.replayed_records, 2, "the tail holds nodes 2 and 3");
+        let restored = seal_bits(&mut restarted);
+        assert_eq!(restored, (3, 0, fold_bits([1, 2, 3].map(|n| (n, n)))));
+        assert_eq!(restored, seal_bits(&mut live), "snapshot + tail vs the live seal");
     }
 
     /// The session and epoch caps are admission policy for live opens;
@@ -3002,7 +3008,9 @@ mod tests {
         let sessions = limits.max_sessions as u64;
         for session in 0..sessions {
             if session == 2 * sessions / 3 {
-                wal.snapshot(&live.snapshot_bytes(), &mut stats);
+                wal.cut_snapshot(&mut stats)
+                    .expect("cut")
+                    .persist(&live.snapshot_bytes(), &mut stats);
             }
             let open = Message::OpenEpoch {
                 session,
@@ -3123,7 +3131,9 @@ mod tests {
 
         /// Snapshots the live store into the snapshotting journal.
         fn snapshot(&mut self) {
-            self.wals[1].1.snapshot(&self.live.snapshot_bytes(), &mut StoreStats::new());
+            let mut stats = StoreStats::new();
+            let cut = self.wals[1].1.cut_snapshot(&mut stats).expect("cut");
+            cut.persist(&self.live.snapshot_bytes(), &mut stats);
         }
 
         /// Restarts from the live store's snapshot and from each journal,

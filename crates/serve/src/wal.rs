@@ -11,7 +11,8 @@
 //!   written, under the same store lock that applied it, so record order
 //!   always equals application order.
 //! - **Snapshots** — every [`Durability::snapshot_every_records`] records
-//!   the store is written as the compacted record stream that rebuilds it
+//!   the journal rotates ([`Wal::cut_snapshot`]) and the store as of that
+//!   rotation is written as the compacted record stream that rebuilds it
 //!   (see [`SessionStore::snapshot_bytes`]), atomically (temp + rename),
 //!   and older segments are pruned, so replay length stays bounded no
 //!   matter how long the server runs.
@@ -746,6 +747,11 @@ impl Wal {
     /// segments are never appended to — their tail may be torn).
     pub fn open(cfg: &Durability) -> Result<Wal, WalError> {
         fs::create_dir_all(&cfg.dir).map_err(|e| io_err("create wal dir", &e))?;
+        // A crash mid-snapshot leaves its temp file behind. No snapshot
+        // write is in flight before the journal opens, so each is stale.
+        for (_, tmp) in list_numbered(&cfg.dir, "snapshot-", ".tmp")? {
+            let _ = fs::remove_file(tmp);
+        }
         let next_seq = list_numbered(&cfg.dir, "wal-", ".log")?
             .last()
             .map(|(seq, _)| seq + 1)
@@ -837,7 +843,15 @@ impl Wal {
         stats.add("serve.wal_errors", 1);
     }
 
+    /// Ends the current segment, fsynced unless the policy is `Off` (so
+    /// power loss can tear only the final segment), and starts the next.
     fn rotate(&mut self, stats: &mut StoreStats) {
+        if self.cfg.fsync != FsyncPolicy::Off {
+            self.sync(stats);
+            if self.failed {
+                return;
+            }
+        }
         match open_segment(&self.cfg.dir, self.seg_seq + 1) {
             Ok(seg) => {
                 // The first record fsync covers the header (sync_all is
@@ -857,33 +871,45 @@ impl Wal {
     }
 
     /// Whether enough records accumulated since the last snapshot that the
-    /// caller (holding the store lock) should [`Wal::snapshot`].
+    /// caller (holding the store lock) should cut one ([`Wal::cut_snapshot`]).
     pub fn should_snapshot(&self) -> bool {
         !self.failed && self.records_since_snapshot >= self.cfg.snapshot_every_records
     }
 
-    /// Writes a pre-serialized store snapshot (see
-    /// [`SessionStore::snapshot_bytes`]) and prunes the segments the
-    /// snapshot covers: rotates to a fresh segment, writes
-    /// `snapshot-<seq>.bin` atomically (temp + rename + fsync), then
-    /// deletes all older segments and snapshots. Taking bytes rather than
-    /// a `&SessionStore` lets the server serialize the store under its
-    /// lock and write the bytes under the journal lock. On any failure
-    /// the journal is left untouched except for the rotation — recovery
-    /// falls back to the previous snapshot plus a longer replay, never to
-    /// wrong bits.
-    pub fn snapshot(&mut self, body: &[u8], stats: &mut StoreStats) {
+    /// A snapshot's rotate step, its consistency cut: ends the current
+    /// segment, starts segment `S` and resets the snapshot counter. The
+    /// caller serializes the store under the store guard it held across
+    /// this call, for the returned cut's [`SnapshotCut::persist`] to write
+    /// as `snapshot-S.bin`. `None` when the journal or the rotation failed.
+    pub fn cut_snapshot(&mut self, stats: &mut StoreStats) -> Option<SnapshotCut> {
         if self.failed {
-            return;
+            return None;
         }
-        // Everything up to here must be readable before the old segments
-        // become the snapshot's responsibility.
-        self.sync(stats);
         self.rotate(stats);
         if self.failed {
-            return;
+            return None;
         }
         self.records_since_snapshot = 0;
+        Some(SnapshotCut { dir: self.cfg.dir.clone(), seq: self.seg_seq })
+    }
+}
+
+/// A journal rotated for a snapshot by [`Wal::cut_snapshot`]: segments
+/// from `seq` on hold every record appended after the cut.
+#[derive(Debug)]
+#[must_use = "a cut that is never persisted leaves the journal unpruned"]
+pub struct SnapshotCut {
+    dir: PathBuf,
+    seq: u64,
+}
+
+impl SnapshotCut {
+    /// A snapshot's write step, under no lock: writes `snapshot-<seq>.bin`
+    /// atomically (temp + fsync + rename + directory fsync), then deletes
+    /// every segment and snapshot below `seq`. A failure prunes nothing, so
+    /// recovery falls back to an older snapshot and a longer replay. Two
+    /// cuts may persist at once: each prunes only below its own `seq`.
+    pub fn persist(self, body: &[u8], stats: &mut StoreStats) {
         let mut out = Writer::new();
         out.bytes(SNAPSHOT_MAGIC);
         out.u32(WAL_VERSION);
@@ -891,12 +917,13 @@ impl Wal {
         out.u64(body.len() as u64);
         out.bytes(body);
         let out = out.into_bytes();
-        let path = snapshot_path(&self.cfg.dir, self.seg_seq);
+        let path = snapshot_path(&self.dir, self.seq);
         let tmp = path.with_extension("tmp");
         let written = (|| -> io::Result<()> {
             let mut f = File::create(&tmp)?;
             f.write_all(&out)?;
             f.sync_all()?;
+            crash_point("mid-snapshot");
             fs::rename(&tmp, &path)?;
             Ok(())
         })();
@@ -910,16 +937,17 @@ impl Wal {
         // the rename, leaving neither snapshot nor journal. If the
         // directory fsync fails, skip pruning: the old snapshot plus the
         // unpruned segments still recover.
-        if sync_dir(&self.cfg.dir).is_err() {
+        if sync_dir(&self.dir).is_err() {
             stats.add("serve.wal_errors", 1);
             return;
         }
         stats.add("serve.wal_snapshots", 1);
-        // Prune: everything before the fresh segment is now redundant.
+        // Prune: everything before the cut's segment is now redundant.
+        // Temp files are left alone: another cut may be writing one.
         for kind in [("wal-", ".log"), ("snapshot-", ".bin")] {
-            if let Ok(files) = list_numbered(&self.cfg.dir, kind.0, kind.1) {
+            if let Ok(files) = list_numbered(&self.dir, kind.0, kind.1) {
                 for (seq, p) in files {
-                    if seq < self.seg_seq {
+                    if seq < self.seq {
                         let _ = fs::remove_file(p);
                     }
                 }
@@ -927,7 +955,7 @@ impl Wal {
         }
         // Unlink durability is tidiness, not correctness (recovery
         // ignores files below the newest snapshot's seq) — best effort.
-        let _ = sync_dir(&self.cfg.dir);
+        let _ = sync_dir(&self.dir);
     }
 }
 
@@ -1402,7 +1430,7 @@ mod tests {
             r.replay(&mut store).expect("mirror replay");
             wal.append(r, &mut stats);
         }
-        wal.snapshot(&store.snapshot_bytes(), &mut stats);
+        wal.cut_snapshot(&mut stats).expect("cut").persist(&store.snapshot_bytes(), &mut stats);
         assert!(!wal.failed());
         drop(wal);
 
@@ -1506,6 +1534,57 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A size-triggered rotation fsyncs the segment it leaves, so under
+    /// `PerSeal` an ingest-only stream records one `serve.wal_fsync_ns`
+    /// observation per rotation — power loss can then tear only the final
+    /// segment. Under `Off` a rotation syncs nothing.
+    #[test]
+    fn rotation_syncs_the_segment_it_leaves() {
+        let ingest = sample_records().swap_remove(1);
+        for (fsync, synced) in [(FsyncPolicy::PerSeal, true), (FsyncPolicy::Off, false)] {
+            let dir = temp_dir("rotate-sync");
+            let cfg = Durability { fsync, segment_bytes: 64, ..Durability::at(&dir) };
+            let mut wal = Wal::open(&cfg).expect("open");
+            let mut stats = StoreStats::new();
+            for _ in 0..6 {
+                wal.append(&ingest, &mut stats);
+            }
+            assert!(!wal.failed());
+            let rotations = stats
+                .pending()
+                .iter()
+                .filter(|(name, _)| *name == "serve.wal_segments_rotated")
+                .count();
+            assert_eq!(rotations, 6, "{fsync:?}: every ingest record fills a 64-byte segment");
+            let rec = cso_obs::Recorder::new();
+            stats.flush(&rec);
+            let fsyncs =
+                rec.metrics_snapshot().histogram("serve.wal_fsync_ns").map_or(0, |h| h.count);
+            assert_eq!(fsyncs, if synced { rotations as u64 } else { 0 }, "{fsync:?}");
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A crash between a snapshot's temp-file write and its rename leaves
+    /// `snapshot-<seq>.tmp` behind; the next open deletes it, and recovery
+    /// never reads it.
+    #[test]
+    fn stale_snapshot_temp_files_are_removed_at_open() {
+        let dir = temp_dir("snap-tmp");
+        let mut wal = Wal::open(&Durability::at(&dir)).expect("open");
+        wal.append(&sample_records()[0], &mut StoreStats::new());
+        drop(wal);
+        let tmp = snapshot_path(&dir, 1).with_extension("tmp");
+        fs::write(&tmp, b"half-written snapshot").expect("plant temp file");
+        let (_, report) =
+            SessionStore::recover_from(&dir, StoreLimits::default()).expect("recover");
+        assert!(!report.snapshot_loaded);
+        assert_eq!(report.replayed_records, 1);
+        drop(Wal::open(&Durability::at(&dir)).expect("reopen"));
+        assert!(!tmp.exists(), "the stale temp file is gone");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn snapshot_prunes_and_recovery_prefers_it() {
         let dir = temp_dir("snap");
@@ -1521,7 +1600,7 @@ mod tests {
             wal.append(r, &mut stats);
         }
         assert!(wal.should_snapshot());
-        wal.snapshot(&store.snapshot_bytes(), &mut stats);
+        wal.cut_snapshot(&mut stats).expect("cut").persist(&store.snapshot_bytes(), &mut stats);
         assert!(!wal.failed());
         // The pre-snapshot segment is pruned; the snapshot carries state.
         assert!(!segment_path(&dir, 0).exists(), "segment 0 pruned");

@@ -12,7 +12,8 @@
 //!
 //! - **Seeded injection points** (`CSO_SERVE_CRASH_POINT`): the WAL layer
 //!   calls `std::process::abort()` at mid-ingest, pre-seal-fsync,
-//!   post-seal, and mid-recover — deterministic worst-case placements.
+//!   post-seal, mid-recover and mid-snapshot — deterministic worst-case
+//!   placements.
 //! - **Raw SIGKILL** (`Child::kill`) at arbitrary parent-chosen times —
 //!   no cooperation from the victim at all.
 //!
@@ -93,6 +94,15 @@ fn spawn_child_with_flight(
     crash: Option<&str>,
     flight: Option<&PathBuf>,
 ) -> Child {
+    let mut cmd = child_command(port, dir, crash);
+    if let Some(path) = flight {
+        cmd.env("CSO_SERVE_FLIGHT_PATH", path.display().to_string());
+    }
+    cmd.spawn().expect("spawn child server")
+}
+
+/// The command that re-execs this binary as [`child_server`].
+fn child_command(port: u16, dir: &Path, crash: Option<&str>) -> Command {
     let exe = std::env::current_exe().expect("test binary path");
     let mut cmd = Command::new(exe);
     cmd.arg("child_server")
@@ -106,10 +116,7 @@ fn spawn_child_with_flight(
     if let Some(point) = crash {
         cmd.env("CSO_SERVE_CRASH_POINT", point).env("CSO_SERVE_CRASH_COUNT", "1");
     }
-    if let Some(path) = flight {
-        cmd.env("CSO_SERVE_FLIGHT_PATH", path.display().to_string());
-    }
-    cmd.spawn().expect("spawn child server")
+    cmd
 }
 
 /// Blocks until the child's listener answers connects (then drops the
@@ -182,11 +189,15 @@ fn child_server() {
     if let Ok(path) = std::env::var("CSO_SERVE_FLIGHT_PATH") {
         telemetry.flight_path = Some(PathBuf::from(path));
     }
+    let mut durability = cso_serve::Durability::at(&dir);
+    if let Ok(every) = std::env::var("CSO_SERVE_SNAPSHOT_EVERY") {
+        durability.snapshot_every_records = every.parse().unwrap();
+    }
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
         match cso_serve::spawn(cso_serve::ServerConfig {
             port,
-            durability: Some(cso_serve::Durability::at(&dir)),
+            durability: Some(durability.clone()),
             telemetry: telemetry.clone(),
             ..cso_serve::ServerConfig::default()
         }) {
@@ -446,6 +457,54 @@ fn kill9_at_every_seeded_point_recovers_bit_identically() {
         });
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The snapshot's write step runs outside every lock, so a crash can land
+/// between its temp file and the rename. A child snapshotting every 3
+/// records aborts there on its first snapshot; restarted on the same
+/// journal, it deletes the stale temp file, the resumed run is
+/// bit-identical to the never-crashed reference, and no temp file is left.
+#[test]
+fn kill9_mid_snapshot_recovers_bit_identically_and_leaves_no_temp_file() {
+    let (cluster, _) = majority_cluster();
+    let reference = proto().run_over_wire(&cluster, K, SketchEncoding::F64).unwrap();
+    let point = "mid-snapshot";
+    let dir = temp_dir(point);
+    let port = pick_port();
+    let addr = SocketAddr::from(([127, 0, 0, 1], port));
+    let spawn = |crash| {
+        let mut cmd = child_command(port, &dir, crash);
+        cmd.env("CSO_SERVE_SNAPSHOT_EVERY", "3").spawn().expect("spawn child server")
+    };
+    let temp_files = || {
+        std::fs::read_dir(&dir)
+            .expect("wal dir")
+            .filter(|e| e.as_ref().unwrap().path().extension().is_some_and(|x| x == "tmp"))
+            .count()
+    };
+    let mut doomed = spawn(Some(point));
+    wait_listening(addr);
+
+    std::thread::scope(|scope| {
+        let cluster = &cluster;
+        let runner = scope.spawn(move || {
+            let cfg = ServeRunConfig { retry: patient(), ..ServeRunConfig::default() };
+            run_cs_over_server(&proto(), cluster, K, addr, &cfg)
+        });
+
+        wait_exit(&mut doomed, point);
+        assert_eq!(temp_files(), 1, "the crash left the snapshot's temp file");
+        let fresh = spawn(None);
+
+        let run = runner.join().expect("runner thread").unwrap_or_else(|e| {
+            panic!("{point}: resumed run failed: {e}");
+        });
+        assert_bit_identical(&run, &reference, cluster, point);
+        // Every snapshot a request triggers is written before its reply.
+        assert_eq!(temp_files(), 0, "a snapshot temp file outlived the restart");
+        kill(fresh);
+    });
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Matrix-free operators survive kill-9 (PR 9 satellite): for each

@@ -93,7 +93,9 @@ fn drive(steps: &[Step], wal: &mut Wal) -> Result<SessionStore, TestCaseError> {
                 continue;
             }
             Step::Snapshot => {
-                wal.snapshot(&live.snapshot_bytes(), &mut stats);
+                wal.cut_snapshot(&mut stats)
+                    .expect("cut")
+                    .persist(&live.snapshot_bytes(), &mut stats);
                 continue;
             }
         };

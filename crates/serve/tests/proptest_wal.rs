@@ -324,7 +324,8 @@ fn version_4_segments_and_snapshots_replay() {
 
     let dir = temp_dir("v4-snapshot");
     let mut wal = cso_serve::Wal::open(&Durability::at(&dir)).expect("wal open");
-    wal.snapshot(&expected, &mut StoreStats::new());
+    let mut stats = StoreStats::new();
+    wal.cut_snapshot(&mut stats).expect("cut").persist(&expected, &mut stats);
     drop(wal);
     as_version_4(&dir.join("snapshot-00000001.bin"));
     let (rebuilt, report) =

@@ -23,6 +23,8 @@
 #      epoch state that implies it in cso-serve's session.rs, no insert
 #      into or removal from the store's session and epoch maps outside
 #      `SessionStore::apply` (admission evicts through `Evict` records),
+#      no pad pause barrier (`pause_pads`, `resume_pads`, a `paused`
+#      field) in cso-serve (a snapshot's cut is the journal rotation),
 #      and no second OMP refresh pass (`shift_and_select_all`, a `qt_phi`
 #      buffer) beside the one-section scan in cso-core's omp.rs
 #   6. a warnings-clean rustdoc build (broken intra-doc links fail CI)
@@ -45,7 +47,10 @@
 #      segment or snapshot still replays; admission's evictions are
 #      journaled, so a reused evicted id restarts as the live store and
 #      a refused open leaves no empty session; a random live store under
-#      small caps restarts from its journal byte for byte)
+#      small caps restarts from its journal byte for byte; a rotation
+#      fsyncs the segment it leaves; a claim straddling a snapshot's
+#      rotation cut restores once; a stale snapshot temp file is deleted
+#      at open, and a kill-9 between its write and rename recovers)
 #      and the snapshot decoder fuzz (bit flips, hostile record lengths,
 #      a wrong record count, a seal whose m disagrees with its body: all
 #      typed errors) must pass, and the fsync-policy sweep must run and
@@ -163,6 +168,11 @@ if awk '/^#\[cfg\(test\)\]/ { exit }
     echo "a second store mutation path is back; evict through SessionStore::apply"
     exit 1
 fi
+# The snapshot's cut is the journal rotation: no pad pause barrier.
+if grep -rnE "pause_pads|resume_pads|\bpaused\s*:" crates/serve/src; then
+    echo "a pad pause barrier is back; a snapshot cuts at the journal rotation"
+    exit 1
+fi
 # One pool section per OMP pick: block tasks scan, update and select.
 if grep -nE "shift_and_select_all|qt_phi" crates/core/src/omp.rs; then
     echo "a second refresh pass is back; update and select inside OmpDictionary::scan"
@@ -220,7 +230,7 @@ cargo test -q -p cso-serve --test proptest_wal
 cargo test -q -p cso-serve --test proptest_snapshot
 cargo test -q -p cso-serve --test proptest_admission
 cargo test -q -p cso-serve --lib -- snapshot replay a_refused_open_at_a_full_store
-cargo test -q -p cso-serve --lib -- bad_segment_reasons_are_typed
+cargo test -q -p cso-serve --lib -- bad_segment_reasons_are_typed rotation_syncs
 cargo test -q -p cso-serve --lib -- evicted_id_reuse refused_opens_of_new_sessions
 cargo run --release -q -p cso-bench --bin figures -- serve_durable
 for artifact in results/serve_durable.csv BENCH_pr6.json; do
@@ -318,8 +328,8 @@ echo "==> [17/17] seal-cost smoke (benchmark self-tests + lazy fold + chunked pa
 # run of every workload.
 # The lazy aggregator must match the eager (fold-on-every-join) model bit
 # for bit and error for error; the pad tests pin chunk edges, first wins
-# across the locked and lock-free paths, pause/resume across a fresh
-# chunk, racing first claims, claims racing pause/snapshot and the seal,
+# across the locked and lock-free paths, snapshots across a fresh
+# chunk, racing first claims, claims racing snapshots and the seal,
 # and the memory bound; the node-id bound tests pin the typed
 # `NodeOutOfRange` on the locked path, the pad and replay; the 1024-node
 # tests pin the sealed measurement to the flat dyadic fold on every path.
